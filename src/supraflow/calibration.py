@@ -12,6 +12,9 @@ Two calibration routes work from snapshot histories:
   assembled supra-Laplacian and applying the rank-1 correction
   A <- A + gain * (x(t+1) - x_hat(t+1)) x(t)^T per training pair.  The learned
   operator is kept fully general, not projected back to Kronecker structure.
+  The learner and its predictions need only e^{A} x, so e^{A} is applied to
+  states (``exponential_action``) and formed only where that is cheaper: for a
+  stiff operator or many states at once.
 """
 
 from __future__ import annotations
@@ -20,18 +23,17 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .diffusion import matrix_exponential, _state_array
+from .diffusion import exponential_action, matrix_exponential, _state_array
 from .network import DiffusionConstants, InterconnectedNetwork, SupraLaplacian, assemble_supra_laplacian
 from .states import StateMatrix
 
 #: Largest vectorized dimension (node count x topic count) for which the dense
-#: operator exponential stays tractable at desk scale.
+#: learned operator and its exponential action stay tractable at desk scale.
 MAX_LEARN_DIM = 4000
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -275,11 +277,12 @@ class LearnedOperator:
     """Dense one-step operator learned on the vectorized state.
 
     ``lambda_hat`` is PT x PT; the one-step prediction is
-    e^{lambda_hat} @ vectorize(X).  ``iteration_log`` records the pair error
-    measured just before each rank-1 update (or the initial evaluation when
-    the fit converges immediately); ``residual_variance`` holds per-coordinate
-    variances of the final training residuals, used downstream as the default
-    process-noise diagonal.
+    e^{lambda_hat} @ vectorize(X), computed as the exponential's action on the
+    state; e^{lambda_hat} is not kept.  ``iteration_log`` records the pair
+    error measured just before each rank-1 update (or the initial evaluation
+    when the fit converges immediately); ``residual_variance`` holds
+    per-coordinate variances of the final training residuals, used downstream
+    as the default process-noise diagonal.
     """
 
     lambda_hat: np.ndarray
@@ -293,11 +296,6 @@ class LearnedOperator:
     initial_error: float
     final_error: float
     residual_variance: np.ndarray
-
-    @cached_property
-    def transition(self) -> np.ndarray:
-        """Cached e^{lambda_hat}."""
-        return matrix_exponential(self.lambda_hat)
 
 
 def kronecker_lift(supra: SupraLaplacian, n_topics: int) -> np.ndarray:
@@ -315,7 +313,7 @@ def learn_supra_operator(
     """Learn the dense one-step operator from training pairs by rank-1 updates.
 
     Starts from the Kronecker lift of ``init``.  Each iteration predicts one
-    pair with the current operator exponential and adds
+    pair with the action of the current operator exponential and adds
     gain * outer(target - prediction, input).  The loop stops once every
     training pair's error norm falls below the threshold, or at ``max_iters``
     updates.  Defaults: gain = 1e-3 / mean squared input norm, threshold =
@@ -346,68 +344,49 @@ def learn_supra_operator(
     threshold = float(threshold)
 
     lam = kronecker_lift(init, n_topics)
-
-    def pair_errors(operator: np.ndarray) -> np.ndarray:
-        propagator = matrix_exponential(operator)
-        return np.array(
-            [np.linalg.norm(t - propagator @ x) for x, t in zip(inputs, targets)]
-        )
-
-    def checked_errors(operator: np.ndarray, at_iteration: int) -> np.ndarray:
-        try:
-            return pair_errors(operator)
-        except NumericalError as exc:
-            raise NumericalError(
-                f"operator update diverged at iteration {at_iteration}; "
-                f"reduce the gain ({exc})"
-            ) from None
+    stacked_inputs = np.column_stack(inputs)
+    stacked_targets = np.column_stack(targets)
 
     log: list[float] = []
     iterations = 0
     converged = False
     initial_error = None
-    while True:
-        errors = checked_errors(lam, iterations)
-        if initial_error is None:
-            initial_error = float(errors.max())
-        if errors.max() < threshold:
-            converged = True
-            if not log:
-                log.append(float(errors.max()))
-            break
-        if iterations >= max_iters:
-            break
-        for x, t in zip(inputs, targets):
-            try:
-                prediction = matrix_exponential(lam) @ x
-            except NumericalError as exc:
-                raise NumericalError(
-                    f"operator update diverged at iteration {iterations}; "
-                    f"reduce the gain ({exc})"
-                ) from None
-            residual = t - prediction
-            log.append(float(np.linalg.norm(residual)))
-            lam = lam + gain * np.outer(residual, x)
-            iterations += 1
-            if not np.isfinite(lam).all():
-                raise NumericalError(
-                    f"operator update diverged at iteration {iterations}; reduce the gain"
-                )
+    try:
+        while True:
+            # Every exit below follows this evaluation, so its residuals are
+            # also the final ones.
+            residuals = stacked_targets - exponential_action(lam, stacked_inputs)
+            errors = np.linalg.norm(residuals, axis=0)
+            if initial_error is None:
+                initial_error = float(errors.max())
+            if errors.max() < threshold:
+                converged = True
+                if not log:
+                    log.append(float(errors.max()))
+                break
             if iterations >= max_iters:
                 break
-
-    try:
-        final_propagator = matrix_exponential(lam)
+            for j, (x, t) in enumerate(zip(inputs, targets)):
+                if j == 0:
+                    # Lambda has not changed since the sweep's evaluation.
+                    residual = residuals[:, 0]
+                else:
+                    residual = t - exponential_action(lam, x)
+                log.append(float(np.linalg.norm(residual)))
+                lam = lam + gain * np.outer(residual, x)
+                iterations += 1
+                if not np.isfinite(lam).all():
+                    raise NumericalError("the operator has non-finite entries")
+                if iterations >= max_iters:
+                    break
     except NumericalError as exc:
         raise NumericalError(
             f"operator update diverged at iteration {iterations}; reduce the gain ({exc})"
         ) from None
-    final_residuals = np.stack(
-        [t - final_propagator @ x for x, t in zip(inputs, targets)]
-    )
-    final_error = float(np.linalg.norm(final_residuals, axis=1).max())
+
+    final_error = float(errors.max())
     ddof = 1 if len(pairs) > 1 else 0
-    residual_variance = final_residuals.var(axis=0, ddof=ddof)
+    residual_variance = residuals.var(axis=1, ddof=ddof)
     return LearnedOperator(
         lambda_hat=lam,
         gain=gain,
@@ -424,14 +403,21 @@ def learn_supra_operator(
 
 
 def one_step_predict_learned(op: LearnedOperator, x):
-    """Predict the next snapshot with the learned operator exponential."""
+    """Predict the next snapshot: e^{lambda_hat} applied to the state.
+
+    ``x`` may also be a k x P x T array of states, predicted in one call so
+    that they share the cost of the exponential.
+    """
     arr = _state_array(x)
-    if arr.shape != (op.n_nodes, op.n_topics):
+    shape = (op.n_nodes, op.n_topics)
+    if arr.ndim not in (2, 3) or arr.shape[-2:] != shape:
         raise ValidationError(
             f"state shape {arr.shape} does not match the learned operator "
             f"({op.n_nodes} x {op.n_topics})"
         )
-    predicted = devectorize(op.transition @ vectorize(arr), op.n_nodes, op.n_topics)
+    states = arr.reshape((-1,) + shape)
+    moved = exponential_action(op.lambda_hat, np.column_stack([vectorize(s) for s in states]))
+    predicted = np.stack([devectorize(v, *shape) for v in moved.T]).reshape(arr.shape)
     if isinstance(x, StateMatrix):
         return StateMatrix(matrix=predicted, node_index=dict(x.node_index), timestamp=x.timestamp + 1.0)
     return predicted

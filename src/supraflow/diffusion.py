@@ -112,6 +112,55 @@ def matrix_exponential(a) -> np.ndarray:
     return result
 
 
+def exponential_action(a, x) -> np.ndarray:
+    """e^A X, by the truncated-Taylor action of Al-Mohy & Higham (2011) when
+    that is cheaper than forming e^A.
+
+    X may be one vector or a matrix of column vectors.  The action costs about
+    ||A - mu I||_1 matrix-vector products per column (mu = trace(A) / n), the
+    dense exponential a fixed few n x n products and several n x n
+    temporaries, so only a stiff operator or many columns take the dense
+    route.  On one BLAS thread (x86-64, n = 400-800) the action took at most
+    about 1.5 times as long while that norm times the column count stayed
+    below 4n, and up to 10 times as long beyond.
+    """
+    mat = np.asarray(a, dtype=float)
+    vecs = np.asarray(x, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValidationError(f"exponential action needs a square matrix, got shape {mat.shape}")
+    if vecs.ndim not in (1, 2) or vecs.shape[0] != mat.shape[0]:
+        raise ValidationError(
+            f"exponential action of a {mat.shape} matrix cannot act on shape {vecs.shape}"
+        )
+    if not np.isfinite(mat).all():
+        raise ValidationError("exponential action input has non-finite entries")
+    n = mat.shape[0]
+    columns = 1 if vecs.ndim == 1 else vecs.shape[1]
+    diag = mat.diagonal()
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Shifting by mu moves only the diagonal; an overflow reads as stiff.
+        col_sums = np.abs(mat).sum(axis=0) - np.abs(diag) + np.abs(diag - diag.mean())
+        stiffness = col_sums.max(initial=0.0)
+    if not stiffness * columns < 4 * n:
+        return matrix_exponential(mat) @ vecs
+    # Deferred import: scipy.sparse.linalg is slow to load and only the
+    # learned-operator path needs it.
+    import scipy.sparse.linalg
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            result = scipy.sparse.linalg.expm_multiply(mat, vecs)
+        except (OverflowError, ValueError) as exc:
+            # The step-count selection turns an infinite or NaN norm
+            # estimate into an integer and fails there.
+            raise NumericalError(
+                f"exponential action failed; operator norm is pathological ({exc})"
+            ) from None
+    if not np.isfinite(result).all():
+        raise NumericalError("exponential action overflowed; operator norm is pathological")
+    return result
+
+
 def _state_array(x) -> np.ndarray:
     return x.matrix if isinstance(x, StateMatrix) else np.asarray(x, dtype=float)
 

@@ -262,7 +262,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
             curves[name] = _pair_errors(predictions, block_targets)
         elif kind == "learned_operator":
             op = ensure_learned()
-            predictions = [one_step_predict_learned(op, a.matrix)[block] for a, _, _ in test_pairs]
+            inputs = np.stack([a.matrix for a, _, _ in test_pairs])
+            predictions = [p[block] for p in one_step_predict_learned(op, inputs)]
             curves[name] = _pair_errors(predictions, block_targets)
         else:
             op = ensure_learned()

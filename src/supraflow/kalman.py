@@ -11,8 +11,12 @@ filter alternates:
     predict:  x <- F x
               Pi <- F Pi F^T + Q
 
-A pseudo-inverse replaces the plain inverse because R_e is singular on
-unobserved coordinates; covariances are re-symmetrized every step.
+Pi H^T is zero outside the observed coordinates o, so the update only needs
+the m x m observed block of R_e: with K = Pi[:, o] (R_oo + Pi_oo)^+ it reads
+x <- x + K (y_o - x_o) and Pi <- Pi - K Pi[o, :].  A pseudo-inverse of that
+block replaces the plain inverse because it can be singular (zero observation
+noise on a zero covariance); covariances are re-symmetrized every step.  F is
+built once per filter, in ``initial_state``, and carried in the state.
 """
 
 from __future__ import annotations
@@ -106,12 +110,16 @@ class KalmanState:
     def __post_init__(self):
         x = np.asarray(self.x_hat, dtype=float)
         pi = np.asarray(self.pi, dtype=float)
+        f = np.asarray(self.f_hat, dtype=float)
         object.__setattr__(self, "x_hat", x)
         object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "f_hat", f)
         if self.phase not in (PHASE_PREDICTED, PHASE_UPDATED):
             raise ValidationError(f"unknown filter phase {self.phase!r}")
         if pi.shape != (x.size, x.size):
             raise ValidationError("covariance shape does not match the state length")
+        if f.shape != pi.shape:
+            raise ValidationError("transition shape does not match the state length")
 
 
 def transition_matrix(op: LearnedOperator) -> np.ndarray:
@@ -146,21 +154,28 @@ def kalman_update(state: KalmanState, y: np.ndarray, model: ObservationModel) ->
     h = model.h_diag()
     if h.size != state.x_hat.size:
         raise ValidationError("observation model size does not match the state")
+    obs = np.flatnonzero(h)
+    if obs.size == 0:
+        return KalmanState(x_hat=state.x_hat, pi=state.pi, phase=PHASE_UPDATED, f_hat=state.f_hat)
     pi = state.pi
-    # H is diagonal 0/1: H @ Pi scales rows, Pi @ H^T scales columns.
-    r_e = np.diag(model.r_diag) + h[:, None] * pi * h[None, :]
-    gain_core = (pi * h[None, :]) @ np.linalg.pinv(r_e, hermitian=True)
-    innovation = y - h * state.x_hat
-    x_post = state.x_hat + gain_core @ innovation
-    pi_post = _symmetrized(pi - gain_core @ (h[:, None] * pi))
+    # R_e is block-diagonal over (observed, unobserved) and Pi H^T has zero
+    # unobserved columns, so only the observed block of R_e^+ contributes.
+    pi_rows = pi[obs, :]
+    r_e = np.diag(model.r_diag[obs]) + pi_rows[:, obs]
+    gain = pi[:, obs] @ np.linalg.pinv(r_e, hermitian=True)
+    x_post = state.x_hat + gain @ (y[obs] - state.x_hat[obs])
+    pi_post = _symmetrized(pi - gain @ pi_rows)
     return KalmanState(x_hat=x_post, pi=pi_post, phase=PHASE_UPDATED, f_hat=state.f_hat)
 
 
 def kalman_predict(state: KalmanState, op: LearnedOperator, model: ObservationModel) -> KalmanState:
-    """Advance the updated estimate one step through F = I + A."""
+    """Advance the updated estimate one step through F = I + A.
+
+    F is the state's ``f_hat``, built from ``op`` once by ``initial_state``.
+    """
     if state.phase != PHASE_UPDATED:
         raise ValidationError("kalman_predict expects a state in the 'updated' phase")
-    f = transition_matrix(op)
+    f = state.f_hat
     x_next = f @ state.x_hat
     pi_next = _symmetrized(f @ state.pi @ f.T + np.diag(model.q_diag))
     return KalmanState(x_hat=x_next, pi=pi_next, phase=PHASE_PREDICTED, f_hat=f)

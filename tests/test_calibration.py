@@ -238,6 +238,17 @@ class TestOneStepPredict:
             fixed_err += np.linalg.norm(one_step_predict_learned(fixed, a.matrix) - b.matrix) / truth_norm
         assert learned_err <= fixed_err
 
+    def test_stack_matches_one_state_at_a_time(self):
+        rng = np.random.default_rng(13)
+        from conftest import make_operator
+
+        op = make_operator(0.2 * rng.standard_normal((8, 8)), 4, 2)
+        states = rng.random((5, 4, 2))
+        stacked = one_step_predict_learned(op, states)
+        assert stacked.shape == (5, 4, 2)
+        for state, predicted in zip(states, stacked):
+            assert np.abs(predicted - one_step_predict_learned(op, state)).max() < 1e-12
+
     def test_shape_mismatch_rejected(self):
         from conftest import make_operator
 

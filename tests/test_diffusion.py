@@ -14,6 +14,7 @@ from supraflow import (
     simulate_ensemble,
     simulate_open,
 )
+from supraflow.diffusion import exponential_action
 from conftest import connected_adjacency, single_layer_supra
 
 
@@ -69,6 +70,54 @@ class TestMatrixExponential:
     def test_overflow_reported(self):
         with pytest.raises(NumericalError):
             matrix_exponential(1e4 * np.eye(2))
+
+
+class TestExponentialAction:
+    def test_vector_and_columns_match_taylor_oracle(self):
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((8, 8)) / 2
+        x = rng.standard_normal((8, 3))
+        assert np.abs(exponential_action(a, x) - taylor_expm(a) @ x).max() < 1e-9
+        assert np.abs(exponential_action(a, x[:, 0]) - taylor_expm(a) @ x[:, 0]).max() < 1e-9
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValidationError):
+            exponential_action(np.zeros((2, 3)), np.zeros(2))
+        with pytest.raises(ValidationError):
+            exponential_action(np.zeros((2, 2)), np.zeros(3))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValidationError):
+            exponential_action([[np.nan, 0.0], [0.0, 0.0]], np.ones(2))
+
+    def test_overflow_reported(self):
+        with pytest.raises(NumericalError):
+            exponential_action(1e4 * np.eye(2), np.ones(2))
+
+    def test_stiff_operator_or_many_columns_take_the_dense_route(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        real = scipy.sparse.linalg.expm_multiply
+        calls = []
+
+        def counted(a, x):
+            calls.append(x.shape)
+            return real(a, x)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counted)
+        rng = np.random.default_rng(3)
+        mild = 0.01 * rng.standard_normal((50, 50))
+        exponential_action(mild, rng.random((50, 2)))
+        assert calls == [(50, 2)]
+        stiff = exponential_action(400 * mild, rng.random((50, 2)))
+        many = exponential_action(mild, rng.random((50, 800)))
+        assert calls == [(50, 2)]
+        assert stiff.shape == (50, 2) and many.shape == (50, 800)
+
+    def test_pathological_norm_reported(self):
+        # The norm overflows to inf, which reads as stiff: the dense route reports it.
+        with pytest.raises(NumericalError):
+            exponential_action(np.full((3, 3), 1e300), np.ones(3))
 
 
 class TestPropagateClosed:

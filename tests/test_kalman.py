@@ -124,6 +124,20 @@ class TestKalmanPredict:
         with pytest.raises(ValidationError, match="phase"):
             kalman_predict(state, op, model)
 
+    def test_uses_transition_built_by_initial_state(self):
+        op = make_operator(np.array([[-0.3]]), 1, 1)
+        model = full_observation_model(1, 1)
+        state = initial_state(np.array([2.0]), 1.0, op)
+        assert np.array_equal(state.f_hat, transition_matrix(op))
+        carried = KalmanState(
+            x_hat=state.x_hat, pi=state.pi, phase=state.phase, f_hat=np.array([[0.5]])
+        )
+        assert kalman_predict(carried, op, model).x_hat[0] == pytest.approx(1.0)
+
+    def test_state_rejects_transition_of_wrong_size(self):
+        with pytest.raises(ValidationError, match="transition"):
+            KalmanState(x_hat=np.zeros(2), pi=np.eye(2), phase=PHASE_UPDATED, f_hat=np.eye(3))
+
     def test_transition_is_identity_plus_generator(self):
         lam = np.array([[-0.3]])
         op = make_operator(lam, 1, 1)
