@@ -46,7 +46,7 @@ from .kalman import (
     write_filter_trace_csv,
     write_mask_csv,
 )
-from .network import assemble_supra_laplacian, load_network, save_network
+from .network import _is_symmetric, assemble_supra_laplacian, load_network, save_network
 from .spectral import connectivity_sweep, write_sweep_csv
 from .states import node_label, read_states_csv, write_states_csv
 from .svgplot import line_chart
@@ -156,7 +156,7 @@ def cmd_build(args) -> int:
             "n_nodes": supra.n_nodes,
             "n_layers": len(supra.layer_ids),
             "max_abs_row_sum": float(np.abs(supra.matrix.sum(axis=1)).max()),
-            "symmetric": bool(np.abs(supra.matrix - supra.matrix.T).max(initial=0.0) < 1e-12),
+            "symmetric": _is_symmetric(supra.matrix),
         },
     )
     _done(summary_path)

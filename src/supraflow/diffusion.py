@@ -1,11 +1,13 @@
 """Closed and open (stochastic) diffusion of state matrices.
 
 Closed dynamics follow dX/dt = -L X where L is the assembled supra-Laplacian;
-the exact propagator is the matrix exponential e^{-L dt}.  Open dynamics add a
+the exact propagator is the matrix exponential e^{-L dt}, applied to states
+through the sparse operator by a truncated-Taylor action whose step count
+comes from an exact norm, so results are deterministic.  Open dynamics add a
 Brownian innovation dX = -L X dt + S dB with a per-node, per-topic scale matrix
-S, simulated with the Euler-Maruyama scheme (strong order 0.5).  The point
-predictor is the propagated mean; the stochastic term has zero expectation and
-enters only simulation and residual modeling.
+S, simulated with the Euler-Maruyama scheme (strong order 0.5) with sparse
+operator products.  The point predictor is the propagated mean; the stochastic
+term has zero expectation and enters only simulation and residual modeling.
 """
 
 from __future__ import annotations
@@ -18,14 +20,26 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import NumericalError, ValidationError
-from .network import SupraLaplacian
+from .network import SupraLaplacian, _is_symmetric
 from .states import StateMatrix, node_label, _fmt
 
-#: Absolute entrywise tolerance of the symmetry test selecting the spectral
-#: route of the matrix exponential.
-SYMMETRY_TOL = 1e-12
+#: theta_m of Al-Mohy & Higham (2011) in double precision: the largest 1-norm
+#: for which m Taylor terms per step meet unit roundoff.  m = 1-30 are from
+#: table A.3 of Higham, Functions of Matrices (2008); 35-55 from table 3.1 of
+#: the 2011 paper.
+_TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -102,7 +116,7 @@ def matrix_exponential(a) -> np.ndarray:
     if not np.isfinite(mat).all():
         raise ValidationError("matrix exponential input has non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.abs(mat - mat.T).max(initial=0.0) < SYMMETRY_TOL:
+        if _is_symmetric(mat):
             eigvals, eigvecs = np.linalg.eigh(mat)
             result = (eigvecs * np.exp(eigvals)) @ eigvecs.T
         else:
@@ -112,19 +126,63 @@ def matrix_exponential(a) -> np.ndarray:
     return result
 
 
+def _inf_norm(x: np.ndarray) -> float:
+    magnitudes = np.abs(x)
+    if magnitudes.ndim == 2:
+        # Row sums as a product with ones: several times quicker than a sum
+        # across a few columns.
+        magnitudes = magnitudes @ np.ones(magnitudes.shape[1])
+    return float(magnitudes.max(initial=0.0))
+
+
+def _taylor_action(shifted, mu: float, norm: float, x: np.ndarray) -> np.ndarray:
+    """e^{mu} e^{shifted} X by algorithm 3.2 of Al-Mohy & Higham (2011).
+
+    ``norm`` is the exact 1-norm of ``shifted``.  The degree m and step count
+    s = max(1, ceil(norm / theta_m)) minimize m * s over the theta table; each
+    step sums at most m Taylor terms of e^{shifted / s} and stops once two
+    successive terms fall below unit roundoff of the partial sum.
+    """
+    m, s = 0, 1
+    if norm > 0:
+        for degree, theta in _TAYLOR_THETA.items():
+            steps = max(1, math.ceil(norm / theta))
+            if m == 0 or degree * steps < m * s:
+                m, s = degree, steps
+    eta = np.exp(mu / s)
+    result = term = x
+    for _ in range(s):
+        previous = _inf_norm(term)
+        for j in range(m):
+            term = (1.0 / (s * (j + 1))) * (shifted @ term)
+            current = _inf_norm(term)
+            result = result + term
+            if previous + current <= _UNIT_ROUNDOFF * _inf_norm(result):
+                break
+            previous = current
+        result = eta * result
+        term = result
+    return result
+
+
 def exponential_action(a, x) -> np.ndarray:
     """e^A X, by the truncated-Taylor action of Al-Mohy & Higham (2011) when
     that is cheaper than forming e^A.
 
-    X may be one vector or a matrix of column vectors.  The action costs about
-    ||A - mu I||_1 matrix-vector products per column (mu = trace(A) / n), the
-    dense exponential a fixed few n x n products and several n x n
-    temporaries, so only a stiff operator or many columns take the dense
-    route.  On one BLAS thread (x86-64, n = 400-800) the action took at most
-    about 1.5 times as long while that norm times the column count stayed
-    below 4n, and up to 10 times as long beyond.
+    A may be an array or a scipy sparse matrix; X one vector or a matrix of
+    column vectors.  The action shifts A by mu = trace(A) / n and takes its
+    Taylor degree and step count from the exact 1-norm of A - mu I, with no
+    randomized norm estimate and no global random state, so the result is a
+    deterministic function of A and X.  It costs at most m * s products of A
+    with X, about 5.6 per unit of that norm once the norm is large, each about
+    nnz(A) multiply-adds per column for sparse A and n^2 for an array; the
+    dense exponential costs a fixed few n x n products and several n x n
+    temporaries.  So the dense route is taken when the norm times the column
+    count times the work per product reaches 4 n^3, which for an array means
+    stiff operators or many columns.
     """
-    mat = np.asarray(a, dtype=float)
+    sparse = scipy.sparse.issparse(a)
+    mat = scipy.sparse.csr_array(a, dtype=float) if sparse else np.asarray(a, dtype=float)
     vecs = np.asarray(x, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"exponential action needs a square matrix, got shape {mat.shape}")
@@ -132,30 +190,23 @@ def exponential_action(a, x) -> np.ndarray:
         raise ValidationError(
             f"exponential action of a {mat.shape} matrix cannot act on shape {vecs.shape}"
         )
-    if not np.isfinite(mat).all():
+    if not np.isfinite(mat.data if sparse else mat).all():
         raise ValidationError("exponential action input has non-finite entries")
     n = mat.shape[0]
     columns = 1 if vecs.ndim == 1 else vecs.shape[1]
-    diag = mat.diagonal()
+    work = mat.nnz if sparse else n * n
     with np.errstate(over="ignore", invalid="ignore"):
-        # Shifting by mu moves only the diagonal; an overflow reads as stiff.
-        col_sums = np.abs(mat).sum(axis=0) - np.abs(diag) + np.abs(diag - diag.mean())
-        stiffness = col_sums.max(initial=0.0)
-    if not stiffness * columns < 4 * n:
-        return matrix_exponential(mat) @ vecs
-    # Deferred import: scipy.sparse.linalg is slow to load and only the
-    # learned-operator path needs it.
-    import scipy.sparse.linalg
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            result = scipy.sparse.linalg.expm_multiply(mat, vecs)
-        except (OverflowError, ValueError) as exc:
-            # The step-count selection turns an infinite or NaN norm
-            # estimate into an integer and fails there.
-            raise NumericalError(
-                f"exponential action failed; operator norm is pathological ({exc})"
-            ) from None
+        mu = float(mat.trace()) / n
+        if sparse:
+            shifted = mat - mu * scipy.sparse.eye_array(n, format="csr")
+        else:
+            shifted = mat.copy()
+            shifted.flat[:: n + 1] -= mu
+        norm = float(abs(shifted).sum(axis=0).max(initial=0.0))
+        # An overflowed norm reads as stiff: the dense route reports it.
+        if not norm * columns * work < 4 * n**3:
+            return matrix_exponential(mat.toarray() if sparse else mat) @ vecs
+        result = _taylor_action(shifted, mu, norm, vecs)
     if not np.isfinite(result).all():
         raise NumericalError("exponential action overflowed; operator norm is pathological")
     return result
@@ -185,7 +236,7 @@ def propagate_closed(x0, supra: SupraLaplacian, delta_t: float):
         )
     if delta_t == 0:
         return _like(x0, x.copy(), 0.0)
-    return _like(x0, matrix_exponential(-supra.matrix * delta_t) @ x, delta_t)
+    return _like(x0, exponential_action(-delta_t * supra.csr, x), delta_t)
 
 
 def predict_mean(x0, supra: SupraLaplacian, delta_t: float, noise: NoiseModel | None = None):
@@ -194,7 +245,7 @@ def predict_mean(x0, supra: SupraLaplacian, delta_t: float, noise: NoiseModel | 
     return propagate_closed(x0, supra, delta_t)
 
 
-def _simulate(x0: np.ndarray, lap: np.ndarray, sigma: np.ndarray, rng, config: SimulationConfig):
+def _simulate(x0: np.ndarray, lap, sigma: np.ndarray, rng, config: SimulationConfig):
     n_steps = config.n_steps
     times = np.minimum(np.arange(n_steps + 1) * config.dt, config.horizon)
     states = np.empty((n_steps + 1,) + x0.shape)
@@ -229,7 +280,7 @@ def simulate_open(
             stacklevel=2,
         )
     rng = np.random.default_rng(noise.seed)
-    times, states = _simulate(x, supra.matrix, noise.sigma, rng, config)
+    times, states = _simulate(x, supra.csr, noise.sigma, rng, config)
     node_index = x0.node_index if isinstance(x0, StateMatrix) else dict(supra.node_index)
     return SimulationPath(times=times, states=states, node_index=dict(node_index))
 
@@ -248,7 +299,7 @@ def simulate_ensemble(
     paths = []
     for child in children:
         rng = np.random.default_rng(child)
-        times, states = _simulate(x, supra.matrix, noise.sigma, rng, config)
+        times, states = _simulate(x, supra.csr, noise.sigma, rng, config)
         paths.append(SimulationPath(times=times, states=states, node_index=dict(node_index)))
     return paths
 

@@ -8,21 +8,29 @@ plus an inter-layer part built from coupling degree and connectivity blocks.
 
 Node ordering is layer-major (all nodes of the first layer, then the second,
 and so on) and is fixed at network construction; every matrix produced here
-shares that ordering.  Matrices are dense; inputs with more than ``MAX_NODES``
-total nodes are rejected.
+shares that ordering.  The supra-Laplacian and its parts are stored dense;
+``SupraLaplacian.csr`` adds a compressed sparse row view of the operator for
+applying it to states.  Inputs with more than ``MAX_NODES`` total nodes are
+rejected.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
 from enum import Enum
 import numpy as np
+import scipy.sparse
 
 from .errors import ValidationError
 
 MAX_NODES = 20_000
+
+#: Relative tolerance of every symmetry test: a matrix counts as symmetric when
+#: max |A - A^T| is below this times max(1, max |A|).
+SYMMETRY_RTOL = 1e-12
 
 
 class LayerKind(str, Enum):
@@ -34,6 +42,11 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _is_symmetric(matrix: np.ndarray) -> bool:
+    scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
+    return bool(np.abs(matrix - matrix.T).max(initial=0.0) < SYMMETRY_RTOL * scale)
 
 
 def _check_weight_matrix(w: np.ndarray, what: str) -> None:
@@ -253,6 +266,14 @@ class SupraLaplacian:
     @property
     def n_nodes(self) -> int:
         return self.matrix.shape[0]
+
+    @functools.cached_property
+    def csr(self) -> scipy.sparse.csr_array:
+        """Read-only compressed sparse row view of ``matrix``, built on first use."""
+        view = scipy.sparse.csr_array(self.matrix)
+        for part in (view.data, view.indices, view.indptr):
+            part.setflags(write=False)
+        return view
 
 
 def build_laplacian(adjacency) -> np.ndarray:

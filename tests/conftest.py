@@ -11,6 +11,12 @@ from supraflow import (
 )
 
 
+def global_random_state():
+    """numpy's global random state, in a form that compares with ``==``."""
+    name, keys, *rest = np.random.get_state()
+    return name, keys.tobytes(), *rest
+
+
 def connected_adjacency(rng, n, extra_prob=0.3, weight=1.0):
     """Random symmetric adjacency guaranteed connected (path backbone + extras)."""
     w = np.zeros((n, n))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 from supraflow import (
     NoiseModel,
@@ -15,7 +17,7 @@ from supraflow import (
     simulate_open,
 )
 from supraflow.diffusion import exponential_action
-from conftest import connected_adjacency, single_layer_supra
+from conftest import connected_adjacency, global_random_state, single_layer_supra
 
 
 def taylor_expm(a, terms=200):
@@ -26,6 +28,22 @@ def taylor_expm(a, terms=200):
         term = term @ a / k
         out = out + term
     return out
+
+
+@pytest.fixture
+def taylor_calls(monkeypatch):
+    """Shapes of the states each call of the Taylor action received."""
+    from supraflow import diffusion
+
+    real = diffusion._taylor_action
+    calls = []
+
+    def counted(a, mu, norm, x):
+        calls.append(x.shape)
+        return real(a, mu, norm, x)
+
+    monkeypatch.setattr(diffusion, "_taylor_action", counted)
+    return calls
 
 
 def rk4_flow(lap, x0, t_end, step):
@@ -71,6 +89,19 @@ class TestMatrixExponential:
         with pytest.raises(NumericalError):
             matrix_exponential(1e4 * np.eye(2))
 
+    def test_large_norm_symmetric_takes_the_spectral_route(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("a symmetric matrix took the general expm route")
+
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        _, supra = single_layer_supra(connected_adjacency(np.random.default_rng(5), 8))
+        lap = supra.matrix.copy()
+        # A rounding-sized asymmetry; scaled by 1e6 it is 1e-8 in absolute
+        # terms but still 1e-14 relative to the largest entry.
+        lap[0, 1] += 1e-14
+        result = matrix_exponential(-1e6 * lap)
+        assert np.abs(result - 1.0 / 8).max() < 1e-9
+
 
 class TestExponentialAction:
     def test_vector_and_columns_match_taylor_oracle(self):
@@ -94,25 +125,45 @@ class TestExponentialAction:
         with pytest.raises(NumericalError):
             exponential_action(1e4 * np.eye(2), np.ones(2))
 
-    def test_stiff_operator_or_many_columns_take_the_dense_route(self, monkeypatch):
-        import scipy.sparse.linalg
-
-        real = scipy.sparse.linalg.expm_multiply
-        calls = []
-
-        def counted(a, x):
-            calls.append(x.shape)
-            return real(a, x)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counted)
+    def test_stiff_operator_or_many_columns_take_the_dense_route(self, taylor_calls):
         rng = np.random.default_rng(3)
         mild = 0.01 * rng.standard_normal((50, 50))
         exponential_action(mild, rng.random((50, 2)))
-        assert calls == [(50, 2)]
+        assert taylor_calls == [(50, 2)]
         stiff = exponential_action(400 * mild, rng.random((50, 2)))
         many = exponential_action(mild, rng.random((50, 800)))
-        assert calls == [(50, 2)]
+        assert taylor_calls == [(50, 2)]
         assert stiff.shape == (50, 2) and many.shape == (50, 800)
+
+    def test_sparse_operator_takes_the_action_where_its_array_goes_dense(self, taylor_calls):
+        # A path-graph generator whose shifted 1-norm is about 122: times two
+        # columns it passes 4n = 200 for the array, while its 148 nonzeros keep
+        # the sparse work far below 4n^3.
+        _, supra = single_layer_supra(np.eye(50, k=1) + np.eye(50, k=-1))
+        generator = -60.0 * supra.matrix
+        x = np.random.default_rng(4).random((50, 2))
+        dense = exponential_action(generator, x)
+        assert taylor_calls == []
+        sparse = exponential_action(scipy.sparse.csr_array(generator), x)
+        assert taylor_calls == [(50, 2)]
+        assert np.abs(sparse - dense).max() <= 1e-12 * np.abs(dense).max()
+        # Filled in, the sparse operator does the dense array's work and goes dense too.
+        full = generator + 1e-3 * (np.ones((50, 50)) - 50 * np.eye(50))
+        assert np.array_equal(
+            exponential_action(scipy.sparse.csr_array(full), x), exponential_action(full, x)
+        )
+        assert taylor_calls == [(50, 2)]
+
+    def test_leaves_the_global_random_state_alone(self):
+        # Column sums of about 155 and one column: past the shifted 1-norm
+        # times columns (about 63) beyond which a randomized norm estimate
+        # would choose the step count.
+        rng = np.random.default_rng(6)
+        a = rng.random((200, 200))
+        a *= 155 / a.sum(axis=0).mean()
+        before = global_random_state()
+        exponential_action(a, rng.random(200))
+        assert global_random_state() == before
 
     def test_pathological_norm_reported(self):
         # The norm overflows to inf, which reads as stiff: the dense route reports it.

@@ -19,6 +19,7 @@ from supraflow import (
     write_states_csv,
 )
 from supraflow.harness import experiment_config_from_dict, parse_method
+from conftest import global_random_state
 
 
 def interconnected_spec(**overrides):
@@ -210,6 +211,33 @@ class TestRunExperiment:
         run_experiment(config, out_dir=out)
         replot_errors_csv(out / "errors.csv", tmp_path / "replot.svg")
         assert (tmp_path / "replot.svg").read_bytes() == (out / "errors.svg").read_bytes()
+
+    def test_results_do_not_depend_on_the_global_random_state(self):
+        # The learner's operator (PT = 44) has a shifted 1-norm of about 19 and
+        # acts on four stacked states, past the point where a randomized norm
+        # estimate would choose the exponential action's step count.
+        spec = interconnected_spec(
+            layers=(
+                LayerSpec("agent", 6, "erdos_renyi", edge_prob=0.5),
+                LayerSpec("agent", 6, "erdos_renyi", edge_prob=0.5),
+                LayerSpec("information", 10, "knn", k_neighbors=3),
+            ),
+            intra_constants={1: 0.5, 2: 0.5, 3: 0.2},
+            inter_constants={(1, 2): 0.5, (1, 3): 0.8, (2, 3): 0.6},
+            sigma_ratio=0.05,
+            n_snapshots=10,
+            train_count=5,
+        )
+        config = ExperimentConfig(
+            methods=("learned_operator", "kalman:0.5"), synthetic=spec, seed=3,
+            learn_threshold=1e-9, max_iters=10, fit_max_sweeps=1,
+        )
+        np.random.seed(1)
+        before = global_random_state()
+        first = run_experiment(config).mean_errors
+        assert global_random_state() == before
+        np.random.seed(2)
+        assert run_experiment(config).mean_errors == first
 
     def test_requires_test_transitions(self):
         config = ExperimentConfig(

@@ -1,19 +1,28 @@
-"""Property tests: the exponential action, the observed-block Kalman update and
-the learner against dense reference formulas."""
+"""Property tests: the exponential action, closed propagation, the
+Euler-Maruyama ensemble, the connectivity sweep, the observed-block Kalman
+update and the learner against dense reference formulas and invariants."""
 
 import numpy as np
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from supraflow import (
+    NoiseModel,
     ObservationModel,
+    SimulationConfig,
     SnapshotSeries,
     StateMatrix,
     assemble_supra_laplacian,
+    connectivity_sweep,
     devectorize,
     kalman_update,
+    lambda2_perturbation_estimate,
     learn_supra_operator,
     matrix_exponential,
+    propagate_closed,
+    scale_inter_layer,
+    simulate_ensemble,
+    spectrum,
     vectorize,
 )
 from supraflow.calibration import kronecker_lift
@@ -55,6 +64,93 @@ class TestExponentialAction:
         x = rng.standard_normal((n, columns))
         reference = matrix_exponential(a) @ x
         assert relative_error(exponential_action(a, x), reference) <= 1e-12
+
+
+    @PROPERTY
+    @given(seed=seeds, n=st.integers(2, 60), dt=st.floats(0.01, 3.0), columns=st.integers(1, 5))
+    def test_sparse_input_matches_dense_exponential(self, seed, n, dt, columns):
+        rng = np.random.default_rng(seed)
+        _, supra = single_layer_supra(connected_adjacency(rng, n, extra_prob=0.1))
+        generator = -dt * supra.csr
+        x = rng.random((n, columns))
+        reference = matrix_exponential(generator.toarray()) @ x
+        assert relative_error(exponential_action(generator, x), reference) <= 1e-12
+
+
+def random_operator(seed):
+    rng = np.random.default_rng(seed)
+    network, constants = random_network(rng)
+    return rng, assemble_supra_laplacian(network, constants)
+
+
+class TestClosedPropagation:
+    @PROPERTY
+    @given(seed=seeds, s=st.floats(0.0, 2.0), t=st.floats(0.0, 2.0))
+    def test_semigroup_law(self, seed, s, t):
+        rng, supra = random_operator(seed)
+        x = rng.random((supra.n_nodes, 2))
+        two_steps = propagate_closed(propagate_closed(x, supra, s), supra, t)
+        assert relative_error(two_steps, propagate_closed(x, supra, s + t)) <= 1e-12
+
+    @PROPERTY
+    @given(seed=seeds, dt=st.floats(0.0, 5.0))
+    def test_symmetric_operator_conserves_column_sums(self, seed, dt):
+        rng, supra = random_operator(seed)
+        x = rng.standard_normal((supra.n_nodes, 3))
+        moved = propagate_closed(x, supra, dt)
+        scale = np.abs(x).sum(axis=0).max()
+        assert np.abs(moved.sum(axis=0) - x.sum(axis=0)).max() <= 1e-12 * scale
+
+
+def dense_ensemble_reference(x0, lap, sigma, seed, config):
+    """Euler-Maruyama paths stepped with dense products, seeded as the
+    ensemble seeds them."""
+    times = np.minimum(np.arange(config.n_steps + 1) * config.dt, config.horizon)
+    paths = []
+    for child in np.random.SeedSequence(seed).spawn(config.ensemble_size):
+        rng = np.random.default_rng(child)
+        states = [x0]
+        for k in range(config.n_steps):
+            h = times[k + 1] - times[k]
+            noise = rng.standard_normal(x0.shape)
+            states.append(states[-1] - (lap @ states[-1]) * h + sigma * noise * np.sqrt(h))
+        paths.append(np.array(states))
+    return paths
+
+
+class TestEnsemble:
+    @settings(PROPERTY, max_examples=30)
+    @given(
+        seed=seeds,
+        dt=st.floats(0.005, 0.05),
+        steps=st.integers(1, 20),
+        paths=st.integers(1, 4),
+    )
+    def test_sparse_steps_match_dense_reference(self, seed, dt, steps, paths):
+        rng, supra = random_operator(seed)
+        x0 = rng.random((supra.n_nodes, 2))
+        sigma = 0.1 * rng.random(x0.shape)
+        config = SimulationConfig(dt=dt, horizon=steps * dt, ensemble_size=paths)
+        result = simulate_ensemble(x0, supra, NoiseModel(sigma, seed=seed), config)
+        reference = dense_ensemble_reference(x0, supra.matrix, sigma, seed, config)
+        assert len(result) == len(reference)
+        for path, expected in zip(result, reference):
+            assert path.states.shape == expected.shape
+            assert np.abs(path.states - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+class TestConnectivitySweep:
+    @settings(PROPERTY, max_examples=40)
+    @given(seed=seeds, epsilons=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4))
+    def test_points_equal_the_per_epsilon_spectrum_and_estimate(self, seed, epsilons):
+        rng = np.random.default_rng(seed)
+        network, constants = random_network(rng)
+        base = assemble_supra_laplacian(network, constants)
+        points = connectivity_sweep(network, constants, epsilons)
+        assert [p.epsilon for p in points] == epsilons
+        for epsilon, point in zip(epsilons, points):
+            assert point.lambda2_actual == spectrum(scale_inter_layer(base, epsilon)).lambda2
+            assert point.lambda2_estimate == lambda2_perturbation_estimate(base, epsilon)
 
 
 def full_pinv_update(state, y, model):
