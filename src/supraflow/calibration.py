@@ -19,9 +19,7 @@ Two calibration routes work from snapshot histories:
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -29,7 +27,14 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .diffusion import exponential_action, matrix_exponential, _state_array
-from .network import DiffusionConstants, InterconnectedNetwork, SupraLaplacian, assemble_supra_laplacian
+from .files import atomic_write, write_json
+from .network import (
+    DiffusionConstants,
+    InterconnectedNetwork,
+    SupraLaplacian,
+    assemble_supra_laplacian,
+    constants_to_dict,
+)
 from .states import StateMatrix
 
 #: Largest vectorized dimension (node count x topic count) for which the dense
@@ -428,11 +433,7 @@ def one_step_predict_learned(op: LearnedOperator, x):
 
 def write_fit_report(path, fit: DiffusionFit):
     report = {
-        "constants": {
-            "intra": {str(k): v for k, v in sorted(fit.constants.intra.items())},
-            "inter": {f"{a},{b}": v for (a, b), v in sorted(fit.constants.inter.items())},
-            "symmetric": fit.constants.symmetric,
-        },
+        "constants": constants_to_dict(fit.constants),
         "sigma_summary": {
             "frobenius_norm": float(np.linalg.norm(fit.sigma)),
             "max": float(fit.sigma.max(initial=0.0)),
@@ -444,22 +445,16 @@ def write_fit_report(path, fit: DiffusionFit):
         "converged": fit.converged,
         "identifiable": fit.identifiable,
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
+    write_json(path, report)
 
 
-def write_operator_csv(path, op: LearnedOperator):
+def write_matrix_csv(path, matrix: np.ndarray):
     """Dense dump with a shape header line: `# rows=<n> cols=<n>`."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as handle:
-        rows, cols = op.lambda_hat.shape
+    with atomic_write(path) as handle:
+        rows, cols = matrix.shape
         handle.write(f"# rows={rows} cols={cols}\n")
-        for row in op.lambda_hat:
+        for row in matrix:
             handle.write(",".join(repr(float(v)) for v in row) + "\n")
-    os.replace(tmp, path)
 
 
 def read_operator_matrix(path) -> np.ndarray:

@@ -23,7 +23,7 @@ from .calibration import (
     fit_diffusion_constants,
     learn_supra_operator,
     write_fit_report,
-    write_operator_csv,
+    write_matrix_csv,
 )
 from .diffusion import (
     NoiseModel,
@@ -35,18 +35,22 @@ from .diffusion import (
     write_ensemble_summary_csv,
     write_simulation_csv,
 )
-from .harness import (
-    experiment_config_from_dict,
-    run_experiment,
-)
+from .files import write_json
+from .harness import experiment_config_from_dict, run_experiment
 from .kalman import (
     ObservationModel,
+    nested_masks,
     run_filter,
-    sample_observation_mask,
     write_filter_trace_csv,
     write_mask_csv,
 )
-from .network import _is_symmetric, assemble_supra_laplacian, load_network, save_network
+from .network import (
+    _is_symmetric,
+    assemble_supra_laplacian,
+    constants_to_dict,
+    load_network,
+    save_network,
+)
 from .spectral import connectivity_sweep, write_sweep_csv
 from .states import node_label, read_states_csv, write_states_csv
 from .svgplot import line_chart
@@ -92,12 +96,11 @@ def _load_series(cfg: dict, network) -> SnapshotSeries:
     )
 
 
-def _write_json(path, payload: dict):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
+def _load_network_with_constants(cfg: dict):
+    network, constants = load_network(_require(cfg, "network"))
+    if constants is None:
+        raise ValidationError("the network file declares no diffusion constants")
+    return network, constants
 
 
 def _done(path) -> None:
@@ -116,7 +119,7 @@ def cmd_generate(args) -> int:
     write_states_csv(states_path, series.snapshots, network.node_order)
     _done(states_path)
     truth_path = _outpath(args, "truth.json")
-    _write_json(
+    write_json(
         truth_path,
         {
             "seed": truth.seed,
@@ -124,10 +127,7 @@ def cmd_generate(args) -> int:
             "sigma_ratio": truth.sigma_ratio,
             "sigma_frobenius": float(np.linalg.norm(truth.sigma)),
             "train_count": series.train_count,
-            "constants": {
-                "intra": {str(k): v for k, v in sorted(truth.constants.intra.items())},
-                "inter": {f"{a},{b}": v for (a, b), v in sorted(truth.constants.inter.items())},
-            },
+            "constants": constants_to_dict(truth.constants),
         },
     )
     _done(truth_path)
@@ -136,21 +136,13 @@ def cmd_generate(args) -> int:
 
 def cmd_build(args) -> int:
     cfg = _read_config(args)
-    network, constants = load_network(_require(cfg, "network"))
-    if constants is None:
-        raise ValidationError("the network file declares no diffusion constants")
+    network, constants = _load_network_with_constants(cfg)
     supra = assemble_supra_laplacian(network, constants)
     matrix_path = _outpath(args, "supra_laplacian.csv")
-    tmp = f"{matrix_path}.tmp"
-    with open(tmp, "w") as handle:
-        n = supra.n_nodes
-        handle.write(f"# rows={n} cols={n}\n")
-        for row in supra.matrix:
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
-    os.replace(tmp, matrix_path)
+    write_matrix_csv(matrix_path, supra.matrix)
     _done(matrix_path)
     summary_path = _outpath(args, "build_summary.json")
-    _write_json(
+    write_json(
         summary_path,
         {
             "n_nodes": supra.n_nodes,
@@ -165,9 +157,7 @@ def cmd_build(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _read_config(args)
-    network, constants = load_network(_require(cfg, "network"))
-    if constants is None:
-        raise ValidationError("the network file declares no diffusion constants")
+    network, constants = _load_network_with_constants(cfg)
     supra = assemble_supra_laplacian(network, constants)
     snapshots = read_states_csv(_require(cfg, "states"), network)
     x0 = snapshots[0]
@@ -196,9 +186,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = _read_config(args)
-    network, constants = load_network(_require(cfg, "network"))
-    if constants is None:
-        raise ValidationError("the network file declares no diffusion constants")
+    network, constants = _load_network_with_constants(cfg)
     supra = assemble_supra_laplacian(network, constants)
     snapshots = read_states_csv(_require(cfg, "states"), network)
     delta_t = float(_require(cfg, "delta_t"))
@@ -242,10 +230,10 @@ def cmd_learn(args) -> int:
     series = _load_series(cfg, network)
     op = _learn_operator(cfg, network, series)
     op_path = _outpath(args, "operator.csv")
-    write_operator_csv(op_path, op)
+    write_matrix_csv(op_path, op.lambda_hat)
     _done(op_path)
     report_path = _outpath(args, "learn_report.json")
-    _write_json(
+    write_json(
         report_path,
         {
             "iterations": op.iterations,
@@ -269,7 +257,7 @@ def cmd_kalman(args) -> int:
         raise ValidationError("fraction must lie in (0, 1]")
     op = _learn_operator(cfg, network, series)
     seed = _seed(args, cfg)
-    observed = sample_observation_mask(network.n_nodes, fraction, seed)
+    observed = nested_masks(network.n_nodes, [fraction], seed)[fraction]
     model = ObservationModel.build(
         n_nodes=network.n_nodes,
         n_topics=series.n_topics,
@@ -290,9 +278,7 @@ def cmd_kalman(args) -> int:
 
 def cmd_spectral(args) -> int:
     cfg = _read_config(args)
-    network, constants = load_network(_require(cfg, "network"))
-    if constants is None:
-        raise ValidationError("the network file declares no diffusion constants")
+    network, constants = _load_network_with_constants(cfg)
     epsilons = [float(e) for e in _require(cfg, "epsilons")]
     points = connectivity_sweep(network, constants, epsilons)
     sweep_path = _outpath(args, "lambda2_sweep.csv")

@@ -13,7 +13,6 @@ term has zero expectation and enters only simulation and residual modeling.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -23,6 +22,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import NumericalError, ValidationError
+from .files import atomic_write
 from .network import SupraLaplacian, _is_symmetric
 from .states import StateMatrix, node_label, _fmt
 
@@ -239,12 +239,6 @@ def propagate_closed(x0, supra: SupraLaplacian, delta_t: float):
     return _like(x0, exponential_action(-delta_t * supra.csr, x), delta_t)
 
 
-def predict_mean(x0, supra: SupraLaplacian, delta_t: float, noise: NoiseModel | None = None):
-    """Point prediction of the open system: the noise term has zero mean, so
-    this is the closed-system propagation regardless of the noise model."""
-    return propagate_closed(x0, supra, delta_t)
-
-
 def _simulate(x0: np.ndarray, lap, sigma: np.ndarray, rng, config: SimulationConfig):
     n_steps = config.n_steps
     times = np.minimum(np.arange(n_steps + 1) * config.dt, config.horizon)
@@ -322,8 +316,7 @@ def ensemble_statistics(paths: Sequence) -> tuple[np.ndarray, np.ndarray]:
 def write_simulation_csv(path, paths: Iterable[SimulationPath], node_order):
     """Long-format dump: path_id,step,t,node_id,x_1..x_T."""
     paths = list(paths)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as handle:
+    with atomic_write(path) as handle:
         n_topics = paths[0].states.shape[2] if paths else 0
         handle.write(
             ",".join(["path_id", "step", "t", "node_id"] + [f"x_{j + 1}" for j in range(n_topics)])
@@ -336,14 +329,12 @@ def write_simulation_csv(path, paths: Iterable[SimulationPath], node_order):
                     fields = [str(pid), str(k), _fmt(t), node_label(key)]
                     fields += [_fmt(v) for v in row]
                     handle.write(",".join(fields) + "\n")
-    os.replace(tmp, path)
 
 
 def write_ensemble_summary_csv(path, times, mean: np.ndarray, var: np.ndarray, node_order):
     """Per-step, per-node ensemble mean and variance: step,t,node_id,mean_x_*,var_x_*."""
-    tmp = f"{path}.tmp"
     n_topics = mean.shape[2]
-    with open(tmp, "w", newline="") as handle:
+    with atomic_write(path) as handle:
         header = ["step", "t", "node_id"]
         header += [f"mean_x_{j + 1}" for j in range(n_topics)]
         header += [f"var_x_{j + 1}" for j in range(n_topics)]
@@ -354,4 +345,3 @@ def write_ensemble_summary_csv(path, times, mean: np.ndarray, var: np.ndarray, n
                 fields += [_fmt(v) for v in mean[k, i]]
                 fields += [_fmt(v) for v in var[k, i]]
                 handle.write(",".join(fields) + "\n")
-    os.replace(tmp, path)

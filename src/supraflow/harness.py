@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .files import write_csv
 from .calibration import (
     DiffusionFit,
     LearnedOperator,
@@ -308,32 +309,26 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
 def write_experiment_outputs(out_dir, config: ExperimentConfig, result: ExperimentResult):
     os.makedirs(out_dir, exist_ok=True)
     errors_path = os.path.join(out_dir, "errors.csv")
-    tmp = f"{errors_path}.tmp"
-    with open(tmp, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["step", "t", "upper_bound"] + list(config.methods))
-        for i, t in enumerate(result.times):
-            row = [i + 1, repr(float(t)), repr(float(result.upper_bound[i]))]
-            row += [repr(float(result.curves[m][i])) for m in config.methods]
-            writer.writerow(row)
-    os.replace(tmp, errors_path)
-
-    summary_path = os.path.join(out_dir, "summary.csv")
-    tmp = f"{summary_path}.tmp"
-    with open(tmp, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["method", "mean_error", "improvement_vs_single_layer"])
-        writer.writerow(["upper_bound", repr(float(result.upper_bound.mean())), ""])
-        for name in config.methods:
-            improvement = result.improvements.get(name)
-            writer.writerow(
-                [
-                    name,
-                    repr(result.mean_errors[name]),
-                    "" if improvement is None else repr(improvement),
-                ]
-            )
-    os.replace(tmp, summary_path)
+    write_csv(
+        errors_path,
+        ["step", "t", "upper_bound"] + list(config.methods),
+        (
+            [i + 1, repr(float(t)), repr(float(result.upper_bound[i]))]
+            + [repr(float(result.curves[m][i])) for m in config.methods]
+            for i, t in enumerate(result.times)
+        ),
+    )
+    rows = [["upper_bound", repr(float(result.upper_bound.mean())), ""]]
+    for name in config.methods:
+        improvement = result.improvements.get(name)
+        rows.append(
+            [name, repr(result.mean_errors[name]), "" if improvement is None else repr(improvement)]
+        )
+    write_csv(
+        os.path.join(out_dir, "summary.csv"),
+        ["method", "mean_error", "improvement_vs_single_layer"],
+        rows,
+    )
 
     replot_errors_csv(errors_path, os.path.join(out_dir, "errors.svg"))
 
@@ -383,14 +378,11 @@ def external_influence_sweep(
         rows.append((network.n_nodes, ratio))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "external_influence.csv")
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["n_nodes", "fitted_sigma_ratio"])
-            for n, ratio in rows:
-                writer.writerow([n, repr(ratio)])
-        os.replace(tmp, path)
+        write_csv(
+            os.path.join(out_dir, "external_influence.csv"),
+            ["n_nodes", "fitted_sigma_ratio"],
+            ([n, repr(ratio)] for n, ratio in rows),
+        )
         line_chart(
             os.path.join(out_dir, "external_influence.svg"),
             [("fitted ratio", [float(n) for n, _ in rows], [r for _, r in rows])],
@@ -440,14 +432,11 @@ def coupling_strength_sweep(
         )
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "coupling_strength.csv")
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["epsilon", "multilayer_error", "single_layer_error"])
-            for eps, multi, single in rows:
-                writer.writerow([repr(eps), repr(multi), repr(single)])
-        os.replace(tmp, path)
+        write_csv(
+            os.path.join(out_dir, "coupling_strength.csv"),
+            ["epsilon", "multilayer_error", "single_layer_error"],
+            ([repr(v) for v in row] for row in rows),
+        )
         line_chart(
             os.path.join(out_dir, "coupling_strength.svg"),
             [

@@ -21,8 +21,6 @@ built once per filter, in ``initial_state``, and carried in the state.
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,6 +28,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .calibration import LearnedOperator, SnapshotSeries, devectorize, vectorize
+from .files import write_csv
 
 PHASE_PREDICTED = "predicted"
 PHASE_UPDATED = "updated"
@@ -261,15 +260,6 @@ def run_filter(
     )
 
 
-def sample_observation_mask(n_nodes: int, fraction: float, seed: int) -> tuple[int, ...]:
-    """Uniformly sampled observed node set of size round(fraction * n_nodes)."""
-    if not 0 <= fraction <= 1:
-        raise ValidationError("observation fraction must lie in [0, 1]")
-    count = int(round(fraction * n_nodes))
-    rng = np.random.default_rng(seed)
-    return tuple(sorted(rng.permutation(n_nodes)[:count].tolist()))
-
-
 def nested_masks(n_nodes: int, fractions: Sequence[float], seed: int) -> dict[float, tuple[int, ...]]:
     """Masks for several fractions as prefixes of one seeded permutation.
 
@@ -287,28 +277,13 @@ def nested_masks(n_nodes: int, fractions: Sequence[float], seed: int) -> dict[fl
 
 
 def write_filter_trace_csv(path, result: FilterResult):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["step", "error_all", "error_observed", "error_hidden", "trace_Pi"])
-        for i, step in enumerate(result.steps):
-            writer.writerow(
-                [
-                    int(step),
-                    repr(float(result.errors_all[i])),
-                    repr(float(result.errors_observed[i])),
-                    repr(float(result.errors_hidden[i])),
-                    repr(float(result.trace_pi[i])),
-                ]
-            )
-    os.replace(tmp, path)
+    columns = (result.errors_all, result.errors_observed, result.errors_hidden, result.trace_pi)
+    write_csv(
+        path,
+        ["step", "error_all", "error_observed", "error_hidden", "trace_Pi"],
+        ([int(step)] + [repr(float(c[i])) for c in columns] for i, step in enumerate(result.steps)),
+    )
 
 
 def write_mask_csv(path, observed_nodes: Sequence[int], labels: Sequence[str] | None = None):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["node_id"])
-        for i in observed_nodes:
-            writer.writerow([labels[i] if labels is not None else i])
-    os.replace(tmp, path)
+    write_csv(path, ["node_id"], ([labels[i] if labels is not None else i] for i in observed_nodes))

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 import numpy as np
 import scipy.sparse
 
 from .errors import ValidationError
+from .files import write_json
 
 MAX_NODES = 20_000
 
@@ -385,6 +385,14 @@ def _matrix_from_json(obj, shape: tuple[int, int], what: str) -> np.ndarray:
     return mat
 
 
+def constants_to_dict(constants: DiffusionConstants) -> dict:
+    return {
+        "symmetric": constants.symmetric,
+        "intra": {str(k): v for k, v in sorted(constants.intra.items())},
+        "inter": {f"{a},{b}": v for (a, b), v in sorted(constants.inter.items())},
+    }
+
+
 def network_to_dict(
     network: InterconnectedNetwork, constants: DiffusionConstants | None = None
 ) -> dict:
@@ -409,11 +417,7 @@ def network_to_dict(
         ],
     }
     if constants is not None:
-        data["constants"] = {
-            "symmetric": constants.symmetric,
-            "intra": {str(k): v for k, v in sorted(constants.intra.items())},
-            "inter": {f"{a},{b}": v for (a, b), v in sorted(constants.inter.items())},
-        }
+        data["constants"] = constants_to_dict(constants)
     return data
 
 
@@ -471,11 +475,7 @@ def network_from_dict(data: dict) -> tuple[InterconnectedNetwork, DiffusionConst
 
 
 def save_network(path, network: InterconnectedNetwork, constants: DiffusionConstants | None = None):
-    text = json.dumps(network_to_dict(network, constants), indent=2, sort_keys=True)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as handle:
-        handle.write(text + "\n")
-    os.replace(tmp, path)
+    write_json(path, network_to_dict(network, constants))
 
 
 def load_network(path) -> tuple[InterconnectedNetwork, DiffusionConstants | None]:

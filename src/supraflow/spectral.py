@@ -12,14 +12,13 @@ reduces to the plain Rayleigh quotient.
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
+from .files import write_csv
 from .network import (
     DiffusionConstants,
     InterconnectedNetwork,
@@ -173,17 +172,11 @@ def connectivity_sweep(
 
 
 def write_sweep_csv(path, points: Sequence[SweepPoint]):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["epsilon", "lambda2_actual", "lambda2_estimate", "rel_error"])
-        for p in points:
-            writer.writerow(
-                [
-                    repr(float(p.epsilon)),
-                    repr(float(p.lambda2_actual)),
-                    repr(float(p.lambda2_estimate)),
-                    repr(float(p.rel_error)),
-                ]
-            )
-    os.replace(tmp, path)
+    write_csv(
+        path,
+        ["epsilon", "lambda2_actual", "lambda2_estimate", "rel_error"],
+        (
+            [repr(float(v)) for v in (p.epsilon, p.lambda2_actual, p.lambda2_estimate, p.rel_error)]
+            for p in points
+        ),
+    )

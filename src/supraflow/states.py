@@ -12,13 +12,13 @@ anywhere, since diffusion does not preserve the simplex.
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
+from .files import write_csv
 
 #: Weight assigned to coincident points under inverse-distance weighting,
 #: which is otherwise singular at zero distance.
@@ -208,16 +208,17 @@ def _fmt(x) -> str:
 
 def write_states_csv(path, snapshots: Iterable[StateMatrix], node_order: Sequence[tuple[int, str]]):
     snapshots = sorted(snapshots, key=lambda s: s.timestamp)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        n_topics = snapshots[0].n_topics if snapshots else 0
-        writer.writerow(["node_id", "t"] + [f"x_{j + 1}" for j in range(n_topics)])
-        for snap in snapshots:
-            for key in node_order:
-                row = snap.matrix[snap.node_index[key]]
-                writer.writerow([node_label(key), _fmt(snap.timestamp)] + [_fmt(v) for v in row])
-    os.replace(tmp, path)
+    n_topics = snapshots[0].n_topics if snapshots else 0
+    write_csv(
+        path,
+        ["node_id", "t"] + [f"x_{j + 1}" for j in range(n_topics)],
+        (
+            [node_label(key), _fmt(snap.timestamp)]
+            + [_fmt(v) for v in snap.matrix[snap.node_index[key]]]
+            for snap in snapshots
+            for key in node_order
+        ),
+    )
 
 
 def read_states_csv(path, network) -> list[StateMatrix]:
@@ -259,14 +260,12 @@ def read_states_csv(path, network) -> list[StateMatrix]:
 
 
 def write_assignment_csv(path, assignment: DocumentAssignment):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["agent_id", "document_id"])
-        for agent in sorted(assignment.docs_by_agent):
-            for doc in assignment.docs_by_agent[agent]:
-                writer.writerow([agent, doc])
-    os.replace(tmp, path)
+    docs_by_agent = assignment.docs_by_agent
+    write_csv(
+        path,
+        ["agent_id", "document_id"],
+        ([agent, doc] for agent in sorted(docs_by_agent) for doc in docs_by_agent[agent]),
+    )
 
 
 def read_assignment_csv(path) -> DocumentAssignment:

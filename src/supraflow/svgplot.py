@@ -7,8 +7,9 @@ identical inputs.
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
+
+from .files import atomic_write
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
@@ -120,7 +121,5 @@ def line_chart(
             f'font-size="11">{label}</text>'
         )
     parts.append("</svg>")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as handle:
+    with atomic_write(path) as handle:
         handle.write("\n".join(parts) + "\n")
-    os.replace(tmp, path)

@@ -11,7 +11,6 @@ from supraflow import (
     ValidationError,
     ensemble_statistics,
     matrix_exponential,
-    predict_mean,
     propagate_closed,
     simulate_ensemble,
     simulate_open,
@@ -232,27 +231,20 @@ class TestPropagateClosed:
 
 
 class TestPredictMean:
-    def test_equals_propagate_for_any_noise(self):
-        rng = np.random.default_rng(6)
-        _, supra = single_layer_supra(connected_adjacency(rng, 5))
-        x0 = rng.random((5, 2))
-        noise = NoiseModel(sigma=rng.random((5, 2)), seed=1)
-        assert np.array_equal(
-            predict_mean(x0, supra, 0.8, noise), propagate_closed(x0, supra, 0.8)
-        )
+    """Closed propagation as the open system's point prediction."""
 
     def test_uniform_state_is_fixed_point(self):
         rng = np.random.default_rng(7)
         _, supra = single_layer_supra(connected_adjacency(rng, 5))
         x0 = np.ones((5, 2)) * np.array([0.3, 0.7])
         for t in (0.1, 1.0, 10.0):
-            assert np.abs(predict_mean(x0, supra, t) - x0).max() < 1e-9
+            assert np.abs(propagate_closed(x0, supra, t) - x0).max() < 1e-9
 
     def test_matches_rk4_oracle(self):
         rng = np.random.default_rng(8)
         _, supra = single_layer_supra(connected_adjacency(rng, 12))
         x0 = rng.random((12, 3))
-        got = predict_mean(x0, supra, 0.3)
+        got = propagate_closed(x0, supra, 0.3)
         oracle = rk4_flow(supra.matrix, x0, 0.3, 1e-4)
         assert np.abs(got - oracle).max() < 1e-8
 
@@ -265,11 +257,11 @@ class TestPredictMean:
         _, supra = single_layer_supra(w)
         assert np.abs(supra.matrix - supra.matrix.T).max() > 1e-6
         x0 = rng.random((6, 2))
-        got = predict_mean(x0, supra, 0.4)
+        got = propagate_closed(x0, supra, 0.4)
         oracle = rk4_flow(supra.matrix, x0, 0.4, 1e-4)
         assert np.abs(got - oracle).max() < 1e-8
         uniform = np.ones((6, 2)) * np.array([0.2, 0.5])
-        assert np.abs(predict_mean(uniform, supra, 2.0) - uniform).max() < 1e-9
+        assert np.abs(propagate_closed(uniform, supra, 2.0) - uniform).max() < 1e-9
 
 
 class TestSimulateOpen:

@@ -10,7 +10,6 @@ from supraflow import (
     kalman_update,
     nested_masks,
     run_filter,
-    sample_observation_mask,
 )
 from supraflow.kalman import (
     PHASE_PREDICTED,
@@ -295,7 +294,7 @@ class TestRunFilter:
 
 class TestMasks:
     def test_sample_fraction_size(self):
-        mask = sample_observation_mask(40, 0.25, seed=0)
+        mask = nested_masks(40, [0.25], seed=0)[0.25]
         assert len(mask) == 10
         assert len(set(mask)) == 10
 
@@ -309,7 +308,7 @@ class TestMasks:
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValidationError):
-            sample_observation_mask(10, 1.5, seed=0)
+            nested_masks(10, [1.5], seed=0)
 
     def test_mask_csv(self, tmp_path):
         path = tmp_path / "mask.csv"

@@ -1,12 +1,21 @@
 """Property tests: the exponential action, closed propagation, the
 Euler-Maruyama ensemble, the connectivity sweep, the observed-block Kalman
-update and the learner against dense reference formulas and invariants."""
+update and the learner against dense reference formulas and invariants, and
+byte-for-byte round trips of the state, network and matrix files."""
+
+import os
+import tempfile
 
 import numpy as np
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from supraflow import (
+    DiffusionConstants,
+    InterconnectedNetwork,
+    InterLayerCoupling,
+    LayerGraph,
     NoiseModel,
     ObservationModel,
     SimulationConfig,
@@ -18,14 +27,18 @@ from supraflow import (
     kalman_update,
     lambda2_perturbation_estimate,
     learn_supra_operator,
+    load_network,
     matrix_exponential,
     propagate_closed,
+    read_states_csv,
+    save_network,
     scale_inter_layer,
     simulate_ensemble,
     spectrum,
     vectorize,
+    write_states_csv,
 )
-from supraflow.calibration import kronecker_lift
+from supraflow.calibration import kronecker_lift, read_operator_matrix, write_matrix_csv
 from supraflow.diffusion import exponential_action
 from supraflow.kalman import PHASE_PREDICTED, KalmanState
 from conftest import connected_adjacency, random_network, single_layer_supra
@@ -273,3 +286,93 @@ class TestLearnerMatchesDenseReference:
         assert op.iterations == 20
         assert np.abs(op.lambda_hat - lam_ref).max() <= 1e-10
         assert np.abs(np.array(op.iteration_log) - log_ref).max() <= 1e-10
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+weights = st.floats(min_value=0.0, max_value=1e300)
+
+
+def float_arrays(shape, elements=finite):
+    return hnp.arrays(np.float64, shape, elements=elements)
+
+
+@st.composite
+def weighted_networks(draw):
+    """A random network whose layer, coupling and constant weights are
+    arbitrary nonnegative doubles."""
+    rng = np.random.default_rng(draw(seeds))
+    network, constants = random_network(rng, n_layers=draw(st.integers(1, 3)))
+    layers = tuple(
+        LayerGraph(
+            layer.layer_id,
+            layer.kind,
+            layer.node_ids,
+            layer.adjacency * draw(float_arrays(layer.adjacency.shape, weights)),
+        )
+        for layer in network.layers
+    )
+    couplings = tuple(
+        InterLayerCoupling(
+            c.from_layer, c.to_layer, c.coupling * draw(float_arrays(c.coupling.shape, weights))
+        )
+        for c in network.couplings
+    )
+    network = InterconnectedNetwork(layers, couplings, symmetric=draw(st.booleans()))
+    constants = DiffusionConstants(
+        intra={k: draw(weights) for k in constants.intra},
+        inter={pair: draw(weights) for pair in constants.inter},
+        symmetric=draw(st.booleans()),
+    )
+    return network, constants
+
+
+def assert_rewrite_is_identical(write, read):
+    """write(first); write(second, read(first)); both files equal byte for byte."""
+    with tempfile.TemporaryDirectory() as directory:
+        first = os.path.join(directory, "first")
+        second = os.path.join(directory, "second")
+        write(first)
+        write(second, read(first))
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+
+
+class TestByteRoundTrips:
+    @settings(PROPERTY, max_examples=50)
+    @given(
+        seed=seeds,
+        n_topics=st.integers(1, 3),
+        timestamps=st.lists(finite, min_size=1, max_size=3, unique=True),
+        data=st.data(),
+    )
+    def test_states_csv(self, seed, n_topics, timestamps, data):
+        network, _ = random_network(np.random.default_rng(seed))
+        snapshots = [
+            StateMatrix(
+                data.draw(float_arrays((network.n_nodes, n_topics))), dict(network.node_index), t
+            )
+            for t in timestamps
+        ]
+
+        def write(path, states=snapshots):
+            write_states_csv(path, states, network.node_order)
+
+        assert_rewrite_is_identical(write, lambda path: read_states_csv(path, network))
+
+    @settings(PROPERTY, max_examples=50)
+    @given(network_and_constants=weighted_networks())
+    def test_network_json(self, network_and_constants):
+        def write(path, loaded=network_and_constants):
+            save_network(path, *loaded)
+
+        assert_rewrite_is_identical(write, load_network)
+
+    @settings(PROPERTY, max_examples=50)
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)), data=st.data())
+    def test_matrix_csv(self, shape, data):
+        matrix = data.draw(float_arrays(shape))
+
+        def write(path, values=matrix):
+            write_matrix_csv(path, values)
+
+        assert_rewrite_is_identical(write, read_operator_matrix)
