@@ -30,6 +30,7 @@ from .diffusion import (
     SimulationConfig,
     default_step,
     ensemble_statistics,
+    matrix_exponential,
     propagate_closed,
     simulate_ensemble,
     write_ensemble_summary_csv,
@@ -201,9 +202,7 @@ def cmd_fit(args) -> int:
     cfg = _read_config(args)
     network, _ = load_network(_require(cfg, "network"))
     series = _load_series(cfg, network)
-    fit = fit_diffusion_constants(
-        series, network, max_sweeps=int(cfg.get("max_sweeps", 60))
-    )
+    fit = fit_diffusion_constants(series, network)
     report_path = _outpath(args, "fit_report.json")
     write_fit_report(report_path, fit)
     _done(report_path)
@@ -211,9 +210,7 @@ def cmd_fit(args) -> int:
 
 
 def _learn_operator(cfg, network, series):
-    fit = fit_diffusion_constants(
-        series, network, max_sweeps=int(cfg.get("fit_max_sweeps", 12))
-    )
+    fit = fit_diffusion_constants(series, network)
     supra = assemble_supra_laplacian(network, fit.constants)
     return learn_supra_operator(
         series,
@@ -265,7 +262,7 @@ def cmd_kalman(args) -> int:
         r_observed=float(cfg.get("r", 1e-6)),
         q_diag=op.residual_variance,
     )
-    result = run_filter(series, op, model)
+    result = run_filter(series, op, model, transition=matrix_exponential(op.lambda_hat))
     trace_path = _outpath(args, "filter_trace.csv")
     write_filter_trace_csv(trace_path, result)
     _done(trace_path)

@@ -38,7 +38,7 @@ from .calibration import (
     learn_supra_operator,
     one_step_predict_learned,
 )
-from .diffusion import propagate_closed
+from .diffusion import matrix_exponential, propagate_closed
 from .kalman import ObservationModel, nested_masks, run_filter
 from .network import (
     DiffusionConstants,
@@ -99,7 +99,6 @@ class ExperimentConfig:
     gain: float | None = None
     learn_threshold: float | None = None
     max_iters: int = 200
-    fit_max_sweeps: int = 12
     kalman_r: float = 1e-6
 
     def __post_init__(self):
@@ -128,7 +127,6 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
             float(data["learn_threshold"]) if data.get("learn_threshold") is not None else None
         ),
         max_iters=int(data.get("max_iters", 200)),
-        fit_max_sweeps=int(data.get("fit_max_sweeps", 12)),
         kalman_r=float(data.get("kalman_r", 1e-6)),
     )
 
@@ -206,13 +204,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     diagnostics: dict[str, object] = {}
     multilayer_fit: DiffusionFit | None = None
     learned: LearnedOperator | None = None
+    transition: np.ndarray | None = None
 
     def ensure_multilayer_fit() -> DiffusionFit:
         nonlocal multilayer_fit
         if multilayer_fit is None:
-            multilayer_fit = fit_diffusion_constants(
-                series, network, max_sweeps=config.fit_max_sweeps
-            )
+            multilayer_fit = fit_diffusion_constants(series, network)
             diagnostics["multilayer_fit"] = multilayer_fit
         return multilayer_fit
 
@@ -248,7 +245,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
         kind, fraction = parse_method(name)
         if kind == "single_layer":
             sub, sub_series = _block_series(series, network, layer_id)
-            fit = fit_diffusion_constants(sub_series, sub, max_sweeps=config.fit_max_sweeps)
+            fit = fit_diffusion_constants(sub_series, sub)
             diagnostics["single_layer_fit"] = fit
             supra = assemble_supra_laplacian(sub, fit.constants)
             predictions = [
@@ -268,6 +265,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
             curves[name] = _pair_errors(predictions, block_targets)
         else:
             op = ensure_learned()
+            if transition is None:
+                # The learned operator's own one-step map: the default I + A
+                # is unstable once the fitted constants make A stiff.
+                transition = matrix_exponential(op.lambda_hat)
             model = ObservationModel.build(
                 n_nodes=network.n_nodes,
                 n_topics=series.n_topics,
@@ -278,7 +279,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
             # The filter starts from the exactly-known boundary snapshot, so
             # its initial covariance is zero; uncertainty then grows by Q per
             # step.
-            result = run_filter(series, op, model, pi0=0.0)
+            result = run_filter(series, op, model, pi0=0.0, transition=transition)
             diagnostics[name] = result
             predictions = [p[block] for p in result.predictions]
             curves[name] = _pair_errors(predictions, block_targets)
@@ -364,7 +365,7 @@ def replot_errors_csv(csv_path, svg_path):
 
 
 def external_influence_sweep(
-    specs: Sequence[SyntheticSpec], seed: int, out_dir=None, fit_max_sweeps: int = 8
+    specs: Sequence[SyntheticSpec], seed: int, out_dir=None
 ) -> list[tuple[int, float]]:
     """Fitted noise-to-state ratio across network sizes (fixed noise source)."""
     if len(specs) < 2:
@@ -372,7 +373,7 @@ def external_influence_sweep(
     rows = []
     for spec in specs:
         network, series, _ = generate_synthetic(spec, seed)
-        fit = fit_diffusion_constants(series, network, max_sweeps=fit_max_sweeps)
+        fit = fit_diffusion_constants(series, network)
         x0 = series.snapshots[0].matrix
         ratio = float(np.linalg.norm(fit.sigma) / np.linalg.norm(x0))
         rows.append((network.n_nodes, ratio))

@@ -1,9 +1,9 @@
 """Discrete Kalman refinement of state predictions under partial observation.
 
-The vectorized state x (length PT) evolves as x(t+1) = F x(t) + w with
-F = I + A for the learned generator A, and is observed through y = H x + v
-where H is a diagonal 0/1 indicator replicated across topic blocks.  The
-filter alternates:
+The vectorized state x (length PT) evolves as x(t+1) = F x(t) + w, with
+F = I + A for the learned generator A unless the caller passes another
+transition such as e^{A}, and is observed through y = H x + v where H is a
+diagonal 0/1 indicator replicated across topic blocks.  The filter alternates:
 
     update:   R_e = R + H Pi H^T
               x <- x + Pi H^T R_e^+ (y - H x)
@@ -16,12 +16,13 @@ the m x m observed block of R_e: with K = Pi[:, o] (R_oo + Pi_oo)^+ it reads
 x <- x + K (y_o - x_o) and Pi <- Pi - K Pi[o, :].  A pseudo-inverse of that
 block replaces the plain inverse because it can be singular (zero observation
 noise on a zero covariance); covariances are re-symmetrized every step.  F is
-built once per filter, in ``initial_state``, and carried in the state.
+built once per filter, in ``initial_state`` or by the caller of ``run_filter``,
+and carried in the state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -214,13 +215,15 @@ def run_filter(
     op: LearnedOperator,
     model: ObservationModel,
     pi0=None,
+    transition=None,
 ) -> FilterResult:
     """Filter the test range, feeding observed coordinates of the true states.
 
     The last training snapshot initializes the estimate.  Each test step is
     scored on its prediction, before that step's observation is folded in; by
     default the initial covariance is the identity scaled by the empirical
-    state variance.
+    state variance.  ``transition`` replaces F = I + A, e.g. by e^{A}, the
+    learned operator's own one-step map.
     """
     test = series.test_snapshots()
     if len(test) < 2:
@@ -230,6 +233,8 @@ def run_filter(
     if pi0 is None:
         pi0 = float(np.var(np.stack([s.matrix for s in test])))
     state = initial_state(vectorize(test[0]), pi0, op)
+    if transition is not None:
+        state = replace(state, f_hat=transition)
     h = model.h_diag()
     steps, times = [], []
     err_all, err_obs, err_hid, traces = [], [], [], []

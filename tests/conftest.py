@@ -67,6 +67,34 @@ def random_network(rng, n_layers=3, connected=True):
     return network, constants
 
 
+def directed_network(rng, n_layers=3):
+    """Random directed network: asymmetric layer weights, and each coupling
+    declared in both directions with its own matrix and constant."""
+    network, constants = random_network(rng, n_layers)
+    layers = tuple(
+        LayerGraph(
+            layer.layer_id,
+            layer.kind,
+            layer.node_ids,
+            layer.adjacency * rng.uniform(0.5, 2.0, layer.adjacency.shape),
+        )
+        for layer in network.layers
+    )
+    couplings = []
+    for c in network.couplings:
+        couplings.append(c)
+        reverse = c.coupling.T * rng.uniform(0.5, 2.0, c.coupling.T.shape)
+        couplings.append(InterLayerCoupling(c.to_layer, c.from_layer, reverse))
+    inter = {}
+    for (a, b), value in constants.inter.items():
+        inter[(a, b)] = value
+        inter[(b, a)] = float(rng.uniform(0.5, 2.0))
+    return (
+        InterconnectedNetwork(layers, tuple(couplings), symmetric=False),
+        DiffusionConstants(intra=constants.intra, inter=inter, symmetric=False),
+    )
+
+
 def brute_force_supra(network, constants):
     """Entry-by-entry reference assembly, independent of the production path."""
     total = network.n_nodes

@@ -24,7 +24,7 @@ from supraflow.calibration import (
     write_fit_report,
     write_matrix_csv,
 )
-from conftest import connected_adjacency, single_layer_supra
+from conftest import connected_adjacency, directed_network, single_layer_supra
 
 
 def toy_spec(**overrides):
@@ -97,9 +97,49 @@ class TestFitDiffusionConstants:
 
     def test_objective_trace_non_increasing(self):
         network, series, _ = generate_synthetic(toy_spec(n_snapshots=5, train_count=5), seed=4)
-        fit = fit_diffusion_constants(series, network, max_sweeps=6)
+        fit = fit_diffusion_constants(series, network)
         trace = np.array(fit.objective_trace)
         assert np.all(np.diff(trace) <= 1e-15)
+
+    def test_recovers_planted_constants_after_an_overshooting_step(self):
+        from test_harness import interconnected_spec
+
+        # On this series the second step from the start overshoots, so the
+        # fit has to raise its damping and retry.
+        network, series, truth = generate_synthetic(interconnected_spec(), seed=5)
+        fit = fit_diffusion_constants(series, network)
+        assert fit.objective < 1e-8
+        for layer_id, planted in truth.constants.intra.items():
+            assert abs(fit.constants.intra[layer_id] - planted) / planted < 0.01
+        for key, planted in truth.constants.inter.items():
+            assert abs(fit.constants.inter[key] - planted) / planted < 0.01
+
+    def test_recovers_planted_constants_on_a_directed_network(self):
+        rng = np.random.default_rng(0)
+        network, planted = directed_network(rng)
+        propagator = scipy.linalg.expm(-assemble_supra_laplacian(network, planted).matrix * 0.1)
+        x = rng.random((network.n_nodes, 2))
+        snaps = []
+        for i in range(6):
+            snaps.append(StateMatrix(x, dict(network.node_index), 0.1 * i))
+            x = propagator @ x
+        fit = fit_diffusion_constants(SnapshotSeries(tuple(snaps)), network)
+        assert len(planted.inter) == 6  # every layer pair, both directions
+        assert fit.converged and fit.identifiable
+        for layer_id, value in planted.intra.items():
+            assert abs(fit.constants.intra[layer_id] - value) / value < 0.01
+        for pair, value in planted.inter.items():
+            assert abs(fit.constants.inter[pair] - value) / value < 0.01
+
+    def test_converges_with_a_constant_held_at_zero(self):
+        # The noise puts the unconstrained optimum of the zero constant below
+        # zero, so the bound is active at the solution.
+        network, series, _ = generate_synthetic(
+            toy_spec(sigma_ratio=0.05, intra_constants={1: 1.3, 2: 0.0, 3: 1.9}), seed=4
+        )
+        fit = fit_diffusion_constants(series, network)
+        assert fit.constants.intra[2] == 0.0
+        assert fit.converged and fit.sweeps <= 20
 
     def test_consensus_series_flagged_non_identifiable(self):
         rng = np.random.default_rng(5)
@@ -262,7 +302,7 @@ class TestReports:
         network, series, _ = generate_synthetic(
             toy_spec(n_snapshots=4, train_count=4), seed=13
         )
-        fit = fit_diffusion_constants(series, network, max_sweeps=3)
+        fit = fit_diffusion_constants(series, network)
         path = tmp_path / "fit_report.json"
         write_fit_report(path, fit)
         import json
@@ -278,3 +318,16 @@ class TestReports:
         path = tmp_path / "operator.csv"
         write_matrix_csv(path, lam)
         assert np.array_equal(read_operator_matrix(path), lam)
+
+    def test_truncated_matrix_csv_rejected(self, tmp_path):
+        path = tmp_path / "operator.csv"
+        write_matrix_csv(path, np.arange(12.0).reshape(3, 4))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3]) + "\n")
+        with pytest.raises(ValidationError):
+            read_operator_matrix(path)
+
+    def test_empty_matrix_csv_keeps_its_shape(self, tmp_path):
+        path = tmp_path / "operator.csv"
+        write_matrix_csv(path, np.zeros((0, 3)))
+        assert read_operator_matrix(path).shape == (0, 3)

@@ -230,7 +230,7 @@ class TestRunExperiment:
         )
         config = ExperimentConfig(
             methods=("learned_operator", "kalman:0.5"), synthetic=spec, seed=3,
-            learn_threshold=1e-9, max_iters=10, fit_max_sweeps=1,
+            learn_threshold=1e-9, max_iters=10,
         )
         np.random.seed(1)
         before = global_random_state()

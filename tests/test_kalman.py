@@ -8,7 +8,9 @@ from supraflow import (
     ValidationError,
     kalman_predict,
     kalman_update,
+    matrix_exponential,
     nested_masks,
+    one_step_predict_learned,
     run_filter,
 )
 from supraflow.kalman import (
@@ -265,6 +267,18 @@ class TestRunFilter:
         for prediction in result.predictions:
             x = self.f @ x
             assert np.abs(vectorize(prediction) - x).max() < 1e-12
+
+    def test_exponential_transition_predicts_like_the_learned_operator(self):
+        series = make_series(self.node_index, self.states, train_count=2)
+        dim = self.n_nodes * self.n_topics
+        model = ObservationModel(
+            self.n_nodes, self.n_topics, (), np.zeros(dim), np.full(dim, 0.1)
+        )
+        result = run_filter(
+            series, self.op, model, pi0=1.0, transition=matrix_exponential(self.lam)
+        )
+        expected = one_step_predict_learned(self.op, self.states[1])
+        assert np.abs(result.predictions[0] - expected).max() < 1e-12
 
     def test_default_pi0_is_empirical_variance(self):
         series = make_series(self.node_index, self.states, train_count=2)

@@ -1,7 +1,8 @@
-"""Property tests: the exponential action, closed propagation, the
-Euler-Maruyama ensemble, the connectivity sweep, the observed-block Kalman
-update and the learner against dense reference formulas and invariants, and
-byte-for-byte round trips of the state, network and matrix files."""
+"""Property tests: the linearity of the supra-Laplacian in its constants, the
+exponential action, closed propagation, the Euler-Maruyama ensemble, the
+connectivity sweep, the observed-block Kalman update and the learner against
+dense reference formulas and invariants, and byte-for-byte round trips of the
+state, network and matrix files."""
 
 import os
 import tempfile
@@ -41,7 +42,7 @@ from supraflow import (
 from supraflow.calibration import kronecker_lift, read_operator_matrix, write_matrix_csv
 from supraflow.diffusion import exponential_action
 from supraflow.kalman import PHASE_PREDICTED, KalmanState
-from conftest import connected_adjacency, random_network, single_layer_supra
+from conftest import connected_adjacency, directed_network, random_network, single_layer_supra
 
 # Derandomized so the suite stays deterministic; no example database is kept.
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -51,6 +52,31 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 def relative_error(result, reference):
     return np.linalg.norm(result - reference) / np.linalg.norm(reference)
+
+
+def unit_constants(constants, key):
+    """``constants`` with the entry ``key`` set to 1 and every other one to 0."""
+    return DiffusionConstants(
+        intra={k: float(("intra", k) == key) for k in constants.intra},
+        inter={pair: float(("inter", pair) == key) for pair in constants.inter},
+        symmetric=constants.symmetric,
+    )
+
+
+class TestSupraLaplacianLinearity:
+    @PROPERTY
+    @given(seed=seeds, directed=st.booleans())
+    def test_assembly_is_the_weighted_sum_of_unit_assemblies(self, seed, directed):
+        rng = np.random.default_rng(seed)
+        network, constants = (directed_network if directed else random_network)(rng)
+        entries = [(("intra", k), v) for k, v in constants.intra.items()]
+        entries += [(("inter", pair), v) for pair, v in constants.inter.items()]
+        weighted = sum(
+            value * assemble_supra_laplacian(network, unit_constants(constants, key)).matrix
+            for key, value in entries
+        )
+        reference = assemble_supra_laplacian(network, constants).matrix
+        assert relative_error(weighted, reference) <= 1e-12
 
 
 class TestExponentialAction:
