@@ -40,6 +40,8 @@ from .states import StateMatrix
 #: Largest vectorized dimension (node count x topic count) for which the dense
 #: learned operator and its exponential action stay tractable at desk scale.
 MAX_LEARN_DIM = 4000
+#: The learner's default cap on rank-1 updates.
+LEARN_MAX_ITERS = 200
 
 #: Every fitted constant lies in [0, D_MAX] and starts from D_START.
 D_MAX = 10.0
@@ -301,7 +303,7 @@ def learn_supra_operator(
     init: SupraLaplacian,
     gain: float | None = None,
     threshold: float | None = None,
-    max_iters: int = 500,
+    max_iters: int = LEARN_MAX_ITERS,
 ) -> LearnedOperator:
     """Learn the dense one-step operator from training pairs by rank-1 updates.
 
@@ -393,6 +395,30 @@ def learn_supra_operator(
         final_error=final_error,
         residual_variance=residual_variance,
     )
+
+
+def learn_from_fit(
+    series: SnapshotSeries,
+    network: InterconnectedNetwork,
+    fit: DiffusionFit,
+    gain: float | None = None,
+    threshold: float | None = None,
+    max_iters: int = LEARN_MAX_ITERS,
+) -> LearnedOperator:
+    """Learn the operator starting from the fitted supra-Laplacian L(D_hat).
+
+    Without a threshold the rank-1 updates stop at the noise floor,
+    max(1e-3 * mean input norm, 1.5 |sigma_hat|_F sqrt(mean dt)), instead of
+    chasing the Brownian innovations in the training pairs.
+    """
+    if threshold is None:
+        pairs = series.train_pairs()
+        mean_dt = float(np.mean([dt for _, _, dt in pairs]))
+        noise_floor = 1.5 * float(np.linalg.norm(fit.sigma)) * np.sqrt(mean_dt)
+        inputs_norm = float(np.mean([np.linalg.norm(a.matrix) for a, _, _ in pairs]))
+        threshold = max(1e-3 * inputs_norm, noise_floor)
+    supra = assemble_supra_laplacian(network, fit.constants)
+    return learn_supra_operator(series, supra, gain, threshold, max_iters)
 
 
 def one_step_predict_learned(op: LearnedOperator, x):

@@ -5,7 +5,9 @@ Every subcommand reads its parameters from a JSON config document passed with
 directory.  Outputs are CSV tables plus SVG charts, written atomically and
 byte-identical across runs with the same config and seed.
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure.
+Exit codes: 0 success, 2 validation failure (malformed or missing input, or a
+file that cannot be read or written), 3 numerical failure.  Any other exception
+is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ import sys
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, malformed
 from .calibration import (
+    LEARN_MAX_ITERS,
     SnapshotSeries,
     fit_diffusion_constants,
-    learn_supra_operator,
+    learn_from_fit,
     write_fit_report,
     write_matrix_csv,
 )
@@ -30,7 +33,6 @@ from .diffusion import (
     SimulationConfig,
     default_step,
     ensemble_statistics,
-    matrix_exponential,
     propagate_closed,
     simulate_ensemble,
     write_ensemble_summary_csv,
@@ -38,13 +40,7 @@ from .diffusion import (
 )
 from .files import write_json
 from .harness import experiment_config_from_dict, run_experiment
-from .kalman import (
-    ObservationModel,
-    nested_masks,
-    run_filter,
-    write_filter_trace_csv,
-    write_mask_csv,
-)
+from .kalman import R_OBSERVED, filter_fractions, write_filter_trace_csv, write_mask_csv
 from .network import (
     _is_symmetric,
     assemble_supra_laplacian,
@@ -74,7 +70,7 @@ def _read_config(args) -> dict:
 def _seed(args, cfg: dict) -> int:
     if args.seed is not None:
         return int(args.seed)
-    return int(cfg.get("seed", 0))
+    return _optional(cfg, "seed", int, 0)
 
 
 def _outpath(args, name: str) -> str:
@@ -82,18 +78,24 @@ def _outpath(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
+def _optional(cfg: dict, key: str, cast, default=None):
+    """``cast(cfg[key])``, or ``default`` when the field is absent or null."""
+    if cfg.get(key) is None:
+        return default
+    with malformed(f"config field {key!r}"):
+        return cast(cfg[key])
+
+
+def _require(cfg: dict, key: str, cast=str):
+    if cfg.get(key) is None:
         raise ValidationError(f"config is missing the required field {key!r}")
-    return cfg[key]
+    return _optional(cfg, key, cast)
 
 
 def _load_series(cfg: dict, network) -> SnapshotSeries:
     snapshots = read_states_csv(_require(cfg, "snapshots"), network)
-    train_count = cfg.get("train_count")
     return SnapshotSeries(
-        snapshots=tuple(snapshots),
-        train_count=int(train_count) if train_count is not None else None,
+        snapshots=tuple(snapshots), train_count=_optional(cfg, "train_count", int)
     )
 
 
@@ -163,15 +165,15 @@ def cmd_simulate(args) -> int:
     snapshots = read_states_csv(_require(cfg, "states"), network)
     x0 = snapshots[0]
     if "sigma_file" in cfg:
-        sigma = read_states_csv(cfg["sigma_file"], network)[0].matrix
+        sigma = read_states_csv(_require(cfg, "sigma_file"), network)[0].matrix
     else:
-        sigma = float(cfg.get("sigma", 0.0)) * np.ones(x0.matrix.shape)
+        sigma = _optional(cfg, "sigma", float, 0.0) * np.ones(x0.matrix.shape)
     noise = NoiseModel(sigma=sigma, seed=_seed(args, cfg))
-    dt = float(cfg["dt"]) if cfg.get("dt") is not None else default_step(supra)
+    dt = _optional(cfg, "dt", float)
     config = SimulationConfig(
-        dt=dt,
-        horizon=float(_require(cfg, "horizon")),
-        ensemble_size=int(cfg.get("paths", 1)),
+        dt=default_step(supra) if dt is None else dt,
+        horizon=_require(cfg, "horizon", float),
+        ensemble_size=_optional(cfg, "paths", int, 1),
     )
     paths = simulate_ensemble(x0, supra, noise, config)
     sim_path = _outpath(args, "simulation.csv")
@@ -190,7 +192,7 @@ def cmd_predict(args) -> int:
     network, constants = _load_network_with_constants(cfg)
     supra = assemble_supra_laplacian(network, constants)
     snapshots = read_states_csv(_require(cfg, "states"), network)
-    delta_t = float(_require(cfg, "delta_t"))
+    delta_t = _require(cfg, "delta_t", float)
     predicted = propagate_closed(snapshots[-1], supra, delta_t)
     out_path = _outpath(args, "prediction.csv")
     write_states_csv(out_path, [predicted], network.node_order)
@@ -209,23 +211,20 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _learn_operator(cfg, network, series):
-    fit = fit_diffusion_constants(series, network)
-    supra = assemble_supra_laplacian(network, fit.constants)
-    return learn_supra_operator(
-        series,
-        supra,
-        gain=float(cfg["gain"]) if cfg.get("gain") is not None else None,
-        threshold=float(cfg["eta"]) if cfg.get("eta") is not None else None,
-        max_iters=int(cfg.get("max_iters", 200)),
-    )
+def _learner_settings(cfg: dict) -> dict:
+    return {
+        "gain": _optional(cfg, "gain", float),
+        "threshold": _optional(cfg, "eta", float),
+        "max_iters": _optional(cfg, "max_iters", int, LEARN_MAX_ITERS),
+    }
 
 
 def cmd_learn(args) -> int:
     cfg = _read_config(args)
     network, _ = load_network(_require(cfg, "network"))
     series = _load_series(cfg, network)
-    op = _learn_operator(cfg, network, series)
+    fit = fit_diffusion_constants(series, network)
+    op = learn_from_fit(series, network, fit, **_learner_settings(cfg))
     op_path = _outpath(args, "operator.csv")
     write_matrix_csv(op_path, op.lambda_hat)
     _done(op_path)
@@ -249,26 +248,20 @@ def cmd_kalman(args) -> int:
     cfg = _read_config(args)
     network, _ = load_network(_require(cfg, "network"))
     series = _load_series(cfg, network)
-    fraction = float(_require(cfg, "fraction"))
+    fraction = _require(cfg, "fraction", float)
     if not 0 < fraction <= 1:
         raise ValidationError("fraction must lie in (0, 1]")
-    op = _learn_operator(cfg, network, series)
-    seed = _seed(args, cfg)
-    observed = nested_masks(network.n_nodes, [fraction], seed)[fraction]
-    model = ObservationModel.build(
-        n_nodes=network.n_nodes,
-        n_topics=series.n_topics,
-        observed_nodes=observed,
-        r_observed=float(cfg.get("r", 1e-6)),
-        q_diag=op.residual_variance,
-    )
-    result = run_filter(series, op, model, transition=matrix_exponential(op.lambda_hat))
+    fit = fit_diffusion_constants(series, network)
+    op = learn_from_fit(series, network, fit, **_learner_settings(cfg))
+    result = filter_fractions(
+        series, op, [fraction], _seed(args, cfg), _optional(cfg, "r", float, R_OBSERVED)
+    )[fraction]
     trace_path = _outpath(args, "filter_trace.csv")
     write_filter_trace_csv(trace_path, result)
     _done(trace_path)
     mask_path = _outpath(args, "mask.csv")
     labels = [node_label(key) for key in network.node_order]
-    write_mask_csv(mask_path, observed, labels)
+    write_mask_csv(mask_path, result.observed_nodes, labels)
     _done(mask_path)
     return 0
 
@@ -276,7 +269,7 @@ def cmd_kalman(args) -> int:
 def cmd_spectral(args) -> int:
     cfg = _read_config(args)
     network, constants = _load_network_with_constants(cfg)
-    epsilons = [float(e) for e in _require(cfg, "epsilons")]
+    epsilons = _require(cfg, "epsilons", lambda values: [float(e) for e in values])
     points = connectivity_sweep(network, constants, epsilons)
     sweep_path = _outpath(args, "lambda2_sweep.csv")
     write_sweep_csv(sweep_path, points)
@@ -345,7 +338,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, ValueError, KeyError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
 

@@ -255,10 +255,9 @@ def _simulate(x0: np.ndarray, lap, sigma: np.ndarray, rng, config: SimulationCon
     return times, states
 
 
-def simulate_open(
-    x0, supra: SupraLaplacian, noise: NoiseModel, config: SimulationConfig
-) -> SimulationPath:
-    """One Euler-Maruyama path of dX = -L X dt + S dB, deterministic given the seed."""
+def _checked_start(x0, supra: SupraLaplacian, noise: NoiseModel, config: SimulationConfig):
+    """The start state of a simulation, checked against the operator and noise,
+    and its node index; warns when the step is large for the operator."""
     x = _state_array(x0)
     if x.shape != noise.sigma.shape:
         raise ValidationError(
@@ -266,29 +265,32 @@ def simulate_open(
         )
     if x.shape[0] != supra.n_nodes:
         raise ValidationError("state and operator sizes disagree")
-    norm = float(np.abs(supra.matrix).sum(axis=1).max())
+    norm = float(abs(supra.csr).sum(axis=1).max(initial=0.0))
     if norm * config.dt >= 1:
         warnings.warn(
             f"dt={config.dt} is large for an operator of norm {norm:.3g}; "
             "the explicit scheme may be inaccurate",
-            stacklevel=2,
+            stacklevel=3,
         )
+    node_index = x0.node_index if isinstance(x0, StateMatrix) else supra.node_index
+    return x, dict(node_index)
+
+
+def simulate_open(
+    x0, supra: SupraLaplacian, noise: NoiseModel, config: SimulationConfig
+) -> SimulationPath:
+    """One Euler-Maruyama path of dX = -L X dt + S dB, deterministic given the seed."""
+    x, node_index = _checked_start(x0, supra, noise, config)
     rng = np.random.default_rng(noise.seed)
     times, states = _simulate(x, supra.csr, noise.sigma, rng, config)
-    node_index = x0.node_index if isinstance(x0, StateMatrix) else dict(supra.node_index)
-    return SimulationPath(times=times, states=states, node_index=dict(node_index))
+    return SimulationPath(times=times, states=states, node_index=node_index)
 
 
 def simulate_ensemble(
     x0, supra: SupraLaplacian, noise: NoiseModel, config: SimulationConfig
 ) -> list[SimulationPath]:
     """Independent paths from sub-seeds derived deterministically from the master seed."""
-    x = _state_array(x0)
-    if x.shape != noise.sigma.shape:
-        raise ValidationError("noise scale and state shapes disagree")
-    if x.shape[0] != supra.n_nodes:
-        raise ValidationError("state and operator sizes disagree")
-    node_index = x0.node_index if isinstance(x0, StateMatrix) else dict(supra.node_index)
+    x, node_index = _checked_start(x0, supra, noise, config)
     children = np.random.SeedSequence(noise.seed).spawn(config.ensemble_size)
     paths = []
     for child in children:

@@ -28,18 +28,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, malformed
 from .files import write_csv
 from .calibration import (
-    DiffusionFit,
-    LearnedOperator,
+    LEARN_MAX_ITERS,
     SnapshotSeries,
     fit_diffusion_constants,
-    learn_supra_operator,
+    learn_from_fit,
     one_step_predict_learned,
 )
-from .diffusion import matrix_exponential, propagate_closed
-from .kalman import ObservationModel, nested_masks, run_filter
+from .diffusion import propagate_closed
+from .kalman import R_OBSERVED, filter_fractions
 from .network import (
     DiffusionConstants,
     InterconnectedNetwork,
@@ -77,7 +76,8 @@ def upper_bound_series(snapshots: Sequence[StateMatrix]) -> np.ndarray:
 
 def parse_method(name: str) -> tuple[str, float | None]:
     if name.startswith("kalman:"):
-        fraction = float(name.split(":", 1)[1])
+        with malformed(f"method {name!r}"):
+            fraction = float(name.split(":", 1)[1])
         if not 0 < fraction <= 1:
             raise ValidationError(f"kalman fraction must lie in (0, 1], got {fraction}")
         return "kalman", fraction
@@ -98,8 +98,8 @@ class ExperimentConfig:
     seed: int = 0
     gain: float | None = None
     learn_threshold: float | None = None
-    max_iters: int = 200
-    kalman_r: float = 1e-6
+    max_iters: int = LEARN_MAX_ITERS
+    kalman_r: float = R_OBSERVED
 
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -112,23 +112,24 @@ class ExperimentConfig:
 
 
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
-    synthetic = None
-    if "synthetic" in data:
-        synthetic = synthetic_spec_from_dict(data["synthetic"])
-    return ExperimentConfig(
-        methods=tuple(data.get("methods", ())),
-        synthetic=synthetic,
-        network_file=data.get("network"),
-        snapshots_file=data.get("snapshots"),
-        train_count=int(data["train_count"]) if data.get("train_count") is not None else None,
-        seed=int(data.get("seed", 0)),
-        gain=float(data["gain"]) if data.get("gain") is not None else None,
-        learn_threshold=(
-            float(data["learn_threshold"]) if data.get("learn_threshold") is not None else None
-        ),
-        max_iters=int(data.get("max_iters", 200)),
-        kalman_r=float(data.get("kalman_r", 1e-6)),
-    )
+    """Parse the JSON form of an experiment; absent or null scalars take the
+    ``ExperimentConfig`` defaults."""
+    with malformed("experiment config"):
+        scalars = (
+            ("train_count", int),
+            ("seed", int),
+            ("gain", float),
+            ("learn_threshold", float),
+            ("max_iters", int),
+            ("kalman_r", float),
+        )
+        return ExperimentConfig(
+            methods=tuple(data.get("methods", ())),
+            synthetic=synthetic_spec_from_dict(data["synthetic"]) if "synthetic" in data else None,
+            network_file=data.get("network"),
+            snapshots_file=data.get("snapshots"),
+            **{key: cast(data[key]) for key, cast in scalars if data.get(key) is not None},
+        )
 
 
 @dataclass
@@ -200,89 +201,40 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
         [error_measure(a.matrix[block], b.matrix[block]) for a, b, _ in test_pairs]
     )
 
-    curves: dict[str, np.ndarray] = {}
+    parsed = [parse_method(name) for name in config.methods]
+    kinds = {kind for kind, _ in parsed}
     diagnostics: dict[str, object] = {}
-    multilayer_fit: DiffusionFit | None = None
-    learned: LearnedOperator | None = None
-    transition: np.ndarray | None = None
+    if kinds & {"multilayer", "learned_operator", "kalman"}:
+        fit = diagnostics["multilayer_fit"] = fit_diffusion_constants(series, network)
+    if kinds & {"learned_operator", "kalman"}:
+        op = diagnostics["learned_operator"] = learn_from_fit(
+            series, network, fit, config.gain, config.learn_threshold, config.max_iters
+        )
+    fractions = [fraction for kind, fraction in parsed if kind == "kalman"]
+    if fractions:
+        filtered = filter_fractions(series, op, fractions, config.seed, config.kalman_r)
 
-    def ensure_multilayer_fit() -> DiffusionFit:
-        nonlocal multilayer_fit
-        if multilayer_fit is None:
-            multilayer_fit = fit_diffusion_constants(series, network)
-            diagnostics["multilayer_fit"] = multilayer_fit
-        return multilayer_fit
-
-    def ensure_learned() -> LearnedOperator:
-        nonlocal learned
-        if learned is None:
-            fit = ensure_multilayer_fit()
-            supra = assemble_supra_laplacian(network, fit.constants)
-            threshold = config.learn_threshold
-            if threshold is None:
-                # Stop the rank-1 updates at the noise floor instead of
-                # chasing the Brownian innovations in the training pairs.
-                mean_dt = float(np.mean([dt for _, _, dt in series.train_pairs()]))
-                noise_floor = 1.5 * float(np.linalg.norm(fit.sigma)) * np.sqrt(mean_dt)
-                inputs_norm = float(
-                    np.mean([np.linalg.norm(a.matrix) for a, _, _ in series.train_pairs()])
-                )
-                threshold = max(1e-3 * inputs_norm, noise_floor)
-            learned = learn_supra_operator(
-                series,
-                supra,
-                gain=config.gain,
-                threshold=threshold,
-                max_iters=config.max_iters,
-            )
-            diagnostics["learned_operator"] = learned
-        return learned
-
-    kalman_fractions = [parse_method(m)[1] for m in config.methods if m.startswith("kalman")]
-    masks = nested_masks(network.n_nodes, kalman_fractions, config.seed) if kalman_fractions else {}
-
-    for name in config.methods:
-        kind, fraction = parse_method(name)
+    curves: dict[str, np.ndarray] = {}
+    for name, (kind, fraction) in zip(config.methods, parsed):
         if kind == "single_layer":
             sub, sub_series = _block_series(series, network, layer_id)
-            fit = fit_diffusion_constants(sub_series, sub)
-            diagnostics["single_layer_fit"] = fit
-            supra = assemble_supra_laplacian(sub, fit.constants)
+            sub_fit = diagnostics["single_layer_fit"] = fit_diffusion_constants(sub_series, sub)
+            supra = assemble_supra_laplacian(sub, sub_fit.constants)
             predictions = [
                 propagate_closed(a.matrix[block], supra, dt) for a, _, dt in test_pairs
             ]
-            curves[name] = _pair_errors(predictions, block_targets)
         elif kind == "multilayer":
-            supra = assemble_supra_laplacian(network, ensure_multilayer_fit().constants)
+            supra = assemble_supra_laplacian(network, fit.constants)
             predictions = [
                 propagate_closed(a.matrix, supra, dt)[block] for a, _, dt in test_pairs
             ]
-            curves[name] = _pair_errors(predictions, block_targets)
         elif kind == "learned_operator":
-            op = ensure_learned()
             inputs = np.stack([a.matrix for a, _, _ in test_pairs])
             predictions = [p[block] for p in one_step_predict_learned(op, inputs)]
-            curves[name] = _pair_errors(predictions, block_targets)
         else:
-            op = ensure_learned()
-            if transition is None:
-                # The learned operator's own one-step map: the default I + A
-                # is unstable once the fitted constants make A stiff.
-                transition = matrix_exponential(op.lambda_hat)
-            model = ObservationModel.build(
-                n_nodes=network.n_nodes,
-                n_topics=series.n_topics,
-                observed_nodes=masks[fraction],
-                r_observed=config.kalman_r,
-                q_diag=op.residual_variance,
-            )
-            # The filter starts from the exactly-known boundary snapshot, so
-            # its initial covariance is zero; uncertainty then grows by Q per
-            # step.
-            result = run_filter(series, op, model, pi0=0.0, transition=transition)
-            diagnostics[name] = result
-            predictions = [p[block] for p in result.predictions]
-            curves[name] = _pair_errors(predictions, block_targets)
+            diagnostics[name] = filtered[fraction]
+            predictions = [p[block] for p in filtered[fraction].predictions]
+        curves[name] = _pair_errors(predictions, block_targets)
 
     mean_errors = {name: float(c.mean()) for name, c in curves.items()}
     improvements: dict[str, float] = {}

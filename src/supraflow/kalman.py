@@ -22,17 +22,20 @@ and carried in the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .calibration import LearnedOperator, SnapshotSeries, devectorize, vectorize
+from .diffusion import matrix_exponential
 from .files import write_csv
 
 PHASE_PREDICTED = "predicted"
 PHASE_UPDATED = "updated"
+#: The default observation noise variance of an observed coordinate.
+R_OBSERVED = 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,7 @@ class ObservationModel:
         n_nodes: int,
         n_topics: int,
         observed_nodes: Sequence[int],
-        r_observed: float = 1e-6,
+        r_observed: float = R_OBSERVED,
         q_diag=None,
     ) -> "ObservationModel":
         dim = n_nodes * n_topics
@@ -130,12 +133,14 @@ def transition_matrix(op: LearnedOperator) -> np.ndarray:
     return f
 
 
-def initial_state(x0: np.ndarray, pi0, op: LearnedOperator) -> KalmanState:
+def initial_state(x0: np.ndarray, pi0, op: LearnedOperator, transition=None) -> KalmanState:
+    """The filter's start; F is ``transition`` if given, else I + A."""
     x0 = np.asarray(x0, dtype=float)
     pi0 = np.asarray(pi0, dtype=float)
     if pi0.ndim == 0:
         pi0 = float(pi0) * np.eye(x0.size)
-    return KalmanState(x_hat=x0, pi=pi0, phase=PHASE_UPDATED, f_hat=transition_matrix(op))
+    f_hat = transition_matrix(op) if transition is None else transition
+    return KalmanState(x_hat=x0, pi=pi0, phase=PHASE_UPDATED, f_hat=f_hat)
 
 
 def _symmetrized(pi: np.ndarray) -> np.ndarray:
@@ -198,6 +203,7 @@ class FilterResult:
     trace_pi: np.ndarray
     predictions: tuple[np.ndarray, ...]
     final_state: KalmanState
+    observed_nodes: tuple[int, ...]
 
 
 def _masked_relative_error(x_hat: np.ndarray, x_true: np.ndarray, mask: np.ndarray) -> float:
@@ -232,9 +238,7 @@ def run_filter(
         raise ValidationError("observation model does not match the series shape")
     if pi0 is None:
         pi0 = float(np.var(np.stack([s.matrix for s in test])))
-    state = initial_state(vectorize(test[0]), pi0, op)
-    if transition is not None:
-        state = replace(state, f_hat=transition)
+    state = initial_state(vectorize(test[0]), pi0, op, transition)
     h = model.h_diag()
     steps, times = [], []
     err_all, err_obs, err_hid, traces = [], [], [], []
@@ -262,7 +266,32 @@ def run_filter(
         trace_pi=np.asarray(traces),
         predictions=tuple(predictions),
         final_state=state,
+        observed_nodes=model.observed_nodes,
     )
+
+
+def filter_fractions(
+    series: SnapshotSeries,
+    op: LearnedOperator,
+    fractions: Sequence[float],
+    seed: int,
+    r_observed: float = R_OBSERVED,
+) -> dict[float, FilterResult]:
+    """Filter the test range once per observed fraction of the nodes.
+
+    The observed nodes are ``nested_masks(n_nodes, fractions, seed)``, and Q is
+    the learner's residual variance.  Each filter starts from Pi_0 = 0, since
+    the boundary snapshot is known exactly, and predicts through e^{A}, the
+    learned operator's own one-step map, formed once for all fractions: the
+    default I + A is unstable once the fitted constants make A stiff.
+    """
+    shape = (series.n_nodes, series.n_topics)
+    transition = matrix_exponential(op.lambda_hat)
+    results = {}
+    for fraction, observed in nested_masks(series.n_nodes, fractions, seed).items():
+        model = ObservationModel.build(*shape, observed, r_observed, op.residual_variance)
+        results[fraction] = run_filter(series, op, model, pi0=0.0, transition=transition)
+    return results
 
 
 def nested_masks(n_nodes: int, fractions: Sequence[float], seed: int) -> dict[float, tuple[int, ...]]:

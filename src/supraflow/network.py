@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse
 
-from .errors import ValidationError
+from .errors import ValidationError, malformed
 from .files import write_json
 
 MAX_NODES = 20_000
@@ -422,56 +422,55 @@ def network_to_dict(
 
 
 def network_from_dict(data: dict) -> tuple[InterconnectedNetwork, DiffusionConstants | None]:
-    if "layers" not in data:
-        raise ValidationError("network document has no 'layers' field")
-    layers = []
-    for spec in data["layers"]:
-        nodes = [str(n) for n in spec["nodes"]]
-        n = len(nodes)
-        layers.append(
-            LayerGraph(
-                layer_id=int(spec["id"]),
-                kind=spec.get("kind", "agent"),
-                node_ids=tuple(nodes),
-                adjacency=_matrix_from_json(
-                    spec.get("adjacency", np.zeros((n, n))), (n, n), f"layer {spec['id']}"
-                ),
+    with malformed("network document"):
+        layers = []
+        for spec in data["layers"]:
+            nodes = [str(n) for n in spec["nodes"]]
+            n = len(nodes)
+            layers.append(
+                LayerGraph(
+                    layer_id=int(spec["id"]),
+                    kind=spec.get("kind", "agent"),
+                    node_ids=tuple(nodes),
+                    adjacency=_matrix_from_json(
+                        spec.get("adjacency", np.zeros((n, n))), (n, n), f"layer {spec['id']}"
+                    ),
+                )
             )
-        )
-    sizes = {layer.layer_id: layer.n_nodes for layer in layers}
-    couplings = []
-    for spec in data.get("couplings", []):
-        a, b = int(spec["from"]), int(spec["to"])
-        if a not in sizes or b not in sizes:
-            raise ValidationError(f"coupling references unknown layer ({a},{b})")
-        couplings.append(
-            InterLayerCoupling(
-                from_layer=a,
-                to_layer=b,
-                coupling=_matrix_from_json(
-                    spec["matrix"], (sizes[a], sizes[b]), f"coupling ({a},{b})"
-                ),
+        sizes = {layer.layer_id: layer.n_nodes for layer in layers}
+        couplings = []
+        for spec in data.get("couplings", []):
+            a, b = int(spec["from"]), int(spec["to"])
+            if a not in sizes or b not in sizes:
+                raise ValidationError(f"coupling references unknown layer ({a},{b})")
+            couplings.append(
+                InterLayerCoupling(
+                    from_layer=a,
+                    to_layer=b,
+                    coupling=_matrix_from_json(
+                        spec["matrix"], (sizes[a], sizes[b]), f"coupling ({a},{b})"
+                    ),
+                )
             )
+        network = InterconnectedNetwork(
+            layers=tuple(layers),
+            couplings=tuple(couplings),
+            symmetric=bool(data.get("symmetric", True)),
         )
-    network = InterconnectedNetwork(
-        layers=tuple(layers),
-        couplings=tuple(couplings),
-        symmetric=bool(data.get("symmetric", True)),
-    )
-    constants = None
-    if "constants" in data:
-        spec = data["constants"]
-        intra = {int(k): float(v) for k, v in spec.get("intra", {}).items()}
-        inter = {}
-        for key, value in spec.get("inter", {}).items():
-            parts = str(key).split(",")
-            if len(parts) != 2:
-                raise ValidationError(f"inter constant key {key!r} must look like 'a,b'")
-            inter[(int(parts[0]), int(parts[1]))] = float(value)
-        constants = DiffusionConstants(
-            intra=intra, inter=inter, symmetric=bool(spec.get("symmetric", True))
-        )
-    return network, constants
+        constants = None
+        if "constants" in data:
+            spec = data["constants"]
+            intra = {int(k): float(v) for k, v in spec.get("intra", {}).items()}
+            inter = {}
+            for key, value in spec.get("inter", {}).items():
+                parts = str(key).split(",")
+                if len(parts) != 2:
+                    raise ValidationError(f"inter constant key {key!r} must look like 'a,b'")
+                inter[(int(parts[0]), int(parts[1]))] = float(value)
+            constants = DiffusionConstants(
+                intra=intra, inter=inter, symmetric=bool(spec.get("symmetric", True))
+            )
+        return network, constants
 
 
 def save_network(path, network: InterconnectedNetwork, constants: DiffusionConstants | None = None):

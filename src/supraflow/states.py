@@ -239,13 +239,17 @@ def read_states_csv(path, network) -> list[StateMatrix]:
                 continue
             if len(row) != n_topics + 2:
                 raise ValidationError(f"{path}:{line}: expected {n_topics + 2} fields")
-            label, t = row[0], float(row[1])
+            label = row[0]
+            try:
+                t, values = float(row[1]), [float(v) for v in row[2:]]
+            except ValueError:
+                raise ValidationError(f"{path}:{line}: non-numeric field in {row!r}") from None
             if label not in index:
                 raise ValidationError(f"{path}:{line}: unknown node {label!r}")
             if t not in by_time:
                 by_time[t] = np.full((network.n_nodes, n_topics), np.nan)
                 seen[t] = 0
-            by_time[t][index[label]] = [float(v) for v in row[2:]]
+            by_time[t][index[label]] = values
             seen[t] += 1
     snapshots = []
     for t in sorted(by_time):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, malformed
 from .calibration import SnapshotSeries
 from .diffusion import NoiseModel, SimulationConfig, propagate_closed, simulate_open
 from .network import (
@@ -294,7 +294,7 @@ def _generate_once(spec: SyntheticSpec, seed: int, attempt: int, rng):
 
 def synthetic_spec_from_dict(data: dict) -> SyntheticSpec:
     """Parse the JSON form of a synthetic spec (see README for the schema)."""
-    try:
+    with malformed("synthetic spec"):
         layers = tuple(
             LayerSpec(
                 kind=entry["kind"],
@@ -306,25 +306,23 @@ def synthetic_spec_from_dict(data: dict) -> SyntheticSpec:
             )
             for entry in data["layers"]
         )
-    except KeyError as exc:
-        raise ValidationError(f"synthetic spec layer entry is missing {exc}") from None
-    inter = {}
-    for key, value in data.get("inter_constants", {}).items():
-        parts = str(key).split(",")
-        if len(parts) != 2:
-            raise ValidationError(f"inter constant key {key!r} must look like 'a,b'")
-        inter[tuple(sorted((int(parts[0]), int(parts[1]))))] = float(value)
-    return SyntheticSpec(
-        layers=layers,
-        n_topics=int(data.get("n_topics", 2)),
-        intra_constants={int(k): float(v) for k, v in data.get("intra_constants", {}).items()},
-        inter_constants=inter,
-        sigma_ratio=float(data.get("sigma_ratio", 0.0)),
-        sigma_nodes=int(data["sigma_nodes"]) if data.get("sigma_nodes") is not None else None,
-        sigma_scale=float(data.get("sigma_scale", 0.05)),
-        n_snapshots=int(data.get("n_snapshots", 10)),
-        spacing=float(data.get("spacing", 1.0)),
-        dt=float(data.get("dt", 0.01)),
-        train_count=int(data["train_count"]) if data.get("train_count") is not None else None,
-        require_connected=bool(data.get("require_connected", True)),
-    )
+        inter = {}
+        for key, value in data.get("inter_constants", {}).items():
+            parts = str(key).split(",")
+            if len(parts) != 2:
+                raise ValidationError(f"inter constant key {key!r} must look like 'a,b'")
+            inter[tuple(sorted((int(parts[0]), int(parts[1]))))] = float(value)
+        return SyntheticSpec(
+            layers=layers,
+            n_topics=int(data.get("n_topics", 2)),
+            intra_constants={int(k): float(v) for k, v in data.get("intra_constants", {}).items()},
+            inter_constants=inter,
+            sigma_ratio=float(data.get("sigma_ratio", 0.0)),
+            sigma_nodes=int(data["sigma_nodes"]) if data.get("sigma_nodes") is not None else None,
+            sigma_scale=float(data.get("sigma_scale", 0.05)),
+            n_snapshots=int(data.get("n_snapshots", 10)),
+            spacing=float(data.get("spacing", 1.0)),
+            dt=float(data.get("dt", 0.01)),
+            train_count=int(data["train_count"]) if data.get("train_count") is not None else None,
+            require_connected=bool(data.get("require_connected", True)),
+        )

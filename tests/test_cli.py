@@ -1,10 +1,13 @@
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
+from supraflow import cli
 from supraflow.cli import main
+from supraflow.harness import experiment_config_from_dict, run_experiment
 
 
 def write_json(path, payload):
@@ -194,6 +197,49 @@ class TestFitLearnKalman:
         assert mask[0] == "node_id"
         assert len(mask) == 1 + round(0.4 * 13)
 
+    def test_kalman_command_filters_like_the_experiment(self, tiny_dataset):
+        tmp = tiny_dataset["tmp"]
+        settings = {
+            "network": tiny_dataset["network"],
+            "snapshots": tiny_dataset["snapshots"],
+            "train_count": 4,
+            "max_iters": 20,
+            "seed": 5,
+        }
+        config = write_json(tmp / "kalman_same.json", {**settings, "fraction": 0.4})
+        out = tmp / "kalman_same"
+        assert main(["kalman", "--config", config, "--out", str(out)]) == 0
+        with open(out / "filter_trace.csv", newline="") as handle:
+            cli_errors = [float(row["error_all"]) for row in csv.DictReader(handle)]
+        result = run_experiment(experiment_config_from_dict({**settings, "methods": ["kalman:0.4"]}))
+        assert cli_errors == result.diagnostics["kalman:0.4"].errors_all.tolist()
+
+    def test_learn_without_eta_stops_at_the_noise_floor(self, tmp_path):
+        spec = {
+            "layers": [{"kind": "agent", "n": 12, "model": "erdos_renyi", "p": 0.4}],
+            "n_topics": 2,
+            "intra_constants": {"1": 0.05},
+            "sigma_ratio": 0.05,
+            "n_snapshots": 10,
+            "train_count": 6,
+            "seed": 3,
+        }
+        data = tmp_path / "noisy"
+        config = write_json(tmp_path / "noisy.json", spec)
+        assert main(["generate", "--config", config, "--out", str(data)]) == 0
+        settings = {
+            "network": str(data / "network.json"),
+            "snapshots": str(data / "snapshots.csv"),
+            "train_count": 6,
+        }
+        config = write_json(tmp_path / "noisy_fit.json", settings)
+        assert main(["fit", "--config", config, "--out", str(tmp_path / "fit")]) == 0
+        assert main(["learn", "--config", config, "--out", str(tmp_path / "learn")]) == 0
+        sigma = json.loads((tmp_path / "fit" / "fit_report.json").read_text())["sigma_summary"]
+        report = json.loads((tmp_path / "learn" / "learn_report.json").read_text())
+        # The snapshots are one time unit apart.
+        assert report["threshold"] == pytest.approx(1.5 * sigma["frobenius_norm"], rel=1e-12)
+
 
 class TestSpectralCommand:
     def test_sweep_outputs(self, tiny_dataset):
@@ -256,6 +302,57 @@ class TestExitCodes:
             tmp_path / "missing.json", {"network": str(tmp_path / "ghost.json")}
         )
         assert main(["build", "--config", config, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "command, fields, network_doc",
+        [
+            ("build", {}, {"layers": [{"id": 1, "kind": "agent"}]}),
+            ("build", {}, {"layers": [{"id": 1, "kind": "robot", "nodes": ["a"]}]}),
+            ("generate", {"layers": [{"kind": "robot", "n": 3}]}, None),
+            ("predict", {"delta_t": "soon"}, None),
+            ("predict", {"delta_t": None}, None),
+            ("experiment", {"methods": ["kalman:most"]}, None),
+        ],
+    )
+    def test_malformed_input_is_validation_failure(
+        self, tiny_dataset, capsys, command, fields, network_doc
+    ):
+        tmp = tiny_dataset["tmp"]
+        network = tiny_dataset["network"]
+        if network_doc is not None:
+            network = write_json(tmp / "bad_network.json", network_doc)
+        snapshots = tiny_dataset["snapshots"]
+        config = write_json(
+            tmp / "malformed.json",
+            {"network": network, "states": snapshots, "snapshots": snapshots, **fields},
+        )
+        assert main([command, "--config", config, "--out", str(tmp / "o")]) == 2
+        assert "validation failure" in capsys.readouterr().err
+
+    def test_non_numeric_state_value_is_validation_failure(self, tiny_dataset):
+        tmp = tiny_dataset["tmp"]
+        lines = (tiny_dataset["dir"] / "snapshots.csv").read_text().splitlines()
+        fields = lines[1].split(",")
+        lines[1] = ",".join(fields[:2] + ["many"] + fields[3:])
+        (tmp / "bad_states.csv").write_text("\n".join(lines) + "\n")
+        config = write_json(
+            tmp / "bad_states.json",
+            {"network": tiny_dataset["network"], "states": str(tmp / "bad_states.csv"), "delta_t": 1},
+        )
+        assert main(["predict", "--config", config, "--out", str(tmp / "o")]) == 2
+
+    def test_programming_errors_propagate(self, tiny_dataset, monkeypatch):
+        def broken_fit(series, network):
+            raise KeyError("a bug, not bad input")
+
+        monkeypatch.setattr(cli, "fit_diffusion_constants", broken_fit)
+        tmp = tiny_dataset["tmp"]
+        config = write_json(
+            tmp / "fit_bug.json",
+            {"network": tiny_dataset["network"], "snapshots": tiny_dataset["snapshots"]},
+        )
+        with pytest.raises(KeyError, match="a bug"):
+            main(["fit", "--config", config, "--out", str(tmp / "o")])
 
     def test_numerical_failure_exit_code(self, tiny_dataset):
         tmp = tiny_dataset["tmp"]

@@ -307,10 +307,11 @@ class TestSimulateOpen:
         assert path.times[-1] == 1.0
         assert len(path.times) == 4  # 0, 0.4, 0.8, 1.0
 
-    def test_large_dt_warns(self):
+    @pytest.mark.parametrize("simulate", [simulate_open, simulate_ensemble])
+    def test_large_dt_warns(self, simulate):
         _, supra = single_layer_supra([[0, 1], [1, 0]])
         with pytest.warns(UserWarning, match="dt"):
-            simulate_open(
+            simulate(
                 np.ones((2, 1)),
                 supra,
                 NoiseModel(np.zeros((2, 1)), seed=0),

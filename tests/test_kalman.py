@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,12 @@ from supraflow import (
     one_step_predict_learned,
     run_filter,
 )
+from supraflow import kalman
 from supraflow.kalman import (
     PHASE_PREDICTED,
     PHASE_UPDATED,
     KalmanState,
+    filter_fractions,
     initial_state,
     transition_matrix,
     write_filter_trace_csv,
@@ -279,6 +283,35 @@ class TestRunFilter:
         )
         expected = one_step_predict_learned(self.op, self.states[1])
         assert np.abs(result.predictions[0] - expected).max() < 1e-12
+
+    def test_given_transition_is_used_without_forming_identity_plus_generator(
+        self, monkeypatch
+    ):
+        def refuse(op):
+            raise AssertionError("I + A formed although a transition was given")
+
+        monkeypatch.setattr(kalman, "transition_matrix", refuse)
+        series = make_series(self.node_index, self.states, train_count=2)
+        model = full_observation_model(self.n_nodes, self.n_topics, r=0.1, q=0.1)
+        result = run_filter(series, self.op, model, pi0=1.0, transition=self.f)
+        assert np.array_equal(result.final_state.f_hat, self.f)
+
+    def test_filter_fractions_is_run_filter_on_nested_masks(self):
+        series = make_series(self.node_index, self.states, train_count=2)
+        op = replace(self.op, residual_variance=np.full(self.n_nodes * self.n_topics, 0.01))
+        results = filter_fractions(series, op, [0.25, 0.75], seed=3, r_observed=0.2)
+        masks = nested_masks(self.n_nodes, [0.25, 0.75], seed=3)
+        assert list(results) == [0.25, 0.75]
+        for fraction, result in results.items():
+            model = ObservationModel.build(
+                self.n_nodes, self.n_topics, masks[fraction], 0.2, op.residual_variance
+            )
+            expected = run_filter(
+                series, op, model, pi0=0.0, transition=matrix_exponential(self.lam)
+            )
+            assert result.observed_nodes == masks[fraction]
+            assert np.array_equal(result.errors_all, expected.errors_all)
+            assert np.array_equal(result.trace_pi, expected.trace_pi)
 
     def test_default_pi0_is_empirical_variance(self):
         series = make_series(self.node_index, self.states, train_count=2)
