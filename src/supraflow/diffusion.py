@@ -95,12 +95,6 @@ class SimulationPath:
     def terminal(self) -> np.ndarray:
         return self.states[-1]
 
-    def state_matrices(self) -> list[StateMatrix]:
-        return [
-            StateMatrix(matrix=self.states[k], node_index=dict(self.node_index), timestamp=t)
-            for k, t in enumerate(self.times)
-        ]
-
 
 def default_step(supra: SupraLaplacian) -> float:
     """Step size keeping the explicit scheme well inside its stability region."""

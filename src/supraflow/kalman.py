@@ -298,7 +298,8 @@ def nested_masks(n_nodes: int, fractions: Sequence[float], seed: int) -> dict[fl
     """Masks for several fractions as prefixes of one seeded permutation.
 
     Nesting makes error-versus-fraction sweeps well-posed: a larger fraction
-    observes a superset of the nodes of a smaller one.
+    observes a superset of the nodes of a smaller one.  A fraction observes
+    round(fraction * n_nodes) nodes; a positive one that observes none is rejected.
     """
     order = np.random.default_rng(seed).permutation(n_nodes)
     out = {}
@@ -306,6 +307,8 @@ def nested_masks(n_nodes: int, fractions: Sequence[float], seed: int) -> dict[fl
         if not 0 <= fraction <= 1:
             raise ValidationError("observation fraction must lie in [0, 1]")
         count = int(round(fraction * n_nodes))
+        if fraction > 0 and count == 0:
+            raise ValidationError(f"fraction {fraction} of {n_nodes} nodes observes no node")
         out[float(fraction)] = tuple(sorted(order[:count].tolist()))
     return out
 

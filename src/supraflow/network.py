@@ -291,6 +291,31 @@ def build_laplacian(adjacency) -> np.ndarray:
     return np.diag(w.sum(axis=1)) - w
 
 
+def components(matrix) -> np.ndarray:
+    """Connected-component label of every node of a square matrix's graph.
+
+    Nodes i and j are joined when entry (i, j) or (j, i) is nonzero, whatever
+    its sign or size, so a Laplacian has the components of its adjacency.
+    Labels run 0, 1, ... in the order of each component's lowest node.  The
+    search is breadth-first, one vectorized step per level.
+    """
+    linked = np.asarray(matrix) != 0
+    linked |= linked.T
+    labels = np.full(linked.shape[0], -1)
+    count = 0
+    for root in range(linked.shape[0]):
+        if labels[root] >= 0:
+            continue
+        labels[root] = count
+        frontier = [root]
+        while len(frontier):
+            reached = linked[frontier].any(axis=0) & (labels < 0)
+            labels[reached] = count
+            frontier = np.flatnonzero(reached)
+        count += 1
+    return labels
+
+
 def assemble_supra_laplacian(
     network: InterconnectedNetwork, constants: DiffusionConstants
 ) -> SupraLaplacian:
@@ -331,12 +356,16 @@ def assemble_supra_laplacian(
     )
 
 
-def scale_inter_layer(supra: SupraLaplacian, epsilon: float) -> SupraLaplacian:
-    """Operator with the inter-layer part scaled by epsilon >= 0."""
+def _epsilon(epsilon) -> float:
     epsilon = float(epsilon)
     if not np.isfinite(epsilon) or epsilon < 0:
         raise ValidationError(f"epsilon must be finite and >= 0, got {epsilon}")
-    inter = epsilon * supra.inter_part
+    return epsilon
+
+
+def scale_inter_layer(supra: SupraLaplacian, epsilon: float) -> SupraLaplacian:
+    """Operator with the inter-layer part scaled by epsilon >= 0."""
+    inter = _epsilon(epsilon) * supra.inter_part
     return SupraLaplacian(
         matrix=supra.intra_part + inter,
         intra_part=supra.intra_part,
@@ -391,6 +420,14 @@ def constants_to_dict(constants: DiffusionConstants) -> dict:
         "intra": {str(k): v for k, v in sorted(constants.intra.items())},
         "inter": {f"{a},{b}": v for (a, b), v in sorted(constants.inter.items())},
     }
+
+
+def _layer_pair(key) -> tuple[int, int]:
+    """The layer pair (a, b) of an inter-layer constant key written 'a,b'."""
+    parts = str(key).split(",")
+    if len(parts) != 2:
+        raise ValidationError(f"inter constant key {key!r} must look like 'a,b'")
+    return int(parts[0]), int(parts[1])
 
 
 def network_to_dict(
@@ -460,15 +497,10 @@ def network_from_dict(data: dict) -> tuple[InterconnectedNetwork, DiffusionConst
         constants = None
         if "constants" in data:
             spec = data["constants"]
-            intra = {int(k): float(v) for k, v in spec.get("intra", {}).items()}
-            inter = {}
-            for key, value in spec.get("inter", {}).items():
-                parts = str(key).split(",")
-                if len(parts) != 2:
-                    raise ValidationError(f"inter constant key {key!r} must look like 'a,b'")
-                inter[(int(parts[0]), int(parts[1]))] = float(value)
             constants = DiffusionConstants(
-                intra=intra, inter=inter, symmetric=bool(spec.get("symmetric", True))
+                intra={int(k): float(v) for k, v in spec.get("intra", {}).items()},
+                inter={_layer_pair(k): float(v) for k, v in spec.get("inter", {}).items()},
+                symmetric=bool(spec.get("symmetric", True)),
             )
         return network, constants
 

@@ -1,13 +1,13 @@
 """Eigenstructure of supra-Laplacians and the weak-coupling connectivity estimate.
 
-With every layer internally connected, the intra-layer operator has an
-M-dimensional kernel spanned by the per-layer normalized indicator vectors.
-For a weak inter-layer part scaled by a small epsilon, the second-smallest
-eigenvalue (algebraic connectivity) of intra + epsilon * inter is, to first
-order, epsilon times the second-smallest eigenvalue of the inter part
-projected onto that kernel.  Degenerate-subspace projection is required
-because the zero eigenvalue has multiplicity M; for a single kernel vector it
-reduces to the plain Rayleigh quotient.
+Kernels are read from the graph: with nonnegative weights, the kernel of a
+Laplacian is spanned by its normalized component indicators (Fiedler 1973).
+With every layer internally connected, the intra-layer kernel thus holds one
+indicator per layer.  For a weak inter-layer part scaled by epsilon, the
+algebraic connectivity lambda_2 of intra + epsilon * inter is, to first order,
+epsilon times the second-smallest eigenvalue of the inter part projected onto
+that M-dimensional kernel (Gomez et al. 2013); the projection is needed
+because the zero eigenvalue has multiplicity M.
 """
 
 from __future__ import annotations
@@ -23,13 +23,11 @@ from .network import (
     DiffusionConstants,
     InterconnectedNetwork,
     SupraLaplacian,
+    _epsilon,
     _is_symmetric,
     assemble_supra_laplacian,
-    scale_inter_layer,
+    components,
 )
-
-#: Relative kernel tolerance: eigenvalues below tol * spectral norm count as zero.
-KERNEL_RTOL = 1e-9
 
 
 def _require_symmetric(matrix: np.ndarray, what: str):
@@ -37,9 +35,11 @@ def _require_symmetric(matrix: np.ndarray, what: str):
         raise ValidationError(f"{what} must be symmetric for spectral analysis")
 
 
-def _kernel_tolerance(eigenvalues: np.ndarray) -> float:
-    spectral_norm = float(np.abs(eigenvalues).max(initial=0.0))
-    return max(KERNEL_RTOL * spectral_norm, 1e-14)
+def _intra_kernel_basis(supra: SupraLaplacian) -> np.ndarray:
+    """Normalized component indicators of the intra-layer part: a kernel basis."""
+    labels = components(supra.intra_part)
+    indicators = (labels[:, None] == np.arange(labels.max() + 1)).astype(float)
+    return indicators / np.sqrt(indicators.sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -55,46 +55,33 @@ class SpectralSummary:
 def spectrum(supra: SupraLaplacian) -> SpectralSummary:
     """Full symmetric eigendecomposition of the operator.
 
-    ``kernel_dim`` counts eigenvalues below the relative kernel tolerance;
-    ``null_basis`` spans the kernel of the intra-layer part.
+    ``kernel_dim`` is the number of connected components of the operator;
+    ``null_basis`` holds the normalized component indicators of the
+    intra-layer part, which span its kernel.
     """
     _require_symmetric(supra.matrix, "the supra-Laplacian")
     if supra.n_nodes < 2:
         raise ValidationError("spectral analysis needs at least 2 nodes")
     eigenvalues = np.linalg.eigvalsh(supra.matrix)
-    kernel_dim = int((eigenvalues < _kernel_tolerance(eigenvalues)).sum())
-
-    _require_symmetric(supra.intra_part, "the intra-layer part")
-    intra_vals, intra_vecs = np.linalg.eigh(supra.intra_part)
-    in_kernel = intra_vals < _kernel_tolerance(intra_vals)
     return SpectralSummary(
         eigenvalues=eigenvalues,
         lambda2=float(eigenvalues[1]),
-        kernel_dim=kernel_dim,
-        null_basis=intra_vecs[:, in_kernel],
+        kernel_dim=int(components(supra.matrix).max()) + 1,
+        null_basis=_intra_kernel_basis(supra),
     )
 
 
-def _layer_indicator_basis(supra: SupraLaplacian) -> np.ndarray:
-    n = supra.n_nodes
-    basis = np.zeros((n, len(supra.layer_ids)))
-    for col, layer_id in enumerate(supra.layer_ids):
-        sl = supra.layer_slices[layer_id]
-        count = sl.stop - sl.start
-        basis[sl, col] = 1.0 / np.sqrt(count)
-    return basis
-
-
-def _check_intra_connected(supra: SupraLaplacian):
+def _layer_kernel_basis(supra: SupraLaplacian) -> np.ndarray:
+    """The intra-layer kernel basis, checked to hold one indicator per layer."""
     _require_symmetric(supra.intra_part, "the intra-layer part")
-    intra_vals = np.linalg.eigvalsh(supra.intra_part)
-    kernel_dim = int((intra_vals < _kernel_tolerance(intra_vals)).sum())
+    basis = _intra_kernel_basis(supra)
     n_layers = len(supra.layer_ids)
-    if kernel_dim != n_layers:
+    if basis.shape[1] != n_layers:
         raise ValidationError(
-            f"intra-layer kernel dimension {kernel_dim} != layer count {n_layers}; "
+            f"intra-layer kernel dimension {basis.shape[1]} != layer count {n_layers}; "
             "every layer must be internally connected with a positive constant"
         )
+    return basis
 
 
 def lambda2_perturbation_estimate(supra: SupraLaplacian, epsilon: float) -> float:
@@ -104,13 +91,10 @@ def lambda2_perturbation_estimate(supra: SupraLaplacian, epsilon: float) -> floa
     part projected onto the kernel of the intra-layer part (the per-layer
     normalized indicators).  Exactly linear in epsilon.
     """
-    epsilon = float(epsilon)
-    if not np.isfinite(epsilon) or epsilon < 0:
-        raise ValidationError("epsilon must be finite and >= 0")
+    epsilon = _epsilon(epsilon)
     if len(supra.layer_ids) < 2:
         raise ValidationError("the perturbation estimate needs at least 2 layers")
-    _check_intra_connected(supra)
-    basis = _layer_indicator_basis(supra)
+    basis = _layer_kernel_basis(supra)
     projected = basis.T @ supra.inter_part @ basis
     eigenvalues = np.linalg.eigvalsh(projected)
     return epsilon * float(eigenvalues[1])
@@ -118,11 +102,8 @@ def lambda2_perturbation_estimate(supra: SupraLaplacian, epsilon: float) -> floa
 
 def kernel_rayleigh_quotients(supra: SupraLaplacian, epsilon: float) -> np.ndarray:
     """Per-layer-indicator Rayleigh quotients epsilon * u^T (inter part) u."""
-    epsilon = float(epsilon)
-    if not np.isfinite(epsilon) or epsilon < 0:
-        raise ValidationError("epsilon must be finite and >= 0")
-    _check_intra_connected(supra)
-    basis = _layer_indicator_basis(supra)
+    epsilon = _epsilon(epsilon)
+    basis = _layer_kernel_basis(supra)
     return epsilon * np.einsum("ij,ij->j", basis, supra.inter_part @ basis)
 
 
@@ -141,33 +122,27 @@ def connectivity_sweep(
 ) -> list[SweepPoint]:
     """Actual versus first-order-estimated algebraic connectivity over a grid.
 
-    Each epsilon costs one eigenvalue solve of intra + epsilon * inter.  The
-    estimate is linear in epsilon, so the intra-layer kernel is checked and
-    the projected inter-layer eigenvalue taken once, on the first point.
+    The grid must be nonempty, with every epsilon finite and >= 0.  Symmetry,
+    intra-layer connectivity and the slope of the estimate are checked and
+    taken once; each epsilon then costs one eigenvalue solve of
+    intra + epsilon * inter.
     """
+    if len(epsilon_grid) == 0:
+        raise ValidationError("the epsilon grid is empty")
     base = assemble_supra_laplacian(network, constants)
+    _require_symmetric(base.matrix, "the supra-Laplacian")
+    slope = lambda2_perturbation_estimate(base, 1.0)
     zero_floor = 1e-12 * (1.0 + float(np.abs(base.matrix).max(initial=0.0)))
-    slope = None
     points = []
-    for epsilon in epsilon_grid:
-        scaled = scale_inter_layer(base, epsilon).matrix
-        _require_symmetric(scaled, "the supra-Laplacian")
-        if slope is None:
-            slope = lambda2_perturbation_estimate(base, 1.0)
+    for epsilon in map(_epsilon, epsilon_grid):
+        scaled = base.intra_part + epsilon * base.inter_part
         actual = float(np.linalg.eigvalsh(scaled)[1])
-        estimate = float(epsilon) * slope
+        estimate = epsilon * slope
         if abs(actual) > zero_floor:
             rel = abs(actual - estimate) / abs(actual)
         else:
             rel = 0.0 if abs(estimate) <= zero_floor else float("inf")
-        points.append(
-            SweepPoint(
-                epsilon=float(epsilon),
-                lambda2_actual=float(actual),
-                lambda2_estimate=float(estimate),
-                rel_error=float(rel),
-            )
-        )
+        points.append(SweepPoint(epsilon, actual, estimate, rel))
     return points
 
 

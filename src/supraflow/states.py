@@ -127,12 +127,10 @@ def _pairwise_distances(points: np.ndarray) -> np.ndarray:
     return dist
 
 
-def inverse_distance_similarity(
-    doc_states, epsilon_threshold: float, max_weight: float = DEFAULT_MAX_WEIGHT
-) -> np.ndarray:
+def inverse_distance_similarity(doc_states, epsilon_threshold: float) -> np.ndarray:
     """Similarity adjacency with weights 1/dist, kept only when above the threshold.
 
-    Coincident vectors (zero distance) get `max_weight` instead of infinity.
+    Coincident vectors (zero distance) get `DEFAULT_MAX_WEIGHT` instead of infinity.
     """
     epsilon_threshold = float(epsilon_threshold)
     if not epsilon_threshold > 0:
@@ -140,7 +138,7 @@ def inverse_distance_similarity(
     dist = _pairwise_distances(np.asarray(doc_states, dtype=float))
     with np.errstate(divide="ignore"):
         weights = np.where(dist > 0, 1.0 / np.where(dist > 0, dist, 1.0), np.inf)
-    weights = np.minimum(weights, max_weight)
+    weights = np.minimum(weights, DEFAULT_MAX_WEIGHT)
     np.fill_diagonal(weights, 0.0)
     weights[weights <= epsilon_threshold] = 0.0
     return weights
@@ -165,7 +163,7 @@ def jaccard_similarity(memberships: Sequence[Iterable], threshold: float = 0.0) 
     return out
 
 
-def knn_similarity(doc_states, k: int, max_weight: float = DEFAULT_MAX_WEIGHT) -> np.ndarray:
+def knn_similarity(doc_states, k: int) -> np.ndarray:
     """Symmetrized k-nearest-neighbor graph with inverse-distance weights.
 
     Neighbors are chosen by Euclidean distance with ties broken in favor of
@@ -186,7 +184,7 @@ def knn_similarity(doc_states, k: int, max_weight: float = DEFAULT_MAX_WEIGHT) -
         order = np.lexsort((indices, dist[i]))
         neighbors = [j for j in order if j != i][:k]
         for j in neighbors:
-            w = max_weight if dist[i, j] == 0 else min(1.0 / dist[i, j], max_weight)
+            w = min(1.0 / dist[i, j], DEFAULT_MAX_WEIGHT) if dist[i, j] else DEFAULT_MAX_WEIGHT
             out[i, j] = max(out[i, j], w)
     return np.maximum(out, out.T)
 

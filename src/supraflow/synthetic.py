@@ -23,7 +23,9 @@ from .network import (
     InterLayerCoupling,
     LayerGraph,
     LayerKind,
+    _layer_pair,
     assemble_supra_laplacian,
+    components,
 )
 from .states import DocumentAssignment, StateMatrix, init_agent_states, knn_similarity
 
@@ -106,23 +108,6 @@ class PlantedTruth:
     attempts: int
 
 
-def _connected(adjacency: np.ndarray) -> bool:
-    n = adjacency.shape[0]
-    if n == 1:
-        return True
-    links = (adjacency + adjacency.T) > 0
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(links[i])[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    return bool(seen.all())
-
-
 def _random_adjacency(spec: LayerSpec, rng, topic_vectors: np.ndarray | None) -> np.ndarray:
     n = spec.n_nodes
     if spec.model == "empty" or n == 1:
@@ -188,7 +173,7 @@ def _generate_once(spec: SyntheticSpec, seed: int, attempt: int, rng):
         else:
             nodes = [f"a{j}" for j in range(s.n_nodes)]
             adjacency = _random_adjacency(s, rng, None)
-        if spec.require_connected and not _connected(adjacency):
+        if spec.require_connected and components(adjacency).max() > 0:
             raise _Disconnected(f"layer {lid} came out disconnected")
         layers.append(
             LayerGraph(layer_id=lid, kind=kind, node_ids=tuple(nodes), adjacency=adjacency)
@@ -224,8 +209,7 @@ def _generate_once(spec: SyntheticSpec, seed: int, attempt: int, rng):
         inter.setdefault(key, float(spec.inter_constants.get(key, 1.0)))
     constants = DiffusionConstants(intra=intra, inter=inter, symmetric=True)
     supra = assemble_supra_laplacian(network, constants)
-    off_diagonal = np.abs(supra.matrix) * (1.0 - np.eye(network.n_nodes))
-    if spec.require_connected and not _connected(off_diagonal):
+    if spec.require_connected and components(supra.matrix).max() > 0:
         raise _Disconnected("the assembled network came out disconnected")
 
     assignment = DocumentAssignment({a: tuple(d) for a, d in docs_by_agent.items()})
@@ -292,37 +276,48 @@ def _generate_once(spec: SyntheticSpec, seed: int, attempt: int, rng):
     return network, series, truth
 
 
+#: JSON key -> (LayerSpec field, cast) of the optional layer fields.
+_LAYER_FIELDS = {
+    "model": ("model", str),
+    "p": ("edge_prob", float),
+    "k": ("k_neighbors", int),
+    "weight": ("weight", float),
+}
+#: Cast -> names of the optional SyntheticSpec fields.
+_SPEC_FIELDS = {
+    int: ("n_topics", "sigma_nodes", "n_snapshots", "train_count"),
+    float: ("sigma_ratio", "sigma_scale", "spacing", "dt"),
+    bool: ("require_connected",),
+}
+
+
 def synthetic_spec_from_dict(data: dict) -> SyntheticSpec:
-    """Parse the JSON form of a synthetic spec (see README for the schema)."""
+    """Parse the JSON form of a synthetic spec (see README for the schema);
+    absent or null fields take the ``LayerSpec`` and ``SyntheticSpec`` defaults."""
     with malformed("synthetic spec"):
         layers = tuple(
             LayerSpec(
                 kind=entry["kind"],
                 n_nodes=int(entry["n"]),
-                model=entry.get("model", "erdos_renyi"),
-                edge_prob=float(entry.get("p", 0.3)),
-                k_neighbors=int(entry.get("k", 3)),
-                weight=float(entry.get("weight", 1.0)),
+                **{
+                    name: cast(entry[key])
+                    for key, (name, cast) in _LAYER_FIELDS.items()
+                    if entry.get(key) is not None
+                },
             )
             for entry in data["layers"]
         )
-        inter = {}
-        for key, value in data.get("inter_constants", {}).items():
-            parts = str(key).split(",")
-            if len(parts) != 2:
-                raise ValidationError(f"inter constant key {key!r} must look like 'a,b'")
-            inter[tuple(sorted((int(parts[0]), int(parts[1]))))] = float(value)
         return SyntheticSpec(
             layers=layers,
-            n_topics=int(data.get("n_topics", 2)),
             intra_constants={int(k): float(v) for k, v in data.get("intra_constants", {}).items()},
-            inter_constants=inter,
-            sigma_ratio=float(data.get("sigma_ratio", 0.0)),
-            sigma_nodes=int(data["sigma_nodes"]) if data.get("sigma_nodes") is not None else None,
-            sigma_scale=float(data.get("sigma_scale", 0.05)),
-            n_snapshots=int(data.get("n_snapshots", 10)),
-            spacing=float(data.get("spacing", 1.0)),
-            dt=float(data.get("dt", 0.01)),
-            train_count=int(data["train_count"]) if data.get("train_count") is not None else None,
-            require_connected=bool(data.get("require_connected", True)),
+            inter_constants={
+                tuple(sorted(_layer_pair(key))): float(value)
+                for key, value in data.get("inter_constants", {}).items()
+            },
+            **{
+                key: cast(data[key])
+                for cast, keys in _SPEC_FIELDS.items()
+                for key in keys
+                if data.get(key) is not None
+            },
         )

@@ -214,6 +214,27 @@ class TestFitLearnKalman:
         result = run_experiment(experiment_config_from_dict({**settings, "methods": ["kalman:0.4"]}))
         assert cli_errors == result.diagnostics["kalman:0.4"].errors_all.tolist()
 
+    @pytest.mark.parametrize(
+        "command, fields",
+        [("kalman", {"fraction": 0.01}), ("experiment", {"methods": ["kalman:0.01"]})],
+    )
+    def test_fraction_observing_no_node_is_validation_failure(
+        self, tiny_dataset, capsys, command, fields
+    ):
+        tmp = tiny_dataset["tmp"]
+        settings = {
+            "network": tiny_dataset["network"],
+            "snapshots": tiny_dataset["snapshots"],
+            "train_count": 4,
+            "max_iters": 5,
+            **fields,
+        }
+        config = write_json(tmp / f"{command}_tiny_fraction.json", settings)
+        out = tmp / f"{command}_tiny_fraction"
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        assert "observes no node" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
     def test_learn_without_eta_stops_at_the_noise_floor(self, tmp_path):
         spec = {
             "layers": [{"kind": "agent", "n": 12, "model": "erdos_renyi", "p": 0.4}],
@@ -257,6 +278,16 @@ class TestSpectralCommand:
         assert lines[0] == "epsilon,lambda2_actual,lambda2_estimate,rel_error"
         assert len(lines) == 4
         assert (out / "lambda2_sweep.svg").exists()
+
+
+    def test_empty_epsilon_list_is_validation_failure(self, tiny_dataset):
+        tmp = tiny_dataset["tmp"]
+        config = write_json(
+            tmp / "spectral_empty.json", {"network": tiny_dataset["network"], "epsilons": []}
+        )
+        out = tmp / "spec_empty"
+        assert main(["spectral", "--config", config, "--out", str(out)]) == 2
+        assert not (out / "lambda2_sweep.csv").exists()
 
 
 class TestExperimentCommand:

@@ -357,6 +357,11 @@ class TestMasks:
         with pytest.raises(ValidationError):
             nested_masks(10, [1.5], seed=0)
 
+    def test_positive_fraction_observing_no_node_rejected(self):
+        assert nested_masks(13, [0.0], seed=0) == {0.0: ()}
+        with pytest.raises(ValidationError, match="observes no node"):
+            nested_masks(13, [0.5, 0.01], seed=0)
+
     def test_mask_csv(self, tmp_path):
         path = tmp_path / "mask.csv"
         write_mask_csv(path, (1, 3), labels=["1:a", "1:b", "1:c", "1:d"])

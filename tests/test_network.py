@@ -13,7 +13,7 @@ from supraflow import (
     save_network,
     scale_inter_layer,
 )
-from supraflow.network import network_from_dict, network_to_dict
+from supraflow.network import components, network_from_dict, network_to_dict
 
 from conftest import brute_force_supra, random_network
 
@@ -149,6 +149,26 @@ class TestOperatorProperties:
             eigenvalues = np.linalg.eigvalsh(intra_only.matrix)
             kernel = (eigenvalues < 1e-9 * max(np.abs(eigenvalues).max(), 1e-12)).sum()
             assert kernel == len(network.layers)
+
+
+class TestComponents:
+    def test_labels_run_in_order_of_lowest_node(self):
+        adjacency = np.zeros((6, 6))
+        adjacency[0, 3] = adjacency[3, 0] = 1.0
+        adjacency[1, 4] = 2.0  # one direction is enough
+        adjacency[4, 5] = 0.5
+        assert components(adjacency).tolist() == [0, 1, 2, 0, 1, 1]
+
+    def test_laplacian_has_the_components_of_its_adjacency(self):
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            upper = np.triu(rng.random((7, 7)) < 0.3, k=1).astype(float)
+            adjacency = upper + upper.T
+            assert (components(build_laplacian(adjacency)) == components(adjacency)).all()
+
+    def test_any_nonzero_weight_is_a_link(self):
+        assert components(build_laplacian([[0, 1e-300], [1e-300, 0]])).tolist() == [0, 0]
+        assert components(np.zeros((3, 3))).tolist() == [0, 1, 2]
 
 
 class TestScaleInterLayer:

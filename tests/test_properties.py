@@ -1,8 +1,9 @@
-"""Property tests: the linearity of the supra-Laplacian in its constants, the
-exponential action, closed propagation, the Euler-Maruyama ensemble, the
-connectivity sweep, the observed-block Kalman update and the learner against
-dense reference formulas and invariants, and byte-for-byte round trips of the
-state, network and matrix files."""
+"""Property tests: the linearity of the supra-Laplacian in its constants, its
+symmetry, zero row sums and semidefiniteness, kernels read from components
+against eigenvalue counts, the exponential action, closed propagation, the
+Euler-Maruyama ensemble, the connectivity sweep, the observed-block Kalman
+update and the learner against dense reference formulas and invariants, and
+byte-for-byte round trips of the state, network and matrix files."""
 
 import contextlib
 import os
@@ -195,6 +196,52 @@ class TestConnectivitySweep:
         for epsilon, point in zip(epsilons, points):
             assert point.lambda2_actual == spectrum(scale_inter_layer(base, epsilon)).lambda2
             assert point.lambda2_estimate == lambda2_perturbation_estimate(base, epsilon)
+
+
+def eigenvalue_kernel_dim(matrix):
+    """Reference kernel dimension: eigenvalues within 1e-9 of the largest magnitude."""
+    eigenvalues = np.linalg.eigvalsh(matrix)
+    return int((np.abs(eigenvalues) <= 1e-9 * np.abs(eigenvalues).max()).sum())
+
+
+class TestOperatorInvariants:
+    @PROPERTY
+    @given(seed=seeds, connected=st.booleans())
+    def test_parts_are_symmetric_with_zero_row_sums(self, seed, connected):
+        network, constants = random_network(np.random.default_rng(seed), connected=connected)
+        supra = assemble_supra_laplacian(network, constants)
+        scale = np.abs(supra.matrix).max()
+        for part in (supra.matrix, supra.intra_part, supra.inter_part):
+            assert np.array_equal(part, part.T)
+            assert np.abs(part.sum(axis=1)).max() <= 1e-12 * scale
+        assert np.linalg.eigvalsh(supra.matrix).min() >= -1e-12 * scale
+
+
+class TestKernelFromComponents:
+    @PROPERTY
+    @given(seed=seeds, n_layers=st.integers(1, 3), connected=st.booleans())
+    def test_kernel_dim_counts_the_zero_eigenvalues(self, seed, n_layers, connected):
+        network, constants = random_network(np.random.default_rng(seed), n_layers, connected)
+        supra = assemble_supra_laplacian(network, constants)
+        assert spectrum(supra).kernel_dim == eigenvalue_kernel_dim(supra.matrix)
+
+    @PROPERTY
+    @given(seed=seeds, n_layers=st.integers(1, 3), connected=st.booleans())
+    def test_null_basis_is_an_orthonormal_intra_kernel_basis(self, seed, n_layers, connected):
+        network, constants = random_network(np.random.default_rng(seed), n_layers, connected)
+        supra = assemble_supra_laplacian(network, constants)
+        basis = spectrum(supra).null_basis
+        assert basis.shape == (supra.n_nodes, eigenvalue_kernel_dim(supra.intra_part))
+        assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() <= 1e-12
+        assert np.abs(supra.intra_part @ basis).max() <= 1e-12 * np.abs(supra.intra_part).max()
+
+    @PROPERTY
+    @given(seed=seeds, n_layers=st.integers(1, 3))
+    def test_decoupled_operator_has_one_kernel_direction_per_layer(self, seed, n_layers):
+        network, constants = random_network(np.random.default_rng(seed), n_layers)
+        decoupled = scale_inter_layer(assemble_supra_laplacian(network, constants), 0.0)
+        assert spectrum(decoupled).kernel_dim == n_layers
+        assert eigenvalue_kernel_dim(decoupled.matrix) == n_layers
 
 
 def full_pinv_update(state, y, model):

@@ -156,6 +156,26 @@ class TestConnectivitySweep:
         actual = [p.lambda2_actual for p in points]
         assert all(a <= b + 1e-12 for a, b in zip(actual, actual[1:]))
 
+    def test_one_eigenvalue_solve_per_epsilon(self, monkeypatch):
+        network, constants = two_layer_multiplex(4, rng=np.random.default_rng(8))
+        eigvalsh = np.linalg.eigvalsh
+        shapes = []
+
+        def recording(matrix, *args, **kwargs):
+            shapes.append(np.shape(matrix))
+            return eigvalsh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        grid = [0.0, 0.01, 0.1]
+        connectivity_sweep(network, constants, grid)
+        assert shapes.count((8, 8)) == len(grid)
+
+    @pytest.mark.parametrize("grid", [[], [0.01, -0.1], [float("nan")], [float("inf")]])
+    def test_empty_grid_and_bad_epsilons_rejected(self, grid):
+        network, constants = two_layer_multiplex(2, adjacency=[[0, 1], [1, 0]])
+        with pytest.raises(ValidationError, match="empty|epsilon"):
+            connectivity_sweep(network, constants, grid)
+
     def test_csv_output(self, tmp_path):
         network, constants = two_layer_multiplex(2, adjacency=[[0, 1], [1, 0]])
         points = connectivity_sweep(network, constants, [0.0, 0.001, 0.01])

@@ -80,7 +80,7 @@ class TestInverseDistanceSimilarity:
         assert w[0, 1] == 0.0
 
     def test_duplicates_capped(self):
-        w = inverse_distance_similarity([[1.0, 2.0], [1.0, 2.0]], 0.1, max_weight=1e6)
+        w = inverse_distance_similarity([[1.0, 2.0], [1.0, 2.0]], 0.1)
         assert w[0, 1] == 1e6
 
     def test_matches_brute_force(self):

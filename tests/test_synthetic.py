@@ -168,6 +168,10 @@ class TestSpecParsing:
         assert spec.inter_constants == {(1, 2): 0.25}
         assert spec.train_count == 3
 
+    def test_absent_fields_take_the_dataclass_defaults(self):
+        spec = synthetic_spec_from_dict({"layers": [{"kind": "agent", "n": 3}]})
+        assert spec == SyntheticSpec(layers=(LayerSpec("agent", 3),))
+
     def test_missing_layer_fields_rejected(self):
         with pytest.raises(ValidationError):
             synthetic_spec_from_dict({"layers": [{"kind": "agent"}]})
