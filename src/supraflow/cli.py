@@ -40,7 +40,13 @@ from .diffusion import (
 )
 from .files import write_json
 from .harness import experiment_config_from_dict, run_experiment
-from .kalman import R_OBSERVED, filter_fractions, write_filter_trace_csv, write_mask_csv
+from .kalman import (
+    R_OBSERVED,
+    filter_fractions,
+    nested_masks,
+    write_filter_trace_csv,
+    write_mask_csv,
+)
 from .network import (
     _is_symmetric,
     assemble_supra_laplacian,
@@ -251,11 +257,11 @@ def cmd_kalman(args) -> int:
     fraction = _require(cfg, "fraction", float)
     if not 0 < fraction <= 1:
         raise ValidationError("fraction must lie in (0, 1]")
+    masks = nested_masks(network.n_nodes, [fraction], _seed(args, cfg))
+    r_observed = _optional(cfg, "r", float, R_OBSERVED)
     fit = fit_diffusion_constants(series, network)
     op = learn_from_fit(series, network, fit, **_learner_settings(cfg))
-    result = filter_fractions(
-        series, op, [fraction], _seed(args, cfg), _optional(cfg, "r", float, R_OBSERVED)
-    )[fraction]
+    result = filter_fractions(series, op, masks, r_observed)[fraction]
     trace_path = _outpath(args, "filter_trace.csv")
     write_filter_trace_csv(trace_path, result)
     _done(trace_path)

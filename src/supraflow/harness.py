@@ -38,7 +38,7 @@ from .calibration import (
     one_step_predict_learned,
 )
 from .diffusion import propagate_closed
-from .kalman import R_OBSERVED, filter_fractions
+from .kalman import R_OBSERVED, filter_fractions, nested_masks
 from .network import (
     DiffusionConstants,
     InterconnectedNetwork,
@@ -203,6 +203,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
 
     parsed = [parse_method(name) for name in config.methods]
     kinds = {kind for kind, _ in parsed}
+    fractions = [fraction for kind, fraction in parsed if kind == "kalman"]
+    masks = nested_masks(network.n_nodes, fractions, config.seed)
     diagnostics: dict[str, object] = {}
     if kinds & {"multilayer", "learned_operator", "kalman"}:
         fit = diagnostics["multilayer_fit"] = fit_diffusion_constants(series, network)
@@ -210,9 +212,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
         op = diagnostics["learned_operator"] = learn_from_fit(
             series, network, fit, config.gain, config.learn_threshold, config.max_iters
         )
-    fractions = [fraction for kind, fraction in parsed if kind == "kalman"]
-    if fractions:
-        filtered = filter_fractions(series, op, fractions, config.seed, config.kalman_r)
+    if masks:
+        filtered = filter_fractions(series, op, masks, config.kalman_r)
 
     curves: dict[str, np.ndarray] = {}
     for name, (kind, fraction) in zip(config.methods, parsed):

@@ -273,22 +273,23 @@ def run_filter(
 def filter_fractions(
     series: SnapshotSeries,
     op: LearnedOperator,
-    fractions: Sequence[float],
-    seed: int,
+    masks: dict[float, tuple[int, ...]],
     r_observed: float = R_OBSERVED,
 ) -> dict[float, FilterResult]:
     """Filter the test range once per observed fraction of the nodes.
 
-    The observed nodes are ``nested_masks(n_nodes, fractions, seed)``, and Q is
-    the learner's residual variance.  Each filter starts from Pi_0 = 0, since
-    the boundary snapshot is known exactly, and predicts through e^{A}, the
-    learned operator's own one-step map, formed once for all fractions: the
-    default I + A is unstable once the fitted constants make A stiff.
+    ``masks`` maps each fraction to its observed nodes, as ``nested_masks``
+    builds them; callers build them before any fit, so a fraction that
+    observes no node fails at once.  Q is the learner's residual variance.
+    Each filter starts from Pi_0 = 0, since the boundary snapshot is known
+    exactly, and predicts through e^{A}, the learned operator's own one-step
+    map, formed once for all fractions: the default I + A is unstable once the
+    fitted constants make A stiff.
     """
     shape = (series.n_nodes, series.n_topics)
     transition = matrix_exponential(op.lambda_hat)
     results = {}
-    for fraction, observed in nested_masks(series.n_nodes, fractions, seed).items():
+    for fraction, observed in masks.items():
         model = ObservationModel.build(*shape, observed, r_observed, op.residual_variance)
         results[fraction] = run_filter(series, op, model, pi0=0.0, transition=transition)
     return results

@@ -383,7 +383,7 @@ def scale_inter_layer(supra: SupraLaplacian, epsilon: float) -> SupraLaplacian:
 #   "symmetric": true,
 #   "layers": [
 #     {"id": 1, "kind": "agent", "nodes": ["a0", "a1"],
-#      "adjacency": [[0.0, 1.0], [1.0, 0.0]]}
+#      "adjacency": {"triplets": [[0, 1, 1.0], [1, 0, 1.0]]}}
 #   ],
 #   "couplings": [
 #     {"from": 1, "to": 2, "matrix": {"triplets": [[0, 0, 1.0]]}}
@@ -391,22 +391,40 @@ def scale_inter_layer(supra: SupraLaplacian, epsilon: float) -> SupraLaplacian:
 #   "constants": {"intra": {"1": 1.0}, "inter": {"1,2": 0.5}, "symmetric": true}
 # }
 #
-# Adjacency and coupling matrices may be dense row-major arrays or
-# {"triplets": [[row, col, weight], ...]} objects.
+# Every adjacency and coupling is written as {"triplets": [[row, col, weight], ...]}:
+# the nonzero entries in row-major order, each (row, col) at most once.  Dense
+# row-major arrays, the form older files used, are still read.
+
+
+def _matrix_to_json(matrix: np.ndarray) -> dict:
+    rows, cols = np.nonzero(matrix)
+    weights = matrix[rows, cols].tolist()
+    return {"triplets": [list(t) for t in zip(rows.tolist(), cols.tolist(), weights)]}
 
 
 def _matrix_from_json(obj, shape: tuple[int, int], what: str) -> np.ndarray:
     if isinstance(obj, dict):
         if "triplets" not in obj:
             raise ValidationError(f"{what}: sparse matrix object needs a 'triplets' field")
+        form = f"{what}: every triplet must be three numbers [row, col, weight]"
+        try:
+            entries = np.asarray(obj["triplets"], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(form) from None
+        if entries.shape == (0,):
+            entries = entries.reshape(0, 3)
+        if entries.ndim != 2 or entries.shape[1] != 3:
+            raise ValidationError(form)
+        index = entries[:, :2]
+        if (index != np.round(index)).any():
+            raise ValidationError(f"{what}: triplet indices must be integers")
+        if ((index < 0) | (index >= shape)).any():
+            raise ValidationError(f"{what}: triplet index out of bounds {shape}")
+        rows, cols = index.astype(int).T
+        if np.unique(rows * shape[1] + cols).size != len(rows):
+            raise ValidationError(f"{what}: an entry (row, col) appears in two triplets")
         mat = np.zeros(shape)
-        for entry in obj["triplets"]:
-            if len(entry) != 3:
-                raise ValidationError(f"{what}: triplet {entry!r} must be [row, col, weight]")
-            i, j, value = int(entry[0]), int(entry[1]), float(entry[2])
-            if not (0 <= i < shape[0] and 0 <= j < shape[1]):
-                raise ValidationError(f"{what}: triplet index ({i},{j}) out of bounds {shape}")
-            mat[i, j] = value
+        mat[rows, cols] = entries[:, 2]
         return mat
     mat = np.asarray(obj, dtype=float)
     if mat.shape != shape:
@@ -430,6 +448,13 @@ def _layer_pair(key) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def _json_bool(value) -> bool:
+    """A JSON ``true`` or ``false``; any other value, ``"false"`` or ``1`` too, is rejected."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"expected JSON true or false, got {value!r}")
+    return value
+
+
 def network_to_dict(
     network: InterconnectedNetwork, constants: DiffusionConstants | None = None
 ) -> dict:
@@ -440,7 +465,7 @@ def network_to_dict(
                 "id": layer.layer_id,
                 "kind": layer.kind.value,
                 "nodes": list(layer.node_ids),
-                "adjacency": [[float(x) for x in row] for row in layer.adjacency],
+                "adjacency": _matrix_to_json(layer.adjacency),
             }
             for layer in network.layers
         ],
@@ -448,7 +473,7 @@ def network_to_dict(
             {
                 "from": c.from_layer,
                 "to": c.to_layer,
-                "matrix": [[float(x) for x in row] for row in c.coupling],
+                "matrix": _matrix_to_json(c.coupling),
             }
             for c in network.couplings
         ],
@@ -492,7 +517,7 @@ def network_from_dict(data: dict) -> tuple[InterconnectedNetwork, DiffusionConst
         network = InterconnectedNetwork(
             layers=tuple(layers),
             couplings=tuple(couplings),
-            symmetric=bool(data.get("symmetric", True)),
+            symmetric=_json_bool(data.get("symmetric", True)),
         )
         constants = None
         if "constants" in data:
@@ -500,7 +525,7 @@ def network_from_dict(data: dict) -> tuple[InterconnectedNetwork, DiffusionConst
             constants = DiffusionConstants(
                 intra={int(k): float(v) for k, v in spec.get("intra", {}).items()},
                 inter={_layer_pair(k): float(v) for k, v in spec.get("inter", {}).items()},
-                symmetric=bool(spec.get("symmetric", True)),
+                symmetric=_json_bool(spec.get("symmetric", True)),
             )
         return network, constants
 

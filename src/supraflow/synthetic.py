@@ -23,6 +23,7 @@ from .network import (
     InterLayerCoupling,
     LayerGraph,
     LayerKind,
+    _json_bool,
     _layer_pair,
     assemble_supra_laplacian,
     components,
@@ -287,7 +288,7 @@ _LAYER_FIELDS = {
 _SPEC_FIELDS = {
     int: ("n_topics", "sigma_nodes", "n_snapshots", "train_count"),
     float: ("sigma_ratio", "sigma_scale", "spacing", "dt"),
-    bool: ("require_connected",),
+    _json_bool: ("require_connected",),
 }
 
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from supraflow import cli
+from supraflow import cli, harness
 from supraflow.cli import main
 from supraflow.harness import experiment_config_from_dict, run_experiment
 
@@ -219,8 +219,13 @@ class TestFitLearnKalman:
         [("kalman", {"fraction": 0.01}), ("experiment", {"methods": ["kalman:0.01"]})],
     )
     def test_fraction_observing_no_node_is_validation_failure(
-        self, tiny_dataset, capsys, command, fields
+        self, tiny_dataset, capsys, monkeypatch, command, fields
     ):
+        def refuse(series, network):
+            raise AssertionError("fitted before the masks were checked")
+
+        monkeypatch.setattr(cli, "fit_diffusion_constants", refuse)
+        monkeypatch.setattr(harness, "fit_diffusion_constants", refuse)
         tmp = tiny_dataset["tmp"]
         settings = {
             "network": tiny_dataset["network"],

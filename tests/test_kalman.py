@@ -299,8 +299,8 @@ class TestRunFilter:
     def test_filter_fractions_is_run_filter_on_nested_masks(self):
         series = make_series(self.node_index, self.states, train_count=2)
         op = replace(self.op, residual_variance=np.full(self.n_nodes * self.n_topics, 0.01))
-        results = filter_fractions(series, op, [0.25, 0.75], seed=3, r_observed=0.2)
         masks = nested_masks(self.n_nodes, [0.25, 0.75], seed=3)
+        results = filter_fractions(series, op, masks, r_observed=0.2)
         assert list(results) == [0.25, 0.75]
         for fraction, result in results.items():
             model = ObservationModel.build(

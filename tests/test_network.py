@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,26 @@ from supraflow import (
 from supraflow.network import components, network_from_dict, network_to_dict
 
 from conftest import brute_force_supra, random_network
+
+DENSE_NETWORK = pathlib.Path(__file__).parent / "data" / "network_dense.json"
+
+
+def two_layer_document(adjacency=None, coupling=None, **fields):
+    """A 2 + 1 node network document; ``fields`` add or replace top-level keys."""
+    return {
+        "layers": [
+            {"id": 1, "kind": "agent", "nodes": ["a", "b"],
+             "adjacency": adjacency or {"triplets": [[0, 1, 1.0], [1, 0, 1.0]]}},
+            {"id": 2, "kind": "information", "nodes": ["d"], "adjacency": {"triplets": []}},
+        ],
+        "couplings": [{"from": 1, "to": 2, "matrix": coupling or {"triplets": [[0, 0, 2.0]]}}],
+        "constants": {"intra": {"1": 1.0, "2": 1.0}, "inter": {"1,2": 1.0}},
+        **fields,
+    }
+
+
+def matrices(network):
+    return [layer.adjacency for layer in network.layers] + [c.coupling for c in network.couplings]
 
 
 class TestBuildLaplacian:
@@ -237,22 +260,55 @@ class TestNetworkJson:
         assert loaded.node_order == network.node_order
 
     def test_triplet_matrices(self):
-        data = {
-            "layers": [
-                {"id": 1, "kind": "agent", "nodes": ["a", "b"],
-                 "adjacency": {"triplets": [[0, 1, 1.0], [1, 0, 1.0]]}},
-                {"id": 2, "kind": "information", "nodes": ["d"],
-                 "adjacency": {"triplets": []}},
-            ],
-            "couplings": [
-                {"from": 1, "to": 2, "matrix": {"triplets": [[0, 0, 2.0]]}}
-            ],
-            "constants": {"intra": {"1": 1.0, "2": 1.0}, "inter": {"1,2": 1.0}},
-        }
-        network, constants = network_from_dict(data)
+        network, constants = network_from_dict(two_layer_document())
         assert np.array_equal(network.layer(1).adjacency, [[0, 1], [1, 0]])
         assert network.coupling_matrix(1, 2)[0, 0] == 2.0
         assert constants.inter_for(2, 1) == 1.0
+
+    def test_writes_only_triplets_of_the_nonzero_entries(self, hand_expanded_fixture):
+        network, constants, _ = hand_expanded_fixture
+        data = network_to_dict(network, constants)
+        assert data["layers"][0]["adjacency"] == {"triplets": [[0, 1, 1.0], [1, 0, 1.0]]}
+        assert data["layers"][1]["adjacency"] == {"triplets": []}
+        assert data["couplings"][1]["matrix"] == {"triplets": [[0, 0, 1.0], [0, 1, 1.0], [1, 1, 1.0]]}
+
+    @pytest.mark.parametrize(
+        "triplets, message",
+        [
+            ([[0, 1]], "row, col, weight"),
+            ([[0, 1, 1.0], [1, 0]], "row, col, weight"),
+            ([[0, 2, 1.0]], "out of bounds"),
+            ([[-1, 0, 1.0]], "out of bounds"),
+            ([[0.5, 1, 1.0]], "must be integers"),
+            ([[0, 1, 1.0], [0, 1, 2.0]], "appears in two triplets"),
+            ([[0, 1, "x"]], "row, col, weight"),
+            ([[0, 1, 10**400]], "row, col, weight"),
+            ([[[0, 1, 1.0]]], "row, col, weight"),
+        ],
+    )
+    def test_rejects_malformed_triplets(self, triplets, message):
+        with pytest.raises(ValidationError, match=message):
+            network_from_dict(two_layer_document(adjacency={"triplets": triplets}))
+
+    def test_rejects_a_sparse_object_without_triplets(self):
+        with pytest.raises(ValidationError, match="'triplets' field"):
+            network_from_dict(two_layer_document(coupling={"entries": []}))
+
+    @pytest.mark.parametrize("value", ["false", 1])
+    def test_symmetric_flags_must_be_json_booleans(self, value):
+        with pytest.raises(ValidationError, match="true or false"):
+            network_from_dict(two_layer_document(symmetric=value))
+        data = two_layer_document()
+        data["constants"]["symmetric"] = value
+        with pytest.raises(ValidationError, match="true or false"):
+            network_from_dict(data)
+
+    def test_symmetric_flags_read_false(self):
+        data = two_layer_document(symmetric=False)
+        data["constants"]["symmetric"] = False
+        network, constants = network_from_dict(data)
+        assert network.symmetric is False and constants.symmetric is False
+
 
     def test_rejects_unknown_layer_in_coupling(self):
         data = {
@@ -282,3 +338,32 @@ class TestNetworkJson:
         network, constants, _ = hand_expanded_fixture
         data = network_to_dict(network, constants)
         assert data["constants"]["inter"] == {"1,2": 1.0, "1,3": 1.0, "2,3": 1.0}
+
+
+class TestDenseNetworkFile:
+    """``network_dense.json`` was written by the dense-row writer that preceded
+    triplets, from the hand-expanded fixture and its constants."""
+
+    def test_loads_to_the_fixture(self, hand_expanded_fixture):
+        network, constants, _ = hand_expanded_fixture
+        loaded, loaded_constants = load_network(DENSE_NETWORK)
+        assert loaded_constants == constants
+        assert loaded.symmetric == network.symmetric
+        assert loaded.node_order == network.node_order
+        assert [(c.from_layer, c.to_layer) for c in loaded.couplings] == [
+            (c.from_layer, c.to_layer) for c in network.couplings
+        ]
+        for got, want in zip(matrices(loaded), matrices(network), strict=True):
+            assert np.array_equal(got, want)
+
+    def test_resaves_as_triplets_with_identical_matrices(self, tmp_path):
+        loaded, constants = load_network(DENSE_NETWORK)
+        path = tmp_path / "network.json"
+        save_network(path, loaded, constants)
+        data = json.loads(path.read_text())
+        written = [layer["adjacency"] for layer in data["layers"]]
+        written += [c["matrix"] for c in data["couplings"]]
+        assert all(set(m) == {"triplets"} for m in written)
+        reloaded, _ = load_network(path)
+        for got, want in zip(matrices(reloaded), matrices(loaded), strict=True):
+            assert got.tobytes() == want.tobytes()

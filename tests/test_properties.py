@@ -3,9 +3,11 @@ symmetry, zero row sums and semidefiniteness, kernels read from components
 against eigenvalue counts, the exponential action, closed propagation, the
 Euler-Maruyama ensemble, the connectivity sweep, the observed-block Kalman
 update and the learner against dense reference formulas and invariants, and
-byte-for-byte round trips of the state, network and matrix files."""
+byte-for-byte round trips of the state, network and matrix files, and the
+network matrices read alike from triplets and from dense rows."""
 
 import contextlib
+import json
 import os
 import tempfile
 
@@ -44,6 +46,7 @@ from supraflow import (
 )
 from supraflow.calibration import kronecker_lift, read_operator_matrix, write_matrix_csv
 from supraflow.diffusion import exponential_action
+from supraflow.network import _matrix_from_json
 from supraflow.kalman import PHASE_PREDICTED, KalmanState
 from conftest import connected_adjacency, directed_network, random_network, single_layer_supra
 
@@ -444,6 +447,33 @@ class TestByteRoundTrips:
             save_network(path, *loaded)
 
         assert_rewrite_is_identical(write, load_network)
+        network, _ = network_and_constants
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "network.json")
+            write(path)
+            with open(path) as handle:
+                data = json.load(handle)
+        written = [layer["adjacency"] for layer in data["layers"]]
+        written += [c["matrix"] for c in data["couplings"]]
+        expected = [layer.adjacency for layer in network.layers]
+        expected += [c.coupling for c in network.couplings]
+        for obj, matrix in zip(written, expected, strict=True):
+            assert list(obj) == ["triplets"]
+            assert len(obj["triplets"]) == np.count_nonzero(matrix)
+            assert all(weight != 0 for _, _, weight in obj["triplets"])
+
+    @settings(PROPERTY, max_examples=100)
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)), data=st.data())
+    def test_triplet_and_dense_rows_read_alike(self, shape, data):
+        matrix = data.draw(float_arrays(shape, st.one_of(st.just(0.0), weights)))
+        rows, cols = np.nonzero(matrix)
+        triplets = [[int(i), int(j), float(matrix[i, j])] for i, j in zip(rows, cols)]
+        triplets = data.draw(st.permutations(triplets))
+        sparse = json.loads(json.dumps({"triplets": triplets}))
+        dense = json.loads(json.dumps(matrix.tolist()))
+        from_triplets = _matrix_from_json(sparse, shape, "matrix")
+        from_rows = _matrix_from_json(dense, shape, "matrix")
+        assert from_triplets.tobytes() == from_rows.tobytes() == matrix.tobytes()
 
     @settings(PROPERTY, max_examples=50)
     @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)), data=st.data())

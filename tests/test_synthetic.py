@@ -172,6 +172,16 @@ class TestSpecParsing:
         spec = synthetic_spec_from_dict({"layers": [{"kind": "agent", "n": 3}]})
         assert spec == SyntheticSpec(layers=(LayerSpec("agent", 3),))
 
+    @pytest.mark.parametrize("value", ["false", 1])
+    def test_require_connected_must_be_a_json_boolean(self, value):
+        data = {"layers": [{"kind": "agent", "n": 3}], "require_connected": value}
+        with pytest.raises(ValidationError, match="true or false"):
+            synthetic_spec_from_dict(data)
+
+    def test_require_connected_reads_false(self):
+        data = {"layers": [{"kind": "agent", "n": 3}], "require_connected": False}
+        assert synthetic_spec_from_dict(data).require_connected is False
+
     def test_missing_layer_fields_rejected(self):
         with pytest.raises(ValidationError):
             synthetic_spec_from_dict({"layers": [{"kind": "agent"}]})
