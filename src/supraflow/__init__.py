@@ -22,15 +22,9 @@ from .network import (
     scale_inter_layer,
 )
 from .states import (
-    DocumentAssignment,
     StateMatrix,
-    init_agent_states,
-    inverse_distance_similarity,
-    jaccard_similarity,
     knn_similarity,
-    read_assignment_csv,
     read_states_csv,
-    write_assignment_csv,
     write_states_csv,
 )
 from .diffusion import (
@@ -86,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DiffusionConstants",
     "DiffusionFit",
-    "DocumentAssignment",
     "ExperimentConfig",
     "ExperimentResult",
     "FilterResult",
@@ -120,9 +113,6 @@ __all__ = [
     "external_influence_sweep",
     "fit_diffusion_constants",
     "generate_synthetic",
-    "init_agent_states",
-    "inverse_distance_similarity",
-    "jaccard_similarity",
     "kalman_predict",
     "kalman_update",
     "kernel_rayleigh_quotients",
@@ -134,7 +124,6 @@ __all__ = [
     "nested_masks",
     "one_step_predict_learned",
     "propagate_closed",
-    "read_assignment_csv",
     "read_states_csv",
     "run_experiment",
     "run_filter",
@@ -145,6 +134,5 @@ __all__ = [
     "spectrum",
     "upper_bound_series",
     "vectorize",
-    "write_assignment_csv",
     "write_states_csv",
 ]

@@ -96,6 +96,12 @@ class SimulationPath:
         return self.states[-1]
 
 
+def step_norm(supra: SupraLaplacian) -> float:
+    """The operator's largest absolute row sum: an Euler-Maruyama step dt is
+    small enough for the explicit scheme when this norm times dt is below 1."""
+    return float(abs(supra.csr).sum(axis=1).max(initial=0.0))
+
+
 def default_step(supra: SupraLaplacian) -> float:
     """Step size keeping the explicit scheme well inside its stability region."""
     norm = float(np.abs(supra.matrix).sum(axis=1).max())
@@ -259,7 +265,7 @@ def _checked_start(x0, supra: SupraLaplacian, noise: NoiseModel, config: Simulat
         )
     if x.shape[0] != supra.n_nodes:
         raise ValidationError("state and operator sizes disagree")
-    norm = float(abs(supra.csr).sum(axis=1).max(initial=0.0))
+    norm = step_norm(supra)
     if norm * config.dt >= 1:
         warnings.warn(
             f"dt={config.dt} is large for an operator of norm {norm:.3g}; "

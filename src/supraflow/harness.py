@@ -66,12 +66,13 @@ def error_measure(x_hat, x_true) -> float:
     return float(np.linalg.norm(a - b) / den)
 
 
-def upper_bound_series(snapshots: Sequence[StateMatrix]) -> np.ndarray:
-    """Relative change between consecutive true states: the no-change error."""
+def upper_bound_series(snapshots: Sequence) -> np.ndarray:
+    """Relative change between consecutive true states (``StateMatrix`` or
+    arrays): the no-change error."""
     snaps = list(snapshots)
     if len(snaps) < 2:
         raise ValidationError("the upper bound needs at least 2 snapshots")
-    return np.array([error_measure(a.matrix, b.matrix) for a, b in zip(snaps, snaps[1:])])
+    return np.array([error_measure(a, b) for a, b in zip(snaps, snaps[1:])])
 
 
 def parse_method(name: str) -> tuple[str, float | None]:
@@ -197,9 +198,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     block = network.layer_slices[layer_id]
     times = np.array([b.timestamp for _, b, _ in test_pairs])
     block_targets = [b.matrix[block] for _, b, _ in test_pairs]
-    bound = np.array(
-        [error_measure(a.matrix[block], b.matrix[block]) for a, b, _ in test_pairs]
-    )
+    bound = upper_bound_series([s.matrix[block] for s in series.test_snapshots()])
 
     parsed = [parse_method(name) for name in config.methods]
     kinds = {kind for kind, _ in parsed}

@@ -215,14 +215,6 @@ class InterconnectedNetwork:
     def layer_ids(self) -> tuple[int, ...]:
         return tuple(layer.layer_id for layer in self.layers)
 
-    @property
-    def n_agent_layers(self) -> int:
-        return sum(1 for layer in self.layers if layer.kind is LayerKind.AGENT)
-
-    @property
-    def n_information_layers(self) -> int:
-        return sum(1 for layer in self.layers if layer.kind is LayerKind.INFORMATION)
-
     def layer(self, layer_id: int) -> LayerGraph:
         try:
             return self._by_id[layer_id]

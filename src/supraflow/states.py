@@ -1,9 +1,8 @@
-"""Topic-state matrices, agent-state initialization, and similarity networks.
+"""Topic-state matrices, their CSV files, and the k-nearest-neighbor similarity.
 
 Each node carries a length-T real topic vector; a state matrix stacks these
-vectors as rows, one per node, in the network's layer-major ordering.  Agents
-start at the mean of their documents' vectors.  Document layers are built from
-topic vectors by inverse-distance / k-nearest-neighbor / Jaccard similarity.
+vectors as rows, one per node, in the network's layer-major ordering.
+Document layers are built from topic vectors by k-nearest-neighbor similarity.
 
 Topic vectors are general real vectors: no simplex normalization is enforced
 anywhere, since diffusion does not preserve the simplex.
@@ -20,8 +19,8 @@ import numpy as np
 from .errors import ValidationError
 from .files import write_csv
 
-#: Weight assigned to coincident points under inverse-distance weighting,
-#: which is otherwise singular at zero distance.
+#: Weight of an edge between coincident points, whose inverse distance is
+#: otherwise infinite.
 DEFAULT_MAX_WEIGHT = 1e6
 
 
@@ -56,112 +55,6 @@ class StateMatrix:
     def n_topics(self) -> int:
         return self.matrix.shape[1]
 
-    def topic_vector(self, node: tuple[int, str]) -> np.ndarray:
-        """The length-T topic vector of one (layer_id, node_id) node."""
-        try:
-            return self.matrix[self.node_index[node]]
-        except KeyError:
-            raise ValidationError(f"unknown node {node!r}") from None
-
-
-@dataclass(frozen=True)
-class DocumentAssignment:
-    """For each agent id, the documents that agent produced."""
-
-    docs_by_agent: dict[str, tuple[str, ...]]
-
-    def __post_init__(self):
-        normalized = {}
-        for agent, docs in self.docs_by_agent.items():
-            seen: list[str] = []
-            for doc in docs:
-                doc = str(doc)
-                if doc not in seen:
-                    seen.append(doc)
-            normalized[str(agent)] = tuple(seen)
-        object.__setattr__(self, "docs_by_agent", normalized)
-
-
-def init_agent_states(
-    assignment: DocumentAssignment,
-    doc_states: np.ndarray,
-    doc_ids: Sequence[str],
-    agent_ids: Sequence[str],
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Agent rows as the mean of their documents' topic vectors.
-
-    Returns the agent-block matrix and the ids of agents with no documents,
-    whose rows are set to zero.
-    """
-    docs = np.asarray(doc_states, dtype=float)
-    if docs.ndim != 2:
-        raise ValidationError("document states must be a 2-D matrix")
-    if docs.shape[0] != len(doc_ids):
-        raise ValidationError("document states and document ids disagree in length")
-    row_of = {str(d): i for i, d in enumerate(doc_ids)}
-    out = np.zeros((len(agent_ids), docs.shape[1]))
-    empty: list[str] = []
-    for i, agent in enumerate(agent_ids):
-        owned = assignment.docs_by_agent.get(str(agent), ())
-        rows = []
-        for doc in owned:
-            if doc not in row_of:
-                raise ValidationError(f"agent {agent!r} references unknown document {doc!r}")
-            rows.append(row_of[doc])
-        if rows:
-            out[i] = docs[rows].mean(axis=0)
-        else:
-            empty.append(str(agent))
-    return out, tuple(empty)
-
-
-def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    if points.ndim != 2:
-        raise ValidationError("topic vectors must form a 2-D matrix")
-    if not np.isfinite(points).all():
-        raise ValidationError("non-finite distances: topic vectors contain non-finite entries")
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    if not np.isfinite(dist).all():
-        raise ValidationError("non-finite distances between topic vectors")
-    return dist
-
-
-def inverse_distance_similarity(doc_states, epsilon_threshold: float) -> np.ndarray:
-    """Similarity adjacency with weights 1/dist, kept only when above the threshold.
-
-    Coincident vectors (zero distance) get `DEFAULT_MAX_WEIGHT` instead of infinity.
-    """
-    epsilon_threshold = float(epsilon_threshold)
-    if not epsilon_threshold > 0:
-        raise ValidationError("epsilon_threshold must be > 0")
-    dist = _pairwise_distances(np.asarray(doc_states, dtype=float))
-    with np.errstate(divide="ignore"):
-        weights = np.where(dist > 0, 1.0 / np.where(dist > 0, dist, 1.0), np.inf)
-    weights = np.minimum(weights, DEFAULT_MAX_WEIGHT)
-    np.fill_diagonal(weights, 0.0)
-    weights[weights <= epsilon_threshold] = 0.0
-    return weights
-
-
-def jaccard_similarity(memberships: Sequence[Iterable], threshold: float = 0.0) -> np.ndarray:
-    """Jaccard-index adjacency between items from their container memberships.
-
-    ``memberships[i]`` is the set of containers (e.g. posts) in which item i
-    occurs.  The weight is |both| / |either|, kept when above the threshold;
-    an empty union yields 0.  Diagonal entries are 0.
-    """
-    sets = [frozenset(s) for s in memberships]
-    n = len(sets)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            union = len(sets[i] | sets[j])
-            value = len(sets[i] & sets[j]) / union if union else 0.0
-            if value > threshold:
-                out[i, j] = out[j, i] = value
-    return out
-
 
 def knn_similarity(doc_states, k: int) -> np.ndarray:
     """Symmetrized k-nearest-neighbor graph with inverse-distance weights.
@@ -171,7 +64,14 @@ def knn_similarity(doc_states, k: int) -> np.ndarray:
     other, and carries weight 1/dist (capped for coincident points).
     """
     points = np.asarray(doc_states, dtype=float)
-    dist = _pairwise_distances(points)
+    if points.ndim != 2:
+        raise ValidationError("topic vectors must form a 2-D matrix")
+    if not np.isfinite(points).all():
+        raise ValidationError("non-finite distances: topic vectors contain non-finite entries")
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    if not np.isfinite(dist).all():
+        raise ValidationError("non-finite distances between topic vectors")
     n = dist.shape[0]
     k = int(k)
     if k < 1:
@@ -259,28 +159,3 @@ def read_states_csv(path, network) -> list[StateMatrix]:
     if not snapshots:
         raise ValidationError(f"state file {path} contains no snapshots")
     return snapshots
-
-
-def write_assignment_csv(path, assignment: DocumentAssignment):
-    docs_by_agent = assignment.docs_by_agent
-    write_csv(
-        path,
-        ["agent_id", "document_id"],
-        ([agent, doc] for agent in sorted(docs_by_agent) for doc in docs_by_agent[agent]),
-    )
-
-
-def read_assignment_csv(path) -> DocumentAssignment:
-    docs_by_agent: dict[str, list[str]] = {}
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["agent_id", "document_id"]:
-            raise ValidationError(f"assignment file {path} must have header agent_id,document_id")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"assignment file {path} has a malformed row: {row!r}")
-            docs_by_agent.setdefault(row[0], []).append(row[1])
-    return DocumentAssignment({agent: tuple(docs) for agent, docs in docs_by_agent.items()})

@@ -10,13 +10,14 @@ derives from one master seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError, malformed
 from .calibration import SnapshotSeries
-from .diffusion import NoiseModel, SimulationConfig, propagate_closed, simulate_open
+from .diffusion import NoiseModel, SimulationConfig, propagate_closed, simulate_open, step_norm
 from .network import (
     DiffusionConstants,
     InterconnectedNetwork,
@@ -28,7 +29,7 @@ from .network import (
     assemble_supra_laplacian,
     components,
 )
-from .states import DocumentAssignment, StateMatrix, init_agent_states, knn_similarity
+from .states import StateMatrix, knn_similarity
 
 MAX_ATTEMPTS = 50
 
@@ -103,8 +104,6 @@ class PlantedTruth:
     constants: DiffusionConstants
     sigma: np.ndarray
     sigma_ratio: float
-    assignment: DocumentAssignment
-    initial_state: np.ndarray
     seed: int
     attempts: int
 
@@ -190,14 +189,14 @@ def _generate_once(spec: SyntheticSpec, seed: int, attempt: int, rng):
 
     # One owner per document; the ownership incidence couples every agent
     # layer to every information layer identically (replica agents).
-    docs_by_agent: dict[str, list[str]] = {f"a{j}": [] for j in range(n_agents)}
-    for lid in info_ids:
-        n_docs = len(doc_names[lid])
-        owners = rng.integers(0, n_agents, size=n_docs) if n_agents else np.zeros(0, dtype=int)
-        incidence = np.zeros((n_agents, n_docs))
-        for j, owner in enumerate(owners):
-            incidence[owner, j] = 1.0
-            docs_by_agent[f"a{owner}"].append(doc_names[lid][j])
+    owners = (
+        {lid: rng.integers(0, n_agents, size=len(doc_names[lid])) for lid in info_ids}
+        if agent_ids
+        else {}
+    )
+    for lid, owner in owners.items():
+        incidence = np.zeros((n_agents, owner.size))
+        incidence[owner, np.arange(owner.size)] = 1.0
         for a in agent_ids:
             couplings.append(InterLayerCoupling(from_layer=a, to_layer=lid, coupling=incidence))
 
@@ -213,16 +212,18 @@ def _generate_once(spec: SyntheticSpec, seed: int, attempt: int, rng):
     if spec.require_connected and components(supra.matrix).max() > 0:
         raise _Disconnected("the assembled network came out disconnected")
 
-    assignment = DocumentAssignment({a: tuple(d) for a, d in docs_by_agent.items()})
     x0 = np.zeros((network.n_nodes, spec.n_topics))
     for lid in info_ids:
         x0[network.layer_slices[lid]] = doc_states[lid]
     if agent_ids and info_ids:
-        all_doc_names = [name for lid in info_ids for name in doc_names[lid]]
+        # Agents start at the mean of the documents they own, or at zero.
+        all_owners = np.concatenate([owners[lid] for lid in info_ids])
         all_doc_states = np.vstack([doc_states[lid] for lid in info_ids])
-        agent_block, _ = init_agent_states(
-            assignment, all_doc_states, all_doc_names, [f"a{j}" for j in range(n_agents)]
-        )
+        agent_block = np.zeros((n_agents, spec.n_topics))
+        for i in range(n_agents):
+            owned = all_owners == i
+            if owned.any():
+                agent_block[i] = all_doc_states[owned].mean(axis=0)
         for a in agent_ids:
             x0[network.layer_slices[a]] = agent_block
     elif agent_ids:
@@ -242,7 +243,12 @@ def _generate_once(spec: SyntheticSpec, seed: int, attempt: int, rng):
     times = [i * spec.spacing for i in range(spec.n_snapshots)]
     node_index = dict(network.node_index)
     if sigma.any():
-        substeps = max(1, round(spec.spacing / spec.dt))
+        # At least the requested sub-steps, and as many more as the explicit
+        # scheme needs for its step to stay inside the stability bound.
+        norm = step_norm(supra)
+        substeps = max(1, round(spec.spacing / spec.dt), math.floor(norm * spec.spacing))
+        while norm * (spec.spacing / substeps) >= 1:
+            substeps += 1
         config = SimulationConfig(
             dt=spec.spacing / substeps, horizon=(spec.n_snapshots - 1) * spec.spacing
         )
@@ -269,8 +275,6 @@ def _generate_once(spec: SyntheticSpec, seed: int, attempt: int, rng):
         constants=constants,
         sigma=sigma,
         sigma_ratio=sigma_ratio,
-        assignment=assignment,
-        initial_state=x0,
         seed=seed,
         attempts=attempt,
     )

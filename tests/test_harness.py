@@ -96,6 +96,13 @@ class TestUpperBound:
             a, b = snaps[i].matrix, snaps[i + 1].matrix
             assert bound[i] == pytest.approx(np.linalg.norm(a - b) / np.linalg.norm(b))
 
+    def test_arrays_read_like_state_matrices(self):
+        rng = np.random.default_rng(1)
+        index = {(1, f"n{i}"): i for i in range(3)}
+        snaps = [StateMatrix(rng.random((3, 2)), index, float(t)) for t in range(4)]
+        expected = upper_bound_series(snaps)
+        assert np.array_equal(upper_bound_series([s.matrix for s in snaps]), expected)
+
 
 class TestMethodParsing:
     def test_known_methods(self):

@@ -3,8 +3,9 @@ symmetry, zero row sums and semidefiniteness, kernels read from components
 against eigenvalue counts, the exponential action, closed propagation, the
 Euler-Maruyama ensemble, the connectivity sweep, the observed-block Kalman
 update and the learner against dense reference formulas and invariants, and
-byte-for-byte round trips of the state, network and matrix files, and the
-network matrices read alike from triplets and from dense rows."""
+byte-for-byte round trips of the state, network and matrix files, the
+network matrices read alike from triplets and from dense rows, and the
+column-major vectorization undone exactly."""
 
 import contextlib
 import json
@@ -484,3 +485,14 @@ class TestByteRoundTrips:
             write_matrix_csv(path, values)
 
         assert_rewrite_is_identical(write, read_operator_matrix)
+
+
+class TestVectorize:
+    @settings(PROPERTY, max_examples=100)
+    @given(shape=st.tuples(st.integers(1, 8), st.integers(1, 8)), data=st.data())
+    def test_devectorize_inverts_column_major_vectorize(self, shape, data):
+        matrix = data.draw(float_arrays(shape))
+        vector = vectorize(matrix)
+        columns = np.concatenate([matrix[:, j] for j in range(shape[1])])
+        assert vector.tobytes() == columns.tobytes()
+        assert devectorize(vector, *shape).tobytes() == matrix.tobytes()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -66,16 +68,38 @@ class TestGenerateSynthetic:
     def test_agent_states_average_their_documents(self):
         network, series, truth = generate_synthetic(small_spec(), seed=15)
         x0 = series.snapshots[0].matrix
-        doc_block = network.layer_slices[3]
-        doc_rows = {name: x0[doc_block][i] for i, name in enumerate(network.layer(3).node_ids)}
+        doc_rows = x0[network.layer_slices[3]]
         agent_block = x0[network.layer_slices[1]]
-        for i, agent in enumerate(network.layer(1).node_ids):
-            owned = truth.assignment.docs_by_agent.get(agent, ())
-            if owned:
-                expected = np.mean([doc_rows[d] for d in owned], axis=0)
+        ownership = network.coupling_matrix(1, 3)
+        assert np.array_equal(ownership.sum(axis=0), np.ones(doc_rows.shape[0]))
+        for i in range(agent_block.shape[0]):
+            owned = np.flatnonzero(ownership[i])
+            if owned.size:
+                expected = np.mean([doc_rows[j] for j in owned], axis=0)
                 assert np.abs(agent_block[i] - expected).max() < 1e-12
             else:
                 assert np.abs(agent_block[i]).max() == 0.0
+
+    def test_agents_average_documents_across_information_layers(self):
+        # Five documents over eight agents: some agents own nothing.
+        spec = small_spec(
+            layers=(
+                LayerSpec("agent", 8, "erdos_renyi", edge_prob=0.5),
+                LayerSpec("information", 3, "complete"),
+                LayerSpec("information", 2, "complete"),
+            )
+        )
+        network, series, truth = generate_synthetic(spec, seed=22)
+        x0 = series.snapshots[0].matrix
+        docs = np.vstack([x0[network.layer_slices[2]], x0[network.layer_slices[3]]])
+        ownership = np.hstack([network.coupling_matrix(1, 2), network.coupling_matrix(1, 3)])
+        agent_block = x0[network.layer_slices[1]]
+        owns_none = ownership.sum(axis=1) == 0
+        assert owns_none.any()
+        assert np.abs(agent_block[owns_none]).max() == 0.0
+        for i in np.flatnonzero(~owns_none):
+            expected = docs[ownership[i] == 1].mean(axis=0)
+            assert np.abs(agent_block[i] - expected).max() < 1e-12
 
     def test_sigma_ratio_planted_exactly(self):
         network, series, truth = generate_synthetic(
@@ -129,8 +153,8 @@ class TestGenerateSynthetic:
         )
         network, series, truth = generate_synthetic(spec, seed=19)
         assert network.n_nodes == 79 + 79 + 1000
-        assert network.n_agent_layers == 2
-        assert network.n_information_layers == 1
+        agent, information = LayerKind.AGENT, LayerKind.INFORMATION
+        assert [layer.kind for layer in network.layers] == [agent, agent, information]
         assert series.snapshots[0].matrix.shape == (1158, 10)
 
     def test_noisy_generation_uses_requested_substeps(self):
@@ -144,6 +168,17 @@ class TestGenerateSynthetic:
         times = [s.timestamp for s in series.snapshots]
         assert times == [0.0, 0.5, 1.0, 1.5]
         assert truth.sigma_ratio > 0
+
+    def test_noisy_generation_takes_enough_substeps_for_a_stiff_operator(self):
+        # One requested step per spacing is far too long for this operator
+        # (norm about 60); the generator takes more instead of warning.
+        spec = small_spec(sigma_ratio=0.1, n_snapshots=3, dt=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            network, series, truth = generate_synthetic(spec, seed=21)
+        supra = assemble_supra_laplacian(network, truth.constants)
+        assert np.abs(supra.matrix).sum(axis=1).max() * spec.dt >= 1
+        assert [s.timestamp for s in series.snapshots] == [0.0, 0.5, 1.0]
 
 
 class TestSpecParsing:
