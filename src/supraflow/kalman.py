@@ -22,7 +22,7 @@ and carried in the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -69,14 +69,11 @@ class ObservationModel:
     def dim(self) -> int:
         return self.n_nodes * self.n_topics
 
-    def node_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_nodes)
-        mask[list(self.observed_nodes)] = 1.0
-        return mask
-
     def h_diag(self) -> np.ndarray:
         """Diagonal of the PT x PT indicator (column-stacked coordinate order)."""
-        return np.tile(self.node_mask(), self.n_topics)
+        mask = np.zeros(self.n_nodes)
+        mask[list(self.observed_nodes)] = 1.0
+        return np.tile(mask, self.n_topics)
 
     @classmethod
     def build(
@@ -88,17 +85,14 @@ class ObservationModel:
         q_diag=None,
     ) -> "ObservationModel":
         dim = n_nodes * n_topics
-        mask = np.zeros(n_nodes)
-        mask[list(observed_nodes)] = 1.0
-        r = np.tile(mask, n_topics) * float(r_observed)
-        q = np.zeros(dim) if q_diag is None else np.asarray(q_diag, dtype=float)
-        return cls(
+        model = cls(
             n_nodes=n_nodes,
             n_topics=n_topics,
             observed_nodes=tuple(int(i) for i in observed_nodes),
-            r_diag=r,
-            q_diag=q,
+            r_diag=np.zeros(dim),
+            q_diag=np.zeros(dim) if q_diag is None else q_diag,
         )
+        return replace(model, r_diag=model.h_diag() * float(r_observed))
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,10 @@ plus an inter-layer part built from coupling degree and connectivity blocks.
 
 Node ordering is layer-major (all nodes of the first layer, then the second,
 and so on) and is fixed at network construction; every matrix produced here
-shares that ordering.  The supra-Laplacian and its parts are stored dense;
-``SupraLaplacian.csr`` adds a compressed sparse row view of the operator for
-applying it to states.  Inputs with more than ``MAX_NODES`` total nodes are
-rejected.
+shares that ordering.  A ``SupraLaplacian`` stores its dense intra and inter
+parts; their sum ``matrix`` and its sparse view ``csr`` are derived on first
+use.  Inputs with more than ``MAX_NODES`` nodes are rejected; at that cap the
+parts take 2 * P^2 * 8 bytes (6.4 GB), and the sum, once formed, 3.2 GB more.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ class LayerKind(str, Enum):
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    arr = np.asarray(values, dtype=dtype)  # read-only input is shared, the rest copied
+    arr = arr.copy() if arr.flags.writeable else arr
     arr.setflags(write=False)
     return arr
 
@@ -235,34 +236,36 @@ class InterconnectedNetwork:
 
 @dataclass(frozen=True)
 class SupraLaplacian:
-    """The P x P diffusion operator with its intra/inter decomposition."""
+    """The P x P diffusion operator, held as its intra and inter parts."""
 
-    matrix: np.ndarray
     intra_part: np.ndarray
     inter_part: np.ndarray
     node_index: dict[tuple[int, str], int]
-    layer_slices: dict[int, slice]
     layer_ids: tuple[int, ...]
 
     def __post_init__(self):
-        for name in ("matrix", "intra_part", "inter_part"):
+        shape = (len(self.node_index),) * 2
+        for name in ("intra_part", "inter_part"):
             arr = _frozen_array(getattr(self, name))
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValidationError(f"{name} must be square")
+            if arr.shape != shape:
+                raise ValidationError(f"{name} has shape {arr.shape}, the node index needs {shape}")
             object.__setattr__(self, name, arr)
-        if self.matrix.shape != self.intra_part.shape or self.matrix.shape != self.inter_part.shape:
-            raise ValidationError("operator parts have inconsistent shapes")
-        if self.matrix.shape[0] != len(self.node_index):
-            raise ValidationError("operator size does not match node index")
 
     @property
     def n_nodes(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.node_index)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The read-only dense operator intra_part + inter_part, formed on first use."""
+        total = self.intra_part + self.inter_part
+        total.setflags(write=False)
+        return total
 
     @functools.cached_property
     def csr(self) -> scipy.sparse.csr_array:
-        """Read-only compressed sparse row view of ``matrix``, built on first use."""
-        view = scipy.sparse.csr_array(self.matrix)
+        """Read-only CSR view of ``matrix``, summed from the sparse parts on first use."""
+        view = scipy.sparse.csr_array(self.intra_part) + scipy.sparse.csr_array(self.inter_part)
         for part in (view.data, view.indices, view.indptr):
             part.setflags(write=False)
         return view
@@ -338,12 +341,12 @@ def assemble_supra_laplacian(
             sb = network.layer_slices[b]
             inter[sa, sa] += d * np.diag(w.sum(axis=1))
             inter[sa, sb] -= d * w
+    for part in (intra, inter):
+        part.setflags(write=False)
     return SupraLaplacian(
-        matrix=intra + inter,
         intra_part=intra,
         inter_part=inter,
         node_index=dict(network.node_index),
-        layer_slices=dict(network.layer_slices),
         layer_ids=network.layer_ids,
     )
 
@@ -358,12 +361,11 @@ def _epsilon(epsilon) -> float:
 def scale_inter_layer(supra: SupraLaplacian, epsilon: float) -> SupraLaplacian:
     """Operator with the inter-layer part scaled by epsilon >= 0."""
     inter = _epsilon(epsilon) * supra.inter_part
+    inter.setflags(write=False)
     return SupraLaplacian(
-        matrix=supra.intra_part + inter,
         intra_part=supra.intra_part,
         inter_part=inter,
         node_index=dict(supra.node_index),
-        layer_slices=dict(supra.layer_slices),
         layer_ids=supra.layer_ids,
     )
 

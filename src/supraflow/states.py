@@ -78,14 +78,12 @@ def knn_similarity(doc_states, k: int) -> np.ndarray:
         raise ValidationError("k must be >= 1")
     if k >= n:
         raise ValidationError(f"k={k} must be smaller than the number of points {n}")
+    np.fill_diagonal(dist, np.inf)  # each point sorts after all the others
+    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]  # ties by index
+    with np.errstate(divide="ignore"):
+        weights = np.minimum(1.0 / np.take_along_axis(dist, neighbors, 1), DEFAULT_MAX_WEIGHT)
     out = np.zeros((n, n))
-    indices = np.arange(n)
-    for i in range(n):
-        order = np.lexsort((indices, dist[i]))
-        neighbors = [j for j in order if j != i][:k]
-        for j in neighbors:
-            w = min(1.0 / dist[i, j], DEFAULT_MAX_WEIGHT) if dist[i, j] else DEFAULT_MAX_WEIGHT
-            out[i, j] = max(out[i, j], w)
+    np.put_along_axis(out, neighbors, weights, 1)
     return np.maximum(out, out.T)
 
 

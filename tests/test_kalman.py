@@ -339,6 +339,19 @@ class TestRunFilter:
         assert len(lines) == 1 + len(result.steps)
 
 
+class TestObservationModelBuild:
+    def test_out_of_range_node_rejected(self):
+        with pytest.raises(ValidationError, match="out of range"):
+            ObservationModel.build(3, 2, [5])
+
+    def test_r_diag_is_the_observed_indicator_times_r(self):
+        model = ObservationModel.build(5, 3, [4, 1], r_observed=2.5e-3)
+        mask = np.zeros(5)
+        mask[[4, 1]] = 1.0
+        assert model.r_diag.tobytes() == (np.tile(mask, 3) * 2.5e-3).tobytes()
+        assert model.q_diag.tobytes() == np.zeros(15).tobytes()
+
+
 class TestMasks:
     def test_sample_fraction_size(self):
         mask = nested_masks(40, [0.25], seed=0)[0.25]

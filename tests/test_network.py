@@ -1,24 +1,32 @@
+import dataclasses
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from supraflow import (
     DiffusionConstants,
     InterconnectedNetwork,
     InterLayerCoupling,
     LayerGraph,
+    NoiseModel,
+    SimulationConfig,
+    SupraLaplacian,
     ValidationError,
     assemble_supra_laplacian,
     build_laplacian,
     load_network,
+    propagate_closed,
     save_network,
     scale_inter_layer,
+    simulate_open,
 )
 from supraflow.network import components, network_from_dict, network_to_dict
 
-from conftest import brute_force_supra, random_network
+from conftest import brute_force_supra, connected_adjacency, random_network
 
 DENSE_NETWORK = pathlib.Path(__file__).parent / "data" / "network_dense.json"
 
@@ -172,6 +180,102 @@ class TestOperatorProperties:
             eigenvalues = np.linalg.eigvalsh(intra_only.matrix)
             kernel = (eigenvalues < 1e-9 * max(np.abs(eigenvalues).max(), 1e-12)).sum()
             assert kernel == len(network.layers)
+
+
+def p160_network():
+    """Two 40-node agent layers and an 80-node information layer, all coupled."""
+    rng = np.random.default_rng(160)
+    sizes = {1: 40, 2: 40, 3: 80}
+    layers = tuple(
+        LayerGraph(lid, "agent" if lid < 3 else "information",
+                   tuple(f"n{i}" for i in range(n)), connected_adjacency(rng, n, 0.05))
+        for lid, n in sizes.items()
+    )
+    couplings = (
+        InterLayerCoupling(1, 2, np.eye(40)),
+        InterLayerCoupling(1, 3, (rng.random((40, 80)) < 0.05).astype(float)),
+        InterLayerCoupling(2, 3, (rng.random((40, 80)) < 0.05).astype(float)),
+    )
+    constants = DiffusionConstants(
+        intra={1: 0.05, 2: 0.05, 3: 0.02}, inter={(1, 2): 0.05, (1, 3): 0.08, (2, 3): 0.06}
+    )
+    return InterconnectedNetwork(layers=layers, couplings=couplings), constants
+
+
+class TestSupraLaplacianStorage:
+    def test_only_the_parts_and_the_node_labels_are_stored(self):
+        fields = {f.name for f in dataclasses.fields(SupraLaplacian)}
+        assert fields == {"intra_part", "inter_part", "node_index", "layer_ids"}
+
+    def test_parts_and_sum_are_read_only_and_the_sum_is_exact(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            supra = assemble_supra_laplacian(*random_network(rng))
+            for part in (supra.intra_part, supra.inter_part, supra.matrix):
+                assert not part.flags.writeable
+                with pytest.raises(ValueError):
+                    part[0, 0] = 1.0
+            assert supra.matrix.tobytes() == (supra.intra_part + supra.inter_part).tobytes()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                supra.matrix = supra.intra_part
+
+    def test_csr_is_the_sparse_form_of_the_sum(self):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            supra = assemble_supra_laplacian(*random_network(rng))
+            expected = scipy.sparse.csr_array(supra.intra_part + supra.inter_part)
+            for got, want in (
+                (supra.csr.data, expected.data),
+                (supra.csr.indices, expected.indices),
+                (supra.csr.indptr, expected.indptr),
+            ):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+
+    def test_scale_inter_layer_shares_the_intra_part(self, hand_expanded_fixture):
+        network, constants, _ = hand_expanded_fixture
+        supra = assemble_supra_laplacian(network, constants)
+        assert scale_inter_layer(supra, 0.3).intra_part is supra.intra_part
+
+    def test_a_callers_writeable_arrays_are_copied(self):
+        intra = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        inter = np.zeros((2, 2))
+        supra = SupraLaplacian(
+            intra_part=intra, inter_part=inter, node_index={(1, "a"): 0, (1, "b"): 1},
+            layer_ids=(1,),
+        )
+        intra[0, 0] = inter[0, 0] = 5.0
+        assert supra.intra_part[0, 0] == 1.0 and supra.inter_part[0, 0] == 0.0
+        assert supra.matrix[0, 0] == 1.0
+
+    def test_parts_must_match_the_node_index(self):
+        with pytest.raises(ValidationError, match="node index"):
+            SupraLaplacian(
+                intra_part=np.zeros((2, 2)), inter_part=np.zeros((3, 3)),
+                node_index={(1, "a"): 0, (1, "b"): 1}, layer_ids=(1,),
+            )
+
+    def test_applying_the_operator_forms_no_dense_sum(self):
+        network, constants = random_network(np.random.default_rng(5))
+        supra = assemble_supra_laplacian(network, constants)
+        x0 = np.ones((supra.n_nodes, 2))
+        propagate_closed(x0, supra, 0.5)
+        simulate_open(
+            x0, supra, NoiseModel(sigma=0.01 * x0, seed=1), SimulationConfig(dt=0.01, horizon=0.05)
+        )
+        assert "matrix" not in vars(supra)
+
+    def test_assembly_peak_memory_is_below_three_and_a_half_operators(self):
+        network, constants = p160_network()
+        p = network.n_nodes
+        tracemalloc.start()
+        try:
+            supra = assemble_supra_laplacian(network, constants)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p == supra.n_nodes == 160
+        assert peak < 3.5 * p * p * 8
 
 
 class TestComponents:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from supraflow import (
     StateMatrix,
@@ -8,7 +10,34 @@ from supraflow import (
     read_states_csv,
     write_states_csv,
 )
+from supraflow.states import DEFAULT_MAX_WEIGHT
 from conftest import random_network
+
+
+def loop_knn_similarity(doc_states, k):
+    """Row-by-row reference: each point's k nearest by (distance, index)."""
+    points = np.asarray(doc_states, dtype=float)
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    n = dist.shape[0]
+    out = np.zeros((n, n))
+    indices = np.arange(n)
+    for i in range(n):
+        order = np.lexsort((indices, dist[i]))
+        neighbors = [j for j in order if j != i][:k]
+        for j in neighbors:
+            w = min(1.0 / dist[i, j], DEFAULT_MAX_WEIGHT) if dist[i, j] else DEFAULT_MAX_WEIGHT
+            out[i, j] = max(out[i, j], w)
+    return np.maximum(out, out.T)
+
+
+@st.composite
+def integer_topic_vectors(draw):
+    """Small integer-valued points: many tied distances and coincident points."""
+    n = draw(st.integers(2, 12))
+    t = draw(st.integers(1, 3))
+    points = draw(hnp.arrays(float, (n, t), elements=st.integers(-2, 2).map(float)))
+    return points, draw(st.integers(1, n - 1))
 
 
 class TestKnnSimilarity:
@@ -52,6 +81,12 @@ class TestKnnSimilarity:
     def test_k_too_large_rejected(self):
         with pytest.raises(ValidationError):
             knn_similarity([[0.0], [1.0]], k=2)
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=200)
+    @given(case=integer_topic_vectors())
+    def test_matches_the_row_loop_bit_for_bit(self, case):
+        points, k = case
+        assert knn_similarity(points, k).tobytes() == loop_knn_similarity(points, k).tobytes()
 
     def test_tie_break_prefers_lower_index(self):
         # Node 0 is equidistant from nodes 1 and 2; the lower index wins, and
