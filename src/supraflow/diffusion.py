@@ -104,7 +104,7 @@ def step_norm(supra: SupraLaplacian) -> float:
 
 def default_step(supra: SupraLaplacian) -> float:
     """Step size keeping the explicit scheme well inside its stability region."""
-    norm = float(np.abs(supra.matrix).sum(axis=1).max())
+    norm = step_norm(supra)
     return min(0.01, 0.1 / norm) if norm > 0 else 0.01
 
 
@@ -301,15 +301,32 @@ def simulate_ensemble(
 
 
 def ensemble_statistics(paths: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise sample mean and unbiased sample variance across >= 2 paths."""
+    """Entrywise sample mean and unbiased sample variance across >= 2 paths.
+
+    Two passes over the paths in order, holding three path-sized arrays
+    instead of a stack of all paths: the sum of the paths over n, then the
+    sum of squared deviations from that mean over n - 1.  That is the order
+    in which ``mean(axis=0)`` and ``var(axis=0, ddof=1)`` of the stack add
+    for paths of two or more entries, so the results are the same bits.
+    """
     arrays = [p.states if isinstance(p, SimulationPath) else np.asarray(p, float) for p in paths]
     if len(arrays) < 2:
         raise ValidationError("ensemble statistics need at least 2 paths")
     shape = arrays[0].shape
     if any(a.shape != shape for a in arrays):
         raise ValidationError("ensemble paths have mismatched shapes")
-    stack = np.stack(arrays)
-    return stack.mean(axis=0), stack.var(axis=0, ddof=1)
+    mean = arrays[0].copy()
+    for a in arrays[1:]:
+        mean += a
+    mean /= len(arrays)
+    var = np.zeros(shape)
+    deviation = np.empty(shape)
+    for a in arrays:
+        np.subtract(a, mean, out=deviation)
+        deviation *= deviation
+        var += deviation
+    var /= len(arrays) - 1
+    return mean, var
 
 
 # --- CSV output ----------------------------------------------------------------

@@ -12,12 +12,17 @@ diagonal 0/1 indicator replicated across topic blocks.  The filter alternates:
               Pi <- F Pi F^T + Q
 
 Pi H^T is zero outside the observed coordinates o, so the update only needs
-the m x m observed block of R_e: with K = Pi[:, o] (R_oo + Pi_oo)^+ it reads
-x <- x + K (y_o - x_o) and Pi <- Pi - K Pi[o, :].  A pseudo-inverse of that
-block replaces the plain inverse because it can be singular (zero observation
-noise on a zero covariance); covariances are re-symmetrized every step.  F is
-built once per filter, in ``initial_state`` or by the caller of ``run_filter``,
-and carried in the state.
+the m x m observed block R_oo + Pi_oo of R_e.  When every observed noise
+variance is positive that block is positive definite: the update factors it
+once, L L^T = R_oo + Pi_oo, solves W = L^{-1} Pi[o, :] by forward
+substitution, and sets x <- x + W^T L^{-1} (y_o - x_o) and Pi <- Pi - W^T W,
+a rank-m correction computed as an exactly symmetric product, so a symmetric
+Pi stays exactly symmetric.  Zero observation noise can make the block
+singular (a zero covariance), so then, or when the factorization fails, the
+gain K = Pi[:, o] (R_oo + Pi_oo)^+ takes a pseudo-inverse and
+Pi <- Pi - K Pi[o, :] is re-symmetrized.  The predicted covariance is
+re-symmetrized every step.  F is built once per filter, in ``initial_state``
+or by the caller of ``run_filter``, and carried in the state.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NumericalError, ValidationError
 from .calibration import LearnedOperator, SnapshotSeries, devectorize, vectorize
@@ -141,6 +147,14 @@ def _symmetrized(pi: np.ndarray) -> np.ndarray:
     return 0.5 * (pi + pi.T)
 
 
+def _cholesky(r_e: np.ndarray):
+    """The lower Cholesky factor of ``r_e``, or None if it is not positive definite."""
+    try:
+        return scipy.linalg.cholesky(r_e, lower=True)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def kalman_update(state: KalmanState, y: np.ndarray, model: ObservationModel) -> KalmanState:
     """Blend the prediction with an observation of the masked coordinates."""
     if state.phase != PHASE_PREDICTED:
@@ -158,12 +172,19 @@ def kalman_update(state: KalmanState, y: np.ndarray, model: ObservationModel) ->
         return KalmanState(x_hat=state.x_hat, pi=state.pi, phase=PHASE_UPDATED, f_hat=state.f_hat)
     pi = state.pi
     # R_e is block-diagonal over (observed, unobserved) and Pi H^T has zero
-    # unobserved columns, so only the observed block of R_e^+ contributes.
+    # unobserved columns, so only the observed block of R_e contributes.
     pi_rows = pi[obs, :]
     r_e = np.diag(model.r_diag[obs]) + pi_rows[:, obs]
-    gain = pi[:, obs] @ np.linalg.pinv(r_e, hermitian=True)
-    x_post = state.x_hat + gain @ (y[obs] - state.x_hat[obs])
-    pi_post = _symmetrized(pi - gain @ pi_rows)
+    factor = _cholesky(r_e) if model.r_diag[obs].all() else None
+    if factor is None:
+        gain = pi[:, obs] @ np.linalg.pinv(r_e, hermitian=True)
+        x_post = state.x_hat + gain @ (y[obs] - state.x_hat[obs])
+        pi_post = _symmetrized(pi - gain @ pi_rows)
+    else:
+        w = scipy.linalg.solve_triangular(factor, pi_rows, lower=True)
+        whitened = scipy.linalg.solve_triangular(factor, y[obs] - state.x_hat[obs], lower=True)
+        x_post = state.x_hat + w.T @ whitened
+        pi_post = pi - w.T @ w
     return KalmanState(x_hat=x_post, pi=pi_post, phase=PHASE_UPDATED, f_hat=state.f_hat)
 
 
@@ -176,7 +197,9 @@ def kalman_predict(state: KalmanState, op: LearnedOperator, model: ObservationMo
         raise ValidationError("kalman_predict expects a state in the 'updated' phase")
     f = state.f_hat
     x_next = f @ state.x_hat
-    pi_next = _symmetrized(f @ state.pi @ f.T + np.diag(model.q_diag))
+    pi_next = f @ state.pi @ f.T
+    pi_next.flat[:: pi_next.shape[0] + 1] += model.q_diag
+    pi_next = _symmetrized(pi_next)
     return KalmanState(x_hat=x_next, pi=pi_next, phase=PHASE_PREDICTED, f_hat=f)
 
 

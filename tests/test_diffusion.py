@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,14 +11,15 @@ from supraflow import (
     SimulationConfig,
     StateMatrix,
     ValidationError,
+    assemble_supra_laplacian,
     ensemble_statistics,
     matrix_exponential,
     propagate_closed,
     simulate_ensemble,
     simulate_open,
 )
-from supraflow.diffusion import exponential_action
-from conftest import connected_adjacency, global_random_state, single_layer_supra
+from supraflow.diffusion import default_step, exponential_action, step_norm
+from conftest import connected_adjacency, global_random_state, random_network, single_layer_supra
 
 
 def taylor_expm(a, terms=200):
@@ -337,6 +340,31 @@ class TestSimulateOpen:
             SimulationConfig(dt=0.1, horizon=1.0, ensemble_size=0)
 
 
+class TestDefaultStep:
+    def test_is_a_tenth_over_the_row_sum_norm_capped_at_a_hundredth(self):
+        network, constants = random_network(np.random.default_rng(6))
+        supra = assemble_supra_laplacian(network, constants)
+        assert default_step(supra) == min(0.01, 0.1 / step_norm(supra))
+        _, stiff = single_layer_supra(10.0 * (np.ones((4, 4)) - np.eye(4)))
+        assert step_norm(stiff) == 60.0
+        assert default_step(stiff) == 0.1 / 60.0
+        _, mild = single_layer_supra([[0, 0.5], [0.5, 0]])
+        assert default_step(mild) == 0.01
+
+    def test_zero_operator_steps_a_hundredth(self):
+        _, supra = single_layer_supra(np.zeros((3, 3)))
+        assert step_norm(supra) == 0.0
+        assert default_step(supra) == 0.01
+
+    def test_default_step_and_ensemble_form_no_dense_sum(self):
+        network, constants = random_network(np.random.default_rng(7))
+        supra = assemble_supra_laplacian(network, constants)
+        x0 = np.ones((supra.n_nodes, 2))
+        config = SimulationConfig(dt=default_step(supra), horizon=0.05, ensemble_size=2)
+        simulate_ensemble(x0, supra, NoiseModel(sigma=0.01 * x0, seed=1), config)
+        assert "matrix" not in vars(supra)
+
+
 class TestEnsembleStatistics:
     def test_identical_paths_have_zero_variance(self):
         path = np.ones((3, 2, 2))
@@ -360,6 +388,16 @@ class TestEnsembleStatistics:
     def test_too_few_paths_rejected(self):
         with pytest.raises(ValidationError):
             ensemble_statistics([np.zeros((2, 2, 2))])
+
+    def test_holds_no_stack_of_the_paths(self):
+        paths = list(np.random.default_rng(12).random((12, 101, 50, 2)))
+        tracemalloc.start()
+        try:
+            ensemble_statistics(paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * paths[0].nbytes
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):

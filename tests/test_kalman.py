@@ -44,6 +44,21 @@ def scalar_recursion(x0, pi0, f, q, r, h, observations):
     return trajectory, (x, pi)
 
 
+def pinv_update(state, y, model):
+    """The observed-block update with a pseudo-inverse of R_oo + Pi_oo on every
+    route, re-symmetrized; the reference for both routes of ``kalman_update``."""
+    obs = np.flatnonzero(model.h_diag())
+    if obs.size == 0:
+        return replace(state, phase=PHASE_UPDATED)
+    pi = state.pi
+    pi_rows = pi[obs, :]
+    r_e = np.diag(model.r_diag[obs]) + pi_rows[:, obs]
+    gain = pi[:, obs] @ np.linalg.pinv(r_e, hermitian=True)
+    x_post = state.x_hat + gain @ (y[obs] - state.x_hat[obs])
+    pi_post = pi - gain @ pi_rows
+    return replace(state, x_hat=x_post, pi=0.5 * (pi_post + pi_post.T), phase=PHASE_UPDATED)
+
+
 def full_observation_model(n_nodes, n_topics, r=0.0, q=0.0):
     dim = n_nodes * n_topics
     return ObservationModel(
@@ -103,7 +118,72 @@ class TestKalmanUpdate:
             kalman_update(state, np.array([np.nan]), model)
 
 
+def predicted_state(rng, dim, rank=None):
+    """A predicted-phase state whose covariance is an exactly symmetric
+    product of a dim x rank root with itself."""
+    root = rng.standard_normal((dim, dim if rank is None else rank))
+    pi = root @ root.T
+    return KalmanState(
+        x_hat=rng.random(dim), pi=0.5 * (pi + pi.T), phase=PHASE_PREDICTED, f_hat=np.eye(dim)
+    )
+
+
+class TestUpdateRoutes:
+    def test_positive_noise_factors_the_block_and_gives_a_symmetric_covariance(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        factored = []
+        real = kalman._cholesky
+        monkeypatch.setattr(kalman, "_cholesky", lambda r_e: factored.append(r_e) or real(r_e))
+        state = predicted_state(rng, 12)
+        model = ObservationModel(4, 3, (0, 2, 3), rng.random(12) + 1e-3, np.zeros(12))
+        y = rng.random(12)
+        updated = kalman_update(state, y, model)
+        reference = pinv_update(state, y, model)
+        assert len(factored) == 1
+        assert np.array_equal(updated.pi, updated.pi.T)
+        assert np.abs(updated.x_hat - reference.x_hat).max() <= 1e-12
+        assert np.abs(updated.pi - reference.pi).max() <= 1e-12 * np.abs(reference.pi).max()
+
+    def test_zero_noise_entry_on_rank_deficient_block_takes_the_pinv_route(self, monkeypatch):
+        def refuse(r_e):
+            raise AssertionError("factored a block with a zero noise variance")
+
+        monkeypatch.setattr(kalman, "_cholesky", refuse)
+        rng = np.random.default_rng(21)
+        state = predicted_state(rng, 12, rank=2)
+        r_diag = np.full(12, 1e-6)
+        r_diag[[0, 4, 8]] = 0.0
+        model = ObservationModel(4, 3, (0, 1, 2), r_diag, np.zeros(12))
+        y = rng.random(12)
+        updated = kalman_update(state, y, model)
+        reference = pinv_update(state, y, model)
+        assert np.array_equal(updated.x_hat, reference.x_hat)
+        assert np.array_equal(updated.pi, reference.pi)
+
+    def test_failed_factorization_falls_back_to_the_pinv_route(self):
+        rng = np.random.default_rng(22)
+        state = replace(predicted_state(rng, 4), pi=np.diag([1.0, -2.0, 3.0, 0.5]))
+        model = ObservationModel(2, 2, (0, 1), np.full(4, 0.1), np.zeros(4))
+        assert kalman._cholesky(np.diag([1.1, -1.9, 3.1, 0.6])) is None
+        y = rng.random(4)
+        updated = kalman_update(state, y, model)
+        reference = pinv_update(state, y, model)
+        assert np.array_equal(updated.x_hat, reference.x_hat)
+        assert np.array_equal(updated.pi, reference.pi)
+
+
 class TestKalmanPredict:
+    def test_process_noise_on_the_diagonal_is_the_diagonal_matrix_sum(self):
+        rng = np.random.default_rng(23)
+        dim = 9
+        f = np.eye(dim) + 0.1 * rng.standard_normal((dim, dim))
+        q = rng.random(dim)
+        state = replace(predicted_state(rng, dim), phase=PHASE_UPDATED, f_hat=f)
+        model = ObservationModel(3, 3, (0,), np.zeros(dim), q)
+        predicted = kalman_predict(state, make_operator(f - np.eye(dim), 3, 3), model)
+        expected = f @ state.pi @ f.T + np.diag(q)
+        assert predicted.pi.tobytes() == (0.5 * (expected + expected.T)).tobytes()
+
     def test_identity_dynamics_zero_process_noise(self):
         rng = np.random.default_rng(2)
         dim = 4
@@ -312,6 +392,35 @@ class TestRunFilter:
             assert result.observed_nodes == masks[fraction]
             assert np.array_equal(result.errors_all, expected.errors_all)
             assert np.array_equal(result.trace_pi, expected.trace_pi)
+
+    @pytest.mark.parametrize("r", [0.0, 1e-6, 0.1])
+    def test_every_covariance_is_exactly_symmetric(self, monkeypatch, r):
+        covariances = []
+        for name in ("kalman_predict", "kalman_update"):
+            real = getattr(kalman, name)
+
+            def recorded(*args, real=real):
+                state = real(*args)
+                covariances.append(state.pi)
+                return state
+
+            monkeypatch.setattr(kalman, name, recorded)
+        series = make_series(self.node_index, self.states, train_count=2)
+        model = ObservationModel.build(self.n_nodes, self.n_topics, (1, 3), r, np.full(8, 0.01))
+        run_filter(series, self.op, model, pi0=0.5)
+        assert len(covariances) == 2 * (len(self.states) - 2)
+        assert all(np.array_equal(pi, pi.T) for pi in covariances)
+
+    def test_filter_fractions_matches_the_pinv_reference(self, monkeypatch):
+        series = make_series(self.node_index, self.states, train_count=2)
+        op = replace(self.op, residual_variance=np.full(self.n_nodes * self.n_topics, 0.01))
+        masks = nested_masks(self.n_nodes, [0.25, 0.5, 1.0], seed=3)
+        results = filter_fractions(series, op, masks)
+        monkeypatch.setattr(kalman, "kalman_update", pinv_update)
+        reference = filter_fractions(series, op, masks)
+        for fraction, result in results.items():
+            expected = reference[fraction].errors_all.mean()
+            assert abs(result.errors_all.mean() - expected) <= 1e-12 * expected
 
     def test_default_pi0_is_empirical_variance(self):
         series = make_series(self.node_index, self.states, train_count=2)

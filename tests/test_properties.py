@@ -1,11 +1,12 @@
 """Property tests: the linearity of the supra-Laplacian in its constants, its
 symmetry, zero row sums and semidefiniteness, kernels read from components
 against eigenvalue counts, the exponential action, closed propagation, the
-Euler-Maruyama ensemble, the connectivity sweep, the observed-block Kalman
-update and the learner against dense reference formulas and invariants, and
-byte-for-byte round trips of the state, network and matrix files, the
-network matrices read alike from triplets and from dense rows, and the
-column-major vectorization undone exactly."""
+Euler-Maruyama ensemble and its statistics, the connectivity sweep, both
+routes of the observed-block Kalman update and the learner against dense
+reference formulas and invariants, and byte-for-byte round trips of the
+state, network and matrix files, the network matrices read alike from
+triplets and from dense rows, and the column-major vectorization undone
+exactly."""
 
 import contextlib
 import json
@@ -31,6 +32,7 @@ from supraflow import (
     assemble_supra_laplacian,
     connectivity_sweep,
     devectorize,
+    ensemble_statistics,
     kalman_update,
     lambda2_perturbation_estimate,
     learn_supra_operator,
@@ -48,8 +50,10 @@ from supraflow import (
 from supraflow.calibration import kronecker_lift, read_operator_matrix, write_matrix_csv
 from supraflow.diffusion import exponential_action
 from supraflow.network import _matrix_from_json
+from supraflow import kalman
 from supraflow.kalman import PHASE_PREDICTED, KalmanState
 from conftest import connected_adjacency, directed_network, random_network, single_layer_supra
+from test_kalman import pinv_update
 
 # Derandomized so the suite stays deterministic; no example database is kept.
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -188,6 +192,26 @@ class TestEnsemble:
             assert np.abs(path.states - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+class TestEnsembleStatistics:
+    @PROPERTY
+    @given(
+        seed=seeds,
+        paths=st.integers(2, 12),
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 5), st.integers(1, 3)).filter(
+            lambda shape: np.prod(shape) >= 2
+        ),
+    )
+    def test_equals_the_stacked_mean_and_variance_bitwise(self, seed, paths, shape):
+        # A stack of one-entry paths is reduced along its contiguous axis, which
+        # numpy sums pairwise; any larger path is summed path after path.
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4) for _ in range(paths)]
+        mean, var = ensemble_statistics(arrays)
+        stack = np.stack(arrays)
+        assert mean.tobytes() == stack.mean(axis=0).tobytes()
+        assert var.tobytes() == stack.var(axis=0, ddof=1).tobytes()
+
+
 class TestConnectivitySweep:
     @settings(PROPERTY, max_examples=40)
     @given(seed=seeds, epsilons=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4))
@@ -302,6 +326,46 @@ class TestObservedBlockUpdate:
             r_diag=model.r_diag, q_diag=model.q_diag,
         )
         assert_matches_full_pinv(state, y, everything)
+
+    @PROPERTY
+    @given(case=update_cases())
+    def test_positive_noise_gives_an_exactly_symmetric_covariance(self, case):
+        state, y, model = case
+        noisy = ObservationModel(
+            model.n_nodes, model.n_topics, model.observed_nodes,
+            r_diag=model.r_diag + 1e-3, q_diag=model.q_diag,
+        )
+        assert_matches_full_pinv(state, y, noisy)
+        updated = kalman_update(state, y, noisy)
+        assert np.array_equal(updated.pi, updated.pi.T)
+
+    @PROPERTY
+    @given(case=update_cases(), data=st.data())
+    def test_zero_noise_entry_on_rank_deficient_block_takes_the_pinv_route(self, case, data):
+        state, y, model = case
+        observed = model.observed_nodes or (0,)
+        obs = np.flatnonzero(ObservationModel.build(model.n_nodes, model.n_topics, observed).h_diag())
+        # Pi = root root^T has rank below the observed count m, so Pi_oo is singular.
+        rank = data.draw(st.integers(0, obs.size - 1))
+        root = np.random.default_rng(data.draw(seeds)).standard_normal((model.dim, rank))
+        deficient = KalmanState(
+            x_hat=state.x_hat, pi=root @ root.T, phase=PHASE_PREDICTED, f_hat=state.f_hat
+        )
+        r_diag = model.r_diag.copy()
+        r_diag[data.draw(st.sampled_from(obs.tolist()))] = 0.0
+        zero_entry = ObservationModel(
+            model.n_nodes, model.n_topics, observed, r_diag=r_diag, q_diag=model.q_diag
+        )
+
+        def refuse(r_e):
+            raise AssertionError("factored a block with a zero noise variance")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kalman, "_cholesky", refuse)
+            updated = kalman_update(deficient, y, zero_entry)
+        reference = pinv_update(deficient, y, zero_entry)
+        assert np.array_equal(updated.x_hat, reference.x_hat)
+        assert np.array_equal(updated.pi, reference.pi)
 
     @PROPERTY
     @given(case=update_cases())
