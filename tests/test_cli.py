@@ -284,6 +284,16 @@ class TestSpectralCommand:
         assert len(lines) == 4
         assert (out / "lambda2_sweep.svg").exists()
 
+    def test_repeat_runs_are_byte_identical(self, tiny_dataset):
+        tmp = tiny_dataset["tmp"]
+        config = write_json(
+            tmp / "spectral_repeat.json",
+            {"network": tiny_dataset["network"], "epsilons": [0.0, 0.01, 0.5, 5.0]},
+        )
+        for run in ("a", "b"):
+            assert main(["spectral", "--config", config, "--out", str(tmp / f"spec_{run}")]) == 0
+        for name in ("lambda2_sweep.csv", "lambda2_sweep.svg"):
+            assert (tmp / "spec_a" / name).read_bytes() == (tmp / "spec_b" / name).read_bytes()
 
     def test_empty_epsilon_list_is_validation_failure(self, tiny_dataset):
         tmp = tiny_dataset["tmp"]

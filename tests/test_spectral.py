@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from supraflow import (
     DiffusionConstants,
@@ -133,11 +134,22 @@ class TestPerturbationEstimate:
             lambda2_perturbation_estimate(supra, 0.01)
 
 
+def assert_matches_dense_lambda2(point, supra):
+    """The sweep's lambda_2 agrees with dense eigvalsh at the sweep's zero-floor scale."""
+    scaled = scale_inter_layer(supra, point.epsilon).matrix
+    reference = np.linalg.eigvalsh(scaled)[1]
+    assert abs(point.lambda2_actual - reference) <= 1e-12 * (1.0 + np.abs(scaled).max())
+
+
+def path_adjacency(n):
+    return np.eye(n, k=1) + np.eye(n, k=-1)
+
+
 class TestConnectivitySweep:
     def test_zero_grid(self):
         network, constants = two_layer_multiplex(2, adjacency=[[0, 1], [1, 0]])
         points = connectivity_sweep(network, constants, [0.0])
-        assert points[0].lambda2_actual == pytest.approx(0.0, abs=1e-12)
+        assert points[0].lambda2_actual == 0.0
         assert points[0].lambda2_estimate == 0.0
         assert points[0].rel_error == 0.0
 
@@ -156,19 +168,53 @@ class TestConnectivitySweep:
         actual = [p.lambda2_actual for p in points]
         assert all(a <= b + 1e-12 for a, b in zip(actual, actual[1:]))
 
-    def test_one_eigenvalue_solve_per_epsilon(self, monkeypatch):
+    def test_one_cholesky_factorization_per_positive_epsilon(self, monkeypatch):
         network, constants = two_layer_multiplex(4, rng=np.random.default_rng(8))
-        eigvalsh = np.linalg.eigvalsh
-        shapes = []
+        cho_factor, eigvalsh = scipy.linalg.cho_factor, np.linalg.eigvalsh
+        factored, solved = [], []
 
-        def recording(matrix, *args, **kwargs):
-            shapes.append(np.shape(matrix))
+        def recording_factor(matrix, *args, **kwargs):
+            factored.append(np.shape(matrix))
+            return cho_factor(matrix, *args, **kwargs)
+
+        def recording_eigvalsh(matrix, *args, **kwargs):
+            solved.append(np.shape(matrix))
             return eigvalsh(matrix, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        grid = [0.0, 0.01, 0.1]
-        connectivity_sweep(network, constants, grid)
-        assert shapes.count((8, 8)) == len(grid)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", recording_factor)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        connectivity_sweep(network, constants, [0.0, 0.01, 0.1])
+        assert factored == [(8, 8)] * 2
+        assert (8, 8) not in solved
+
+    @pytest.mark.parametrize("epsilon", [1.0, 10.0])
+    def test_identical_path_layers_find_the_within_layer_fiedler_vector(self, epsilon):
+        # lambda_2 = 2 - 2 cos(pi / 6) belongs to (f, f) with f the path's
+        # Fiedler vector, orthogonal to every layer indicator.
+        network, constants = two_layer_multiplex(6, adjacency=path_adjacency(6))
+        supra = assemble_supra_laplacian(network, constants)
+        point = connectivity_sweep(network, constants, [epsilon])[0]
+        assert point.lambda2_actual == pytest.approx(2 - 2 * np.cos(np.pi / 6), rel=1e-12)
+        assert_matches_dense_lambda2(point, supra)
+
+    def test_failed_factorization_falls_back_to_dense_eigenvalues(self, monkeypatch):
+        network, constants = two_layer_multiplex(4, rng=np.random.default_rng(9))
+        supra = assemble_supra_laplacian(network, constants)
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", failing)
+        for epsilon in (0.01, 0.5):
+            point = connectivity_sweep(network, constants, [epsilon])[0]
+            expected = np.linalg.eigvalsh(supra.intra_part + epsilon * supra.inter_part)[1]
+            assert point.lambda2_actual == expected
+
+    def test_disconnected_coupled_operator_gives_zero_everywhere(self):
+        network, constants = two_layer_multiplex(4, rng=np.random.default_rng(10))
+        uncoupled = InterconnectedNetwork(layers=network.layers, couplings=())
+        points = connectivity_sweep(uncoupled, constants, [0.0, 0.1, 1.0])
+        assert [p.lambda2_actual for p in points] == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("grid", [[], [0.01, -0.1], [float("nan")], [float("inf")]])
     def test_empty_grid_and_bad_epsilons_rejected(self, grid):
