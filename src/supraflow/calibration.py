@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NumericalError, ValidationError
 from .diffusion import exponential_action, matrix_exponential, _state_array
@@ -32,6 +33,7 @@ from .network import (
     DiffusionConstants,
     InterconnectedNetwork,
     SupraLaplacian,
+    _is_symmetric,
     assemble_supra_laplacian,
     constants_to_dict,
 )
@@ -48,7 +50,6 @@ D_MAX = 10.0
 D_START = 1.0
 _MAX_STEPS = 100
 _MAX_DAMPING = 1e10
-_DIFF_STEP = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,7 @@ class DiffusionFit:
     objective: float
     objective_trace: tuple[float, ...]
     sweeps: int
+    evaluations: int
     converged: bool
     identifiable: bool
 
@@ -160,22 +162,126 @@ def _constants_from_vector(keys: Sequence[tuple], values, symmetric: bool) -> Di
     return DiffusionConstants(intra=intra, inter=inter, symmetric=symmetric)
 
 
+class _Residuals:
+    """Residuals x(t+1) - e^{-L(D) dt} x(t) over training pairs, and their
+    exact Jacobian in the constants D.
+
+    L(D) = sum_k D_k B_k is linear in the constants, so each basis operator
+    B_k is assembled once, and the Jacobian column of D_k is minus the Frechet
+    derivative of the exponential at -L dt in direction -B_k dt (Higham 2008,
+    Functions of Matrices, section 3.2) applied to x(t).  When every B_k is
+    symmetric, an evaluation takes one eigendecomposition L = V diag(lam) V^T,
+    and the Jacobian at that point reuses it through the Daleckii-Krein
+    formula V (Gamma o V^T B_k V) V^T x(t).  Otherwise an evaluation takes one
+    scaling-and-squaring exponential per distinct dt, and the Jacobian their
+    Frechet derivatives (Al-Mohy & Higham 2009).
+    """
+
+    def __init__(self, pairs, network: InterconnectedNetwork):
+        self.keys = keys = _free_parameters(network)
+        self.basis = []  # B_k in CSR
+        # B_k touches only the nodes of its own layers, so V^T B_k V needs
+        # only those rows of V: (support rows, those rows of B_k).
+        self.supports = []
+        self.symmetric = True
+        for unit in np.eye(len(keys)):
+            supra = assemble_supra_laplacian(
+                network, _constants_from_vector(keys, unit, network.symmetric)
+            )
+            self.symmetric &= _is_symmetric(supra.matrix)
+            b = supra.csr
+            rows = np.flatnonzero(np.diff(b.indptr))
+            self.basis.append(b)
+            self.supports.append((rows, b[rows]))
+        self.ends = np.stack([b.matrix for _, b, _ in pairs])
+        members_of: dict[float, list[int]] = {}
+        for i, (_, _, dt) in enumerate(pairs):
+            members_of.setdefault(round(dt, 12), []).append(i)
+        # Per distinct dt: its pairs and their start states side by side, one
+        # n x (pairs T) block, so that each product with it is one matrix product.
+        self.groups = [
+            (dt, members, np.hstack([pairs[i][0].matrix for i in members]))
+            for dt, members in members_of.items()
+        ]
+
+    def _unstack(self, blocks: list[np.ndarray]) -> np.ndarray:
+        """One n x (pairs T) block per group back to a pairs x n x T array."""
+        out = np.empty_like(self.ends)
+        for (_, members, _), block in zip(self.groups, blocks):
+            out[members] = block.reshape(block.shape[0], len(members), -1).transpose(1, 0, 2)
+        return out
+
+    def evaluate(self, values: np.ndarray) -> tuple[np.ndarray, float, tuple]:
+        """Residuals and objective at ``values``, and what the Jacobian there reuses."""
+        generator = sum(v * b for v, b in zip(values, self.basis)).toarray()
+        if self.symmetric:
+            eigvals, eigvecs = np.linalg.eigh(generator)
+            projected = [eigvecs.T @ block for _, _, block in self.groups]
+            moved = [
+                eigvecs @ (np.exp(-eigvals * dt)[:, None] * y)
+                for (dt, _, _), y in zip(self.groups, projected)
+            ]
+            point = (eigvals, eigvecs, projected)
+        else:
+            moved = [matrix_exponential(-generator * dt) @ block for dt, _, block in self.groups]
+            point = (generator,)
+        residuals = self.ends - self._unstack(moved)
+        total = float(np.vdot(residuals, residuals))
+        if not np.isfinite(total):
+            raise NumericalError(
+                f"diffusion-constant objective is non-finite at {dict(zip(self.keys, values))}"
+            )
+        return residuals, total, point
+
+    def jacobian(self, point: tuple) -> np.ndarray:
+        """d residuals / d D_k at an evaluated point, one column per constant."""
+        if self.symmetric:
+            eigvals, eigvecs, projected = point
+            gammas = []
+            for dt, _, _ in self.groups:
+                # Divided differences of e^{-lam dt}, written so that close
+                # eigenvalues neither cancel nor overflow:
+                # -dt e^{-min(lam_i, lam_j) dt} phi(|lam_i - lam_j| dt), with
+                # phi(w) = (1 - e^{-w}) / w and phi(0) = 1.
+                decay = np.exp(-eigvals * dt)
+                gap = np.abs(eigvals[:, None] - eigvals[None, :]) * dt
+                phi = np.divide(-np.expm1(-gap), gap, out=np.ones_like(gap), where=gap > 0)
+                gammas.append(-dt * np.maximum.outer(decay, decay) * phi)
+            columns = []
+            for rows, b_rows in self.supports:
+                rotated = eigvecs[rows].T @ (b_rows @ eigvecs)
+                moved = [eigvecs @ ((g * rotated) @ y) for g, y in zip(gammas, projected)]
+                columns.append(self._unstack(moved))
+        else:
+            (generator,) = point
+            columns = []
+            for b in self.basis:
+                moved = [
+                    scipy.linalg.expm_frechet(-dt * generator, -dt * b.toarray(), compute_expm=False)
+                    @ block
+                    for dt, _, block in self.groups
+                ]
+                columns.append(self._unstack(moved))
+        return -np.stack(columns).reshape(len(columns), -1).T
+
+
 def fit_diffusion_constants(series: SnapshotSeries, network: InterconnectedNetwork) -> DiffusionFit:
     """Fit nonnegative diffusion constants to a training snapshot series.
 
-    The residuals are x(t+1) - e^{-L dt} x(t) over the training pairs.  L(D) =
-    sum_k D_k B_k is linear in the constants, so each basis operator B_k is
-    assembled once.  Projected Levenberg-Marquardt (More 1978) starts every
-    constant at D_START and takes forward-difference Jacobians.  Each step
-    solves (J^T J + mu diag J^T J) delta = -J^T r over the constants that the
-    gradient does not hold at a bound, clips to [0, D_MAX] and is accepted only
-    when it lowers the objective, so ``objective_trace`` (the start, then one
-    entry per accepted step) is non-increasing; ``sweeps`` counts accepted
-    steps.  The fit converges on an exact fit, when a step lowers the objective
-    by at most 1e-12 of itself, or when no step lowers it.  On a flat (zero)
-    objective the start is returned and the fit is flagged non-identifiable.
-    The Brownian scale entry (p, j) is estimated as the standard deviation over
-    pairs of residual(p, j) / sqrt(dt).
+    The residuals are x(t+1) - e^{-L dt} x(t) over the training pairs, with
+    exact Jacobians: for a symmetric L, one eigendecomposition per objective
+    evaluation serves both the residuals and the Jacobian there (see
+    ``_Residuals``).  Projected Levenberg-Marquardt (More 1978) starts every
+    constant at D_START.  Each step solves (J^T J + mu diag J^T J) delta =
+    -J^T r over the constants that the gradient does not hold at a bound,
+    clips to [0, D_MAX] and is accepted only when it lowers the objective, so
+    ``objective_trace`` (the start, then one entry per accepted step) is
+    non-increasing; ``sweeps`` counts accepted steps and ``evaluations`` every
+    objective evaluation.  The fit converges on an exact fit, when a step
+    lowers the objective by at most 1e-12 of itself, or when no step lowers
+    it.  On a flat (zero) objective the start is returned and the fit is
+    flagged non-identifiable.  The Brownian scale entry (p, j) is estimated as
+    the standard deviation over pairs of residual(p, j) / sqrt(dt).
     """
     pairs = series.train_pairs()
     if len(pairs) < 1:
@@ -183,32 +289,11 @@ def fit_diffusion_constants(series: SnapshotSeries, network: InterconnectedNetwo
     if series.n_nodes != network.n_nodes:
         raise ValidationError("series and network disagree on the node count")
 
-    keys = _free_parameters(network)
-    basis = [
-        assemble_supra_laplacian(network, _constants_from_vector(keys, unit, network.symmetric)).matrix
-        for unit in np.eye(len(keys))
-    ]
-    starts = np.stack([a.matrix for a, _, _ in pairs])
-    ends = np.stack([b.matrix for _, b, _ in pairs])
-    groups: dict[float, list[int]] = {}
-    for i, (_, _, dt) in enumerate(pairs):
-        groups.setdefault(round(dt, 12), []).append(i)
-
-    def evaluate(values: np.ndarray) -> tuple[np.ndarray, float]:
-        generator = sum(v * b for v, b in zip(values, basis))
-        residuals = np.empty_like(ends)
-        for dt, members in groups.items():
-            residuals[members] = ends[members] - matrix_exponential(-generator * dt) @ starts[members]
-        total = float(np.vdot(residuals, residuals))
-        if not np.isfinite(total):
-            raise NumericalError(
-                f"diffusion-constant objective is non-finite at {dict(zip(keys, values))}"
-            )
-        return residuals, total
-
-    values = np.full(len(keys), D_START)
-    residuals, current = evaluate(values)
-    scale = max(float(np.vdot(ends, ends)), 1.0)
+    problem = _Residuals(pairs, network)
+    values = np.full(len(problem.keys), D_START)
+    residuals, current, point = problem.evaluate(values)
+    evaluations = 1
+    scale = max(float(np.vdot(problem.ends, problem.ends)), 1.0)
     trace = [current]
     # A flat objective: the data are already reproduced at the start, so every
     # constant choice is equally good.
@@ -216,12 +301,7 @@ def fit_diffusion_constants(series: SnapshotSeries, network: InterconnectedNetwo
     converged = not identifiable
     mu = 1e-3
     while not converged and len(trace) <= _MAX_STEPS:
-        columns = []
-        for k in range(len(values)):
-            shifted = values.copy()
-            shifted[k] += _DIFF_STEP * max(values[k], 1.0)
-            columns.append((evaluate(shifted)[0] - residuals).ravel() / (shifted[k] - values[k]))
-        jac = np.column_stack(columns)
+        jac = problem.jacobian(point)
         grad = jac.T @ residuals.ravel()
         free = ~(((values <= 0.0) & (grad > 0)) | ((values >= D_MAX) & (grad < 0)))
         if not grad[free].any():
@@ -234,7 +314,8 @@ def fit_diffusion_constants(series: SnapshotSeries, network: InterconnectedNetwo
             delta = np.zeros_like(values)
             delta[free] = np.linalg.solve(hess + mu * damping, -grad[free])
             trial = np.clip(values + delta, 0.0, D_MAX)
-            trial_residuals, objective = evaluate(trial)
+            trial_residuals, objective, trial_point = problem.evaluate(trial)
+            evaluations += 1
             # A trial within 1e-12 of the objective is rounding, not overshoot.
             if objective < current * (1 + 1e-12) or mu > _MAX_DAMPING:
                 break
@@ -243,7 +324,7 @@ def fit_diffusion_constants(series: SnapshotSeries, network: InterconnectedNetwo
         # working precision.
         converged = current - objective <= 1e-12 * current or objective <= 1e-18 * scale
         if objective < current:
-            values, residuals, current = trial, trial_residuals, objective
+            values, residuals, current, point = trial, trial_residuals, objective, trial_point
             trace.append(current)
             mu /= 10.0
 
@@ -254,11 +335,12 @@ def fit_diffusion_constants(series: SnapshotSeries, network: InterconnectedNetwo
         # A single zero-mean observation: its magnitude is the scale estimate.
         sigma = np.abs(scaled[0])
     return DiffusionFit(
-        constants=_constants_from_vector(keys, values, network.symmetric),
+        constants=_constants_from_vector(problem.keys, values, network.symmetric),
         sigma=sigma,
         objective=current,
         objective_trace=tuple(trace),
         sweeps=len(trace) - 1,
+        evaluations=evaluations,
         converged=converged,
         identifiable=identifiable,
     )

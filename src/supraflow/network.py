@@ -46,8 +46,10 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 
 def _is_symmetric(matrix: np.ndarray) -> bool:
-    scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
-    return bool(np.abs(matrix - matrix.T).max(initial=0.0) < SYMMETRY_RTOL * scale)
+    """Whether max |A - A^T| < SYMMETRY_RTOL * max(1, max |A|), with one n x n temporary."""
+    scale = max(1.0, float(matrix.max(initial=0.0)), -float(matrix.min(initial=0.0)))
+    skew = matrix - matrix.T
+    return bool(np.abs(skew, out=skew).max(initial=0.0) < SYMMETRY_RTOL * scale)
 
 
 def _check_weight_matrix(w: np.ndarray, what: str) -> None:

@@ -82,8 +82,10 @@ def spectrum(supra: SupraLaplacian) -> SpectralSummary:
 
 
 def _layer_kernel_basis(supra: SupraLaplacian) -> np.ndarray:
-    """The intra-layer kernel basis, checked to hold one indicator per layer."""
-    _require_symmetric(supra.intra_part, "the intra-layer part")
+    """The intra-layer kernel basis, checked to hold one indicator per layer.
+
+    Symmetry of the intra-layer part is left to the caller to check.
+    """
     basis = _intra_kernel_basis(supra)
     n_layers = len(supra.layer_ids)
     if basis.shape[1] != n_layers:
@@ -102,17 +104,23 @@ def lambda2_perturbation_estimate(supra: SupraLaplacian, epsilon: float) -> floa
     normalized indicators).  Exactly linear in epsilon.
     """
     epsilon = _epsilon(epsilon)
+    _require_symmetric(supra.intra_part, "the intra-layer part")
+    return epsilon * _perturbation_slope(supra)
+
+
+def _perturbation_slope(supra: SupraLaplacian) -> float:
+    """The estimate at epsilon = 1; the caller checks the intra part's symmetry."""
     if len(supra.layer_ids) < 2:
         raise ValidationError("the perturbation estimate needs at least 2 layers")
     basis = _layer_kernel_basis(supra)
     projected = basis.T @ supra.inter_part @ basis
-    eigenvalues = np.linalg.eigvalsh(projected)
-    return epsilon * float(eigenvalues[1])
+    return float(np.linalg.eigvalsh(projected)[1])
 
 
 def kernel_rayleigh_quotients(supra: SupraLaplacian, epsilon: float) -> np.ndarray:
     """Per-layer-indicator Rayleigh quotients epsilon * u^T (inter part) u."""
     epsilon = _epsilon(epsilon)
+    _require_symmetric(supra.intra_part, "the intra-layer part")
     basis = _layer_kernel_basis(supra)
     return epsilon * np.einsum("ij,ij->j", basis, supra.inter_part @ basis)
 
@@ -191,21 +199,24 @@ def connectivity_sweep(
 ) -> list[SweepPoint]:
     """Actual versus first-order-estimated algebraic connectivity over a grid.
 
-    The grid must be nonempty, with every epsilon finite and >= 0.  Symmetry,
-    intra-layer connectivity, the slope of the estimate and the components of
-    the coupled operator are checked and taken once.  The actual lambda_2 is
-    exactly 0 at epsilon = 0 (one component per layer, at least two layers)
-    and at every epsilon when the coupled operator is disconnected; any other
-    epsilon costs one Cholesky factorization and a few Lanczos solves of
-    intra + epsilon * inter, in one n x n work array kept for the whole grid.
+    The grid must be nonempty, with every epsilon finite and >= 0.  Symmetry
+    (of intra + inter, which covers both parts), intra-layer connectivity, the
+    slope of the estimate and the components of the coupled operator are
+    checked and taken once.  The actual lambda_2 is exactly 0 at epsilon = 0
+    (one component per layer, at least two layers) and at every epsilon when
+    the coupled operator is disconnected; any other epsilon costs one Cholesky
+    factorization and a few Lanczos solves of intra + epsilon * inter, in one
+    n x n work array kept for the whole grid.
     """
     if len(epsilon_grid) == 0:
         raise ValidationError("the epsilon grid is empty")
     epsilons = [_epsilon(e) for e in epsilon_grid]
     base = assemble_supra_laplacian(network, constants)
     work = _scaled_into(base, 1.0, np.empty(base.intra_part.shape))
+    # The parts have disjoint off-diagonal supports, so the sum is symmetric
+    # exactly when both parts are: this also covers the estimate's check.
     _require_symmetric(work, "the supra-Laplacian")
-    slope = lambda2_perturbation_estimate(base, 1.0)
+    slope = _perturbation_slope(base)
     zero_floor = 1e-12 * (1.0 + float(np.abs(work).max(initial=0.0)))
     connected = components(work).max() == 0
     points = []

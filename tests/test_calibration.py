@@ -18,6 +18,7 @@ from supraflow import (
     propagate_closed,
     vectorize,
 )
+from supraflow import calibration
 from supraflow.calibration import (
     kronecker_lift,
     read_operator_matrix,
@@ -174,6 +175,57 @@ class TestFitDiffusionConstants:
         snaps = (StateMatrix(np.ones((3, 1)), dict(network.node_index), 0.0),)
         with pytest.raises(ValidationError):
             fit_diffusion_constants(SnapshotSeries(snaps), network)
+
+
+class TestFitWork:
+    """What a fit decomposes: one eigendecomposition per objective evaluation
+    for a symmetric operator, reused by the Jacobian there; exponentials and
+    their Frechet derivatives, never an eigendecomposition, for a directed one."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = {"eigh": [], "matrix_exponential": 0}
+        eigh, exponential = np.linalg.eigh, calibration.matrix_exponential
+
+        def counted_eigh(a, *args, **kwargs):
+            calls["eigh"].append(np.array(a))
+            return eigh(a, *args, **kwargs)
+
+        def counted_exponential(a):
+            calls["matrix_exponential"] += 1
+            return exponential(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(calibration, "matrix_exponential", counted_exponential)
+        return calls
+
+    def test_symmetric_fit_decomposes_once_per_evaluation(self, monkeypatch):
+        network, series, _ = generate_synthetic(toy_spec(), seed=3)
+        calls = self.count_calls(monkeypatch)
+        fit = fit_diffusion_constants(series, network)
+        assert fit.sweeps >= 2 and fit.evaluations > fit.sweeps
+        assert len(calls["eigh"]) == fit.evaluations
+        # Each decomposition is of a different operator: none is repeated for
+        # a Jacobian column.
+        distinct = {a.tobytes() for a in calls["eigh"]}
+        assert len(distinct) == fit.evaluations
+        assert calls["matrix_exponential"] == 0
+
+    def test_directed_fit_never_calls_eigh(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        network, planted = directed_network(rng)
+        propagator = scipy.linalg.expm(-assemble_supra_laplacian(network, planted).matrix * 0.1)
+        x = rng.random((network.n_nodes, 2))
+        snaps = []
+        for i in range(4):
+            snaps.append(StateMatrix(x, dict(network.node_index), 0.1 * i))
+            x = propagator @ x
+        calls = self.count_calls(monkeypatch)
+        fit = fit_diffusion_constants(SnapshotSeries(tuple(snaps)), network)
+        assert fit.converged and fit.sweeps >= 1
+        assert calls["eigh"] == []
+        # One dt, so one exponential per objective evaluation.
+        assert calls["matrix_exponential"] == fit.evaluations
 
 
 class TestLearnSupraOperator:

@@ -3,10 +3,10 @@ symmetry, zero row sums and semidefiniteness, kernels read from components
 against eigenvalue counts, the exponential action, closed propagation, the
 Euler-Maruyama ensemble and its statistics, the connectivity sweep, both
 routes of the observed-block Kalman update and the learner against dense
-reference formulas and invariants, and byte-for-byte round trips of the
-state, network and matrix files, the network matrices read alike from
-triplets and from dense rows, and the column-major vectorization undone
-exactly."""
+reference formulas and invariants, the fit's exact Jacobian against central
+differences, and byte-for-byte round trips of the state, network and matrix
+files, the network matrices read alike from triplets and from dense rows, and
+the column-major vectorization undone exactly."""
 
 import contextlib
 import json
@@ -47,7 +47,13 @@ from supraflow import (
     vectorize,
     write_states_csv,
 )
-from supraflow.calibration import kronecker_lift, read_operator_matrix, write_matrix_csv
+from supraflow.calibration import (
+    _free_parameters,
+    _Residuals,
+    kronecker_lift,
+    read_operator_matrix,
+    write_matrix_csv,
+)
 from supraflow.diffusion import exponential_action
 from supraflow.network import _matrix_from_json
 from supraflow import kalman
@@ -229,6 +235,79 @@ class TestConnectivitySweep:
             if epsilon == 0.0:
                 assert point.lambda2_actual == 0.0
             assert point.lambda2_estimate == lambda2_perturbation_estimate(base, epsilon)
+
+
+def random_series(rng, network, topics, count):
+    """Random states at times spaced by two different steps, so that the
+    residuals span more than one distinct dt."""
+    times = np.cumsum(rng.choice([0.1, 0.35], size=count))
+    return SnapshotSeries(
+        tuple(
+            StateMatrix(rng.random((network.n_nodes, topics)), dict(network.node_index), t)
+            for t in times
+        )
+    )
+
+
+def central_difference_jacobian(problem, values, step=1e-5):
+    columns = []
+    for k, value in enumerate(values):
+        h = step * max(1.0, value)
+        up, down = values.copy(), values.copy()
+        up[k] += h
+        down[k] -= h
+        columns.append((problem.evaluate(up)[0] - problem.evaluate(down)[0]).ravel() / (2 * h))
+    return np.column_stack(columns)
+
+
+def replica_network(rng):
+    """Two layers with one adjacency A, joined node to node by the identity.
+    With equal intra constants D and inter constant c the operator's
+    eigenvalues are D lam(A) and D lam(A) + 2c, so a small c leaves pairs of
+    close eigenvalues whose eigenvectors (u, u) and (u, -u) each basis
+    operator mixes, and c = 0 repeats every eigenvalue."""
+    n = int(rng.integers(2, 7))
+    adjacency = connected_adjacency(rng, n)
+    layers = tuple(
+        LayerGraph(k, "agent", tuple(f"a{i}" for i in range(n)), adjacency) for k in (1, 2)
+    )
+    return InterconnectedNetwork(layers, (InterLayerCoupling(1, 2, np.eye(n)),))
+
+
+class TestExactJacobian:
+    """Each exact Jacobian column of the fit's residuals matches a central
+    difference of the residuals."""
+
+    def assert_matches_central_difference(self, network, series, values):
+        problem = _Residuals(series.train_pairs(), network)
+        exact = problem.jacobian(problem.evaluate(values)[2])
+        reference = central_difference_jacobian(problem, values)
+        assert exact.shape == reference.shape == (problem.ends.size, len(values))
+        for column, expected in zip(exact.T, reference.T):
+            assert np.linalg.norm(column - expected) <= 1e-6 * np.linalg.norm(expected)
+        return problem
+
+    @PROPERTY
+    @given(seed=seeds, directed=st.booleans(), topics=st.integers(1, 3))
+    def test_matches_central_differences(self, seed, directed, topics):
+        rng = np.random.default_rng(seed)
+        network, _ = (directed_network if directed else random_network)(rng)
+        series = random_series(rng, network, topics, count=4)
+        values = rng.uniform(0.2, 2.0, len(_free_parameters(network)))
+        problem = self.assert_matches_central_difference(network, series, values)
+        assert problem.symmetric is not directed
+
+    @PROPERTY
+    @given(seed=seeds, constant=st.floats(0.2, 2.0), coupling=st.sampled_from([0.0, 1e-12, 1e-8]))
+    def test_matches_central_differences_at_repeated_eigenvalues(self, seed, constant, coupling):
+        rng = np.random.default_rng(seed)
+        network = replica_network(rng)
+        values = np.array([constant, constant, coupling])
+        constants = DiffusionConstants(intra={1: constant, 2: constant}, inter={(1, 2): coupling})
+        eigenvalues = np.linalg.eigvalsh(assemble_supra_laplacian(network, constants).matrix)
+        assert np.abs(eigenvalues[::2] - eigenvalues[1::2]).max() <= 1e-7
+        series = random_series(rng, network, topics=2, count=3)
+        self.assert_matches_central_difference(network, series, values)
 
 
 def eigenvalue_kernel_dim(matrix):
