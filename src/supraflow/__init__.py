@@ -60,7 +60,6 @@ from .spectral import (
     SpectralSummary,
     SweepPoint,
     connectivity_sweep,
-    kernel_rayleigh_quotients,
     lambda2_perturbation_estimate,
     spectrum,
 )
@@ -70,7 +69,6 @@ from .harness import (
     ExperimentResult,
     coupling_strength_sweep,
     error_measure,
-    external_influence_sweep,
     run_experiment,
     upper_bound_series,
 )
@@ -110,12 +108,10 @@ __all__ = [
     "devectorize",
     "ensemble_statistics",
     "error_measure",
-    "external_influence_sweep",
     "fit_diffusion_constants",
     "generate_synthetic",
     "kalman_predict",
     "kalman_update",
-    "kernel_rayleigh_quotients",
     "knn_similarity",
     "lambda2_perturbation_estimate",
     "learn_supra_operator",

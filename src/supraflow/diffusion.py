@@ -91,10 +91,6 @@ class SimulationPath:
     states: np.ndarray
     node_index: dict[tuple[int, str], int]
 
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def step_norm(supra: SupraLaplacian) -> float:
     """The operator's largest absolute row sum: an Euler-Maruyama step dt is

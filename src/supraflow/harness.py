@@ -316,36 +316,6 @@ def replot_errors_csv(csv_path, svg_path):
 # --- Parameter sweeps -------------------------------------------------------------
 
 
-def external_influence_sweep(
-    specs: Sequence[SyntheticSpec], seed: int, out_dir=None
-) -> list[tuple[int, float]]:
-    """Fitted noise-to-state ratio across network sizes (fixed noise source)."""
-    if len(specs) < 2:
-        raise ValidationError("the size sweep needs at least 2 sizes")
-    rows = []
-    for spec in specs:
-        network, series, _ = generate_synthetic(spec, seed)
-        fit = fit_diffusion_constants(series, network)
-        x0 = series.snapshots[0].matrix
-        ratio = float(np.linalg.norm(fit.sigma) / np.linalg.norm(x0))
-        rows.append((network.n_nodes, ratio))
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        write_csv(
-            os.path.join(out_dir, "external_influence.csv"),
-            ["n_nodes", "fitted_sigma_ratio"],
-            ([n, repr(ratio)] for n, ratio in rows),
-        )
-        line_chart(
-            os.path.join(out_dir, "external_influence.svg"),
-            [("fitted ratio", [float(n) for n, _ in rows], [r for _, r in rows])],
-            title="External influence vs. network size",
-            x_label="nodes",
-            y_label="|sigma| / |X0|",
-        )
-    return rows
-
-
 def coupling_strength_sweep(
     spec: SyntheticSpec, epsilons: Sequence[float], seed: int, out_dir=None
 ) -> list[tuple[float, float, float]]:

@@ -237,24 +237,22 @@ def run_filter(
     series: SnapshotSeries,
     op: LearnedOperator,
     model: ObservationModel,
-    pi0=None,
+    pi0,
     transition=None,
 ) -> FilterResult:
     """Filter the test range, feeding observed coordinates of the true states.
 
-    The last training snapshot initializes the estimate.  Each test step is
-    scored on its prediction, before that step's observation is folded in; by
-    default the initial covariance is the identity scaled by the empirical
-    state variance.  ``transition`` replaces F = I + A, e.g. by e^{A}, the
-    learned operator's own one-step map.
+    The last training snapshot initializes the estimate, with initial
+    covariance ``pi0`` (a scalar times the identity, or a matrix).  Each test
+    step is scored on its prediction, before that step's observation is folded
+    in.  ``transition`` replaces F = I + A, e.g. by e^{A}, the learned
+    operator's own one-step map.
     """
     test = series.test_snapshots()
     if len(test) < 2:
         raise ValidationError("the test range needs at least 2 snapshots")
     if model.n_nodes != series.n_nodes or model.n_topics != series.n_topics:
         raise ValidationError("observation model does not match the series shape")
-    if pi0 is None:
-        pi0 = float(np.var(np.stack([s.matrix for s in test])))
     state = initial_state(vectorize(test[0]), pi0, op, transition)
     h = model.h_diag()
     steps, times = [], []

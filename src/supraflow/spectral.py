@@ -1,4 +1,4 @@
-"""Eigenstructure of supra-Laplacians and the weak-coupling connectivity estimate.
+"""Algebraic connectivity of supra-Laplacians and its weak-coupling estimate.
 
 Kernels are read from the graph: with nonnegative weights, the kernel of a
 Laplacian is spanned by its normalized component indicators (Fiedler 1973).
@@ -9,14 +9,14 @@ epsilon times the second-smallest eigenvalue of the inter part projected onto
 that M-dimensional kernel (Gomez et al. 2013); the projection is needed
 because the zero eigenvalue has multiplicity M.
 
-The sweep compares that estimate with the actual lambda_2 over a grid of
-epsilon.  With M >= 2 internally connected layers, lambda_2 is exactly 0 at
-epsilon = 0, and for every epsilon when the coupled operator is
-disconnected; both are read from the graph.  Otherwise each epsilon costs one
-Cholesky factorization of the operator, shifted so that lambda_2 is its
-smallest eigenvalue, and a few Lanczos solves with that factor (Parlett 1998,
-ch. 13; Golub & Van Loan 2013, section 10.1), instead of a full dense
-eigenvalue solve.
+``spectrum`` and the sweep take the actual lambda_2 with one solver.  It is
+exactly 0 when the operator is disconnected, which is read from the graph;
+with M >= 2 internally connected layers that includes epsilon = 0.  Otherwise
+lambda_2 costs one Cholesky factorization of the operator, shifted so that
+lambda_2 is its smallest eigenvalue, and a few Lanczos solves with that factor
+(Parlett 1998, ch. 13; Golub & Van Loan 2013, section 10.1), instead of a
+full dense eigenvalue solve.  The sweep compares it with the estimate over a
+grid of epsilon.
 """
 
 from __future__ import annotations
@@ -45,55 +45,22 @@ def _require_symmetric(matrix: np.ndarray, what: str):
         raise ValidationError(f"{what} must be symmetric for spectral analysis")
 
 
-def _intra_kernel_basis(supra: SupraLaplacian) -> np.ndarray:
-    """Normalized component indicators of the intra-layer part: a kernel basis."""
-    labels = components(supra.intra_part)
-    indicators = (labels[:, None] == np.arange(labels.max() + 1)).astype(float)
-    return indicators / np.sqrt(indicators.sum(axis=0))
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Ascending eigenvalues, algebraic connectivity, and the intra-layer kernel."""
-
-    eigenvalues: np.ndarray
-    lambda2: float
-    kernel_dim: int
-    null_basis: np.ndarray
-
-
-def spectrum(supra: SupraLaplacian) -> SpectralSummary:
-    """All eigenvalues of the operator, ascending, from one dense symmetric solve.
-
-    ``kernel_dim`` is the number of connected components of the operator;
-    ``null_basis`` holds the normalized component indicators of the
-    intra-layer part, which span its kernel.
-    """
-    _require_symmetric(supra.matrix, "the supra-Laplacian")
-    if supra.n_nodes < 2:
-        raise ValidationError("spectral analysis needs at least 2 nodes")
-    eigenvalues = np.linalg.eigvalsh(supra.matrix)
-    return SpectralSummary(
-        eigenvalues=eigenvalues,
-        lambda2=float(eigenvalues[1]),
-        kernel_dim=int(components(supra.matrix).max()) + 1,
-        null_basis=_intra_kernel_basis(supra),
-    )
-
-
 def _layer_kernel_basis(supra: SupraLaplacian) -> np.ndarray:
-    """The intra-layer kernel basis, checked to hold one indicator per layer.
+    """The normalized layer indicators, a basis of the intra-layer part's kernel.
 
-    Symmetry of the intra-layer part is left to the caller to check.
+    The kernel is spanned by the part's component indicators, so every layer
+    must be one component.  Symmetry of the intra-layer part is left to the
+    caller to check.
     """
-    basis = _intra_kernel_basis(supra)
+    labels = components(supra.intra_part)
     n_layers = len(supra.layer_ids)
-    if basis.shape[1] != n_layers:
+    if labels.max() + 1 != n_layers:
         raise ValidationError(
-            f"intra-layer kernel dimension {basis.shape[1]} != layer count {n_layers}; "
+            f"intra-layer kernel dimension {labels.max() + 1} != layer count {n_layers}; "
             "every layer must be internally connected with a positive constant"
         )
-    return basis
+    indicators = (labels[:, None] == np.arange(n_layers)).astype(float)
+    return indicators / np.sqrt(indicators.sum(axis=0))
 
 
 def lambda2_perturbation_estimate(supra: SupraLaplacian, epsilon: float) -> float:
@@ -115,14 +82,6 @@ def _perturbation_slope(supra: SupraLaplacian) -> float:
     basis = _layer_kernel_basis(supra)
     projected = basis.T @ supra.inter_part @ basis
     return float(np.linalg.eigvalsh(projected)[1])
-
-
-def kernel_rayleigh_quotients(supra: SupraLaplacian, epsilon: float) -> np.ndarray:
-    """Per-layer-indicator Rayleigh quotients epsilon * u^T (inter part) u."""
-    epsilon = _epsilon(epsilon)
-    _require_symmetric(supra.intra_part, "the intra-layer part")
-    basis = _layer_kernel_basis(supra)
-    return epsilon * np.einsum("ij,ij->j", basis, supra.inter_part @ basis)
 
 
 @dataclass(frozen=True)
@@ -192,6 +151,37 @@ def _lambda2(supra: SupraLaplacian, epsilon: float, work: np.ndarray) -> float:
     return float(1.0 / theta[0])
 
 
+def _checked_sum(supra: SupraLaplacian) -> tuple[np.ndarray, bool]:
+    """intra + inter in a new n x n work array, checked to be symmetric, and
+    whether its graph is connected.
+
+    The parts have disjoint off-diagonal supports, so the sum is symmetric
+    exactly when both parts are.
+    """
+    work = _scaled_into(supra, 1.0, np.empty(supra.intra_part.shape))
+    _require_symmetric(work, "the supra-Laplacian")
+    return work, bool(components(work).max() == 0)
+
+
+@dataclass(frozen=True)
+class SpectralSummary:
+    """The algebraic connectivity of an operator."""
+
+    lambda2: float
+
+
+def spectrum(supra: SupraLaplacian) -> SpectralSummary:
+    """lambda_2 of the operator, by the sweep's solver at epsilon = 1.
+
+    It is exactly 0 when the operator's graph is disconnected; otherwise it
+    costs one Cholesky factorization and a few Lanczos solves.
+    """
+    work, connected = _checked_sum(supra)
+    if supra.n_nodes < 2:
+        raise ValidationError("spectral analysis needs at least 2 nodes")
+    return SpectralSummary(lambda2=_lambda2(supra, 1.0, work) if connected else 0.0)
+
+
 def connectivity_sweep(
     network: InterconnectedNetwork,
     constants: DiffusionConstants,
@@ -212,13 +202,10 @@ def connectivity_sweep(
         raise ValidationError("the epsilon grid is empty")
     epsilons = [_epsilon(e) for e in epsilon_grid]
     base = assemble_supra_laplacian(network, constants)
-    work = _scaled_into(base, 1.0, np.empty(base.intra_part.shape))
-    # The parts have disjoint off-diagonal supports, so the sum is symmetric
-    # exactly when both parts are: this also covers the estimate's check.
-    _require_symmetric(work, "the supra-Laplacian")
+    # The sum's symmetry covers the estimate's check of the intra part.
+    work, connected = _checked_sum(base)
     slope = _perturbation_slope(base)
     zero_floor = 1e-12 * (1.0 + float(np.abs(work).max(initial=0.0)))
-    connected = components(work).max() == 0
     points = []
     for epsilon in epsilons:
         actual = _lambda2(base, epsilon, work) if epsilon > 0 and connected else 0.0

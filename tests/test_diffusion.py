@@ -278,7 +278,7 @@ class TestSimulateOpen:
         )
         closed = propagate_closed(x0, supra, 1.0)
         bound = 5 * dt * np.linalg.norm(supra.matrix, 2) ** 2 * np.linalg.norm(x0)
-        assert np.linalg.norm(path.terminal - closed) < bound
+        assert np.linalg.norm(path.states[-1] - closed) < bound
 
     def test_same_seed_same_path(self):
         rng = np.random.default_rng(10)

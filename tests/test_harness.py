@@ -12,7 +12,6 @@ from supraflow import (
     ValidationError,
     coupling_strength_sweep,
     error_measure,
-    external_influence_sweep,
     run_experiment,
     save_network,
     upper_bound_series,
@@ -276,59 +275,3 @@ class TestSweeps:
         )
         assert (tmp_path / "coupling_strength.csv").exists()
         assert (tmp_path / "coupling_strength.svg").exists()
-
-    def test_external_influence_decreases_with_size(self, tmp_path):
-        def sized(n_agents, n_docs):
-            return SyntheticSpec(
-                layers=(
-                    LayerSpec("agent", n_agents, "erdos_renyi", edge_prob=min(0.3, 6 / n_agents)),
-                    LayerSpec("information", n_docs, "knn", k_neighbors=3),
-                ),
-                n_topics=2,
-                intra_constants={1: 0.05, 2: 0.02},
-                inter_constants={(1, 2): 0.06},
-                sigma_nodes=4,
-                sigma_scale=0.06,
-                n_snapshots=12,
-                spacing=1.0,
-                train_count=12,
-            )
-
-        rows = external_influence_sweep(
-            [sized(8, 12), sized(16, 24), sized(32, 48)], seed=3, out_dir=tmp_path
-        )
-        ratios = [r[1] for r in rows]
-        assert all(a > b for a, b in zip(ratios, ratios[1:]))
-        assert (tmp_path / "external_influence.csv").exists()
-
-    def test_external_influence_needs_two_sizes(self):
-        with pytest.raises(ValidationError):
-            external_influence_sweep([interconnected_spec()], seed=0)
-
-    def test_external_influence_near_zero_on_closed_data(self):
-        # Without planted noise the residuals are pure fit error, so the
-        # fitted ratio is negligible at every size.
-        specs = [
-            interconnected_spec(n_snapshots=6, train_count=6),
-            SyntheticSpec(
-                layers=(
-                    LayerSpec("agent", 16, "erdos_renyi", edge_prob=0.3),
-                    LayerSpec("agent", 16, "erdos_renyi", edge_prob=0.3),
-                    LayerSpec("information", 32, "knn", k_neighbors=3),
-                ),
-                n_topics=2,
-                intra_constants={1: 0.05, 2: 0.05, 3: 0.02},
-                inter_constants={(1, 2): 0.05, (1, 3): 0.08, (2, 3): 0.06},
-                n_snapshots=6,
-                train_count=6,
-            ),
-        ]
-        rows = external_influence_sweep(specs, seed=4)
-        assert all(ratio < 1e-3 for _, ratio in rows)
-
-    def test_external_influence_deterministic(self):
-        specs = [
-            interconnected_spec(n_snapshots=5, train_count=5, sigma_nodes=3, sigma_scale=0.05),
-            interconnected_spec(n_snapshots=5, train_count=5, sigma_nodes=3, sigma_scale=0.05),
-        ]
-        assert external_influence_sweep(specs, seed=6) == external_influence_sweep(specs, seed=6)

@@ -422,17 +422,11 @@ class TestRunFilter:
             expected = reference[fraction].errors_all.mean()
             assert abs(result.errors_all.mean() - expected) <= 1e-12 * expected
 
-    def test_default_pi0_is_empirical_variance(self):
-        series = make_series(self.node_index, self.states, train_count=2)
-        model = full_observation_model(self.n_nodes, self.n_topics, r=0.1, q=0.1)
-        result = run_filter(series, self.op, model)
-        assert result.final_state is not None
-
     def test_needs_two_test_snapshots(self):
         series = make_series(self.node_index, self.states, train_count=len(self.states))
         model = full_observation_model(self.n_nodes, self.n_topics)
         with pytest.raises(ValidationError):
-            run_filter(series, self.op, model)
+            run_filter(series, self.op, model, pi0=1.0)
 
     def test_trace_csv(self, tmp_path):
         series = make_series(self.node_index, self.states, train_count=2)

@@ -29,6 +29,7 @@ from supraflow import (
     SimulationConfig,
     SnapshotSeries,
     StateMatrix,
+    ValidationError,
     assemble_supra_laplacian,
     connectivity_sweep,
     devectorize,
@@ -55,7 +56,8 @@ from supraflow.calibration import (
     write_matrix_csv,
 )
 from supraflow.diffusion import exponential_action
-from supraflow.network import _matrix_from_json
+from supraflow.network import _matrix_from_json, components
+from supraflow.spectral import _layer_kernel_basis
 from supraflow import kalman
 from supraflow.kalman import PHASE_PREDICTED, KalmanState
 from conftest import connected_adjacency, directed_network, random_network, single_layer_supra
@@ -232,6 +234,7 @@ class TestConnectivitySweep:
             reference = np.linalg.eigvalsh(scaled)[1]
             tolerance = 1e-12 * (1.0 + np.abs(scaled).max())
             assert abs(point.lambda2_actual - reference) <= tolerance
+            assert abs(spectrum(scale_inter_layer(base, epsilon)).lambda2 - reference) <= tolerance
             if epsilon == 0.0:
                 assert point.lambda2_actual == 0.0
             assert point.lambda2_estimate == lambda2_perturbation_estimate(base, epsilon)
@@ -335,15 +338,21 @@ class TestKernelFromComponents:
     def test_kernel_dim_counts_the_zero_eigenvalues(self, seed, n_layers, connected):
         network, constants = random_network(np.random.default_rng(seed), n_layers, connected)
         supra = assemble_supra_laplacian(network, constants)
-        assert spectrum(supra).kernel_dim == eigenvalue_kernel_dim(supra.matrix)
+        kernel_dim = eigenvalue_kernel_dim(supra.matrix)
+        assert components(supra.matrix).max() + 1 == kernel_dim
+        assert (spectrum(supra).lambda2 == 0.0) == (kernel_dim > 1)
 
     @PROPERTY
     @given(seed=seeds, n_layers=st.integers(1, 3), connected=st.booleans())
     def test_null_basis_is_an_orthonormal_intra_kernel_basis(self, seed, n_layers, connected):
         network, constants = random_network(np.random.default_rng(seed), n_layers, connected)
         supra = assemble_supra_laplacian(network, constants)
-        basis = spectrum(supra).null_basis
-        assert basis.shape == (supra.n_nodes, eigenvalue_kernel_dim(supra.intra_part))
+        if eigenvalue_kernel_dim(supra.intra_part) != n_layers:
+            with pytest.raises(ValidationError, match="internally connected"):
+                _layer_kernel_basis(supra)
+            return
+        basis = _layer_kernel_basis(supra)
+        assert basis.shape == (supra.n_nodes, n_layers)
         assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() <= 1e-12
         assert np.abs(supra.intra_part @ basis).max() <= 1e-12 * np.abs(supra.intra_part).max()
 
@@ -352,8 +361,9 @@ class TestKernelFromComponents:
     def test_decoupled_operator_has_one_kernel_direction_per_layer(self, seed, n_layers):
         network, constants = random_network(np.random.default_rng(seed), n_layers)
         decoupled = scale_inter_layer(assemble_supra_laplacian(network, constants), 0.0)
-        assert spectrum(decoupled).kernel_dim == n_layers
+        assert components(decoupled.matrix).max() + 1 == n_layers
         assert eigenvalue_kernel_dim(decoupled.matrix) == n_layers
+        assert (spectrum(decoupled).lambda2 == 0.0) == (n_layers > 1)
 
 
 def full_pinv_update(state, y, model):
