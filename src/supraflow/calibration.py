@@ -188,7 +188,7 @@ class _Residuals:
             supra = assemble_supra_laplacian(
                 network, _constants_from_vector(keys, unit, network.symmetric)
             )
-            self.symmetric &= _is_symmetric(supra.matrix)
+            self.symmetric &= _is_symmetric(supra.csr)
             b = supra.csr
             rows = np.flatnonzero(np.diff(b.indptr))
             self.basis.append(b)

@@ -235,20 +235,25 @@ def propagate_closed(x0, supra: SupraLaplacian, delta_t: float):
     return _like(x0, exponential_action(-delta_t * supra.csr, x), delta_t)
 
 
-def _simulate(x0: np.ndarray, lap, sigma: np.ndarray, rng, config: SimulationConfig):
+def _simulate(x0: np.ndarray, lap, sigma: np.ndarray, rng, config: SimulationConfig, stride=1):
+    """Euler-Maruyama steps from x0, keeping the states of steps 0, stride,
+    2 stride, ... and their times.  Every step draws its noise, kept or not.
+    A non-finite state stays non-finite, so the kept states show any
+    divergence up to the last kept step."""
     n_steps = config.n_steps
     times = np.minimum(np.arange(n_steps + 1) * config.dt, config.horizon)
-    states = np.empty((n_steps + 1,) + x0.shape)
+    states = np.empty((n_steps // stride + 1,) + x0.shape)
     states[0] = x0
     x = x0.copy()
-    for k in range(n_steps):
-        h = times[k + 1] - times[k]
+    for k in range(1, n_steps + 1):
+        h = times[k] - times[k - 1]
         noise = rng.standard_normal(x.shape)
         x = x - (lap @ x) * h + sigma * noise * math.sqrt(h)
-        states[k + 1] = x
+        if k % stride == 0:
+            states[k // stride] = x
     if not np.isfinite(states).all():
         raise NumericalError("simulation diverged to non-finite states; reduce dt")
-    return times, states
+    return times[::stride], states
 
 
 def _checked_start(x0, supra: SupraLaplacian, noise: NoiseModel, config: SimulationConfig):

@@ -192,12 +192,14 @@ def kalman_predict(state: KalmanState, op: LearnedOperator, model: ObservationMo
     """Advance the updated estimate one step through F = I + A.
 
     F is the state's ``f_hat``, built from ``op`` once by ``initial_state``.
+    An exactly zero Pi, as every filter from Pi_0 = 0 starts, skips the two
+    products of F Pi F^T.
     """
     if state.phase != PHASE_UPDATED:
         raise ValidationError("kalman_predict expects a state in the 'updated' phase")
     f = state.f_hat
     x_next = f @ state.x_hat
-    pi_next = f @ state.pi @ f.T
+    pi_next = f @ state.pi @ f.T if state.pi.any() else np.zeros(state.pi.shape)
     pi_next.flat[:: pi_next.shape[0] + 1] += model.q_diag
     pi_next = _symmetrized(pi_next)
     return KalmanState(x_hat=x_next, pi=pi_next, phase=PHASE_PREDICTED, f_hat=f)

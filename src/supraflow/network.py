@@ -8,10 +8,14 @@ plus an inter-layer part built from coupling degree and connectivity blocks.
 
 Node ordering is layer-major (all nodes of the first layer, then the second,
 and so on) and is fixed at network construction; every matrix produced here
-shares that ordering.  A ``SupraLaplacian`` stores its dense intra and inter
-parts; their sum ``matrix`` and its sparse view ``csr`` are derived on first
-use.  Inputs with more than ``MAX_NODES`` nodes are rejected; at that cap the
-parts take 2 * P^2 * 8 bytes (6.4 GB), and the sum, once formed, 3.2 GB more.
+shares that ordering.  Every adjacency, coupling and operator part is stored
+in one form, canonical read-only CSR (sorted indices, no duplicate and no
+explicit zero entries), so memory grows with the edge count, not with P^2.
+A ``SupraLaplacian`` stores its intra and inter parts; their CSR sum ``csr``
+and the dense sum ``matrix``, formed only for the consumers that need a
+dense operator, are derived on first use.  Inputs with more than
+``MAX_NODES`` nodes are rejected: that cap bounds the P x P arrays of those
+dense consumers (3.2 GB each at the cap).
 """
 
 from __future__ import annotations
@@ -38,26 +42,46 @@ class LayerKind(str, Enum):
     INFORMATION = "information"
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)  # read-only input is shared, the rest copied
-    arr = arr.copy() if arr.flags.writeable else arr
-    arr.setflags(write=False)
-    return arr
+def _freeze(matrix: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
+    """Make a CSR matrix canonical in place, then read-only."""
+    matrix.sum_duplicates()
+    matrix.eliminate_zeros()
+    for part in (matrix.data, matrix.indices, matrix.indptr):
+        part.setflags(write=False)
+    return matrix
 
 
-def _is_symmetric(matrix: np.ndarray) -> bool:
-    """Whether max |A - A^T| < SYMMETRY_RTOL * max(1, max |A|), with one n x n temporary."""
+def _frozen_csr(values, what: str) -> scipy.sparse.csr_array:
+    """Canonical read-only CSR of a dense or sparse 2-D matrix.
+
+    A read-only canonical float CSR matrix, the form this module hands out,
+    is shared; anything else is copied.
+    """
+    if isinstance(values, scipy.sparse.csr_array) and values.dtype == float:
+        if not values.data.flags.writeable and values.has_canonical_format and values.data.all():
+            return values
+    if not scipy.sparse.issparse(values):
+        values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValidationError(f"{what} must be a 2-D matrix, got ndim={values.ndim}")
+    return _freeze(scipy.sparse.csr_array(values, dtype=float, copy=True))
+
+
+def _is_symmetric(matrix) -> bool:
+    """Whether max |A - A^T| < SYMMETRY_RTOL * max(1, max |A|), for a dense or
+    a sparse A; a dense A takes one n x n temporary."""
+    if scipy.sparse.issparse(matrix):
+        scale = max(1.0, float(abs(matrix).max()))
+        return bool(abs(matrix - matrix.T).max() < SYMMETRY_RTOL * scale)
     scale = max(1.0, float(matrix.max(initial=0.0)), -float(matrix.min(initial=0.0)))
     skew = matrix - matrix.T
     return bool(np.abs(skew, out=skew).max(initial=0.0) < SYMMETRY_RTOL * scale)
 
 
-def _check_weight_matrix(w: np.ndarray, what: str) -> None:
-    if w.ndim != 2:
-        raise ValidationError(f"{what} must be a 2-D matrix, got ndim={w.ndim}")
-    if not np.isfinite(w).all():
+def _check_weights(w: scipy.sparse.csr_array, what: str) -> None:
+    if not np.isfinite(w.data).all():
         raise ValidationError(f"{what} contains non-finite entries")
-    if (w < 0).any():
+    if (w.data < 0).any():
         raise ValidationError(f"{what} contains negative weights")
 
 
@@ -65,32 +89,34 @@ def _check_weight_matrix(w: np.ndarray, what: str) -> None:
 class LayerGraph:
     """One network layer: its nodes and weighted intra-layer adjacency.
 
-    The adjacency may be asymmetric (directed layer); diagonal entries must
-    be zero and all weights nonnegative.
+    The adjacency, given dense or sparse, is stored as canonical read-only
+    CSR.  It may be asymmetric (directed layer); diagonal entries must be zero
+    and all weights nonnegative.
     """
 
     layer_id: int
     kind: LayerKind
     node_ids: tuple[str, ...]
-    adjacency: np.ndarray
+    adjacency: scipy.sparse.csr_array
 
     def __post_init__(self):
         object.__setattr__(self, "kind", LayerKind(self.kind))
         object.__setattr__(self, "node_ids", tuple(str(n) for n in self.node_ids))
-        adj = _frozen_array(self.adjacency)
+        what = f"layer {self.layer_id} adjacency"
+        adj = _frozen_csr(self.adjacency, what)
         object.__setattr__(self, "adjacency", adj)
         n = len(self.node_ids)
         if n == 0:
             raise ValidationError(f"layer {self.layer_id} has no nodes")
         if len(set(self.node_ids)) != n:
             raise ValidationError(f"layer {self.layer_id} has duplicate node ids")
-        _check_weight_matrix(adj, f"layer {self.layer_id} adjacency")
+        _check_weights(adj, what)
         if adj.shape != (n, n):
             raise ValidationError(
                 f"layer {self.layer_id} adjacency shape {adj.shape} does not match "
                 f"{n} nodes"
             )
-        if np.diagonal(adj).any():
+        if adj.diagonal().any():
             raise ValidationError(f"layer {self.layer_id} adjacency has nonzero diagonal")
 
     @property
@@ -100,16 +126,18 @@ class LayerGraph:
 
 @dataclass(frozen=True)
 class InterLayerCoupling:
-    """Rectangular coupling: rows indexed by from-layer nodes, columns by to-layer nodes."""
+    """Rectangular coupling: rows indexed by from-layer nodes, columns by to-layer
+    nodes; given dense or sparse, stored as canonical read-only CSR."""
 
     from_layer: int
     to_layer: int
-    coupling: np.ndarray
+    coupling: scipy.sparse.csr_array
 
     def __post_init__(self):
-        mat = _frozen_array(self.coupling)
+        what = f"coupling ({self.from_layer},{self.to_layer})"
+        mat = _frozen_csr(self.coupling, what)
         object.__setattr__(self, "coupling", mat)
-        _check_weight_matrix(mat, f"coupling ({self.from_layer},{self.to_layer})")
+        _check_weights(mat, what)
         if self.from_layer == self.to_layer:
             raise ValidationError("coupling must join two distinct layers")
 
@@ -187,7 +215,10 @@ class InterconnectedNetwork:
             order.extend((layer.layer_id, node) for node in layer.node_ids)
             start += layer.n_nodes
         if start > MAX_NODES:
-            raise ValidationError(f"total node count {start} exceeds the dense cap {MAX_NODES}")
+            raise ValidationError(
+                f"total node count {start} exceeds the cap of {MAX_NODES} nodes, which bounds "
+                "the P x P arrays of the dense operator consumers"
+            )
 
         pair_map: dict[tuple[int, int], InterLayerCoupling] = {}
         for c in self.couplings:
@@ -224,8 +255,8 @@ class InterconnectedNetwork:
         except KeyError:
             raise ValidationError(f"unknown layer id {layer_id}") from None
 
-    def coupling_matrix(self, a: int, b: int) -> np.ndarray | None:
-        """Coupling from layer a to layer b, or None when it is (implicitly) zero."""
+    def coupling_matrix(self, a: int, b: int) -> scipy.sparse.sparray | None:
+        """Sparse coupling from layer a to layer b, or None when it is (implicitly) zero."""
         declared = self._pair_map.get((a, b))
         if declared is not None:
             return declared.coupling
@@ -238,54 +269,95 @@ class InterconnectedNetwork:
 
 @dataclass(frozen=True)
 class SupraLaplacian:
-    """The P x P diffusion operator, held as its intra and inter parts."""
+    """The P x P diffusion operator, held as its intra and inter parts.
 
-    intra_part: np.ndarray
-    inter_part: np.ndarray
+    Parts given dense or sparse are stored as canonical read-only CSR.
+    """
+
+    intra_part: scipy.sparse.csr_array
+    inter_part: scipy.sparse.csr_array
     node_index: dict[tuple[int, str], int]
     layer_ids: tuple[int, ...]
 
     def __post_init__(self):
         shape = (len(self.node_index),) * 2
         for name in ("intra_part", "inter_part"):
-            arr = _frozen_array(getattr(self, name))
-            if arr.shape != shape:
-                raise ValidationError(f"{name} has shape {arr.shape}, the node index needs {shape}")
-            object.__setattr__(self, name, arr)
+            part = _frozen_csr(getattr(self, name), name)
+            if part.shape != shape:
+                raise ValidationError(
+                    f"{name} has shape {part.shape}, the node index needs {shape}"
+                )
+            object.__setattr__(self, name, part)
 
     @property
     def n_nodes(self) -> int:
         return len(self.node_index)
 
     @functools.cached_property
+    def csr(self) -> scipy.sparse.csr_array:
+        """The read-only CSR operator intra_part + inter_part, summed on first use."""
+        return _freeze(self.intra_part + self.inter_part)
+
+    @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """The read-only dense operator intra_part + inter_part, formed on first use."""
-        total = self.intra_part + self.inter_part
+        """The read-only dense operator, formed from ``csr`` on first use.
+
+        Only the consumers that need a dense operator read it: the fit's
+        eigendecomposition, the learner's Kronecker lift and ``build``.
+        """
+        total = self.csr.toarray()
         total.setflags(write=False)
         return total
 
-    @functools.cached_property
-    def csr(self) -> scipy.sparse.csr_array:
-        """Read-only CSR view of ``matrix``, summed from the sparse parts on first use."""
-        view = scipy.sparse.csr_array(self.intra_part) + scipy.sparse.csr_array(self.inter_part)
-        for part in (view.data, view.indices, view.indptr):
-            part.setflags(write=False)
-        return view
+
+def _entries(w: scipy.sparse.sparray):
+    """(rows, cols, values) of the stored entries of a CSR or CSC matrix,
+    read from its arrays without a format conversion.  ``np.bincount`` of the
+    rows weighted by the values gives the row sums, each row's entries added
+    in storage order."""
+    major = np.repeat(np.arange(len(w.indptr) - 1), np.diff(w.indptr))
+    return (major, w.indices, w.data) if w.format == "csr" else (w.indices, major, w.data)
 
 
-def build_laplacian(adjacency) -> np.ndarray:
-    """Graph Laplacian K - W with K the diagonal matrix of row sums of W.
+def _laplacian_triplets(w: scipy.sparse.csr_array, scale: float, offset: int):
+    """Triplet pieces (rows, cols, values) of scale * (K - W), K the diagonal
+    of W's row sums, placed at rows and columns ``offset`` on: the entries of
+    W negated, then the whole diagonal.  W has a zero diagonal, so no (row,
+    col) appears twice."""
+    rows, cols, values = _entries(w)
+    diagonal = np.arange(offset, offset + w.shape[0])
+    return (
+        [rows + offset, diagonal],
+        [cols + offset, diagonal],
+        [scale * -values, scale * np.bincount(rows, weights=values, minlength=w.shape[0])],
+    )
+
+
+def _csr_from_triplets(rows: list, cols: list, values: list, n: int) -> scipy.sparse.csr_array:
+    """The read-only n x n CSR matrix of triplet pieces in which no (row, col)
+    appears twice: one concatenation, then one sort into row-major order.
+    Indices are 32-bit, as scipy stores them for a matrix converted from dense."""
+    rows, cols, values = (np.concatenate(pieces) for pieces in (rows, cols, values))
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = cols[order].astype(np.int32)
+    return _freeze(scipy.sparse.csr_array((values[order], indices, indptr), shape=(n, n)))
+
+
+def build_laplacian(adjacency) -> scipy.sparse.csr_array:
+    """Graph Laplacian K - W in CSR, with K the diagonal matrix of row sums of W.
 
     Rows of the result sum to zero.  Directed layers yield out-degree
     Laplacians; nonzero diagonals and negative weights are rejected.
     """
-    w = np.asarray(adjacency, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+    w = _frozen_csr(adjacency, "adjacency")
+    if w.shape[0] != w.shape[1]:
         raise ValidationError(f"adjacency must be square, got shape {w.shape}")
-    _check_weight_matrix(w, "adjacency")
-    if np.diagonal(w).any():
+    _check_weights(w, "adjacency")
+    if w.diagonal().any():
         raise ValidationError("adjacency has nonzero diagonal entries")
-    return np.diag(w.sum(axis=1)) - w
+    return _csr_from_triplets(*_laplacian_triplets(w, 1.0, 0), w.shape[0])
 
 
 def components(matrix) -> np.ndarray:
@@ -294,21 +366,28 @@ def components(matrix) -> np.ndarray:
     Nodes i and j are joined when entry (i, j) or (j, i) is nonzero, whatever
     its sign or size, so a Laplacian has the components of its adjacency.
     Labels run 0, 1, ... in the order of each component's lowest node.  The
-    search is breadth-first, one vectorized step per level.
+    matrix may be dense or sparse.  The search is breadth-first over the CSR
+    pattern of A + A^T, one vectorized row slice per level.
     """
-    linked = np.asarray(matrix) != 0
-    linked |= linked.T
-    labels = np.full(linked.shape[0], -1)
+    coo = scipy.sparse.coo_array(matrix)
+    nonzero = coo.data != 0
+    rows, cols = coo.row[nonzero], coo.col[nonzero]
+    n = coo.shape[0]
+    linked = scipy.sparse.csr_array(
+        (np.ones(2 * rows.size), (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+        shape=(n, n),
+    )
+    labels = np.full(n, -1)
     count = 0
-    for root in range(linked.shape[0]):
+    for root in range(n):
         if labels[root] >= 0:
             continue
         labels[root] = count
-        frontier = [root]
-        while len(frontier):
-            reached = linked[frontier].any(axis=0) & (labels < 0)
-            labels[reached] = count
-            frontier = np.flatnonzero(reached)
+        frontier = np.array([root])
+        while frontier.size:
+            reached = linked[frontier].indices
+            frontier = np.unique(reached[labels[reached] < 0])
+            labels[frontier] = count
         count += 1
     return labels
 
@@ -321,14 +400,22 @@ def assemble_supra_laplacian(
     The intra part is the block-diagonal direct sum of the scaled per-layer
     Laplacians.  Each declared (or transposed, in symmetric mode) coupling
     from layer a to layer b adds its scaled inter-layer degree diagonal to
-    block (a, a) and subtracts the scaled coupling from block (a, b).
+    block (a, a) and subtracts the scaled coupling from block (a, b).  Both
+    parts are built in CSR from the sparse layers and couplings, each by one
+    conversion of its triplets; no dense P x P array is formed.
     """
     n = network.n_nodes
-    intra = np.zeros((n, n))
-    inter = np.zeros((n, n))
+    intra: tuple[list, list, list] = ([], [], [])
     for layer in network.layers:
-        sl = network.layer_slices[layer.layer_id]
-        intra[sl, sl] = constants.intra_for(layer.layer_id) * build_laplacian(layer.adjacency)
+        pieces = _laplacian_triplets(
+            layer.adjacency,
+            constants.intra_for(layer.layer_id),
+            network.layer_slices[layer.layer_id].start,
+        )
+        for whole, piece in zip(intra, pieces):
+            whole.extend(piece)
+    inter: tuple[list, list, list] = ([], [], [])
+    degree = np.zeros(n)
     for a in network.layer_ids:
         sa = network.layer_slices[a]
         for b in network.layer_ids:
@@ -340,14 +427,16 @@ def assemble_supra_laplacian(
             d = constants.inter_for(a, b)
             if d is None:
                 raise ValidationError(f"missing inter-layer constant for layer pair ({a},{b})")
-            sb = network.layer_slices[b]
-            inter[sa, sa] += d * np.diag(w.sum(axis=1))
-            inter[sa, sb] -= d * w
-    for part in (intra, inter):
-        part.setflags(write=False)
+            rows, cols, values = _entries(w)
+            degree[sa] += d * np.bincount(rows, weights=values, minlength=w.shape[0])
+            inter[0].append(rows + sa.start)
+            inter[1].append(cols + network.layer_slices[b].start)
+            inter[2].append(-(d * values))
+    for whole, piece in zip(inter, (np.arange(n), np.arange(n), degree)):
+        whole.append(piece)
     return SupraLaplacian(
-        intra_part=intra,
-        inter_part=inter,
+        intra_part=_csr_from_triplets(*intra, n),
+        inter_part=_csr_from_triplets(*inter, n),
         node_index=dict(network.node_index),
         layer_ids=network.layer_ids,
     )
@@ -362,11 +451,9 @@ def _epsilon(epsilon) -> float:
 
 def scale_inter_layer(supra: SupraLaplacian, epsilon: float) -> SupraLaplacian:
     """Operator with the inter-layer part scaled by epsilon >= 0."""
-    inter = _epsilon(epsilon) * supra.inter_part
-    inter.setflags(write=False)
     return SupraLaplacian(
         intra_part=supra.intra_part,
-        inter_part=inter,
+        inter_part=_epsilon(epsilon) * supra.inter_part,
         node_index=dict(supra.node_index),
         layer_ids=supra.layer_ids,
     )
@@ -392,13 +479,13 @@ def scale_inter_layer(supra: SupraLaplacian, epsilon: float) -> SupraLaplacian:
 # row-major arrays, the form older files used, are still read.
 
 
-def _matrix_to_json(matrix: np.ndarray) -> dict:
-    rows, cols = np.nonzero(matrix)
-    weights = matrix[rows, cols].tolist()
-    return {"triplets": [list(t) for t in zip(rows.tolist(), cols.tolist(), weights)]}
+def _matrix_to_json(matrix: scipy.sparse.csr_array) -> dict:
+    coo = matrix.tocoo()  # canonical CSR: row-major, each (row, col) once, no zeros
+    triplets = zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
+    return {"triplets": [list(t) for t in triplets]}
 
 
-def _matrix_from_json(obj, shape: tuple[int, int], what: str) -> np.ndarray:
+def _matrix_from_json(obj, shape: tuple[int, int], what: str) -> scipy.sparse.csr_array:
     if isinstance(obj, dict):
         if "triplets" not in obj:
             raise ValidationError(f"{what}: sparse matrix object needs a 'triplets' field")
@@ -419,13 +506,12 @@ def _matrix_from_json(obj, shape: tuple[int, int], what: str) -> np.ndarray:
         rows, cols = index.astype(int).T
         if np.unique(rows * shape[1] + cols).size != len(rows):
             raise ValidationError(f"{what}: an entry (row, col) appears in two triplets")
-        mat = np.zeros(shape)
-        mat[rows, cols] = entries[:, 2]
-        return mat
+        coo = scipy.sparse.coo_array((entries[:, 2], (rows, cols)), shape=shape)
+        return _frozen_csr(coo, what)
     mat = np.asarray(obj, dtype=float)
     if mat.shape != shape:
         raise ValidationError(f"{what}: dense matrix shape {mat.shape}, expected {shape}")
-    return mat
+    return _frozen_csr(mat, what)
 
 
 def constants_to_dict(constants: DiffusionConstants) -> dict:
@@ -491,7 +577,7 @@ def network_from_dict(data: dict) -> tuple[InterconnectedNetwork, DiffusionConst
                     kind=spec.get("kind", "agent"),
                     node_ids=tuple(nodes),
                     adjacency=_matrix_from_json(
-                        spec.get("adjacency", np.zeros((n, n))), (n, n), f"layer {spec['id']}"
+                        spec.get("adjacency", {"triplets": []}), (n, n), f"layer {spec['id']}"
                     ),
                 )
             )

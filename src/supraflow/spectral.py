@@ -40,7 +40,7 @@ from .network import (
 )
 
 
-def _require_symmetric(matrix: np.ndarray, what: str):
+def _require_symmetric(matrix, what: str):
     if not _is_symmetric(matrix):
         raise ValidationError(f"{what} must be symmetric for spectral analysis")
 
@@ -92,10 +92,20 @@ class SweepPoint:
     rel_error: float
 
 
+def _flat_positions(part, n: int) -> np.ndarray:
+    """Row-major positions, in an n x n array, of a CSR part's stored entries."""
+    return np.repeat(np.arange(n), np.diff(part.indptr)) * n + part.indices
+
+
 def _scaled_into(supra: SupraLaplacian, epsilon: float, out: np.ndarray) -> np.ndarray:
-    """Write intra + epsilon * inter into ``out``, with no other n x n temporary."""
-    np.multiply(supra.inter_part, epsilon, out=out)
-    out += supra.intra_part
+    """Write intra + epsilon * inter into the C-ordered ``out``, with no n x n
+    temporary: epsilon * inter is scattered into zeros, then intra added,
+    entry by entry the arithmetic of the dense epsilon * inter + intra."""
+    n = out.shape[0]
+    out.fill(0.0)
+    flat = out.reshape(-1)  # a view, since ``out`` is C-contiguous
+    flat[_flat_positions(supra.inter_part, n)] = supra.inter_part.data * epsilon
+    flat[_flat_positions(supra.intra_part, n)] += supra.intra_part.data
     return out
 
 
@@ -151,16 +161,15 @@ def _lambda2(supra: SupraLaplacian, epsilon: float, work: np.ndarray) -> float:
     return float(1.0 / theta[0])
 
 
-def _checked_sum(supra: SupraLaplacian) -> tuple[np.ndarray, bool]:
-    """intra + inter in a new n x n work array, checked to be symmetric, and
-    whether its graph is connected.
+def _checked_connected(supra: SupraLaplacian) -> bool:
+    """Whether the operator's graph is connected, its CSR sum checked to be
+    symmetric first.
 
     The parts have disjoint off-diagonal supports, so the sum is symmetric
     exactly when both parts are.
     """
-    work = _scaled_into(supra, 1.0, np.empty(supra.intra_part.shape))
-    _require_symmetric(work, "the supra-Laplacian")
-    return work, bool(components(work).max() == 0)
+    _require_symmetric(supra.csr, "the supra-Laplacian")
+    return bool(components(supra.csr).max() == 0)
 
 
 @dataclass(frozen=True)
@@ -176,10 +185,11 @@ def spectrum(supra: SupraLaplacian) -> SpectralSummary:
     It is exactly 0 when the operator's graph is disconnected; otherwise it
     costs one Cholesky factorization and a few Lanczos solves.
     """
-    work, connected = _checked_sum(supra)
+    connected = _checked_connected(supra)
     if supra.n_nodes < 2:
         raise ValidationError("spectral analysis needs at least 2 nodes")
-    return SpectralSummary(lambda2=_lambda2(supra, 1.0, work) if connected else 0.0)
+    lambda2 = _lambda2(supra, 1.0, np.empty(supra.csr.shape)) if connected else 0.0
+    return SpectralSummary(lambda2=lambda2)
 
 
 def connectivity_sweep(
@@ -203,9 +213,10 @@ def connectivity_sweep(
     epsilons = [_epsilon(e) for e in epsilon_grid]
     base = assemble_supra_laplacian(network, constants)
     # The sum's symmetry covers the estimate's check of the intra part.
-    work, connected = _checked_sum(base)
+    connected = _checked_connected(base)
     slope = _perturbation_slope(base)
-    zero_floor = 1e-12 * (1.0 + float(np.abs(work).max(initial=0.0)))
+    zero_floor = 1e-12 * (1.0 + float(np.abs(base.csr.data).max(initial=0.0)))
+    work = np.empty(base.csr.shape) if connected and max(epsilons) > 0 else None
     points = []
     for epsilon in epsilons:
         actual = _lambda2(base, epsilon, work) if epsilon > 0 and connected else 0.0

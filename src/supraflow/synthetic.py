@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError, malformed
 from .calibration import SnapshotSeries
-from .diffusion import NoiseModel, SimulationConfig, propagate_closed, simulate_open, step_norm
+from .diffusion import SimulationConfig, _simulate, propagate_closed, step_norm
 from .network import (
     DiffusionConstants,
     InterconnectedNetwork,
@@ -209,7 +209,7 @@ def _generate_once(spec: SyntheticSpec, seed: int, attempt: int, rng):
         inter.setdefault(key, float(spec.inter_constants.get(key, 1.0)))
     constants = DiffusionConstants(intra=intra, inter=inter, symmetric=True)
     supra = assemble_supra_laplacian(network, constants)
-    if spec.require_connected and components(supra.matrix).max() > 0:
+    if spec.require_connected and components(supra.csr).max() > 0:
         raise _Disconnected("the assembled network came out disconnected")
 
     x0 = np.zeros((network.n_nodes, spec.n_topics))
@@ -252,10 +252,11 @@ def _generate_once(spec: SyntheticSpec, seed: int, attempt: int, rng):
         config = SimulationConfig(
             dt=spec.spacing / substeps, horizon=(spec.n_snapshots - 1) * spec.spacing
         )
-        noise = NoiseModel(sigma=sigma, seed=int(rng.integers(0, 2**31 - 1)))
-        path = simulate_open(x0, supra, noise, config)
+        # Only every substeps-th state is a snapshot, so only those are kept.
+        noise_rng = np.random.default_rng(int(rng.integers(0, 2**31 - 1)))
+        _, states = _simulate(x0, supra.csr, sigma, noise_rng, config, stride=substeps)
         snapshots = [
-            StateMatrix(matrix=path.states[i * substeps], node_index=node_index, timestamp=t)
+            StateMatrix(matrix=states[i], node_index=node_index, timestamp=t)
             for i, t in enumerate(times)
         ]
     else:

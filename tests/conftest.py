@@ -102,10 +102,11 @@ def brute_force_supra(network, constants):
     for layer in network.layers:
         sl = network.layer_slices[layer.layer_id]
         d = constants.intra[layer.layer_id]
+        adjacency = layer.adjacency.toarray()
         n = layer.n_nodes
         for i in range(n):
             for j in range(n):
-                w = layer.adjacency[i, j]
+                w = adjacency[i, j]
                 out[sl.start + i, sl.start + j] -= d * w
                 out[sl.start + i, sl.start + i] += d * w
     for a in network.layer_ids:
@@ -115,6 +116,7 @@ def brute_force_supra(network, constants):
             coupling = network.coupling_matrix(a, b)
             if coupling is None:
                 continue
+            coupling = coupling.toarray()
             d = constants.inter_for(a, b)
             sa = network.layer_slices[a]
             sb = network.layer_slices[b]

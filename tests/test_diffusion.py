@@ -18,7 +18,7 @@ from supraflow import (
     simulate_ensemble,
     simulate_open,
 )
-from supraflow.diffusion import default_step, exponential_action, step_norm
+from supraflow.diffusion import _simulate, default_step, exponential_action, step_norm
 from conftest import connected_adjacency, global_random_state, random_network, single_layer_supra
 
 
@@ -309,6 +309,20 @@ class TestSimulateOpen:
         )
         assert path.times[-1] == 1.0
         assert len(path.times) == 4  # 0, 0.4, 0.8, 1.0
+
+    @pytest.mark.parametrize("stride", [1, 3, 4, 11])
+    def test_a_stride_keeps_every_strideth_state_of_the_same_draws(self, stride):
+        rng = np.random.default_rng(12)
+        _, supra = single_layer_supra(connected_adjacency(rng, 5))
+        x0 = rng.random((5, 2))
+        sigma = 0.1 * rng.random((5, 2))
+        config = SimulationConfig(dt=0.01, horizon=0.1)
+        every, kept = np.random.default_rng(7), np.random.default_rng(7)
+        times, states = _simulate(x0, supra.csr, sigma, every, config)
+        strided_times, strided = _simulate(x0, supra.csr, sigma, kept, config, stride=stride)
+        assert strided.tobytes() == states[::stride].tobytes()
+        assert strided_times.tobytes() == times[::stride].tobytes()
+        assert kept.bit_generator.state == every.bit_generator.state
 
     @pytest.mark.parametrize("simulate", [simulate_open, simulate_ensemble])
     def test_large_dt_warns(self, simulate):

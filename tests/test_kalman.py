@@ -422,6 +422,37 @@ class TestRunFilter:
             expected = reference[fraction].errors_all.mean()
             assert abs(result.errors_all.mean() - expected) <= 1e-12 * expected
 
+    @pytest.mark.parametrize("q", [0.0, 0.01])
+    def test_zero_covariance_predict_is_bit_equal_to_the_full_product(self, monkeypatch, q):
+        series = make_series(self.node_index, self.states, train_count=2)
+        op = replace(self.op, residual_variance=np.full(self.n_nodes * self.n_topics, q))
+        masks = nested_masks(self.n_nodes, [0.25, 1.0], seed=3)
+        skipped = []
+        real = kalman_predict
+
+        def counted(state, op, model):
+            skipped.append(not state.pi.any())
+            return real(state, op, model)
+
+        monkeypatch.setattr(kalman, "kalman_predict", counted)
+        results = filter_fractions(series, op, masks)
+        assert skipped[0] and sum(skipped) >= len(masks)
+
+        def full_product_predict(state, op, model):
+            f = state.f_hat
+            pi_next = f @ state.pi @ f.T
+            pi_next.flat[:: pi_next.shape[0] + 1] += model.q_diag
+            return KalmanState(f @ state.x_hat, 0.5 * (pi_next + pi_next.T), PHASE_PREDICTED, f)
+
+        monkeypatch.setattr(kalman, "kalman_predict", full_product_predict)
+        reference = filter_fractions(series, op, masks)
+        for fraction, result in results.items():
+            expected = reference[fraction]
+            assert result.trace_pi.tobytes() == expected.trace_pi.tobytes()
+            assert result.final_state.pi.tobytes() == expected.final_state.pi.tobytes()
+            for got, want in zip(result.predictions, expected.predictions, strict=True):
+                assert got.tobytes() == want.tobytes()
+
     def test_needs_two_test_snapshots(self):
         series = make_series(self.node_index, self.states, train_count=len(self.states))
         model = full_observation_model(self.n_nodes, self.n_topics)

@@ -22,6 +22,7 @@ from supraflow import (
     propagate_closed,
     save_network,
     scale_inter_layer,
+    simulate_ensemble,
     simulate_open,
 )
 from supraflow.network import components, network_from_dict, network_to_dict
@@ -46,16 +47,18 @@ def two_layer_document(adjacency=None, coupling=None, **fields):
 
 
 def matrices(network):
-    return [layer.adjacency for layer in network.layers] + [c.coupling for c in network.couplings]
+    return [layer.adjacency.toarray() for layer in network.layers] + [
+        c.coupling.toarray() for c in network.couplings
+    ]
 
 
 class TestBuildLaplacian:
     def test_two_node_symmetric(self):
         out = build_laplacian([[0, 1], [1, 0]])
-        assert np.array_equal(out, [[1, -1], [-1, 1]])
+        assert np.array_equal(out.toarray(), [[1, -1], [-1, 1]])
 
     def test_empty_graph(self):
-        assert np.array_equal(build_laplacian(np.zeros((3, 3))), np.zeros((3, 3)))
+        assert np.array_equal(build_laplacian(np.zeros((3, 3))).toarray(), np.zeros((3, 3)))
 
     def test_random_rows_sum_to_zero_and_psd(self):
         rng = np.random.default_rng(0)
@@ -64,7 +67,7 @@ class TestBuildLaplacian:
         np.fill_diagonal(w, 0.0)
         lap = build_laplacian(w)
         assert np.abs(lap.sum(axis=1)).max() < 1e-12
-        assert np.linalg.eigvalsh(lap).min() >= -1e-12
+        assert np.linalg.eigvalsh(lap.toarray()).min() >= -1e-12
 
     def test_directed_rows_still_sum_to_zero(self):
         rng = np.random.default_rng(1)
@@ -100,8 +103,8 @@ class TestAssemble:
         )
         supra = assemble_supra_laplacian(network, constants)
         expected = np.zeros((6, 6))
-        expected[0:2, 0:2] = 1.5 * build_laplacian([[0, 1], [1, 0]])
-        expected[4:6, 4:6] = 2.0 * build_laplacian([[0, 1], [1, 0]])
+        expected[0:2, 0:2] = 1.5 * build_laplacian([[0, 1], [1, 0]]).toarray()
+        expected[4:6, 4:6] = 2.0 * build_laplacian([[0, 1], [1, 0]]).toarray()
         assert np.abs(supra.matrix - expected).max() < 1e-12
         assert np.abs(supra.inter_part).max() == 0.0
 
@@ -211,11 +214,16 @@ class TestSupraLaplacianStorage:
         rng = np.random.default_rng(3)
         for _ in range(10):
             supra = assemble_supra_laplacian(*random_network(rng))
-            for part in (supra.intra_part, supra.inter_part, supra.matrix):
-                assert not part.flags.writeable
+            arrays = [supra.matrix]
+            for part in (supra.intra_part, supra.inter_part):
+                assert isinstance(part, scipy.sparse.csr_array) and part.has_canonical_format
+                arrays += [part.data, part.indices, part.indptr]
+            for array in arrays:
+                assert not array.flags.writeable
                 with pytest.raises(ValueError):
-                    part[0, 0] = 1.0
-            assert supra.matrix.tobytes() == (supra.intra_part + supra.inter_part).tobytes()
+                    array[:1] = 1
+            dense_sum = supra.intra_part.toarray() + supra.inter_part.toarray()
+            assert supra.matrix.tobytes() == dense_sum.tobytes()
             with pytest.raises(dataclasses.FrozenInstanceError):
                 supra.matrix = supra.intra_part
 
@@ -223,7 +231,7 @@ class TestSupraLaplacianStorage:
         rng = np.random.default_rng(4)
         for _ in range(10):
             supra = assemble_supra_laplacian(*random_network(rng))
-            expected = scipy.sparse.csr_array(supra.intra_part + supra.inter_part)
+            expected = scipy.sparse.csr_array(supra.intra_part.toarray() + supra.inter_part.toarray())
             for got, want in (
                 (supra.csr.data, expected.data),
                 (supra.csr.indices, expected.indices),
@@ -247,6 +255,10 @@ class TestSupraLaplacianStorage:
         intra[0, 0] = inter[0, 0] = 5.0
         assert supra.intra_part[0, 0] == 1.0 and supra.inter_part[0, 0] == 0.0
         assert supra.matrix[0, 0] == 1.0
+        sparse = scipy.sparse.csr_array(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        supra = dataclasses.replace(supra, intra_part=sparse)
+        sparse.data[:] = 5.0
+        assert supra.intra_part[0, 0] == 1.0 and supra.intra_part is not sparse
 
     def test_parts_must_match_the_node_index(self):
         with pytest.raises(ValidationError, match="node index"):
@@ -264,6 +276,39 @@ class TestSupraLaplacianStorage:
             x0, supra, NoiseModel(sigma=0.01 * x0, seed=1), SimulationConfig(dt=0.01, horizon=0.05)
         )
         assert "matrix" not in vars(supra)
+
+    def test_loading_assembling_and_applying_form_no_dense_p_by_p_array(self, tmp_path):
+        n = 500  # two ring layers joined node to node: P = 1000
+        ring = np.arange(n)
+        adjacency = scipy.sparse.csr_array(
+            (np.ones(2 * n), (np.r_[ring, ring], np.r_[(ring + 1) % n, (ring - 1) % n])),
+            shape=(n, n),
+        )
+        layers = tuple(
+            LayerGraph(k, "agent", tuple(f"a{i}" for i in range(n)), adjacency) for k in (1, 2)
+        )
+        coupling = InterLayerCoupling(1, 2, scipy.sparse.eye_array(n, format="csr"))
+        path = tmp_path / "network.json"
+        save_network(
+            path,
+            InterconnectedNetwork(layers, (coupling,)),
+            DiffusionConstants(intra={1: 1.0, 2: 1.0}, inter={(1, 2): 0.5}),
+        )
+        p = 2 * n
+        x0 = np.random.default_rng(0).random((p, 2))
+        noise = NoiseModel(sigma=0.01 * x0, seed=1)
+        config = SimulationConfig(dt=0.01, horizon=0.05, ensemble_size=2)
+        tracemalloc.start()
+        try:
+            supra = assemble_supra_laplacian(*load_network(path))
+            propagate_closed(x0, supra, 0.5)
+            simulate_open(x0, supra, noise, config)
+            simulate_ensemble(x0, supra, noise, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert supra.n_nodes == p and "matrix" not in vars(supra)
+        assert peak < p * p * 8 / 4
 
     def test_assembly_peak_memory_is_below_three_and_a_half_operators(self):
         network, constants = p160_network()
@@ -309,7 +354,7 @@ class TestScaleInterLayer:
         network, constants, _ = hand_expanded_fixture
         supra = assemble_supra_laplacian(network, constants)
         scaled = scale_inter_layer(supra, 0.0)
-        assert np.array_equal(scaled.matrix, supra.intra_part)
+        assert np.array_equal(scaled.matrix, supra.intra_part.toarray())
 
     def test_half_scaling_matches_independent_reassembly(self, hand_expanded_fixture):
         network, constants, _ = hand_expanded_fixture
@@ -365,7 +410,7 @@ class TestNetworkJson:
 
     def test_triplet_matrices(self):
         network, constants = network_from_dict(two_layer_document())
-        assert np.array_equal(network.layer(1).adjacency, [[0, 1], [1, 0]])
+        assert np.array_equal(network.layer(1).adjacency.toarray(), [[0, 1], [1, 0]])
         assert network.coupling_matrix(1, 2)[0, 0] == 2.0
         assert constants.inter_for(2, 1) == 1.0
 

@@ -16,6 +16,7 @@ import tempfile
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -56,11 +57,17 @@ from supraflow.calibration import (
     write_matrix_csv,
 )
 from supraflow.diffusion import exponential_action
-from supraflow.network import _matrix_from_json, components
+from supraflow.network import _is_symmetric, _matrix_from_json, _matrix_to_json, components
 from supraflow.spectral import _layer_kernel_basis
 from supraflow import kalman
 from supraflow.kalman import PHASE_PREDICTED, KalmanState
-from conftest import connected_adjacency, directed_network, random_network, single_layer_supra
+from conftest import (
+    brute_force_supra,
+    connected_adjacency,
+    directed_network,
+    random_network,
+    single_layer_supra,
+)
 from test_kalman import pinv_update
 
 # Derandomized so the suite stays deterministic; no example database is kept.
@@ -326,7 +333,7 @@ class TestOperatorInvariants:
         network, constants = random_network(np.random.default_rng(seed), connected=connected)
         supra = assemble_supra_laplacian(network, constants)
         scale = np.abs(supra.matrix).max()
-        for part in (supra.matrix, supra.intra_part, supra.inter_part):
+        for part in (supra.matrix, supra.intra_part.toarray(), supra.inter_part.toarray()):
             assert np.array_equal(part, part.T)
             assert np.abs(part.sum(axis=1)).max() <= 1e-12 * scale
         assert np.linalg.eigvalsh(supra.matrix).min() >= -1e-12 * scale
@@ -347,7 +354,7 @@ class TestKernelFromComponents:
     def test_null_basis_is_an_orthonormal_intra_kernel_basis(self, seed, n_layers, connected):
         network, constants = random_network(np.random.default_rng(seed), n_layers, connected)
         supra = assemble_supra_laplacian(network, constants)
-        if eigenvalue_kernel_dim(supra.intra_part) != n_layers:
+        if eigenvalue_kernel_dim(supra.intra_part.toarray()) != n_layers:
             with pytest.raises(ValidationError, match="internally connected"):
                 _layer_kernel_basis(supra)
             return
@@ -618,7 +625,7 @@ class TestByteRoundTrips:
         expected += [c.coupling for c in network.couplings]
         for obj, matrix in zip(written, expected, strict=True):
             assert list(obj) == ["triplets"]
-            assert len(obj["triplets"]) == np.count_nonzero(matrix)
+            assert len(obj["triplets"]) == matrix.count_nonzero()
             assert all(weight != 0 for _, _, weight in obj["triplets"])
 
     @settings(PROPERTY, max_examples=100)
@@ -632,7 +639,7 @@ class TestByteRoundTrips:
         dense = json.loads(json.dumps(matrix.tolist()))
         from_triplets = _matrix_from_json(sparse, shape, "matrix")
         from_rows = _matrix_from_json(dense, shape, "matrix")
-        assert from_triplets.tobytes() == from_rows.tobytes() == matrix.tobytes()
+        assert from_triplets.toarray().tobytes() == from_rows.toarray().tobytes() == matrix.tobytes()
 
     @settings(PROPERTY, max_examples=50)
     @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)), data=st.data())
@@ -654,3 +661,102 @@ class TestVectorize:
         columns = np.concatenate([matrix[:, j] for j in range(shape[1])])
         assert vector.tobytes() == columns.tobytes()
         assert devectorize(vector, *shape).tobytes() == matrix.tobytes()
+
+
+def reference_components(matrix):
+    """Component labels by a node-at-a-time search of the dense pattern of
+    A + A^T, the reference for the CSR search."""
+    linked = (matrix != 0) | (matrix != 0).T
+    labels = np.full(len(matrix), -1)
+    count = 0
+    for root in range(len(matrix)):
+        if labels[root] >= 0:
+            continue
+        labels[root] = count
+        stack = [root]
+        while stack:
+            for other in np.flatnonzero(linked[stack.pop()]):
+                if labels[other] < 0:
+                    labels[other] = count
+                    stack.append(other)
+        count += 1
+    return labels
+
+
+def with_explicit_zeros(matrix):
+    """``matrix`` as CSR storing every entry, zeros included."""
+    rows, cols = np.indices(matrix.shape).reshape(2, -1)
+    return scipy.sparse.csr_array((matrix.ravel(), (rows, cols)), shape=matrix.shape)
+
+
+square_patterns = st.integers(1, 12).flatmap(
+    lambda n: float_arrays((n, n), st.sampled_from([0.0, 0.0, 0.0, 1.0, -2.5, 1e-300]))
+)
+
+
+class TestSparseStorage:
+    @PROPERTY
+    @given(seed=seeds, directed=st.booleans(), n_layers=st.integers(1, 3), connected=st.booleans())
+    def test_assembly_matches_the_dense_reference_with_zero_row_sums(
+        self, seed, directed, n_layers, connected
+    ):
+        rng = np.random.default_rng(seed)
+        if directed:
+            network, constants = directed_network(rng, n_layers)
+        else:
+            network, constants = random_network(rng, n_layers, connected)
+        supra = assemble_supra_laplacian(network, constants)
+        assert np.abs(supra.matrix - brute_force_supra(network, constants)).max() <= 1e-12
+        for part in (supra.csr, supra.intra_part, supra.inter_part):
+            assert np.abs(part.sum(axis=1)).max() <= 1e-12
+
+    @PROPERTY
+    @given(matrix=square_patterns)
+    def test_components_of_csr_match_a_dense_reference_search(self, matrix):
+        expected = reference_components(matrix).tolist()
+        assert components(matrix).tolist() == expected
+        assert components(scipy.sparse.csr_array(matrix)).tolist() == expected
+        assert components(with_explicit_zeros(matrix)).tolist() == expected
+
+    @PROPERTY
+    @given(
+        matrix=square_patterns,
+        skew=st.sampled_from([0.0, 1e-300, 1e-14, 1e-12, 2.5e-12, 1e-6, 1.0]),
+        seed=seeds,
+    )
+    def test_is_symmetric_agrees_on_csr_and_dense(self, matrix, skew, seed):
+        perturbation = np.random.default_rng(seed).random(matrix.shape) < 0.2
+        matrix = matrix + matrix.T + skew * perturbation
+        expected = _is_symmetric(matrix)
+        assert _is_symmetric(scipy.sparse.csr_array(matrix)) == expected
+        assert _is_symmetric(with_explicit_zeros(matrix)) == expected
+
+    @settings(PROPERTY, max_examples=100)
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)), data=st.data())
+    def test_triplets_round_trip_byte_for_byte(self, shape, data):
+        matrix = data.draw(float_arrays(shape, st.one_of(st.just(0.0), weights)))
+        rows, cols = np.nonzero(matrix)
+        triplets = [[int(i), int(j), float(matrix[i, j])] for i, j in zip(rows, cols)]
+        text = json.dumps({"triplets": triplets})
+        shuffled = json.dumps({"triplets": data.draw(st.permutations(triplets))})
+        for written in (text, shuffled):
+            loaded = _matrix_from_json(json.loads(written), shape, "matrix")
+            assert json.dumps(_matrix_to_json(loaded)) == text
+
+    @PROPERTY
+    @given(seed=seeds, directed=st.booleans(), n_layers=st.integers(1, 3))
+    def test_load_and_assembly_leave_every_matrix_sparse(self, seed, directed, n_layers):
+        rng = np.random.default_rng(seed)
+        generated = (directed_network if directed else random_network)(rng, n_layers)
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "network.json")
+            save_network(path, *generated)
+            network, constants = load_network(path)
+        supra = assemble_supra_laplacian(network, constants)
+        matrices = [layer.adjacency for layer in network.layers]
+        matrices += [c.coupling for c in network.couplings]
+        for matrix in matrices + [supra.intra_part, supra.inter_part, supra.csr]:
+            assert isinstance(matrix, scipy.sparse.csr_array) and matrix.has_canonical_format
+            assert matrix.data.all()
+            assert not any(a.flags.writeable for a in (matrix.data, matrix.indices, matrix.indptr))
+        assert "matrix" not in vars(supra)

@@ -195,7 +195,7 @@ class TestConnectivitySweep:
         monkeypatch.setattr(scipy.linalg, "cho_factor", failing)
         for epsilon in (0.01, 0.5):
             point = connectivity_sweep(network, constants, [epsilon])[0]
-            expected = np.linalg.eigvalsh(supra.intra_part + epsilon * supra.inter_part)[1]
+            expected = np.linalg.eigvalsh((supra.intra_part + epsilon * supra.inter_part).toarray())[1]
             assert point.lambda2_actual == expected
 
     def test_disconnected_coupled_operator_gives_zero_everywhere(self):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -37,16 +38,29 @@ class TestGenerateSynthetic:
         b_net, b_series, b_truth = generate_synthetic(small_spec(), seed=11)
         assert a_net.node_order == b_net.node_order
         for la, lb in zip(a_net.layers, b_net.layers):
-            assert np.array_equal(la.adjacency, lb.adjacency)
+            assert np.array_equal(la.adjacency.toarray(), lb.adjacency.toarray())
         for sa, sb in zip(a_series.snapshots, b_series.snapshots):
             assert np.array_equal(sa.matrix, sb.matrix)
         assert np.array_equal(a_truth.sigma, b_truth.sigma)
+
+    def test_noisy_history_memory_is_bounded_by_the_snapshot_count(self):
+        # dt = 1e-4 takes 10^4 Euler-Maruyama steps per spacing; keeping them
+        # all would take 20001 x 22 x 3 doubles, about 10.6 MB.
+        spec = small_spec(sigma_ratio=0.01, dt=1e-4, n_snapshots=3, spacing=1.0)
+        tracemalloc.start()
+        try:
+            _, series, _ = generate_synthetic(spec, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series.snapshots) == 3
+        assert peak < 1_000_000
 
     def test_different_seed_different_dataset(self):
         a_net, _, _ = generate_synthetic(small_spec(), seed=11)
         b_net, _, _ = generate_synthetic(small_spec(), seed=12)
         assert any(
-            not np.array_equal(la.adjacency, lb.adjacency)
+            not np.array_equal(la.adjacency.toarray(), lb.adjacency.toarray())
             for la, lb in zip(a_net.layers, b_net.layers)
         )
 
@@ -70,7 +84,7 @@ class TestGenerateSynthetic:
         x0 = series.snapshots[0].matrix
         doc_rows = x0[network.layer_slices[3]]
         agent_block = x0[network.layer_slices[1]]
-        ownership = network.coupling_matrix(1, 3)
+        ownership = network.coupling_matrix(1, 3).toarray()
         assert np.array_equal(ownership.sum(axis=0), np.ones(doc_rows.shape[0]))
         for i in range(agent_block.shape[0]):
             owned = np.flatnonzero(ownership[i])
@@ -92,7 +106,9 @@ class TestGenerateSynthetic:
         network, series, truth = generate_synthetic(spec, seed=22)
         x0 = series.snapshots[0].matrix
         docs = np.vstack([x0[network.layer_slices[2]], x0[network.layer_slices[3]]])
-        ownership = np.hstack([network.coupling_matrix(1, 2), network.coupling_matrix(1, 3)])
+        ownership = np.hstack(
+            [network.coupling_matrix(1, 2).toarray(), network.coupling_matrix(1, 3).toarray()]
+        )
         agent_block = x0[network.layer_slices[1]]
         owns_none = ownership.sum(axis=1) == 0
         assert owns_none.any()
