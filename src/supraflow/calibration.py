@@ -14,7 +14,9 @@ Two calibration routes work from snapshot histories:
   operator is kept fully general, not projected back to Kronecker structure.
   The learner and its predictions need only e^{A} x, so e^{A} is applied to
   states (``exponential_action``) and formed only where that is cheaper: for a
-  stiff operator or many states at once.
+  stiff operator or many states at once.  While A is exactly kron(I_T, B), as
+  the lift is before any update, e^{A} = kron(I_T, e^{B}) (Van Loan 2000), so
+  the action runs per topic through the P x P block B (``_topic_block``).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .network import (
     DiffusionConstants,
     InterconnectedNetwork,
     SupraLaplacian,
+    _entries,
     _is_symmetric,
     assemble_supra_laplacian,
     constants_to_dict,
@@ -180,6 +183,8 @@ class _Residuals:
     def __init__(self, pairs, network: InterconnectedNetwork):
         self.keys = keys = _free_parameters(network)
         self.basis = []  # B_k in CSR
+        # B_k's entries as (flat row-major index, value), for scattering L(D).
+        self.entries = []
         # B_k touches only the nodes of its own layers, so V^T B_k V needs
         # only those rows of V: (support rows, those rows of B_k).
         self.supports = []
@@ -192,6 +197,8 @@ class _Residuals:
             b = supra.csr
             rows = np.flatnonzero(np.diff(b.indptr))
             self.basis.append(b)
+            entry_rows, entry_cols, entry_values = _entries(b)
+            self.entries.append((entry_rows * b.shape[1] + entry_cols, entry_values))
             self.supports.append((rows, b[rows]))
         self.ends = np.stack([b.matrix for _, b, _ in pairs])
         members_of: dict[float, list[int]] = {}
@@ -211,9 +218,19 @@ class _Residuals:
             out[members] = block.reshape(block.shape[0], len(members), -1).transpose(1, 0, 2)
         return out
 
+    def generator(self, values: np.ndarray) -> np.ndarray:
+        """Dense L(D) = sum_k D_k B_k: each B_k's entries times D_k added into
+        one zeroed array in k order, so every entry sums as the sparse sum
+        would, with no sparse arithmetic."""
+        out = np.zeros(self.basis[0].shape)
+        flat = out.reshape(-1)
+        for v, (index, data) in zip(values, self.entries):
+            flat[index] += v * data
+        return out
+
     def evaluate(self, values: np.ndarray) -> tuple[np.ndarray, float, tuple]:
         """Residuals and objective at ``values``, and what the Jacobian there reuses."""
-        generator = sum(v * b for v, b in zip(values, self.basis)).toarray()
+        generator = self.generator(values)
         if self.symmetric:
             eigvals, eigvecs = np.linalg.eigh(generator)
             projected = [eigvecs.T @ block for _, _, block in self.groups]
@@ -355,7 +372,10 @@ class LearnedOperator:
 
     ``lambda_hat`` is PT x PT; the one-step prediction is
     e^{lambda_hat} @ vectorize(X), computed as the exponential's action on the
-    state; e^{lambda_hat} is not kept.  ``iteration_log`` records the pair
+    state; e^{lambda_hat} is not kept.  When ``lambda_hat`` is exactly
+    kron(I_T, B), as it is after no rank-1 update, the action (and the Kalman
+    filter's transition) runs per topic through the P x P block B; otherwise
+    on the dense PT x PT matrix.  ``iteration_log`` records the pair
     error measured just before each rank-1 update (or the initial evaluation
     when the fit converges immediately); ``residual_variance`` holds
     per-coordinate variances of the final training residuals, used downstream
@@ -378,6 +398,33 @@ class LearnedOperator:
 def kronecker_lift(supra: SupraLaplacian, n_topics: int) -> np.ndarray:
     """PT x PT generator acting like -L on every topic column of the state."""
     return np.kron(np.eye(int(n_topics)), -supra.matrix)
+
+
+def _topic_block(lambda_hat: np.ndarray, n_nodes: int, n_topics: int) -> np.ndarray | None:
+    """B when ``lambda_hat`` is exactly kron(I_T, B), else None.
+
+    Exactly: every off-diagonal topic block is all zero and every diagonal
+    block equals the first entry for entry.  Then e^{lambda_hat} =
+    kron(I_T, e^{B}) and a state's topic columns evolve independently.
+    """
+    blocks = np.asarray(lambda_hat).reshape(n_topics, n_nodes, n_topics, n_nodes)
+    first = blocks[0, :, 0, :]
+    for i in range(n_topics):
+        for j in range(n_topics):
+            if i != j and blocks[i, :, j, :].any():
+                return None
+        if i and not np.array_equal(blocks[i, :, i, :], first):
+            return None
+    return first
+
+
+def _topic_action(block: np.ndarray, vectors: np.ndarray, n_topics: int) -> np.ndarray:
+    """e^{kron(I_T, B)} applied to PT x k column-stacked states, as e^{B}
+    applied once to the P x (T k) block of their topic columns."""
+    n_nodes, count = block.shape[0], vectors.shape[1]
+    columns = vectors.reshape(n_topics, n_nodes, count).transpose(1, 0, 2)
+    moved = exponential_action(block, columns.reshape(n_nodes, n_topics * count))
+    return moved.reshape(n_nodes, n_topics, count).transpose(1, 0, 2).reshape(-1, count)
 
 
 def learn_supra_operator(
@@ -432,7 +479,12 @@ def learn_supra_operator(
         while True:
             # Every exit below follows this evaluation, so its residuals are
             # also the final ones.
-            residuals = stacked_targets - exponential_action(lam, stacked_inputs)
+            if iterations:
+                moved = exponential_action(lam, stacked_inputs)
+            else:
+                # Lambda is still kron(I_T, -L): run per topic.
+                moved = _topic_action(-init.matrix, stacked_inputs, n_topics)
+            residuals = stacked_targets - moved
             errors = np.linalg.norm(residuals, axis=0)
             if initial_error is None:
                 initial_error = float(errors.max())
@@ -507,7 +559,9 @@ def one_step_predict_learned(op: LearnedOperator, x):
     """Predict the next snapshot: e^{lambda_hat} applied to the state.
 
     ``x`` may also be a k x P x T array of states, predicted in one call so
-    that they share the cost of the exponential.
+    that they share the cost of the exponential.  When lambda_hat is exactly
+    kron(I_T, B), e^{B} is applied once to the P x (T k) block of the states'
+    topic columns instead.
     """
     arr = _state_array(x)
     shape = (op.n_nodes, op.n_topics)
@@ -517,7 +571,12 @@ def one_step_predict_learned(op: LearnedOperator, x):
             f"({op.n_nodes} x {op.n_topics})"
         )
     states = arr.reshape((-1,) + shape)
-    moved = exponential_action(op.lambda_hat, np.column_stack([vectorize(s) for s in states]))
+    vectors = np.column_stack([vectorize(s) for s in states])
+    block = _topic_block(op.lambda_hat, *shape)
+    if block is None:
+        moved = exponential_action(op.lambda_hat, vectors)
+    else:
+        moved = _topic_action(block, vectors, op.n_topics)
     predicted = np.stack([devectorize(v, *shape) for v in moved.T]).reshape(arr.shape)
     if isinstance(x, StateMatrix):
         return StateMatrix(matrix=predicted, node_index=dict(x.node_index), timestamp=x.timestamp + 1.0)

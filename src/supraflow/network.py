@@ -266,6 +266,20 @@ class InterconnectedNetwork:
                 return reverse.coupling.T
         return None
 
+    def _coupling_entries(self, a: int, b: int):
+        """``_entries`` of ``coupling_matrix(a, b)``, or None: an implied
+        reverse coupling swaps the declared one's rows and columns instead of
+        building a transposed view."""
+        declared = self._pair_map.get((a, b))
+        if declared is not None:
+            return _entries(declared.coupling)
+        if self.symmetric:
+            reverse = self._pair_map.get((b, a))
+            if reverse is not None:
+                rows, cols, values = _entries(reverse.coupling)
+                return cols, rows, values
+        return None
+
 
 @dataclass(frozen=True)
 class SupraLaplacian:
@@ -310,13 +324,11 @@ class SupraLaplacian:
         return total
 
 
-def _entries(w: scipy.sparse.sparray):
-    """(rows, cols, values) of the stored entries of a CSR or CSC matrix,
-    read from its arrays without a format conversion.  ``np.bincount`` of the
-    rows weighted by the values gives the row sums, each row's entries added
-    in storage order."""
-    major = np.repeat(np.arange(len(w.indptr) - 1), np.diff(w.indptr))
-    return (major, w.indices, w.data) if w.format == "csr" else (w.indices, major, w.data)
+def _entries(w: scipy.sparse.csr_array):
+    """(rows, cols, values) of the stored entries of a CSR matrix, read from
+    its arrays.  ``np.bincount`` of the rows weighted by the values gives the
+    row sums, each row's entries added in storage order."""
+    return np.repeat(np.arange(w.shape[0]), np.diff(w.indptr)), w.indices, w.data
 
 
 def _laplacian_triplets(w: scipy.sparse.csr_array, scale: float, offset: int):
@@ -421,14 +433,14 @@ def assemble_supra_laplacian(
         for b in network.layer_ids:
             if a == b:
                 continue
-            w = network.coupling_matrix(a, b)
-            if w is None:
+            entries = network._coupling_entries(a, b)
+            if entries is None:
                 continue
             d = constants.inter_for(a, b)
             if d is None:
                 raise ValidationError(f"missing inter-layer constant for layer pair ({a},{b})")
-            rows, cols, values = _entries(w)
-            degree[sa] += d * np.bincount(rows, weights=values, minlength=w.shape[0])
+            rows, cols, values = entries
+            degree[sa] += d * np.bincount(rows, weights=values, minlength=sa.stop - sa.start)
             inter[0].append(rows + sa.start)
             inter[1].append(cols + network.layer_slices[b].start)
             inter[2].append(-(d * values))

@@ -273,6 +273,27 @@ class TestLearnSupraOperator:
         expected = self.lam0 + gain * np.outer(residual, x_in)
         assert np.abs(op.lambda_hat - expected).max() < 1e-12
 
+    @pytest.mark.parametrize("max_iters", [0, 2])
+    def test_evaluations_before_the_first_update_run_per_topic(self, monkeypatch, max_iters):
+        operators = []
+        real = calibration.exponential_action
+
+        def recorded(a, x):
+            operators.append(np.shape(a))
+            return real(a, x)
+
+        monkeypatch.setattr(calibration, "exponential_action", recorded)
+        series = series_from_operator(
+            self.lam0 + 0.03, self.x0, 5, 2, self.network.node_index, 3
+        )
+        op = learn_supra_operator(series, self.supra, threshold=0.0, max_iters=max_iters)
+        assert op.iterations == max_iters
+        # One per-topic evaluation; after the first update, the second pair's
+        # action and the closing evaluation on the whole 10 x 10 operator.
+        assert operators == [(5, 5)] + [(10, 10)] * max_iters
+        # The rank-1 updates leave the Kronecker structure.
+        assert (calibration._topic_block(op.lambda_hat, 5, 2) is None) == (max_iters > 0)
+
     def test_huge_gain_aborts_with_numerical_error(self):
         series = series_from_operator(
             self.lam0 + 0.05, self.x0, 5, 2, self.network.node_index, 4

@@ -172,6 +172,20 @@ class TestRunExperiment:
         assert result.improvements["multilayer"] > 0
         assert result.mean_errors["learned_operator"] <= single
 
+    def test_learned_operator_without_updates_is_the_multilayer_predictor(self):
+        # On noisy data the learner stops at the noise floor with no rank-1
+        # update, so lambda_hat is kron(I_T, -L(D_hat)), and one step of it is
+        # the multilayer prediction e^{-L(D_hat)} X at spacing 1.
+        config = ExperimentConfig(
+            methods=("multilayer", "learned_operator"),
+            synthetic=interconnected_spec(sigma_ratio=0.05),
+            seed=5,
+        )
+        result = run_experiment(config)
+        assert result.diagnostics["learned_operator"].iterations == 0
+        multi = result.mean_errors["multilayer"]
+        assert abs(result.mean_errors["learned_operator"] - multi) <= 1e-12 * multi
+
     def test_one_step_method_curves_stay_below_upper_bound(self):
         config = ExperimentConfig(
             methods=("single_layer", "multilayer", "learned_operator"),

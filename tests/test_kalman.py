@@ -15,7 +15,8 @@ from supraflow import (
     one_step_predict_learned,
     run_filter,
 )
-from supraflow import kalman
+from supraflow import calibration, diffusion, kalman
+from supraflow.calibration import _topic_block
 from supraflow.kalman import (
     PHASE_PREDICTED,
     PHASE_UPDATED,
@@ -471,6 +472,84 @@ class TestRunFilter:
         lines = path.read_text().splitlines()
         assert lines[0] == "step,error_all,error_observed,error_hidden,trace_Pi"
         assert len(lines) == 1 + len(result.steps)
+
+
+class TestTopicRoute:
+    """``filter_fractions`` and ``one_step_predict_learned`` run per topic
+    exactly when lambda_hat is kron(I_T, B), and then form no PT x PT
+    exponential or covariance; any other generator takes the PT route."""
+
+    n_nodes, n_topics = 4, 3
+
+    def setup_method(self):
+        rng = np.random.default_rng(21)
+        half = 0.3 * rng.standard_normal((self.n_nodes, self.n_nodes))
+        self.lam = np.kron(np.eye(self.n_topics), half + half.T)
+        self.states = list(rng.random((6, self.n_nodes, self.n_topics)))
+        self.q = rng.uniform(0.01, 0.1, self.n_nodes * self.n_topics)
+
+    def shapes_seen(self, monkeypatch, lam):
+        """Shapes of every matrix exponential and filter covariance that
+        ``filter_fractions`` forms, and of every operator that
+        ``one_step_predict_learned`` applies."""
+        seen = {"filter_expm": [], "pi": [], "predict_action": []}
+        for module in (kalman, diffusion):
+            real = module.matrix_exponential
+
+            def recorded(a, real=real):
+                seen["filter_expm"].append(np.shape(a))
+                return real(a)
+
+            monkeypatch.setattr(module, "matrix_exponential", recorded)
+        for name in ("kalman_predict", "kalman_update"):
+            real_step = getattr(kalman, name)
+
+            def recorded_step(state, *args, real_step=real_step):
+                seen["pi"].append(state.pi.shape)
+                return real_step(state, *args)
+
+            monkeypatch.setattr(kalman, name, recorded_step)
+        op = replace(make_operator(lam, self.n_nodes, self.n_topics), residual_variance=self.q)
+        node_index = {(1, f"n{i}"): i for i in range(self.n_nodes)}
+        series = make_series(node_index, self.states, train_count=2)
+        filter_fractions(series, op, nested_masks(self.n_nodes, [0.5, 1.0], seed=2))
+        monkeypatch.undo()
+
+        real_action = calibration.exponential_action
+
+        def recorded_action(a, x):
+            seen["predict_action"].append(np.shape(a))
+            return real_action(a, x)
+
+        monkeypatch.setattr(calibration, "exponential_action", recorded_action)
+        one_step_predict_learned(op, np.stack(self.states))
+        return seen
+
+    def test_kronecker_generator_runs_per_topic(self, monkeypatch):
+        block = _topic_block(self.lam, self.n_nodes, self.n_topics)
+        assert np.array_equal(np.kron(np.eye(self.n_topics), block), self.lam)
+        seen = self.shapes_seen(monkeypatch, self.lam)
+        small = (self.n_nodes, self.n_nodes)
+        # One e^{B} for both fractions; per fraction, 4 test steps of one
+        # predict and one update in each of the T topic filters.
+        assert seen["filter_expm"] == [small]
+        assert seen["pi"] == [small] * (2 * 2 * 4 * self.n_topics)
+        assert seen["predict_action"] == [small]
+
+    @pytest.mark.parametrize("where", ["off_diagonal_block", "diagonal_block_ulp"])
+    def test_any_other_generator_takes_the_whole_state_route(self, monkeypatch, where):
+        n = self.n_nodes
+        lam = self.lam.copy()
+        if where == "off_diagonal_block":
+            lam[n + 1, 2 * n] = 1e-3
+        else:
+            lam[2 * n + 1, 2 * n + 2] = np.nextafter(lam[2 * n + 1, 2 * n + 2], np.inf)
+        assert _topic_block(lam, self.n_nodes, self.n_topics) is None
+        seen = self.shapes_seen(monkeypatch, lam)
+        whole = (n * self.n_topics,) * 2
+        assert seen["filter_expm"] == [whole]
+        assert seen["pi"] == [whole] * (2 * 2 * 4)
+        assert seen["predict_action"] == [whole]
 
 
 class TestObservationModelBuild:

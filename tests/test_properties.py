@@ -4,14 +4,17 @@ against eigenvalue counts, the exponential action, closed propagation, the
 Euler-Maruyama ensemble and its statistics, the connectivity sweep, both
 routes of the observed-block Kalman update and the learner against dense
 reference formulas and invariants, the fit's exact Jacobian against central
-differences, and byte-for-byte round trips of the state, network and matrix
-files, the network matrices read alike from triplets and from dense rows, and
-the column-major vectorization undone exactly."""
+differences, the fit's scattered generator against the sparse sum bit for
+bit, the per-topic filter and prediction of a Kronecker generator against the
+whole-state route, and byte-for-byte round trips of the state, network and
+matrix files, the network matrices read alike from triplets and from dense
+rows, and the column-major vectorization undone exactly."""
 
 import contextlib
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,8 +43,10 @@ from supraflow import (
     learn_supra_operator,
     load_network,
     matrix_exponential,
+    one_step_predict_learned,
     propagate_closed,
     read_states_csv,
+    run_filter,
     save_network,
     scale_inter_layer,
     simulate_ensemble,
@@ -65,10 +70,11 @@ from conftest import (
     brute_force_supra,
     connected_adjacency,
     directed_network,
+    make_operator,
     random_network,
     single_layer_supra,
 )
-from test_kalman import pinv_update
+from test_kalman import make_series, pinv_update
 
 # Derandomized so the suite stays deterministic; no example database is kept.
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -320,6 +326,22 @@ class TestExactJacobian:
         self.assert_matches_central_difference(network, series, values)
 
 
+class TestScatteredGenerator:
+    """The fit's dense generator L(D), scattered from the basis entries, is the
+    sparse sum of D_k B_k bit for bit, zero constants included."""
+
+    @PROPERTY
+    @given(seed=seeds, directed=st.booleans(), zeros=st.integers(0, 3))
+    def test_equals_the_sparse_sum(self, seed, directed, zeros):
+        rng = np.random.default_rng(seed)
+        network, _ = (directed_network if directed else random_network)(rng)
+        problem = _Residuals(random_series(rng, network, 2, count=2).train_pairs(), network)
+        values = rng.uniform(0.0, 2.0, len(problem.keys))
+        values[rng.permutation(len(values))[:zeros]] = 0.0
+        sparse_sum = sum(v * b for v, b in zip(values, problem.basis)).toarray()
+        assert problem.generator(values).tobytes() == sparse_sum.tobytes()
+
+
 def eigenvalue_kernel_dim(matrix):
     """Reference kernel dimension: eigenvalues within 1e-9 of the largest magnitude."""
     eigenvalues = np.linalg.eigvalsh(matrix)
@@ -533,6 +555,57 @@ class TestLearnerMatchesDenseReference:
         assert op.iterations == 20
         assert np.abs(op.lambda_hat - lam_ref).max() <= 1e-10
         assert np.abs(np.array(op.iteration_log) - log_ref).max() <= 1e-10
+
+
+def assert_close(got, want, scale=None):
+    """|got - want| <= 1e-12 * scale entry by entry, NaN where both are;
+    ``scale`` defaults to max |want|."""
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    got, want = np.nan_to_num(got), np.nan_to_num(want)
+    if scale is None:
+        scale = np.abs(want).max(initial=0.0)
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
+
+
+class TestTopicSplit:
+    """A generator that is exactly kron(I_T, B) runs per topic through e^{B}:
+    the same filter results and one-step predictions as the PT-dimensional
+    route through e^{kron(I_T, B)}."""
+
+    @settings(PROPERTY, max_examples=60)
+    @given(
+        seed=seeds,
+        n_nodes=st.integers(1, 6),
+        n_topics=st.integers(1, 3),
+        noisy=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_the_whole_state_route(self, seed, n_nodes, n_topics, noisy, data):
+        rng = np.random.default_rng(seed)
+        half = rng.standard_normal((n_nodes, n_nodes))
+        lam = np.kron(np.eye(n_topics), 0.5 * (half + half.T))
+        dim = n_nodes * n_topics
+        q = rng.uniform(1e-3, 0.1, dim) if noisy else np.zeros(dim)
+        op = replace(make_operator(lam, n_nodes, n_topics), residual_variance=q)
+        observed = tuple(sorted(data.draw(st.sets(st.integers(0, n_nodes - 1)))))
+        node_index = {(1, f"n{i}"): i for i in range(n_nodes)}
+        states = rng.random((5, n_nodes, n_topics))
+        series = make_series(node_index, list(states), train_count=2)
+
+        result = kalman.filter_fractions(series, op, {0.5: observed})[0.5]
+        model = ObservationModel.build(n_nodes, n_topics, observed, kalman.R_OBSERVED, q)
+        reference = run_filter(series, op, model, pi0=0.0, transition=matrix_exponential(lam))
+        for got, want in zip(result.predictions, reference.predictions, strict=True):
+            assert_close(got, want)
+        for name in ("errors_all", "errors_observed", "errors_hidden", "trace_pi"):
+            assert_close(getattr(result, name), getattr(reference, name))
+        # The last update leaves about R of a predicted covariance of order
+        # Q: both routes round that cancellation relative to the predicted trace.
+        assert_close(result.final_state.pi, reference.final_state.pi, reference.trace_pi.max())
+
+        moved = exponential_action(lam, np.column_stack([vectorize(s) for s in states]))
+        predicted = one_step_predict_learned(op, states)
+        assert_close(np.column_stack([vectorize(s) for s in predicted]), moved)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
