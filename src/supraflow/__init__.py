@@ -16,7 +16,6 @@ from .network import (
     LayerKind,
     SupraLaplacian,
     assemble_supra_laplacian,
-    build_laplacian,
     load_network,
     save_network,
     scale_inter_layer,
@@ -35,7 +34,6 @@ from .diffusion import (
     matrix_exponential,
     propagate_closed,
     simulate_ensemble,
-    simulate_open,
 )
 from .calibration import (
     DiffusionFit,
@@ -102,7 +100,6 @@ __all__ = [
     "SyntheticSpec",
     "ValidationError",
     "assemble_supra_laplacian",
-    "build_laplacian",
     "connectivity_sweep",
     "coupling_strength_sweep",
     "devectorize",
@@ -126,7 +123,6 @@ __all__ = [
     "save_network",
     "scale_inter_layer",
     "simulate_ensemble",
-    "simulate_open",
     "spectrum",
     "upper_bound_series",
     "vectorize",

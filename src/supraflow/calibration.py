@@ -16,7 +16,7 @@ Two calibration routes work from snapshot histories:
   states (``exponential_action``) and formed only where that is cheaper: for a
   stiff operator or many states at once.  While A is exactly kron(I_T, B), as
   the lift is before any update, e^{A} = kron(I_T, e^{B}) (Van Loan 2000), so
-  the action runs per topic through the P x P block B (``_topic_block``).
+  the action runs per topic through the P x P block B (``_action``).
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .network import (
     DiffusionConstants,
     InterconnectedNetwork,
     SupraLaplacian,
-    _entries,
     _is_symmetric,
+    _scatter_sum,
     assemble_supra_laplacian,
     constants_to_dict,
 )
@@ -183,8 +183,6 @@ class _Residuals:
     def __init__(self, pairs, network: InterconnectedNetwork):
         self.keys = keys = _free_parameters(network)
         self.basis = []  # B_k in CSR
-        # B_k's entries as (flat row-major index, value), for scattering L(D).
-        self.entries = []
         # B_k touches only the nodes of its own layers, so V^T B_k V needs
         # only those rows of V: (support rows, those rows of B_k).
         self.supports = []
@@ -197,8 +195,6 @@ class _Residuals:
             b = supra.csr
             rows = np.flatnonzero(np.diff(b.indptr))
             self.basis.append(b)
-            entry_rows, entry_cols, entry_values = _entries(b)
-            self.entries.append((entry_rows * b.shape[1] + entry_cols, entry_values))
             self.supports.append((rows, b[rows]))
         self.ends = np.stack([b.matrix for _, b, _ in pairs])
         members_of: dict[float, list[int]] = {}
@@ -219,14 +215,9 @@ class _Residuals:
         return out
 
     def generator(self, values: np.ndarray) -> np.ndarray:
-        """Dense L(D) = sum_k D_k B_k: each B_k's entries times D_k added into
-        one zeroed array in k order, so every entry sums as the sparse sum
-        would, with no sparse arithmetic."""
-        out = np.zeros(self.basis[0].shape)
-        flat = out.reshape(-1)
-        for v, (index, data) in zip(values, self.entries):
-            flat[index] += v * data
-        return out
+        """Dense L(D) = sum_k D_k B_k, scattered in k order, so every entry
+        sums as the sparse sum would."""
+        return _scatter_sum(zip(self.basis, values), np.empty(self.basis[0].shape))
 
     def evaluate(self, values: np.ndarray) -> tuple[np.ndarray, float, tuple]:
         """Residuals and objective at ``values``, and what the Jacobian there reuses."""
@@ -418,10 +409,14 @@ def _topic_block(lambda_hat: np.ndarray, n_nodes: int, n_topics: int) -> np.ndar
     return first
 
 
-def _topic_action(block: np.ndarray, vectors: np.ndarray, n_topics: int) -> np.ndarray:
-    """e^{kron(I_T, B)} applied to PT x k column-stacked states, as e^{B}
-    applied once to the P x (T k) block of their topic columns."""
-    n_nodes, count = block.shape[0], vectors.shape[1]
+def _action(lam: np.ndarray, vectors: np.ndarray, n_nodes: int, n_topics: int) -> np.ndarray:
+    """e^{lam} applied to PT x k column-stacked states.  When lam is exactly
+    kron(I_T, B), e^{B} is applied once to the P x (T k) block of the states'
+    topic columns; otherwise e^{lam} acts on the whole vectors."""
+    block = _topic_block(lam, n_nodes, n_topics)
+    if block is None:
+        return exponential_action(lam, vectors)
+    count = vectors.shape[1]
     columns = vectors.reshape(n_topics, n_nodes, count).transpose(1, 0, 2)
     moved = exponential_action(block, columns.reshape(n_nodes, n_topics * count))
     return moved.reshape(n_nodes, n_topics, count).transpose(1, 0, 2).reshape(-1, count)
@@ -478,13 +473,8 @@ def learn_supra_operator(
     try:
         while True:
             # Every exit below follows this evaluation, so its residuals are
-            # also the final ones.
-            if iterations:
-                moved = exponential_action(lam, stacked_inputs)
-            else:
-                # Lambda is still kron(I_T, -L): run per topic.
-                moved = _topic_action(-init.matrix, stacked_inputs, n_topics)
-            residuals = stacked_targets - moved
+            # also the final ones.  Before the first update it runs per topic.
+            residuals = stacked_targets - _action(lam, stacked_inputs, n_nodes, n_topics)
             errors = np.linalg.norm(residuals, axis=0)
             if initial_error is None:
                 initial_error = float(errors.max())
@@ -572,11 +562,7 @@ def one_step_predict_learned(op: LearnedOperator, x):
         )
     states = arr.reshape((-1,) + shape)
     vectors = np.column_stack([vectorize(s) for s in states])
-    block = _topic_block(op.lambda_hat, *shape)
-    if block is None:
-        moved = exponential_action(op.lambda_hat, vectors)
-    else:
-        moved = _topic_action(block, vectors, op.n_topics)
+    moved = _action(op.lambda_hat, vectors, *shape)
     predicted = np.stack([devectorize(v, *shape) for v in moved.T]).reshape(arr.shape)
     if isinstance(x, StateMatrix):
         return StateMatrix(matrix=predicted, node_index=dict(x.node_index), timestamp=x.timestamp + 1.0)

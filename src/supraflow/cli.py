@@ -49,6 +49,7 @@ from .kalman import (
 )
 from .network import (
     _is_symmetric,
+    _json_int,
     assemble_supra_laplacian,
     constants_to_dict,
     load_network,
@@ -76,7 +77,7 @@ def _read_config(args) -> dict:
 def _seed(args, cfg: dict) -> int:
     if args.seed is not None:
         return int(args.seed)
-    return _optional(cfg, "seed", int, 0)
+    return _optional(cfg, "seed", _json_int, 0)
 
 
 def _outpath(args, name: str) -> str:
@@ -101,7 +102,7 @@ def _require(cfg: dict, key: str, cast=str):
 def _load_series(cfg: dict, network) -> SnapshotSeries:
     snapshots = read_states_csv(_require(cfg, "snapshots"), network)
     return SnapshotSeries(
-        snapshots=tuple(snapshots), train_count=_optional(cfg, "train_count", int)
+        snapshots=tuple(snapshots), train_count=_optional(cfg, "train_count", _json_int)
     )
 
 
@@ -170,8 +171,11 @@ def cmd_simulate(args) -> int:
     supra = assemble_supra_laplacian(network, constants)
     snapshots = read_states_csv(_require(cfg, "states"), network)
     x0 = snapshots[0]
-    if "sigma_file" in cfg:
-        sigma = read_states_csv(_require(cfg, "sigma_file"), network)[0].matrix
+    sigma_file = _optional(cfg, "sigma_file", str)
+    if sigma_file is not None:
+        if cfg.get("sigma") is not None:
+            raise ValidationError("config gives both 'sigma' and 'sigma_file'; give one of them")
+        sigma = read_states_csv(sigma_file, network)[0].matrix
     else:
         sigma = _optional(cfg, "sigma", float, 0.0) * np.ones(x0.matrix.shape)
     noise = NoiseModel(sigma=sigma, seed=_seed(args, cfg))
@@ -179,7 +183,7 @@ def cmd_simulate(args) -> int:
     config = SimulationConfig(
         dt=default_step(supra) if dt is None else dt,
         horizon=_require(cfg, "horizon", float),
-        ensemble_size=_optional(cfg, "paths", int, 1),
+        ensemble_size=_optional(cfg, "paths", _json_int, 1),
     )
     paths = simulate_ensemble(x0, supra, noise, config)
     sim_path = _outpath(args, "simulation.csv")
@@ -221,7 +225,7 @@ def _learner_settings(cfg: dict) -> dict:
     return {
         "gain": _optional(cfg, "gain", float),
         "threshold": _optional(cfg, "eta", float),
-        "max_iters": _optional(cfg, "max_iters", int, LEARN_MAX_ITERS),
+        "max_iters": _optional(cfg, "max_iters", _json_int, LEARN_MAX_ITERS),
     }
 
 

@@ -256,9 +256,12 @@ def _simulate(x0: np.ndarray, lap, sigma: np.ndarray, rng, config: SimulationCon
     return times[::stride], states
 
 
-def _checked_start(x0, supra: SupraLaplacian, noise: NoiseModel, config: SimulationConfig):
-    """The start state of a simulation, checked against the operator and noise,
-    and its node index; warns when the step is large for the operator."""
+def simulate_ensemble(
+    x0, supra: SupraLaplacian, noise: NoiseModel, config: SimulationConfig
+) -> list[SimulationPath]:
+    """Independent Euler-Maruyama paths of dX = -L X dt + S dB, from sub-seeds
+    derived deterministically from the master seed; ``ensemble_size=1`` gives
+    one path.  Warns when the step is large for the operator."""
     x = _state_array(x0)
     if x.shape != noise.sigma.shape:
         raise ValidationError(
@@ -271,27 +274,9 @@ def _checked_start(x0, supra: SupraLaplacian, noise: NoiseModel, config: Simulat
         warnings.warn(
             f"dt={config.dt} is large for an operator of norm {norm:.3g}; "
             "the explicit scheme may be inaccurate",
-            stacklevel=3,
+            stacklevel=2,
         )
     node_index = x0.node_index if isinstance(x0, StateMatrix) else supra.node_index
-    return x, dict(node_index)
-
-
-def simulate_open(
-    x0, supra: SupraLaplacian, noise: NoiseModel, config: SimulationConfig
-) -> SimulationPath:
-    """One Euler-Maruyama path of dX = -L X dt + S dB, deterministic given the seed."""
-    x, node_index = _checked_start(x0, supra, noise, config)
-    rng = np.random.default_rng(noise.seed)
-    times, states = _simulate(x, supra.csr, noise.sigma, rng, config)
-    return SimulationPath(times=times, states=states, node_index=node_index)
-
-
-def simulate_ensemble(
-    x0, supra: SupraLaplacian, noise: NoiseModel, config: SimulationConfig
-) -> list[SimulationPath]:
-    """Independent paths from sub-seeds derived deterministically from the master seed."""
-    x, node_index = _checked_start(x0, supra, noise, config)
     children = np.random.SeedSequence(noise.seed).spawn(config.ensemble_size)
     paths = []
     for child in children:

@@ -43,6 +43,7 @@ from .network import (
     DiffusionConstants,
     InterconnectedNetwork,
     LayerKind,
+    _json_int,
     assemble_supra_laplacian,
     load_network,
     scale_inter_layer,
@@ -117,11 +118,11 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     ``ExperimentConfig`` defaults."""
     with malformed("experiment config"):
         scalars = (
-            ("train_count", int),
-            ("seed", int),
+            ("train_count", _json_int),
+            ("seed", _json_int),
             ("gain", float),
             ("learn_threshold", float),
-            ("max_iters", int),
+            ("max_iters", _json_int),
             ("kalman_r", float),
         )
         return ExperimentConfig(
@@ -317,7 +318,7 @@ def replot_errors_csv(csv_path, svg_path):
 
 
 def coupling_strength_sweep(
-    spec: SyntheticSpec, epsilons: Sequence[float], seed: int, out_dir=None
+    spec: SyntheticSpec, epsilons: Sequence[float], seed: int
 ) -> list[tuple[float, float, float]]:
     """Multilayer prediction error as the inter-layer coupling is rescaled.
 
@@ -352,22 +353,5 @@ def coupling_strength_sweep(
         predictions = [propagate_closed(a.matrix, scaled, dt)[block] for a, _, dt in test_pairs]
         rows.append(
             (float(epsilon), float(_pair_errors(predictions, block_targets).mean()), single_error)
-        )
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        write_csv(
-            os.path.join(out_dir, "coupling_strength.csv"),
-            ["epsilon", "multilayer_error", "single_layer_error"],
-            ([repr(v) for v in row] for row in rows),
-        )
-        line_chart(
-            os.path.join(out_dir, "coupling_strength.svg"),
-            [
-                ("multilayer", [r[0] for r in rows], [r[1] for r in rows]),
-                ("single layer", [r[0] for r in rows], [r[2] for r in rows]),
-            ],
-            title="Prediction error vs. inter-layer strength",
-            x_label="epsilon",
-            y_label="relative error",
         )
     return rows

@@ -255,21 +255,10 @@ class InterconnectedNetwork:
         except KeyError:
             raise ValidationError(f"unknown layer id {layer_id}") from None
 
-    def coupling_matrix(self, a: int, b: int) -> scipy.sparse.sparray | None:
-        """Sparse coupling from layer a to layer b, or None when it is (implicitly) zero."""
-        declared = self._pair_map.get((a, b))
-        if declared is not None:
-            return declared.coupling
-        if self.symmetric:
-            reverse = self._pair_map.get((b, a))
-            if reverse is not None:
-                return reverse.coupling.T
-        return None
-
     def _coupling_entries(self, a: int, b: int):
-        """``_entries`` of ``coupling_matrix(a, b)``, or None: an implied
-        reverse coupling swaps the declared one's rows and columns instead of
-        building a transposed view."""
+        """``_entries`` of the coupling from layer a to layer b, or None when
+        it is (implicitly) zero.  In symmetric mode an undeclared (a, b) is
+        the declared (b, a) transposed: its rows and columns swapped."""
         declared = self._pair_map.get((a, b))
         if declared is not None:
             return _entries(declared.coupling)
@@ -345,6 +334,18 @@ def _laplacian_triplets(w: scipy.sparse.csr_array, scale: float, offset: int):
     )
 
 
+def _scatter_sum(terms, out: np.ndarray) -> np.ndarray:
+    """Write sum_k w_k A_k, for (CSR part A_k, weight w_k) in ``terms``, into
+    the dense ``out``: zeroed, then each part's stored entries times its
+    weight added in term order, entry by entry the arithmetic of the sparse
+    sum, with no temporary the size of ``out``."""
+    out.fill(0.0)
+    for part, weight in terms:
+        rows, cols, values = _entries(part)
+        out[rows, cols] += weight * values
+    return out
+
+
 def _csr_from_triplets(rows: list, cols: list, values: list, n: int) -> scipy.sparse.csr_array:
     """The read-only n x n CSR matrix of triplet pieces in which no (row, col)
     appears twice: one concatenation, then one sort into row-major order.
@@ -355,21 +356,6 @@ def _csr_from_triplets(rows: list, cols: list, values: list, n: int) -> scipy.sp
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     indices = cols[order].astype(np.int32)
     return _freeze(scipy.sparse.csr_array((values[order], indices, indptr), shape=(n, n)))
-
-
-def build_laplacian(adjacency) -> scipy.sparse.csr_array:
-    """Graph Laplacian K - W in CSR, with K the diagonal matrix of row sums of W.
-
-    Rows of the result sum to zero.  Directed layers yield out-degree
-    Laplacians; nonzero diagonals and negative weights are rejected.
-    """
-    w = _frozen_csr(adjacency, "adjacency")
-    if w.shape[0] != w.shape[1]:
-        raise ValidationError(f"adjacency must be square, got shape {w.shape}")
-    _check_weights(w, "adjacency")
-    if w.diagonal().any():
-        raise ValidationError("adjacency has nonzero diagonal entries")
-    return _csr_from_triplets(*_laplacian_triplets(w, 1.0, 0), w.shape[0])
 
 
 def components(matrix) -> np.ndarray:
@@ -547,6 +533,16 @@ def _json_bool(value) -> bool:
     if not isinstance(value, bool):
         raise ValidationError(f"expected JSON true or false, got {value!r}")
     return value
+
+
+def _json_int(value) -> int:
+    """A JSON integer, or a number with an integral value such as ``5.0``; a
+    bool, a string or a non-integral number such as ``5.9`` is rejected."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValidationError(f"expected a JSON integer, got {value!r}")
 
 
 def network_to_dict(

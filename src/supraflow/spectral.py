@@ -35,6 +35,7 @@ from .network import (
     SupraLaplacian,
     _epsilon,
     _is_symmetric,
+    _scatter_sum,
     assemble_supra_laplacian,
     components,
 )
@@ -92,23 +93,6 @@ class SweepPoint:
     rel_error: float
 
 
-def _flat_positions(part, n: int) -> np.ndarray:
-    """Row-major positions, in an n x n array, of a CSR part's stored entries."""
-    return np.repeat(np.arange(n), np.diff(part.indptr)) * n + part.indices
-
-
-def _scaled_into(supra: SupraLaplacian, epsilon: float, out: np.ndarray) -> np.ndarray:
-    """Write intra + epsilon * inter into the C-ordered ``out``, with no n x n
-    temporary: epsilon * inter is scattered into zeros, then intra added,
-    entry by entry the arithmetic of the dense epsilon * inter + intra."""
-    n = out.shape[0]
-    out.fill(0.0)
-    flat = out.reshape(-1)  # a view, since ``out`` is C-contiguous
-    flat[_flat_positions(supra.inter_part, n)] = supra.inter_part.data * epsilon
-    flat[_flat_positions(supra.intra_part, n)] += supra.intra_part.data
-    return out
-
-
 # Lanczos stops once the top Ritz pair's residual bound is this fraction of
 # its Ritz value.
 _LANCZOS_RTOL = 1e-8
@@ -130,7 +114,8 @@ def _lambda2(supra: SupraLaplacian, epsilon: float, work: np.ndarray) -> float:
     level, and the dense eigenvalues decide.
     """
     n = work.shape[0]
-    _scaled_into(supra, epsilon, work)
+    terms = ((supra.inter_part, epsilon), (supra.intra_part, 1.0))
+    _scatter_sum(terms, work)
     work += 2.0 * float(np.diagonal(work).max()) / n
     try:
         # The transpose is Fortran-ordered, so the factorization copies nothing.
@@ -138,7 +123,7 @@ def _lambda2(supra: SupraLaplacian, epsilon: float, work: np.ndarray) -> float:
             work.T, lower=False, overwrite_a=True, check_finite=False
         )
     except np.linalg.LinAlgError:
-        return float(np.linalg.eigvalsh(_scaled_into(supra, epsilon, work))[1])
+        return float(np.linalg.eigvalsh(_scatter_sum(terms, work))[1])
     q = np.random.default_rng(0).standard_normal(n)
     q /= np.linalg.norm(q)
     basis = np.empty((0, n))

@@ -25,6 +25,7 @@ from .network import (
     LayerGraph,
     LayerKind,
     _json_bool,
+    _json_int,
     _layer_pair,
     assemble_supra_laplacian,
     components,
@@ -286,12 +287,12 @@ def _generate_once(spec: SyntheticSpec, seed: int, attempt: int, rng):
 _LAYER_FIELDS = {
     "model": ("model", str),
     "p": ("edge_prob", float),
-    "k": ("k_neighbors", int),
+    "k": ("k_neighbors", _json_int),
     "weight": ("weight", float),
 }
 #: Cast -> names of the optional SyntheticSpec fields.
 _SPEC_FIELDS = {
-    int: ("n_topics", "sigma_nodes", "n_snapshots", "train_count"),
+    _json_int: ("n_topics", "sigma_nodes", "n_snapshots", "train_count"),
     float: ("sigma_ratio", "sigma_scale", "spacing", "dt"),
     _json_bool: ("require_connected",),
 }
@@ -304,7 +305,7 @@ def synthetic_spec_from_dict(data: dict) -> SyntheticSpec:
         layers = tuple(
             LayerSpec(
                 kind=entry["kind"],
-                n_nodes=int(entry["n"]),
+                n_nodes=_json_int(entry["n"]),
                 **{
                     name: cast(entry[key])
                     for key, (name, cast) in _LAYER_FIELDS.items()

@@ -95,6 +95,17 @@ def directed_network(rng, n_layers=3):
     )
 
 
+def dense_coupling(network, a, b):
+    """Dense coupling from layer a to layer b, or None when it is zero.  In
+    symmetric mode an undeclared (a, b) is the declared (b, a) transposed."""
+    declared = {(c.from_layer, c.to_layer): c.coupling.toarray() for c in network.couplings}
+    if (a, b) in declared:
+        return declared[(a, b)]
+    if network.symmetric and (b, a) in declared:
+        return declared[(b, a)].T
+    return None
+
+
 def brute_force_supra(network, constants):
     """Entry-by-entry reference assembly, independent of the production path."""
     total = network.n_nodes
@@ -113,10 +124,9 @@ def brute_force_supra(network, constants):
         for b in network.layer_ids:
             if a == b:
                 continue
-            coupling = network.coupling_matrix(a, b)
+            coupling = dense_coupling(network, a, b)
             if coupling is None:
                 continue
-            coupling = coupling.toarray()
             d = constants.inter_for(a, b)
             sa = network.layer_slices[a]
             sb = network.layer_slices[b]

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from supraflow import cli, harness
+from supraflow import cli, harness, load_network, read_states_csv, write_states_csv
 from supraflow.cli import main
 from supraflow.harness import experiment_config_from_dict, run_experiment
 
@@ -122,6 +123,49 @@ class TestSimulatePredict:
         out = tmp / "sim2"
         assert main(["simulate", "--config", config, "--out", str(out)]) == 0
         assert (out / "ensemble_summary.csv").exists()
+
+    def simulate(self, tiny_dataset, name, **fields):
+        """Exit code and output directory of ``simulate`` with the given fields."""
+        tmp = tiny_dataset["tmp"]
+        cfg = {"network": tiny_dataset["network"], "states": tiny_dataset["snapshots"],
+               "dt": 0.1, "horizon": 0.3, "seed": 2, **fields}
+        config = write_json(tmp / f"{name}.json", cfg)
+        return main(["simulate", "--config", config, "--out", str(tmp / name)]), tmp / name
+
+    def test_sigma_file_sets_the_noise_and_null_means_absent(self, tiny_dataset):
+        network, _ = load_network(tiny_dataset["network"])
+        x0 = read_states_csv(tiny_dataset["snapshots"], network)[0]
+        sigma_path = str(tiny_dataset["tmp"] / "sigma.csv")
+        write_states_csv(
+            sigma_path, [dataclasses.replace(x0, matrix=np.full(x0.matrix.shape, 0.02))],
+            network.node_order,
+        )
+        runs = {
+            "scalar": {"sigma": 0.02},
+            "file": {"sigma_file": sigma_path},
+            "file_null_sigma": {"sigma_file": sigma_path, "sigma": None},
+            "null_file": {"sigma_file": None, "sigma": 0.02},
+        }
+        outputs = {}
+        for name, fields in runs.items():
+            code, out = self.simulate(tiny_dataset, name, **fields)
+            assert code == 0
+            outputs[name] = (out / "simulation.csv").read_bytes()
+        assert len(set(outputs.values())) == 1
+
+    def test_sigma_and_sigma_file_together_are_rejected(self, tiny_dataset, capsys):
+        code, out = self.simulate(
+            tiny_dataset, "both", sigma=0.02, sigma_file=tiny_dataset["snapshots"]
+        )
+        assert code == 2
+        assert "both 'sigma' and 'sigma_file'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("paths", [True, 2.5, "2"])
+    def test_paths_must_be_an_integer(self, tiny_dataset, capsys, paths):
+        code, _ = self.simulate(tiny_dataset, "paths", paths=paths)
+        assert code == 2
+        assert "integer" in capsys.readouterr().err
 
     def test_predict(self, tiny_dataset):
         tmp = tiny_dataset["tmp"]
@@ -374,6 +418,28 @@ class TestExitCodes:
         )
         assert main([command, "--config", config, "--out", str(tmp / "o")]) == 2
         assert "validation failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, fields",
+        [
+            ("fit", {"train_count": 5.9}),
+            ("learn", {"max_iters": 1.5}),
+            ("kalman", {"fraction": 0.5, "seed": "1"}),
+            ("experiment", {"methods": ["multilayer"], "train_count": True}),
+            ("generate", {"layers": [{"kind": "agent", "n": 4.6}]}),
+        ],
+    )
+    def test_non_integer_count_or_seed_is_validation_failure(
+        self, tiny_dataset, capsys, command, fields
+    ):
+        tmp = tiny_dataset["tmp"]
+        snapshots = tiny_dataset["snapshots"]
+        config = write_json(
+            tmp / "not_integer.json",
+            {"network": tiny_dataset["network"], "snapshots": snapshots, **fields},
+        )
+        assert main([command, "--config", config, "--out", str(tmp / "o")]) == 2
+        assert "expected a JSON integer" in capsys.readouterr().err
 
     def test_non_numeric_state_value_is_validation_failure(self, tiny_dataset):
         tmp = tiny_dataset["tmp"]

@@ -16,7 +16,6 @@ from supraflow import (
     matrix_exponential,
     propagate_closed,
     simulate_ensemble,
-    simulate_open,
 )
 from supraflow.diffusion import _simulate, default_step, exponential_action, step_norm
 from conftest import connected_adjacency, global_random_state, random_network, single_layer_supra
@@ -267,13 +266,19 @@ class TestPredictMean:
         assert np.abs(propagate_closed(uniform, supra, 2.0) - uniform).max() < 1e-9
 
 
+def one_path(x0, supra, noise, config):
+    """The single Euler-Maruyama path of ``simulate_ensemble(..., ensemble_size=1)``."""
+    (path,) = simulate_ensemble(x0, supra, noise, config)
+    return path
+
+
 class TestSimulateOpen:
     def test_zero_noise_tracks_closed_flow(self):
         rng = np.random.default_rng(9)
         _, supra = single_layer_supra(connected_adjacency(rng, 5))
         x0 = rng.random((5, 2))
         dt = 1e-3
-        path = simulate_open(
+        path = one_path(
             x0, supra, NoiseModel(np.zeros((5, 2)), seed=0), SimulationConfig(dt=dt, horizon=1.0)
         )
         closed = propagate_closed(x0, supra, 1.0)
@@ -286,8 +291,8 @@ class TestSimulateOpen:
         x0 = rng.random((4, 2))
         noise = NoiseModel(rng.random((4, 2)), seed=123)
         config = SimulationConfig(dt=0.01, horizon=0.5)
-        a = simulate_open(x0, supra, noise, config)
-        b = simulate_open(x0, supra, noise, config)
+        a = one_path(x0, supra, noise, config)
+        b = one_path(x0, supra, noise, config)
         assert np.array_equal(a.states, b.states)
 
     def test_brownian_variance_law(self):
@@ -301,7 +306,7 @@ class TestSimulateOpen:
 
     def test_horizon_not_multiple_of_dt(self):
         _, supra = single_layer_supra([[0, 1], [1, 0]])
-        path = simulate_open(
+        path = one_path(
             np.ones((2, 1)),
             supra,
             NoiseModel(np.zeros((2, 1)), seed=0),
@@ -324,21 +329,29 @@ class TestSimulateOpen:
         assert strided_times.tobytes() == times[::stride].tobytes()
         assert kept.bit_generator.state == every.bit_generator.state
 
-    @pytest.mark.parametrize("simulate", [simulate_open, simulate_ensemble])
-    def test_large_dt_warns(self, simulate):
+    # "simulate_open" is the single-path route, now ``simulate_ensemble`` with
+    # ``ensemble_size=1``; "simulate_ensemble" draws several paths at once.
+    @pytest.mark.parametrize(
+        "simulate, paths",
+        [(one_path, 1), (simulate_ensemble, 3)],
+        ids=["simulate_open", "simulate_ensemble"],
+    )
+    def test_large_dt_warns(self, simulate, paths):
         _, supra = single_layer_supra([[0, 1], [1, 0]])
-        with pytest.warns(UserWarning, match="dt"):
+        with pytest.warns(UserWarning, match="dt") as record:
             simulate(
                 np.ones((2, 1)),
                 supra,
                 NoiseModel(np.zeros((2, 1)), seed=0),
-                SimulationConfig(dt=1.0, horizon=2.0),
+                SimulationConfig(dt=1.0, horizon=2.0, ensemble_size=paths),
             )
+        # The warning points at the caller, not into the library.
+        assert record[0].filename == __file__
 
     def test_shape_mismatch_rejected(self):
         _, supra = single_layer_supra([[0, 1], [1, 0]])
         with pytest.raises(ValidationError):
-            simulate_open(
+            one_path(
                 np.ones((2, 1)),
                 supra,
                 NoiseModel(np.zeros((3, 1)), seed=0),

@@ -133,6 +133,15 @@ class TestMethodParsing:
         assert config.methods == ("single_layer", "kalman:0.2")
         assert config.seed == 3
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("train_count", 5.9), ("seed", True), ("max_iters", "3"), ("train_count", float("nan"))],
+    )
+    def test_config_integer_fields_must_be_integers(self, field, value):
+        data = {"methods": ["multilayer"], "network": "n.json", "snapshots": "s.csv", field: value}
+        with pytest.raises(ValidationError, match="integer"):
+            experiment_config_from_dict(data)
+
 
 class TestRunExperiment:
     def test_single_layer_on_static_layer_equals_upper_bound(self, tmp_path):
@@ -279,13 +288,3 @@ class TestSweeps:
         assert abs(multi[0] - single) < 1e-12
         assert all(a >= b - 1e-15 for a, b in zip(multi, multi[1:]))
         assert multi[-1] < multi[0]
-
-    def test_coupling_sweep_writes_outputs(self, tmp_path):
-        coupling_strength_sweep(
-            interconnected_spec(n_snapshots=6, train_count=3),
-            epsilons=(0.0, 0.5, 1.0),
-            seed=2,
-            out_dir=tmp_path,
-        )
-        assert (tmp_path / "coupling_strength.csv").exists()
-        assert (tmp_path / "coupling_strength.svg").exists()

@@ -17,17 +17,21 @@ from supraflow import (
     SupraLaplacian,
     ValidationError,
     assemble_supra_laplacian,
-    build_laplacian,
     load_network,
     propagate_closed,
     save_network,
     scale_inter_layer,
     simulate_ensemble,
-    simulate_open,
 )
-from supraflow.network import components, network_from_dict, network_to_dict
+from supraflow.network import _json_int, components, network_from_dict, network_to_dict
 
-from conftest import brute_force_supra, connected_adjacency, random_network
+from conftest import (
+    brute_force_supra,
+    connected_adjacency,
+    dense_coupling,
+    random_network,
+    single_layer_supra,
+)
 
 DENSE_NETWORK = pathlib.Path(__file__).parent / "data" / "network_dense.json"
 
@@ -52,20 +56,25 @@ def matrices(network):
     ]
 
 
+def layer_laplacian(adjacency):
+    """K - W of one layer, read from the intra part of its assembly with constant 1."""
+    return single_layer_supra(adjacency)[1].intra_part
+
+
 class TestBuildLaplacian:
     def test_two_node_symmetric(self):
-        out = build_laplacian([[0, 1], [1, 0]])
+        out = layer_laplacian([[0, 1], [1, 0]])
         assert np.array_equal(out.toarray(), [[1, -1], [-1, 1]])
 
     def test_empty_graph(self):
-        assert np.array_equal(build_laplacian(np.zeros((3, 3))).toarray(), np.zeros((3, 3)))
+        assert np.array_equal(layer_laplacian(np.zeros((3, 3))).toarray(), np.zeros((3, 3)))
 
     def test_random_rows_sum_to_zero_and_psd(self):
         rng = np.random.default_rng(0)
         w = rng.random((6, 6))
         w = (w + w.T) / 2
         np.fill_diagonal(w, 0.0)
-        lap = build_laplacian(w)
+        lap = layer_laplacian(w)
         assert np.abs(lap.sum(axis=1)).max() < 1e-12
         assert np.linalg.eigvalsh(lap.toarray()).min() >= -1e-12
 
@@ -73,20 +82,20 @@ class TestBuildLaplacian:
         rng = np.random.default_rng(1)
         w = rng.random((5, 5))
         np.fill_diagonal(w, 0.0)
-        lap = build_laplacian(w)
+        lap = layer_laplacian(w)
         assert np.abs(lap.sum(axis=1)).max() < 1e-12
 
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
-            build_laplacian(np.zeros((2, 3)))
+            layer_laplacian(np.zeros((2, 3)))
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValidationError):
-            build_laplacian([[0, -1], [1, 0]])
+            layer_laplacian([[0, -1], [1, 0]])
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValidationError):
-            build_laplacian([[1, 1], [1, 0]])
+            layer_laplacian([[1, 1], [1, 0]])
 
 
 class TestAssemble:
@@ -103,8 +112,8 @@ class TestAssemble:
         )
         supra = assemble_supra_laplacian(network, constants)
         expected = np.zeros((6, 6))
-        expected[0:2, 0:2] = 1.5 * build_laplacian([[0, 1], [1, 0]]).toarray()
-        expected[4:6, 4:6] = 2.0 * build_laplacian([[0, 1], [1, 0]]).toarray()
+        expected[0:2, 0:2] = 1.5 * layer_laplacian([[0, 1], [1, 0]]).toarray()
+        expected[4:6, 4:6] = 2.0 * layer_laplacian([[0, 1], [1, 0]]).toarray()
         assert np.abs(supra.matrix - expected).max() < 1e-12
         assert np.abs(supra.inter_part).max() == 0.0
 
@@ -272,7 +281,7 @@ class TestSupraLaplacianStorage:
         supra = assemble_supra_laplacian(network, constants)
         x0 = np.ones((supra.n_nodes, 2))
         propagate_closed(x0, supra, 0.5)
-        simulate_open(
+        simulate_ensemble(
             x0, supra, NoiseModel(sigma=0.01 * x0, seed=1), SimulationConfig(dt=0.01, horizon=0.05)
         )
         assert "matrix" not in vars(supra)
@@ -302,7 +311,6 @@ class TestSupraLaplacianStorage:
         try:
             supra = assemble_supra_laplacian(*load_network(path))
             propagate_closed(x0, supra, 0.5)
-            simulate_open(x0, supra, noise, config)
             simulate_ensemble(x0, supra, noise, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -336,10 +344,10 @@ class TestComponents:
         for _ in range(10):
             upper = np.triu(rng.random((7, 7)) < 0.3, k=1).astype(float)
             adjacency = upper + upper.T
-            assert (components(build_laplacian(adjacency)) == components(adjacency)).all()
+            assert (components(layer_laplacian(adjacency)) == components(adjacency)).all()
 
     def test_any_nonzero_weight_is_a_link(self):
-        assert components(build_laplacian([[0, 1e-300], [1e-300, 0]])).tolist() == [0, 0]
+        assert components(layer_laplacian([[0, 1e-300], [1e-300, 0]])).tolist() == [0, 0]
         assert components(np.zeros((3, 3))).tolist() == [0, 1, 2]
 
 
@@ -411,7 +419,7 @@ class TestNetworkJson:
     def test_triplet_matrices(self):
         network, constants = network_from_dict(two_layer_document())
         assert np.array_equal(network.layer(1).adjacency.toarray(), [[0, 1], [1, 0]])
-        assert network.coupling_matrix(1, 2)[0, 0] == 2.0
+        assert dense_coupling(network, 1, 2)[0, 0] == 2.0
         assert constants.inter_for(2, 1) == 1.0
 
     def test_writes_only_triplets_of_the_nonzero_entries(self, hand_expanded_fixture):
@@ -451,6 +459,16 @@ class TestNetworkJson:
         data["constants"]["symmetric"] = value
         with pytest.raises(ValidationError, match="true or false"):
             network_from_dict(data)
+
+    @pytest.mark.parametrize("value", [True, 5.9, "5", float("inf"), None])
+    def test_integer_fields_reject_bools_strings_and_fractions(self, value):
+        with pytest.raises(ValidationError, match="integer"):
+            _json_int(value)
+
+    @pytest.mark.parametrize("value, expected", [(5, 5), (-3, -3), (5.0, 5), (0.0, 0)])
+    def test_integer_fields_read_integral_numbers(self, value, expected):
+        read = _json_int(value)
+        assert read == expected and type(read) is int
 
     def test_symmetric_flags_read_false(self):
         data = two_layer_document(symmetric=False)

@@ -62,7 +62,13 @@ from supraflow.calibration import (
     write_matrix_csv,
 )
 from supraflow.diffusion import exponential_action
-from supraflow.network import _is_symmetric, _matrix_from_json, _matrix_to_json, components
+from supraflow.network import (
+    _is_symmetric,
+    _matrix_from_json,
+    _matrix_to_json,
+    _scatter_sum,
+    components,
+)
 from supraflow.spectral import _layer_kernel_basis
 from supraflow import kalman
 from supraflow.kalman import PHASE_PREDICTED, KalmanState
@@ -327,19 +333,27 @@ class TestExactJacobian:
 
 
 class TestScatteredGenerator:
-    """The fit's dense generator L(D), scattered from the basis entries, is the
-    sparse sum of D_k B_k bit for bit, zero constants included."""
+    """``_scatter_sum`` is the sparse sum bit for bit in both callers' term
+    orders: the fit's D_k B_k in k order, zero constants included, and the
+    sweep's (inter, epsilon) then (intra, 1)."""
 
     @PROPERTY
     @given(seed=seeds, directed=st.booleans(), zeros=st.integers(0, 3))
     def test_equals_the_sparse_sum(self, seed, directed, zeros):
         rng = np.random.default_rng(seed)
-        network, _ = (directed_network if directed else random_network)(rng)
+        network, constants = (directed_network if directed else random_network)(rng)
         problem = _Residuals(random_series(rng, network, 2, count=2).train_pairs(), network)
         values = rng.uniform(0.0, 2.0, len(problem.keys))
         values[rng.permutation(len(values))[:zeros]] = 0.0
-        sparse_sum = sum(v * b for v, b in zip(values, problem.basis)).toarray()
-        assert problem.generator(values).tobytes() == sparse_sum.tobytes()
+        supra = assemble_supra_laplacian(network, constants)
+        sweep_terms = [(supra.inter_part, rng.uniform(0.0, 2.0)), (supra.intra_part, 1.0)]
+        for terms, scattered in (
+            (list(zip(problem.basis, values)), problem.generator(values)),
+            # A stale work array, as the sweep reuses one: every entry is rewritten.
+            (sweep_terms, _scatter_sum(sweep_terms, np.full(supra.csr.shape, np.nan))),
+        ):
+            sparse_sum = sum(w * part for part, w in terms).toarray()
+            assert scattered.tobytes() == sparse_sum.tobytes()
 
 
 def eigenvalue_kernel_dim(matrix):

@@ -15,6 +15,8 @@ from supraflow import (
 )
 from supraflow.synthetic import synthetic_spec_from_dict
 
+from conftest import dense_coupling
+
 
 def small_spec(**overrides):
     base = dict(
@@ -84,7 +86,7 @@ class TestGenerateSynthetic:
         x0 = series.snapshots[0].matrix
         doc_rows = x0[network.layer_slices[3]]
         agent_block = x0[network.layer_slices[1]]
-        ownership = network.coupling_matrix(1, 3).toarray()
+        ownership = dense_coupling(network, 1, 3)
         assert np.array_equal(ownership.sum(axis=0), np.ones(doc_rows.shape[0]))
         for i in range(agent_block.shape[0]):
             owned = np.flatnonzero(ownership[i])
@@ -107,7 +109,7 @@ class TestGenerateSynthetic:
         x0 = series.snapshots[0].matrix
         docs = np.vstack([x0[network.layer_slices[2]], x0[network.layer_slices[3]]])
         ownership = np.hstack(
-            [network.coupling_matrix(1, 2).toarray(), network.coupling_matrix(1, 3).toarray()]
+            [dense_coupling(network, 1, 2), dense_coupling(network, 1, 3)]
         )
         agent_block = x0[network.layer_slices[1]]
         owns_none = ownership.sum(axis=1) == 0
@@ -227,6 +229,24 @@ class TestSpecParsing:
     def test_require_connected_must_be_a_json_boolean(self, value):
         data = {"layers": [{"kind": "agent", "n": 3}], "require_connected": value}
         with pytest.raises(ValidationError, match="true or false"):
+            synthetic_spec_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "layer, fields",
+        [
+            ({"n": 4.6}, {}),
+            ({"n": True}, {}),
+            ({"n": "4"}, {}),
+            ({"n": 4, "k": 2.5}, {}),
+            ({"n": 4}, {"n_topics": 2.5}),
+            ({"n": 4}, {"n_snapshots": "8"}),
+            ({"n": 4}, {"sigma_nodes": False}),
+            ({"n": 4}, {"train_count": 3.5}),
+        ],
+    )
+    def test_integer_fields_must_be_integers(self, layer, fields):
+        data = {"layers": [{"kind": "agent", **layer}], **fields}
+        with pytest.raises(ValidationError, match="integer"):
             synthetic_spec_from_dict(data)
 
     def test_require_connected_reads_false(self):
