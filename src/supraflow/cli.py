@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, malformed
+from .errors import NumericalError, ValidationError, read_field
 from .calibration import (
     LEARN_MAX_ITERS,
     SnapshotSeries,
@@ -89,8 +89,7 @@ def _optional(cfg: dict, key: str, cast, default=None):
     """``cast(cfg[key])``, or ``default`` when the field is absent or null."""
     if cfg.get(key) is None:
         return default
-    with malformed(f"config field {key!r}"):
-        return cast(cfg[key])
+    return read_field(cfg, key, cast, "config")
 
 
 def _require(cfg: dict, key: str, cast=str):

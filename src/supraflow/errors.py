@@ -22,3 +22,13 @@ def malformed(what: str):
         raise ValidationError(f"{what} is missing the field {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValidationError(f"{what} is malformed: {exc}") from None
+
+
+def read_field(data: dict, key: str, cast, what: str):
+    """``cast(data[key])``, reporting a value that ``cast`` rejects, with a
+    ValidationError too, as a ValidationError that names ``key`` in ``what``."""
+    value = data[key]
+    try:
+        return cast(value)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} field {key!r} is malformed: {exc}") from None

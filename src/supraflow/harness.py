@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, malformed
+from .errors import ValidationError, malformed, read_field
 from .files import write_csv
 from .calibration import (
     LEARN_MAX_ITERS,
@@ -130,7 +130,11 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
             synthetic=synthetic_spec_from_dict(data["synthetic"]) if "synthetic" in data else None,
             network_file=data.get("network"),
             snapshots_file=data.get("snapshots"),
-            **{key: cast(data[key]) for key, cast in scalars if data.get(key) is not None},
+            **{
+                key: read_field(data, key, cast, "experiment config")
+                for key, cast in scalars
+                if data.get(key) is not None
+            },
         )
 
 

@@ -22,7 +22,9 @@ singular (a zero covariance), so then, or when the factorization fails, the
 gain K = Pi[:, o] (R_oo + Pi_oo)^+ takes a pseudo-inverse and
 Pi <- Pi - K Pi[o, :] is re-symmetrized.  The predicted covariance is
 re-symmetrized every step.  F is built once per filter, in ``initial_state``
-or by the caller of ``run_filter``, and carried in the state.
+or by the caller of ``run_filter``, and carried in the state.  Neither step
+writes to its input state's arrays; each forms its new covariance in the
+buffers of its own products.
 
 When the learned generator is exactly A = kron(I_T, B), e^{A} =
 kron(I_T, e^{B}).  Q and R are diagonal, H observes the same nodes in every
@@ -31,10 +33,19 @@ diagonal and the PT-dimensional filter is T independent P-dimensional ones,
 each through the P x P transition e^{B}: T P^3 work per step instead of
 (PT)^3.  ``filter_fractions`` runs them in lockstep and reports the same
 full-state result; any other generator takes the PT-dimensional filter.
+
+The filters of different fractions share only the read-only F, so
+``filter_fractions`` runs them on up to min(fractions, usable CPUs) threads:
+the calling thread runs one group of fractions and helper threads the others.
+numpy's products and the LAPACK calls release the interpreter lock, so the
+groups overlap.  Every filter does the same arithmetic on any thread, so the
+results do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -181,18 +192,22 @@ def kalman_update(state: KalmanState, y: np.ndarray, model: ObservationModel) ->
     pi = state.pi
     # R_e is block-diagonal over (observed, unobserved) and Pi H^T has zero
     # unobserved columns, so only the observed block of R_e contributes.
-    pi_rows = pi[obs, :]
-    r_e = np.diag(model.r_diag[obs]) + pi_rows[:, obs]
+    r_e = np.diag(model.r_diag[obs]) + pi[np.ix_(obs, obs)]
     factor = _cholesky(r_e) if model.r_diag[obs].all() else None
     if factor is None:
         gain = pi[:, obs] @ np.linalg.pinv(r_e, hermitian=True)
         x_post = state.x_hat + gain @ (y[obs] - state.x_hat[obs])
-        pi_post = _symmetrized(pi - gain @ pi_rows)
+        pi_post = _symmetrized(pi - gain @ pi[obs, :])
     else:
-        w = scipy.linalg.solve_triangular(factor, pi_rows, lower=True)
+        # Filters of several fractions run at once and their peaks add up,
+        # so no m x m or m x PT temporary outlives its use.
+        del r_e
+        w = scipy.linalg.solve_triangular(factor, pi[obs, :], lower=True)
         whitened = scipy.linalg.solve_triangular(factor, y[obs] - state.x_hat[obs], lower=True)
+        del factor
         x_post = state.x_hat + w.T @ whitened
-        pi_post = pi - w.T @ w
+        pi_post = w.T @ w
+        np.subtract(pi, pi_post, out=pi_post)
     return KalmanState(x_hat=x_post, pi=pi_post, phase=PHASE_UPDATED, f_hat=state.f_hat)
 
 
@@ -201,16 +216,22 @@ def kalman_predict(state: KalmanState, op: LearnedOperator, model: ObservationMo
 
     F is the state's ``f_hat``, built from ``op`` once by ``initial_state``.
     An exactly zero Pi, as every filter from Pi_0 = 0 starts, skips the two
-    products of F Pi F^T.
+    products of F Pi F^T.  The symmetrized result is written into the buffer
+    of F Pi, so one step holds two covariance-sized arrays besides its input.
     """
     if state.phase != PHASE_UPDATED:
         raise ValidationError("kalman_predict expects a state in the 'updated' phase")
     f = state.f_hat
     x_next = f @ state.x_hat
-    pi_next = f @ state.pi @ f.T if state.pi.any() else np.zeros(state.pi.shape)
+    if state.pi.any():
+        scratch = f @ state.pi
+        pi_next = scratch @ f.T
+    else:
+        scratch, pi_next = np.empty(state.pi.shape), np.zeros(state.pi.shape)
     pi_next.flat[:: pi_next.shape[0] + 1] += model.q_diag
-    pi_next = _symmetrized(pi_next)
-    return KalmanState(x_hat=x_next, pi=pi_next, phase=PHASE_PREDICTED, f_hat=f)
+    np.add(pi_next, pi_next.T, out=scratch)
+    scratch *= 0.5
+    return KalmanState(x_hat=x_next, pi=scratch, phase=PHASE_PREDICTED, f_hat=f)
 
 
 @dataclass
@@ -343,30 +364,66 @@ def filter_fractions(
     each with its topic's block of Q and R; their joined estimate gives the
     same full-state predictions, errors and trace, and ``final_state`` holds
     the block-diagonal covariance.
+
+    The fractions run on min(len(masks), usable CPUs) threads, counting the
+    CPUs of the process's affinity set where the OS reports one.  Sorted by
+    observed count, largest first, they are dealt to the groups in snake
+    order (0, 1, ..., n-1, n-1, ..., 0, 0, 1, ...); the calling thread runs
+    the first group and helper threads the others, so one fraction, or one
+    usable CPU, runs serially on the calling thread.  A helper's exception is
+    raised here, and no helper outlives the call.  Each filter's arithmetic
+    is the same on any thread, so the results do not depend on the CPU count;
+    the returned dict keeps the order of ``masks``.  Python threads multiply
+    with BLAS threads: each group's products use the BLAS library's own
+    threads too.
     """
     shape = n_nodes, n_topics = series.n_nodes, series.n_topics
     block = _topic_block(op.lambda_hat, *shape)
     # One filter of the whole state through e^{A}, or one per topic through e^{B}.
     parts = 1 if block is None else n_topics
     transition = matrix_exponential(op.lambda_hat if block is None else block)
-    results = {}
-    for fraction, observed in masks.items():
-        model = ObservationModel.build(*shape, observed, r_observed, op.residual_variance)
-        test = _test_range(series, model)
-        pieces = (np.split(v, parts) for v in (vectorize(test[0]), model.r_diag, model.q_diag))
-        results[fraction] = _run_lockstep(
-            test,
-            op,
-            model,
-            [
-                (
-                    initial_state(x0, 0.0, op, transition),
-                    ObservationModel(n_nodes, n_topics // parts, observed, r_diag, q_diag),
-                )
-                for x0, r_diag, q_diag in zip(*pieces)
-            ],
-        )
-    return results
+
+    def run(group):
+        results = {}
+        for fraction in group:
+            observed = masks[fraction]
+            model = ObservationModel.build(*shape, observed, r_observed, op.residual_variance)
+            test = _test_range(series, model)
+            pieces = (np.split(v, parts) for v in (vectorize(test[0]), model.r_diag, model.q_diag))
+            results[fraction] = _run_lockstep(
+                test,
+                op,
+                model,
+                [
+                    (
+                        initial_state(x0, 0.0, op, transition),
+                        ObservationModel(n_nodes, n_topics // parts, observed, r_diag, q_diag),
+                    )
+                    for x0, r_diag, q_diag in zip(*pieces)
+                ],
+            )
+        return results
+
+    n_groups = max(1, min(len(masks), _usable_cpus()))
+    groups = [[] for _ in range(n_groups)]
+    for i, fraction in enumerate(sorted(masks, key=lambda f: len(masks[f]), reverse=True)):
+        lap = i % (2 * n_groups)
+        groups[min(lap, 2 * n_groups - 1 - lap)].append(fraction)
+    # The executor starts a thread per submitted group only, so with one
+    # group it starts none; leaving the block joins every helper.
+    with ThreadPoolExecutor(max_workers=max(1, n_groups - 1)) as helpers:
+        futures = [helpers.submit(run, group) for group in groups[1:]]
+        results = run(groups[0])
+        for future in futures:
+            results.update(future.result())
+    return {fraction: results[fraction] for fraction in masks}
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def nested_masks(n_nodes: int, fractions: Sequence[float], seed: int) -> dict[float, tuple[int, ...]]:

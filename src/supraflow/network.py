@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse
 
-from .errors import ValidationError, malformed
+from .errors import ValidationError, malformed, read_field
 from .files import write_json
 
 MAX_NODES = 20_000
@@ -607,7 +607,11 @@ def network_from_dict(data: dict) -> tuple[InterconnectedNetwork, DiffusionConst
         network = InterconnectedNetwork(
             layers=tuple(layers),
             couplings=tuple(couplings),
-            symmetric=_json_bool(data.get("symmetric", True)),
+            symmetric=(
+                read_field(data, "symmetric", _json_bool, "network document")
+                if "symmetric" in data
+                else True
+            ),
         )
         constants = None
         if "constants" in data:
@@ -615,7 +619,11 @@ def network_from_dict(data: dict) -> tuple[InterconnectedNetwork, DiffusionConst
             constants = DiffusionConstants(
                 intra={int(k): float(v) for k, v in spec.get("intra", {}).items()},
                 inter={_layer_pair(k): float(v) for k, v in spec.get("inter", {}).items()},
-                symmetric=_json_bool(spec.get("symmetric", True)),
+                symmetric=(
+                    read_field(spec, "symmetric", _json_bool, "network constants")
+                    if "symmetric" in spec
+                    else True
+                ),
             )
         return network, constants
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, malformed
+from .errors import ValidationError, malformed, read_field
 from .calibration import SnapshotSeries
 from .diffusion import SimulationConfig, _simulate, propagate_closed, step_norm
 from .network import (
@@ -305,9 +305,9 @@ def synthetic_spec_from_dict(data: dict) -> SyntheticSpec:
         layers = tuple(
             LayerSpec(
                 kind=entry["kind"],
-                n_nodes=_json_int(entry["n"]),
+                n_nodes=read_field(entry, "n", _json_int, "synthetic layer"),
                 **{
-                    name: cast(entry[key])
+                    name: read_field(entry, key, cast, "synthetic layer")
                     for key, (name, cast) in _LAYER_FIELDS.items()
                     if entry.get(key) is not None
                 },
@@ -322,7 +322,7 @@ def synthetic_spec_from_dict(data: dict) -> SyntheticSpec:
                 for key, value in data.get("inter_constants", {}).items()
             },
             **{
-                key: cast(data[key])
+                key: read_field(data, key, cast, "synthetic spec")
                 for cast, keys in _SPEC_FIELDS.items()
                 for key in keys
                 if data.get(key) is not None

@@ -2,11 +2,20 @@ import csv
 import dataclasses
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from supraflow import cli, harness, load_network, read_states_csv, write_states_csv
+from supraflow import (
+    NumericalError,
+    cli,
+    harness,
+    kalman,
+    load_network,
+    read_states_csv,
+    write_states_csv,
+)
 from supraflow.cli import main
 from supraflow.harness import experiment_config_from_dict, run_experiment
 
@@ -427,6 +436,7 @@ class TestExitCodes:
             ("kalman", {"fraction": 0.5, "seed": "1"}),
             ("experiment", {"methods": ["multilayer"], "train_count": True}),
             ("generate", {"layers": [{"kind": "agent", "n": 4.6}]}),
+            ("experiment", {"methods": ["multilayer"], "train_count": 5.9}),
         ],
     )
     def test_non_integer_count_or_seed_is_validation_failure(
@@ -439,7 +449,10 @@ class TestExitCodes:
             {"network": tiny_dataset["network"], "snapshots": snapshots, **fields},
         )
         assert main([command, "--config", config, "--out", str(tmp / "o")]) == 2
-        assert "expected a JSON integer" in capsys.readouterr().err
+        # The message names the rejected field: the last one given, or the layer's n.
+        field = "n" if command == "generate" else list(fields)[-1]
+        err = capsys.readouterr().err
+        assert "expected a JSON integer" in err and f"field {field!r}" in err
 
     def test_non_numeric_state_value_is_validation_failure(self, tiny_dataset):
         tmp = tiny_dataset["tmp"]
@@ -481,3 +494,28 @@ class TestExitCodes:
             },
         )
         assert main(["learn", "--config", config, "--out", str(tmp / "o")]) == 3
+
+    def test_numerical_failure_in_a_helper_filter_exit_code(self, tiny_dataset, monkeypatch):
+        caller = threading.current_thread()
+        real = kalman._run_lockstep
+
+        def failing(test, op, model, filters):
+            if threading.current_thread() is not caller:
+                raise NumericalError("covariance is non-finite")
+            return real(test, op, model, filters)
+
+        monkeypatch.setattr(kalman, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(kalman, "_run_lockstep", failing)
+        tmp = tiny_dataset["tmp"]
+        config = write_json(
+            tmp / "fractions.json",
+            {
+                "network": tiny_dataset["network"],
+                "snapshots": tiny_dataset["snapshots"],
+                "train_count": 4,
+                "methods": ["kalman:0.25", "kalman:0.5", "kalman:1.0"],
+            },
+        )
+        threads = threading.active_count()
+        assert main(["experiment", "--config", config, "--out", str(tmp / "o")]) == 3
+        assert threading.active_count() == threads

@@ -139,7 +139,7 @@ class TestMethodParsing:
     )
     def test_config_integer_fields_must_be_integers(self, field, value):
         data = {"methods": ["multilayer"], "network": "n.json", "snapshots": "s.csv", field: value}
-        with pytest.raises(ValidationError, match="integer"):
+        with pytest.raises(ValidationError, match=f"field '{field}' .*integer"):
             experiment_config_from_dict(data)
 
 

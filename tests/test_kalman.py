@@ -1,15 +1,20 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from supraflow import (
+    NumericalError,
     ObservationModel,
     SnapshotSeries,
     StateMatrix,
     ValidationError,
+    assemble_supra_laplacian,
     kalman_predict,
     kalman_update,
+    learn_supra_operator,
     matrix_exponential,
     nested_masks,
     one_step_predict_learned,
@@ -27,7 +32,7 @@ from supraflow.kalman import (
     write_filter_trace_csv,
     write_mask_csv,
 )
-from conftest import make_operator
+from conftest import make_operator, random_network
 
 
 def scalar_recursion(x0, pi0, f, q, r, h, observations):
@@ -171,6 +176,59 @@ class TestUpdateRoutes:
         reference = pinv_update(state, y, model)
         assert np.array_equal(updated.x_hat, reference.x_hat)
         assert np.array_equal(updated.pi, reference.pi)
+
+
+def factored_update(state, y, model):
+    """The Cholesky-route update as plain expressions, each a new array; the
+    bit-for-bit reference for ``kalman_update`` when every observed R > 0."""
+    obs = np.flatnonzero(model.h_diag())
+    pi_rows = state.pi[obs, :]
+    factor = scipy.linalg.cholesky(np.diag(model.r_diag[obs]) + pi_rows[:, obs], lower=True)
+    w = scipy.linalg.solve_triangular(factor, pi_rows, lower=True)
+    whitened = scipy.linalg.solve_triangular(factor, y[obs] - state.x_hat[obs], lower=True)
+    x_post = state.x_hat + w.T @ whitened
+    return replace(state, x_hat=x_post, pi=state.pi - w.T @ w, phase=PHASE_UPDATED)
+
+
+def state_bytes(state):
+    return [a.tobytes() for a in (state.x_hat, state.pi, state.f_hat)]
+
+
+class TestStepBuffers:
+    """Each step forms its covariance in its own buffers: the input state's
+    arrays stay byte-unchanged, and the result is the plain expressions' one
+    bit for bit."""
+
+    @pytest.mark.parametrize("r, reference", [(0.0, pinv_update), (1e-3, factored_update)])
+    def test_update(self, r, reference):
+        rng = np.random.default_rng(24)
+        state = predicted_state(rng, 12)
+        model = ObservationModel.build(4, 3, (0, 2, 3), r)
+        y = rng.random(12)
+        before = state_bytes(state)
+        updated = kalman_update(state, y, model)
+        assert state_bytes(state) == before
+        expected = reference(state, y, model)
+        assert updated.x_hat.tobytes() == expected.x_hat.tobytes()
+        assert updated.pi.tobytes() == expected.pi.tobytes()
+
+    @pytest.mark.parametrize("zero_pi", [False, True])
+    def test_predict(self, zero_pi):
+        rng = np.random.default_rng(25)
+        dim = 9
+        f = np.eye(dim) + 0.1 * rng.standard_normal((dim, dim))
+        state = replace(predicted_state(rng, dim), phase=PHASE_UPDATED, f_hat=f)
+        if zero_pi:
+            state = replace(state, pi=np.zeros((dim, dim)))
+        q = rng.random(dim)
+        model = ObservationModel(3, 3, (0,), np.zeros(dim), q)
+        before = state_bytes(state)
+        predicted = kalman_predict(state, make_operator(f - np.eye(dim), 3, 3), model)
+        assert state_bytes(state) == before
+        expected = np.zeros((dim, dim)) if zero_pi else f @ state.pi @ f.T
+        expected.flat[:: dim + 1] += q
+        assert predicted.x_hat.tobytes() == (f @ state.x_hat).tobytes()
+        assert predicted.pi.tobytes() == (0.5 * (expected + expected.T)).tobytes()
 
 
 class TestKalmanPredict:
@@ -550,6 +608,74 @@ class TestTopicRoute:
         assert seen["filter_expm"] == [whole]
         assert seen["pi"] == [whole] * (2 * 2 * 4)
         assert seen["predict_action"] == [whole]
+
+
+def assert_same_bytes(result, expected):
+    for name in ("steps", "errors_all", "errors_observed", "errors_hidden", "trace_pi"):
+        assert getattr(result, name).tobytes() == getattr(expected, name).tobytes()
+    assert result.final_state.pi.tobytes() == expected.final_state.pi.tobytes()
+    for got, want in zip(result.predictions, expected.predictions, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+class TestConcurrentFractions:
+    """``filter_fractions`` runs groups of fractions on helper threads, with
+    results that do not depend on how many CPUs the process may use."""
+
+    n_topics = 2
+
+    def learned(self, max_iters):
+        """A series on a random network and the operator learned from it:
+        no rank-1 update keeps kron(I_T, -L), forced updates break that form."""
+        rng = np.random.default_rng(31)
+        network, constants = random_network(rng)
+        supra = assemble_supra_laplacian(network, constants)
+        step = matrix_exponential(-0.3 * supra.matrix)
+        x = rng.random((network.n_nodes, self.n_topics))
+        snaps = []
+        for t in range(7):
+            noisy = x + 0.01 * rng.standard_normal(x.shape)
+            snaps.append(StateMatrix(noisy, dict(network.node_index), float(t)))
+            x = step @ x
+        series = SnapshotSeries(tuple(snaps), train_count=3)
+        op = learn_supra_operator(series, supra, threshold=0.0, max_iters=max_iters)
+        return series, op
+
+    @pytest.mark.parametrize("updates", [0, 3])
+    def test_results_do_not_depend_on_the_cpu_count(self, monkeypatch, updates):
+        series, op = self.learned(updates)
+        per_topic = _topic_block(op.lambda_hat, series.n_nodes, self.n_topics) is not None
+        assert per_topic == (updates == 0)
+        masks = nested_masks(series.n_nodes, [0.25, 1.0, 0.5, 0.75], seed=4)
+        unrestricted = filter_fractions(series, op, masks)
+        for cpus in (1, 2, len(masks)):
+            monkeypatch.setattr(kalman, "_usable_cpus", lambda: cpus)
+            results = filter_fractions(series, op, masks)
+            assert list(results) == list(masks)
+            for fraction, result in results.items():
+                assert result.observed_nodes == masks[fraction]
+                assert_same_bytes(result, unrestricted[fraction])
+
+    def test_a_helper_failure_is_raised_and_no_helper_outlives_the_call(self, monkeypatch):
+        series, op = self.learned(0)
+        masks = nested_masks(series.n_nodes, [0.25, 0.5, 1.0], seed=4)
+        # Two groups, by observed count: (1.0) on the caller, (0.5, 0.25) on a helper.
+        monkeypatch.setattr(kalman, "_usable_cpus", lambda: 2)
+        failed_on = []
+        real = kalman._run_lockstep
+
+        def failing(test, op, model, filters):
+            if model.observed_nodes == masks[0.25]:
+                failed_on.append(threading.current_thread())
+                raise NumericalError("covariance is non-finite")
+            return real(test, op, model, filters)
+
+        monkeypatch.setattr(kalman, "_run_lockstep", failing)
+        threads = threading.active_count()
+        with pytest.raises(NumericalError, match="non-finite"):
+            filter_fractions(series, op, masks)
+        assert threading.active_count() == threads
+        assert len(failed_on) == 1 and failed_on[0] is not threading.current_thread()
 
 
 class TestObservationModelBuild:

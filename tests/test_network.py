@@ -453,11 +453,11 @@ class TestNetworkJson:
 
     @pytest.mark.parametrize("value", ["false", 1])
     def test_symmetric_flags_must_be_json_booleans(self, value):
-        with pytest.raises(ValidationError, match="true or false"):
+        with pytest.raises(ValidationError, match="document field 'symmetric'.*true or false"):
             network_from_dict(two_layer_document(symmetric=value))
         data = two_layer_document()
         data["constants"]["symmetric"] = value
-        with pytest.raises(ValidationError, match="true or false"):
+        with pytest.raises(ValidationError, match="constants field 'symmetric'.*true or false"):
             network_from_dict(data)
 
     @pytest.mark.parametrize("value", [True, 5.9, "5", float("inf"), None])

@@ -228,7 +228,7 @@ class TestSpecParsing:
     @pytest.mark.parametrize("value", ["false", 1])
     def test_require_connected_must_be_a_json_boolean(self, value):
         data = {"layers": [{"kind": "agent", "n": 3}], "require_connected": value}
-        with pytest.raises(ValidationError, match="true or false"):
+        with pytest.raises(ValidationError, match="'require_connected'.*true or false"):
             synthetic_spec_from_dict(data)
 
     @pytest.mark.parametrize(
@@ -246,7 +246,8 @@ class TestSpecParsing:
     )
     def test_integer_fields_must_be_integers(self, layer, fields):
         data = {"layers": [{"kind": "agent", **layer}], **fields}
-        with pytest.raises(ValidationError, match="integer"):
+        rejected = list(fields or layer)[-1]
+        with pytest.raises(ValidationError, match=f"field '{rejected}' .*integer"):
             synthetic_spec_from_dict(data)
 
     def test_require_connected_reads_false(self):
