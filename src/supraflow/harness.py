@@ -177,6 +177,19 @@ def _pair_errors(predictions: Sequence[np.ndarray], targets: Sequence[np.ndarray
     return np.array([error_measure(p, t) for p, t in zip(predictions, targets)])
 
 
+def _propagate_pairs(starts: Sequence[np.ndarray], supra, dts: Sequence[float]) -> list:
+    """e^{-L dt} X for each start state X and its dt: one exponential action
+    per distinct dt, on the start states that share it side by side, so the
+    action's fixed cost per sparse product is paid once per dt."""
+    out: list = [None] * len(starts)
+    for dt in dict.fromkeys(dts):
+        same = [i for i, d in enumerate(dts) if d == dt]
+        moved = propagate_closed(np.hstack([starts[i] for i in same]), supra, dt)
+        for i, part in zip(same, np.split(moved, len(same), axis=1)):
+            out[i] = part
+    return out
+
+
 def _load_inputs(config: ExperimentConfig):
     if config.synthetic is not None:
         network, series, truth = generate_synthetic(config.synthetic, config.seed)
@@ -202,6 +215,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     layer_id = _evaluation_layer(network)
     block = network.layer_slices[layer_id]
     times = np.array([b.timestamp for _, b, _ in test_pairs])
+    starts = [a.matrix for a, _, _ in test_pairs]
+    dts = [dt for _, _, dt in test_pairs]
     block_targets = [b.matrix[block] for _, b, _ in test_pairs]
     bound = upper_bound_series([s.matrix[block] for s in series.test_snapshots()])
 
@@ -225,17 +240,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
             sub, sub_series = _block_series(series, network, layer_id)
             sub_fit = diagnostics["single_layer_fit"] = fit_diffusion_constants(sub_series, sub)
             supra = assemble_supra_laplacian(sub, sub_fit.constants)
-            predictions = [
-                propagate_closed(a.matrix[block], supra, dt) for a, _, dt in test_pairs
-            ]
+            predictions = _propagate_pairs([x[block] for x in starts], supra, dts)
         elif kind == "multilayer":
             supra = assemble_supra_laplacian(network, fit.constants)
-            predictions = [
-                propagate_closed(a.matrix, supra, dt)[block] for a, _, dt in test_pairs
-            ]
+            predictions = [p[block] for p in _propagate_pairs(starts, supra, dts)]
         elif kind == "learned_operator":
-            inputs = np.stack([a.matrix for a, _, _ in test_pairs])
-            predictions = [p[block] for p in one_step_predict_learned(op, inputs)]
+            predictions = [p[block] for p in one_step_predict_learned(op, np.stack(starts))]
         else:
             diagnostics[name] = filtered[fraction]
             predictions = [p[block] for p in filtered[fraction].predictions]
@@ -338,6 +348,8 @@ def coupling_strength_sweep(
     if not test_pairs:
         raise ValidationError("the coupling sweep needs at least 1 test transition")
     block_targets = [b.matrix[block] for _, b, _ in test_pairs]
+    starts = [a.matrix for a, _, _ in test_pairs]
+    dts = [dt for _, _, dt in test_pairs]
 
     sub = _single_layer_network(network, layer_id)
     sub_constants = DiffusionConstants(
@@ -346,7 +358,7 @@ def coupling_strength_sweep(
     sub_supra = assemble_supra_laplacian(sub, sub_constants)
     single_error = float(
         _pair_errors(
-            [propagate_closed(a.matrix[block], sub_supra, dt) for a, _, dt in test_pairs],
+            _propagate_pairs([x[block] for x in starts], sub_supra, dts),
             block_targets,
         ).mean()
     )
@@ -354,7 +366,7 @@ def coupling_strength_sweep(
     rows = []
     for epsilon in epsilons:
         scaled = scale_inter_layer(supra, epsilon)
-        predictions = [propagate_closed(a.matrix, scaled, dt)[block] for a, _, dt in test_pairs]
+        predictions = [p[block] for p in _propagate_pairs(starts, scaled, dts)]
         rows.append(
             (float(epsilon), float(_pair_errors(predictions, block_targets).mean()), single_error)
         )

@@ -35,17 +35,14 @@ each through the P x P transition e^{B}: T P^3 work per step instead of
 full-state result; any other generator takes the PT-dimensional filter.
 
 The filters of different fractions share only the read-only F, so
-``filter_fractions`` runs them on up to min(fractions, usable CPUs) threads:
-the calling thread runs one group of fractions and helper threads the others.
-numpy's products and the LAPACK calls release the interpreter lock, so the
-groups overlap.  Every filter does the same arithmetic on any thread, so the
-results do not depend on the CPU count.
+``filter_fractions`` runs them on up to min(fractions, usable CPUs) threads,
+by the package's one concurrency rule (``diffusion._run_groups``).  Every
+filter does the same arithmetic on any thread, so the results do not depend
+on the CPU count.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -54,7 +51,7 @@ import scipy.linalg
 
 from .errors import NumericalError, ValidationError
 from .calibration import LearnedOperator, SnapshotSeries, _topic_block, devectorize, vectorize
-from .diffusion import matrix_exponential
+from .diffusion import _run_groups, matrix_exponential
 from .files import write_csv
 
 PHASE_PREDICTED = "predicted"
@@ -365,17 +362,12 @@ def filter_fractions(
     same full-state predictions, errors and trace, and ``final_state`` holds
     the block-diagonal covariance.
 
-    The fractions run on min(len(masks), usable CPUs) threads, counting the
-    CPUs of the process's affinity set where the OS reports one.  Sorted by
-    observed count, largest first, they are dealt to the groups in snake
-    order (0, 1, ..., n-1, n-1, ..., 0, 0, 1, ...); the calling thread runs
-    the first group and helper threads the others, so one fraction, or one
-    usable CPU, runs serially on the calling thread.  A helper's exception is
-    raised here, and no helper outlives the call.  Each filter's arithmetic
-    is the same on any thread, so the results do not depend on the CPU count;
-    the returned dict keeps the order of ``masks``.  Python threads multiply
-    with BLAS threads: each group's products use the BLAS library's own
-    threads too.
+    The fractions run on min(len(masks), usable CPUs) threads by
+    ``diffusion._run_groups``' rule.  Sorted by observed count, largest
+    first, they are dealt to the groups in snake order (0, 1, ..., n-1, n-1,
+    ..., 0, 0, 1, ...).  Each filter's arithmetic is the same on any thread,
+    so the results do not depend on the CPU count; the returned dict keeps
+    the order of ``masks``.
     """
     shape = n_nodes, n_topics = series.n_nodes, series.n_topics
     block = _topic_block(op.lambda_hat, *shape)
@@ -404,26 +396,19 @@ def filter_fractions(
             )
         return results
 
-    n_groups = max(1, min(len(masks), _usable_cpus()))
-    groups = [[] for _ in range(n_groups)]
-    for i, fraction in enumerate(sorted(masks, key=lambda f: len(masks[f]), reverse=True)):
-        lap = i % (2 * n_groups)
-        groups[min(lap, 2 * n_groups - 1 - lap)].append(fraction)
-    # The executor starts a thread per submitted group only, so with one
-    # group it starts none; leaving the block joins every helper.
-    with ThreadPoolExecutor(max_workers=max(1, n_groups - 1)) as helpers:
-        futures = [helpers.submit(run, group) for group in groups[1:]]
-        results = run(groups[0])
-        for future in futures:
-            results.update(future.result())
+    order = sorted(masks, key=lambda f: len(masks[f]), reverse=True)
+
+    def snake(n_items, n_groups):
+        groups = [[] for _ in range(n_groups)]
+        for i, fraction in enumerate(order):
+            lap = i % (2 * n_groups)
+            groups[min(lap, 2 * n_groups - 1 - lap)].append(fraction)
+        return groups
+
+    results = {}
+    for group_results in _run_groups(run, len(masks), snake):
+        results.update(group_results)
     return {fraction: results[fraction] for fraction in masks}
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set, where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def nested_masks(n_nodes: int, fractions: Sequence[float], seed: int) -> dict[float, tuple[int, ...]]:

@@ -577,22 +577,23 @@ def network_from_dict(data: dict) -> tuple[InterconnectedNetwork, DiffusionConst
     with malformed("network document"):
         layers = []
         for spec in data["layers"]:
+            layer_id = read_field(spec, "id", _json_int, "network layer")
             nodes = [str(n) for n in spec["nodes"]]
             n = len(nodes)
             layers.append(
                 LayerGraph(
-                    layer_id=int(spec["id"]),
+                    layer_id=layer_id,
                     kind=spec.get("kind", "agent"),
                     node_ids=tuple(nodes),
                     adjacency=_matrix_from_json(
-                        spec.get("adjacency", {"triplets": []}), (n, n), f"layer {spec['id']}"
+                        spec.get("adjacency", {"triplets": []}), (n, n), f"layer {layer_id}"
                     ),
                 )
             )
         sizes = {layer.layer_id: layer.n_nodes for layer in layers}
         couplings = []
         for spec in data.get("couplings", []):
-            a, b = int(spec["from"]), int(spec["to"])
+            a, b = (read_field(spec, end, _json_int, "network coupling") for end in ("from", "to"))
             if a not in sizes or b not in sizes:
                 raise ValidationError(f"coupling references unknown layer ({a},{b})")
             couplings.append(

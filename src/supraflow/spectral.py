@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 
 from .errors import ValidationError
 from .files import write_csv
@@ -118,8 +119,9 @@ def _lambda2(supra: SupraLaplacian, epsilon: float, work: np.ndarray) -> float:
     _scatter_sum(terms, work)
     work += 2.0 * float(np.diagonal(work).max()) / n
     try:
-        # The transpose is Fortran-ordered, so the factorization copies nothing.
-        factor = scipy.linalg.cho_factor(
+        # The transpose is Fortran-ordered, so neither the factorization nor
+        # the solves copy it.
+        factor, _ = scipy.linalg.cho_factor(
             work.T, lower=False, overwrite_a=True, check_finite=False
         )
     except np.linalg.LinAlgError:
@@ -131,7 +133,10 @@ def _lambda2(supra: SupraLaplacian, epsilon: float, work: np.ndarray) -> float:
     beta: list[float] = []
     for k in range(n):
         basis = np.vstack([basis, q])
-        w = scipy.linalg.cho_solve(factor, q, check_finite=False)
+        # U^T U w = q as two one-vector triangular solves: potrs's one-column
+        # trsm costs about twice as much.
+        w = scipy.linalg.blas.dtrsv(factor, q, trans=1)
+        w = scipy.linalg.blas.dtrsv(factor, w, trans=0, overwrite_x=1)
         alpha.append(float(q @ w))
         for _ in range(2):  # full reorthogonalization: twice is enough
             w -= (basis @ w) @ basis

@@ -255,7 +255,7 @@ def _generate_once(spec: SyntheticSpec, seed: int, attempt: int, rng):
         )
         # Only every substeps-th state is a snapshot, so only those are kept.
         noise_rng = np.random.default_rng(int(rng.integers(0, 2**31 - 1)))
-        _, states = _simulate(x0, supra.csr, sigma, noise_rng, config, stride=substeps)
+        _, (states,) = _simulate(x0, supra.csr, sigma, [noise_rng], config, stride=substeps)
         snapshots = [
             StateMatrix(matrix=states[i], node_index=node_index, timestamp=t)
             for i, t in enumerate(times)

@@ -1,3 +1,5 @@
+import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ from supraflow import (
     propagate_closed,
     simulate_ensemble,
 )
+from supraflow import diffusion
 from supraflow.diffusion import _simulate, default_step, exponential_action, step_norm
 from conftest import connected_adjacency, global_random_state, random_network, single_layer_supra
 
@@ -323,8 +326,8 @@ class TestSimulateOpen:
         sigma = 0.1 * rng.random((5, 2))
         config = SimulationConfig(dt=0.01, horizon=0.1)
         every, kept = np.random.default_rng(7), np.random.default_rng(7)
-        times, states = _simulate(x0, supra.csr, sigma, every, config)
-        strided_times, strided = _simulate(x0, supra.csr, sigma, kept, config, stride=stride)
+        times, (states,) = _simulate(x0, supra.csr, sigma, [every], config)
+        strided_times, (strided,) = _simulate(x0, supra.csr, sigma, [kept], config, stride=stride)
         assert strided.tobytes() == states[::stride].tobytes()
         assert strided_times.tobytes() == times[::stride].tobytes()
         assert kept.bit_generator.state == every.bit_generator.state
@@ -365,6 +368,80 @@ class TestSimulateOpen:
             SimulationConfig(dt=0.1, horizon=-1.0)
         with pytest.raises(ValidationError):
             SimulationConfig(dt=0.1, horizon=1.0, ensemble_size=0)
+
+
+def reference_paths(x0, lap, sigma, rngs, config, stride=1):
+    """Euler-Maruyama paths stepped one at a time, each as its own n x T
+    state: the per-path loop the block stepping must reproduce bit for bit."""
+    times = np.minimum(np.arange(config.n_steps + 1) * config.dt, config.horizon)
+    paths = []
+    for rng in rngs:
+        x = x0.copy()
+        kept = [x]
+        for k in range(1, config.n_steps + 1):
+            h = times[k] - times[k - 1]
+            x = x - (lap @ x) * h + sigma * rng.standard_normal(x.shape) * math.sqrt(h)
+            if k % stride == 0:
+                kept.append(x)
+        paths.append(np.array(kept))
+    return times[::stride], paths
+
+
+class TestEnsembleBlocks:
+    def operator(self):
+        rng = np.random.default_rng(20)
+        network, constants = random_network(rng)
+        supra = assemble_supra_laplacian(network, constants)
+        x0 = rng.random((supra.n_nodes, 2))
+        return supra, x0, 0.1 * rng.random(x0.shape)
+
+    @pytest.mark.parametrize("paths", [1, 2, 3, 7])
+    def test_paths_match_the_per_path_loop_whatever_the_cpu_count(self, monkeypatch, paths):
+        supra, x0, sigma = self.operator()
+        config = SimulationConfig(dt=default_step(supra), horizon=0.2, ensemble_size=paths)
+        rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(3).spawn(paths)]
+        times, expected = reference_paths(x0, supra.csr, sigma, rngs, config)
+        runs = [simulate_ensemble(x0, supra, NoiseModel(sigma, seed=3), config)]
+        for cpus in (1, 3):
+            monkeypatch.setattr(diffusion, "_usable_cpus", lambda: cpus)
+            runs.append(simulate_ensemble(x0, supra, NoiseModel(sigma, seed=3), config))
+        for run in runs:
+            assert [p.states.tobytes() for p in run] == [e.tobytes() for e in expected]
+            assert all(p.times.tobytes() == times.tobytes() for p in run)
+
+    @pytest.mark.parametrize("stride", [1, 4])
+    def test_one_strided_path_matches_the_per_path_loop(self, stride):
+        # As the synthetic generator steps: one generator, every stride-th state kept.
+        supra, x0, sigma = self.operator()
+        config = SimulationConfig(dt=default_step(supra), horizon=0.2)
+        times, (expected,) = reference_paths(
+            x0, supra.csr, sigma, [np.random.default_rng(8)], config, stride
+        )
+        got_times, (got,) = _simulate(
+            x0, supra.csr, sigma, [np.random.default_rng(8)], config, stride=stride
+        )
+        assert got.tobytes() == expected.tobytes()
+        assert got_times.tobytes() == times.tobytes()
+
+    def test_a_diverging_helper_block_raises_and_no_helper_outlives_the_call(self, monkeypatch):
+        # Two groups of one path; the calling thread's block steps a zero
+        # operator and stays finite, so only the helper's block diverges.
+        monkeypatch.setattr(diffusion, "_usable_cpus", lambda: 2)
+        caller = threading.current_thread()
+        real = diffusion._simulate
+
+        def stable_on_the_caller(x0, lap, *args, **kwargs):
+            on_caller = threading.current_thread() is caller
+            return real(x0, 0.0 * lap if on_caller else lap, *args, **kwargs)
+
+        monkeypatch.setattr(diffusion, "_simulate", stable_on_the_caller)
+        _, supra = single_layer_supra(10.0 * (np.ones((4, 4)) - np.eye(4)))
+        x0 = np.ones((4, 2))
+        config = SimulationConfig(dt=1.0, horizon=400.0, ensemble_size=2)
+        threads = threading.active_count()
+        with pytest.warns(UserWarning, match="dt"), pytest.raises(NumericalError, match="diverged"):
+            simulate_ensemble(x0, supra, NoiseModel(0.1 * x0, seed=0), config)
+        assert threading.active_count() == threads
 
 
 class TestDefaultStep:
@@ -411,6 +488,16 @@ class TestEnsembleStatistics:
         paths = simulate_ensemble(np.zeros((2, 1)), supra, NoiseModel(sigma, seed=5), config)
         mean, _ = ensemble_statistics(paths)
         assert np.abs(mean[-1]).max() < 4 * 0.7 / np.sqrt(1000)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_every_row_split_gives_the_stacked_bits(self, monkeypatch, cpus):
+        monkeypatch.setattr(diffusion, "_usable_cpus", lambda: cpus)
+        rng = np.random.default_rng(13)
+        arrays = [rng.standard_normal((5, 4, 2)) * 10.0 ** rng.integers(-3, 4) for _ in range(6)]
+        mean, var = ensemble_statistics(arrays)
+        stack = np.stack(arrays)
+        assert mean.tobytes() == stack.mean(axis=0).tobytes()
+        assert var.tobytes() == stack.var(axis=0, ddof=1).tobytes()
 
     def test_too_few_paths_rejected(self):
         with pytest.raises(ValidationError):

@@ -10,6 +10,7 @@ from supraflow import (
     StateMatrix,
     SyntheticSpec,
     ValidationError,
+    assemble_supra_laplacian,
     coupling_strength_sweep,
     error_measure,
     run_experiment,
@@ -17,6 +18,7 @@ from supraflow import (
     upper_bound_series,
     write_states_csv,
 )
+from supraflow import harness
 from supraflow.harness import experiment_config_from_dict, parse_method
 from conftest import global_random_state
 
@@ -37,6 +39,20 @@ def interconnected_spec(**overrides):
     )
     base.update(overrides)
     return SyntheticSpec(**base)
+
+
+@pytest.fixture
+def propagations(monkeypatch):
+    """Shapes of the start states each closed propagation of the harness received."""
+    real = harness.propagate_closed
+    shapes = []
+
+    def recording(x0, supra, delta_t):
+        shapes.append(np.shape(x0))
+        return real(x0, supra, delta_t)
+
+    monkeypatch.setattr(harness, "propagate_closed", recording)
+    return shapes
 
 
 def single_layer_noisy_spec(**overrides):
@@ -181,6 +197,21 @@ class TestRunExperiment:
         assert result.improvements["multilayer"] > 0
         assert result.mean_errors["learned_operator"] <= single
 
+    def test_one_exponential_action_per_method_for_pairs_sharing_a_dt(self, propagations):
+        config = ExperimentConfig(
+            methods=("single_layer", "multilayer"), synthetic=interconnected_spec(), seed=5
+        )
+        result = run_experiment(config)
+        pairs = len(result.times)
+        assert propagations == [(10, 2 * pairs), (40, 2 * pairs)]
+        # The side-by-side action gives each pair its own propagation.
+        network, series, _ = harness._load_inputs(config)
+        supra = assemble_supra_laplacian(network, result.diagnostics["multilayer_fit"].constants)
+        block = network.layer_slices[1]
+        for (a, b, dt), error in zip(series.test_pairs(), result.curves["multilayer"]):
+            alone = harness.propagate_closed(a.matrix, supra, dt)[block]
+            assert error == pytest.approx(error_measure(alone, b.matrix[block]), rel=1e-12)
+
     def test_learned_operator_without_updates_is_the_multilayer_predictor(self):
         # On noisy data the learner stops at the noise floor with no rank-1
         # update, so lambda_hat is kron(I_T, -L(D_hat)), and one step of it is
@@ -288,3 +319,8 @@ class TestSweeps:
         assert abs(multi[0] - single) < 1e-12
         assert all(a >= b - 1e-15 for a, b in zip(multi, multi[1:]))
         assert multi[-1] < multi[0]
+
+    def test_coupling_strength_sweep_takes_one_action_per_epsilon(self, propagations):
+        coupling_strength_sweep(interconnected_spec(), epsilons=(0.0, 1.0), seed=5)
+        pairs = propagations[0][1] // 2
+        assert propagations == [(10, 2 * pairs), (40, 2 * pairs), (40, 2 * pairs)]

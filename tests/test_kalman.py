@@ -649,7 +649,7 @@ class TestConcurrentFractions:
         masks = nested_masks(series.n_nodes, [0.25, 1.0, 0.5, 0.75], seed=4)
         unrestricted = filter_fractions(series, op, masks)
         for cpus in (1, 2, len(masks)):
-            monkeypatch.setattr(kalman, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(diffusion, "_usable_cpus", lambda: cpus)
             results = filter_fractions(series, op, masks)
             assert list(results) == list(masks)
             for fraction, result in results.items():
@@ -660,7 +660,7 @@ class TestConcurrentFractions:
         series, op = self.learned(0)
         masks = nested_masks(series.n_nodes, [0.25, 0.5, 1.0], seed=4)
         # Two groups, by observed count: (1.0) on the caller, (0.5, 0.25) on a helper.
-        monkeypatch.setattr(kalman, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(diffusion, "_usable_cpus", lambda: 2)
         failed_on = []
         real = kalman._run_lockstep
 

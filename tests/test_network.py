@@ -470,6 +470,17 @@ class TestNetworkJson:
         read = _json_int(value)
         assert read == expected and type(read) is int
 
+    @pytest.mark.parametrize("value", [1.7, True, "1"])
+    @pytest.mark.parametrize(
+        "part, field", [("layers", "id"), ("couplings", "from"), ("couplings", "to")]
+    )
+    def test_layer_ids_and_coupling_endpoints_must_be_json_integers(self, part, field, value):
+        data = two_layer_document()
+        data[part][0][field] = value
+        what = "layer" if part == "layers" else "coupling"
+        with pytest.raises(ValidationError, match=f"{what} field '{field}'.*JSON integer"):
+            network_from_dict(data)
+
     def test_symmetric_flags_read_false(self):
         data = two_layer_document(symmetric=False)
         data["constants"]["symmetric"] = False

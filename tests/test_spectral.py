@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.blas
 
 from supraflow import (
     DiffusionConstants,
@@ -15,7 +16,7 @@ from supraflow import (
     spectrum,
 )
 from supraflow.network import components
-from supraflow.spectral import _layer_kernel_basis, write_sweep_csv
+from supraflow.spectral import _lambda2, _layer_kernel_basis, write_sweep_csv
 from conftest import connected_adjacency, single_layer_supra
 
 
@@ -184,6 +185,31 @@ class TestConnectivitySweep:
         point = connectivity_sweep(network, constants, [epsilon])[0]
         assert point.lambda2_actual == pytest.approx(2 - 2 * np.cos(np.pi / 6), rel=1e-12)
         assert_matches_dense_lambda2(point, supra)
+
+    def test_lanczos_solves_match_eigvalsh_on_the_fortran_factor(self, monkeypatch):
+        dtrsv = scipy.linalg.blas.dtrsv
+        factors = []
+
+        def recording_dtrsv(a, x, *args, **kwargs):
+            factors.append(a)
+            return dtrsv(a, x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.blas, "dtrsv", recording_dtrsv)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            network, constants = two_layer_multiplex(5 + seed, rng=rng)
+            supra = assemble_supra_laplacian(network, constants)
+            for epsilon in (0.01, 0.5, 3.0):
+                work = np.empty(supra.csr.shape)
+                got = _lambda2(supra, epsilon, work)
+                expected = np.linalg.eigvalsh(scale_inter_layer(supra, epsilon).matrix)[1]
+                assert got == pytest.approx(expected, rel=1e-12)
+                # The solves read the factor in place: the work array's
+                # Fortran-ordered transpose, with no copy.
+                assert factors and all(
+                    f.flags.f_contiguous and np.shares_memory(f, work) for f in factors
+                )
+                factors.clear()
 
     def test_failed_factorization_falls_back_to_dense_eigenvalues(self, monkeypatch):
         network, constants = two_layer_multiplex(4, rng=np.random.default_rng(9))
