@@ -3,23 +3,27 @@
 Every subcommand reads its parameters from a JSON config document passed with
 --config; --seed overrides the config's seed and --out chooses the output
 directory.  Outputs are CSV tables plus SVG charts, written atomically and
-byte-identical across runs with the same config and seed.
+byte-identical across runs with the same config and seed at a fixed BLAS thread
+count.
 
-Exit codes: 0 success, 2 validation failure (malformed or missing input, or a
-file that cannot be read or written), 3 numerical failure.  Any other exception
+Exit codes: 0 success, 2 validation failure (malformed or missing input, a
+config key the command does not know, or a file that cannot be read or
+written), 3 numerical failure.  Any other exception
 is a bug and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, read_field
+from .errors import REQUIRED, NumericalError, ValidationError, _json_int, _json_list, _json_str
+from .errors import read_document
 from .calibration import (
     LEARN_MAX_ITERS,
     SnapshotSeries,
@@ -49,7 +53,6 @@ from .kalman import (
 )
 from .network import (
     _is_symmetric,
-    _json_int,
     assemble_supra_laplacian,
     constants_to_dict,
     load_network,
@@ -58,10 +61,47 @@ from .network import (
 from .spectral import connectivity_sweep, write_sweep_csv
 from .states import node_label, read_states_csv, write_states_csv
 from .svgplot import line_chart
-from .synthetic import generate_synthetic, synthetic_spec_from_dict
+from .synthetic import _SPEC_FIELDS, SyntheticSpec, generate_synthetic
 
 
-def _read_config(args) -> dict:
+_NETWORK = {"network": (_json_str, REQUIRED)}
+_STATES = {**_NETWORK, "states": (_json_str, REQUIRED)}
+_SERIES = {**_NETWORK, "snapshots": (_json_str, REQUIRED), "train_count": (_json_int, None)}
+_LEARNER = {
+    "gain": (float, None),
+    "eta": (float, None),
+    "max_iters": (_json_int, LEARN_MAX_ITERS),
+    "fit_max_sweeps": (None, None),
+}
+#: Each command's config table (see ``errors.read_document``); ``experiment``
+#: reads its config by ``harness._EXPERIMENT_FIELDS``.
+_CONFIGS = {
+    "generate": {**_SPEC_FIELDS, "seed": (_json_int, 0)},
+    "build": _NETWORK,
+    "simulate": {
+        **_STATES,
+        "horizon": (float, REQUIRED),
+        "dt": (float, None),
+        "sigma": (float, None),
+        "sigma_file": (_json_str, None),
+        "paths": (_json_int, 1),
+        "seed": (_json_int, 0),
+    },
+    "predict": {**_STATES, "delta_t": (float, REQUIRED)},
+    "fit": {**_SERIES, "max_sweeps": (None, None)},
+    "learn": {**_SERIES, **_LEARNER},
+    "kalman": {
+        **_SERIES,
+        **_LEARNER,
+        "fraction": (float, REQUIRED),
+        "r": (float, R_OBSERVED),
+        "seed": (_json_int, 0),
+    },
+    "spectral": {**_NETWORK, "epsilons": (_json_list(float), REQUIRED)},
+}
+
+
+def _read_json(args):
     if not args.config:
         return {}
     with open(args.config) as handle:
@@ -69,15 +109,15 @@ def _read_config(args) -> dict:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config file {args.config} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValidationError("config document must be a JSON object")
     return data
 
 
-def _seed(args, cfg: dict) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    return _optional(cfg, "seed", _json_int, 0)
+def _config(args) -> dict:
+    """The fields of the command's config, with --seed over its seed."""
+    fields = read_document(_read_json(args), _CONFIGS[args.command], f"{args.command} config")
+    if args.seed is not None and "seed" in fields:
+        fields["seed"] = int(args.seed)
+    return fields
 
 
 def _outpath(args, name: str) -> str:
@@ -85,28 +125,13 @@ def _outpath(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
-def _optional(cfg: dict, key: str, cast, default=None):
-    """``cast(cfg[key])``, or ``default`` when the field is absent or null."""
-    if cfg.get(key) is None:
-        return default
-    return read_field(cfg, key, cast, "config")
-
-
-def _require(cfg: dict, key: str, cast=str):
-    if cfg.get(key) is None:
-        raise ValidationError(f"config is missing the required field {key!r}")
-    return _optional(cfg, key, cast)
-
-
 def _load_series(cfg: dict, network) -> SnapshotSeries:
-    snapshots = read_states_csv(_require(cfg, "snapshots"), network)
-    return SnapshotSeries(
-        snapshots=tuple(snapshots), train_count=_optional(cfg, "train_count", _json_int)
-    )
+    snapshots = read_states_csv(cfg["snapshots"], network)
+    return SnapshotSeries(snapshots=tuple(snapshots), train_count=cfg["train_count"])
 
 
 def _load_network_with_constants(cfg: dict):
-    network, constants = load_network(_require(cfg, "network"))
+    network, constants = load_network(cfg["network"])
     if constants is None:
         raise ValidationError("the network file declares no diffusion constants")
     return network, constants
@@ -117,10 +142,9 @@ def _done(path) -> None:
 
 
 def cmd_generate(args) -> int:
-    cfg = _read_config(args)
-    spec = synthetic_spec_from_dict(cfg)
-    seed = _seed(args, cfg)
-    network, series, truth = generate_synthetic(spec, seed)
+    cfg = _config(args)
+    seed = cfg.pop("seed")
+    network, series, truth = generate_synthetic(SyntheticSpec(**cfg), seed)
     net_path = _outpath(args, "network.json")
     save_network(net_path, network, truth.constants)
     _done(net_path)
@@ -144,7 +168,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_build(args) -> int:
-    cfg = _read_config(args)
+    cfg = _config(args)
     network, constants = _load_network_with_constants(cfg)
     supra = assemble_supra_laplacian(network, constants)
     matrix_path = _outpath(args, "supra_laplacian.csv")
@@ -165,24 +189,21 @@ def cmd_build(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _read_config(args)
+    cfg = _config(args)
     network, constants = _load_network_with_constants(cfg)
     supra = assemble_supra_laplacian(network, constants)
-    snapshots = read_states_csv(_require(cfg, "states"), network)
-    x0 = snapshots[0]
-    sigma_file = _optional(cfg, "sigma_file", str)
-    if sigma_file is not None:
-        if cfg.get("sigma") is not None:
+    x0 = read_states_csv(cfg["states"], network)[0]
+    if cfg["sigma_file"] is not None:
+        if cfg["sigma"] is not None:
             raise ValidationError("config gives both 'sigma' and 'sigma_file'; give one of them")
-        sigma = read_states_csv(sigma_file, network)[0].matrix
+        sigma = read_states_csv(cfg["sigma_file"], network)[0].matrix
     else:
-        sigma = _optional(cfg, "sigma", float, 0.0) * np.ones(x0.matrix.shape)
-    noise = NoiseModel(sigma=sigma, seed=_seed(args, cfg))
-    dt = _optional(cfg, "dt", float)
+        sigma = (cfg["sigma"] or 0.0) * np.ones(x0.matrix.shape)
+    noise = NoiseModel(sigma=sigma, seed=cfg["seed"])
     config = SimulationConfig(
-        dt=default_step(supra) if dt is None else dt,
-        horizon=_require(cfg, "horizon", float),
-        ensemble_size=_optional(cfg, "paths", _json_int, 1),
+        dt=default_step(supra) if cfg["dt"] is None else cfg["dt"],
+        horizon=cfg["horizon"],
+        ensemble_size=cfg["paths"],
     )
     paths = simulate_ensemble(x0, supra, noise, config)
     sim_path = _outpath(args, "simulation.csv")
@@ -197,12 +218,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = _read_config(args)
+    cfg = _config(args)
     network, constants = _load_network_with_constants(cfg)
     supra = assemble_supra_laplacian(network, constants)
-    snapshots = read_states_csv(_require(cfg, "states"), network)
-    delta_t = _require(cfg, "delta_t", float)
-    predicted = propagate_closed(snapshots[-1], supra, delta_t)
+    snapshots = read_states_csv(cfg["states"], network)
+    predicted = propagate_closed(snapshots[-1], supra, cfg["delta_t"])
     out_path = _outpath(args, "prediction.csv")
     write_states_csv(out_path, [predicted], network.node_order)
     _done(out_path)
@@ -210,8 +230,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg = _read_config(args)
-    network, _ = load_network(_require(cfg, "network"))
+    cfg = _config(args)
+    network, _ = load_network(cfg["network"])
     series = _load_series(cfg, network)
     fit = fit_diffusion_constants(series, network)
     report_path = _outpath(args, "fit_report.json")
@@ -220,20 +240,14 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _learner_settings(cfg: dict) -> dict:
-    return {
-        "gain": _optional(cfg, "gain", float),
-        "threshold": _optional(cfg, "eta", float),
-        "max_iters": _optional(cfg, "max_iters", _json_int, LEARN_MAX_ITERS),
-    }
-
-
 def cmd_learn(args) -> int:
-    cfg = _read_config(args)
-    network, _ = load_network(_require(cfg, "network"))
+    cfg = _config(args)
+    network, _ = load_network(cfg["network"])
     series = _load_series(cfg, network)
     fit = fit_diffusion_constants(series, network)
-    op = learn_from_fit(series, network, fit, **_learner_settings(cfg))
+    op = learn_from_fit(
+        series, network, fit, gain=cfg["gain"], threshold=cfg["eta"], max_iters=cfg["max_iters"]
+    )
     op_path = _outpath(args, "operator.csv")
     write_matrix_csv(op_path, op.lambda_hat)
     _done(op_path)
@@ -254,17 +268,18 @@ def cmd_learn(args) -> int:
 
 
 def cmd_kalman(args) -> int:
-    cfg = _read_config(args)
-    network, _ = load_network(_require(cfg, "network"))
+    cfg = _config(args)
+    network, _ = load_network(cfg["network"])
     series = _load_series(cfg, network)
-    fraction = _require(cfg, "fraction", float)
+    fraction = cfg["fraction"]
     if not 0 < fraction <= 1:
         raise ValidationError("fraction must lie in (0, 1]")
-    masks = nested_masks(network.n_nodes, [fraction], _seed(args, cfg))
-    r_observed = _optional(cfg, "r", float, R_OBSERVED)
+    masks = nested_masks(network.n_nodes, [fraction], cfg["seed"])
     fit = fit_diffusion_constants(series, network)
-    op = learn_from_fit(series, network, fit, **_learner_settings(cfg))
-    result = filter_fractions(series, op, masks, r_observed)[fraction]
+    op = learn_from_fit(
+        series, network, fit, gain=cfg["gain"], threshold=cfg["eta"], max_iters=cfg["max_iters"]
+    )
+    result = filter_fractions(series, op, masks, cfg["r"])[fraction]
     trace_path = _outpath(args, "filter_trace.csv")
     write_filter_trace_csv(trace_path, result)
     _done(trace_path)
@@ -276,10 +291,9 @@ def cmd_kalman(args) -> int:
 
 
 def cmd_spectral(args) -> int:
-    cfg = _read_config(args)
+    cfg = _config(args)
     network, constants = _load_network_with_constants(cfg)
-    epsilons = _require(cfg, "epsilons", lambda values: [float(e) for e in values])
-    points = connectivity_sweep(network, constants, epsilons)
+    points = connectivity_sweep(network, constants, cfg["epsilons"])
     sweep_path = _outpath(args, "lambda2_sweep.csv")
     write_sweep_csv(sweep_path, points)
     _done(sweep_path)
@@ -298,10 +312,9 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = _read_config(args)
+    config = experiment_config_from_dict(_read_json(args))
     if args.seed is not None:
-        cfg["seed"] = int(args.seed)
-    config = experiment_config_from_dict(cfg)
+        config = dataclasses.replace(config, seed=int(args.seed))
     os.makedirs(args.out, exist_ok=True)
     result = run_experiment(config, out_dir=args.out)
     for name in config.methods:

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, malformed, read_field
+from .errors import ValidationError, _json_int, _json_list, _json_str, read_document
 from .files import write_csv
 from .calibration import (
     LEARN_MAX_ITERS,
@@ -43,7 +43,6 @@ from .network import (
     DiffusionConstants,
     InterconnectedNetwork,
     LayerKind,
-    _json_int,
     assemble_supra_laplacian,
     load_network,
     scale_inter_layer,
@@ -78,8 +77,10 @@ def upper_bound_series(snapshots: Sequence) -> np.ndarray:
 
 def parse_method(name: str) -> tuple[str, float | None]:
     if name.startswith("kalman:"):
-        with malformed(f"method {name!r}"):
+        try:
             fraction = float(name.split(":", 1)[1])
+        except ValueError as exc:
+            raise ValidationError(f"method {name!r} is malformed: {exc}") from None
         if not 0 < fraction <= 1:
             raise ValidationError(f"kalman fraction must lie in (0, 1], got {fraction}")
         return "kalman", fraction
@@ -113,29 +114,28 @@ class ExperimentConfig:
             raise ValidationError("config needs either a synthetic spec or network+snapshot files")
 
 
+#: The experiment config's table (see ``errors.read_document``).
+_EXPERIMENT_FIELDS = {
+    "methods": (_json_list(_json_str), ()),
+    "synthetic": (synthetic_spec_from_dict, ExperimentConfig.synthetic),
+    "network": (_json_str, ExperimentConfig.network_file),
+    "snapshots": (_json_str, ExperimentConfig.snapshots_file),
+    "train_count": (_json_int, ExperimentConfig.train_count),
+    "seed": (_json_int, ExperimentConfig.seed),
+    "gain": (float, ExperimentConfig.gain),
+    "learn_threshold": (float, ExperimentConfig.learn_threshold),
+    "max_iters": (_json_int, ExperimentConfig.max_iters),
+    "kalman_r": (float, ExperimentConfig.kalman_r),
+    "fit_max_sweeps": (None, None),
+}
+
+
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
-    """Parse the JSON form of an experiment; absent or null scalars take the
-    ``ExperimentConfig`` defaults."""
-    with malformed("experiment config"):
-        scalars = (
-            ("train_count", _json_int),
-            ("seed", _json_int),
-            ("gain", float),
-            ("learn_threshold", float),
-            ("max_iters", _json_int),
-            ("kalman_r", float),
-        )
-        return ExperimentConfig(
-            methods=tuple(data.get("methods", ())),
-            synthetic=synthetic_spec_from_dict(data["synthetic"]) if "synthetic" in data else None,
-            network_file=data.get("network"),
-            snapshots_file=data.get("snapshots"),
-            **{
-                key: read_field(data, key, cast, "experiment config")
-                for key, cast in scalars
-                if data.get(key) is not None
-            },
-        )
+    """Parse the JSON form of an experiment (see README for the schema)."""
+    fields = read_document(data, _EXPERIMENT_FIELDS, "experiment config")
+    return ExperimentConfig(
+        network_file=fields.pop("network"), snapshots_file=fields.pop("snapshots"), **fields
+    )
 
 
 @dataclass

@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse
 
-from .errors import ValidationError, malformed, read_field
+from .errors import REQUIRED, ValidationError, _json_bool, _json_int, _json_list, read_document
 from .files import write_json
 
 MAX_NODES = 20_000
@@ -485,11 +485,10 @@ def _matrix_to_json(matrix: scipy.sparse.csr_array) -> dict:
 
 def _matrix_from_json(obj, shape: tuple[int, int], what: str) -> scipy.sparse.csr_array:
     if isinstance(obj, dict):
-        if "triplets" not in obj:
-            raise ValidationError(f"{what}: sparse matrix object needs a 'triplets' field")
+        triplets = read_document(obj, _SPARSE_FIELDS, f"{what}: sparse matrix object")["triplets"]
         form = f"{what}: every triplet must be three numbers [row, col, weight]"
         try:
-            entries = np.asarray(obj["triplets"], dtype=float)
+            entries = np.asarray(triplets, dtype=float)
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(form) from None
         if entries.shape == (0,):
@@ -506,7 +505,10 @@ def _matrix_from_json(obj, shape: tuple[int, int], what: str) -> scipy.sparse.cs
             raise ValidationError(f"{what}: an entry (row, col) appears in two triplets")
         coo = scipy.sparse.coo_array((entries[:, 2], (rows, cols)), shape=shape)
         return _frozen_csr(coo, what)
-    mat = np.asarray(obj, dtype=float)
+    try:
+        mat = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what}: every dense matrix row must be a list of numbers") from None
     if mat.shape != shape:
         raise ValidationError(f"{what}: dense matrix shape {mat.shape}, expected {shape}")
     return _frozen_csr(mat, what)
@@ -526,23 +528,6 @@ def _layer_pair(key) -> tuple[int, int]:
     if len(parts) != 2:
         raise ValidationError(f"inter constant key {key!r} must look like 'a,b'")
     return int(parts[0]), int(parts[1])
-
-
-def _json_bool(value) -> bool:
-    """A JSON ``true`` or ``false``; any other value, ``"false"`` or ``1`` too, is rejected."""
-    if not isinstance(value, bool):
-        raise ValidationError(f"expected JSON true or false, got {value!r}")
-    return value
-
-
-def _json_int(value) -> int:
-    """A JSON integer, or a number with an integral value such as ``5.0``; a
-    bool, a string or a non-integral number such as ``5.9`` is rejected."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValidationError(f"expected a JSON integer, got {value!r}")
 
 
 def network_to_dict(
@@ -573,60 +558,55 @@ def network_to_dict(
     return data
 
 
+#: The tables of a network file's objects (see ``errors.read_document``).  A
+#: matrix is read as given, to be parsed once its layers fix its shape.
+_SPARSE_FIELDS = {"triplets": (list, REQUIRED)}
+_LAYER_FIELDS = {
+    "id": (_json_int, REQUIRED),
+    "kind": (LayerKind, LayerKind.AGENT),
+    "nodes": (_json_list(str), REQUIRED),
+    "adjacency": (lambda matrix: matrix, {"triplets": []}),
+}
+_COUPLING_FIELDS = {
+    "from": (_json_int, REQUIRED),
+    "to": (_json_int, REQUIRED),
+    "matrix": (lambda matrix: matrix, REQUIRED),
+}
+_CONSTANTS_FIELDS = {
+    "intra": (dict, {}),
+    "inter": (lambda inter: {_layer_pair(key): value for key, value in inter.items()}, {}),
+    "symmetric": (_json_bool, True),
+}
+_NETWORK_FIELDS = {
+    "symmetric": (_json_bool, True),
+    "layers": (_json_list(lambda v: read_document(v, _LAYER_FIELDS, "network layer")), REQUIRED),
+    "couplings": (_json_list(lambda v: read_document(v, _COUPLING_FIELDS, "network coupling")), []),
+    "constants": (
+        lambda v: DiffusionConstants(**read_document(v, _CONSTANTS_FIELDS, "network constants")),
+        None,
+    ),
+}
+
+
 def network_from_dict(data: dict) -> tuple[InterconnectedNetwork, DiffusionConstants | None]:
-    with malformed("network document"):
-        layers = []
-        for spec in data["layers"]:
-            layer_id = read_field(spec, "id", _json_int, "network layer")
-            nodes = [str(n) for n in spec["nodes"]]
-            n = len(nodes)
-            layers.append(
-                LayerGraph(
-                    layer_id=layer_id,
-                    kind=spec.get("kind", "agent"),
-                    node_ids=tuple(nodes),
-                    adjacency=_matrix_from_json(
-                        spec.get("adjacency", {"triplets": []}), (n, n), f"layer {layer_id}"
-                    ),
-                )
-            )
-        sizes = {layer.layer_id: layer.n_nodes for layer in layers}
-        couplings = []
-        for spec in data.get("couplings", []):
-            a, b = (read_field(spec, end, _json_int, "network coupling") for end in ("from", "to"))
-            if a not in sizes or b not in sizes:
-                raise ValidationError(f"coupling references unknown layer ({a},{b})")
-            couplings.append(
-                InterLayerCoupling(
-                    from_layer=a,
-                    to_layer=b,
-                    coupling=_matrix_from_json(
-                        spec["matrix"], (sizes[a], sizes[b]), f"coupling ({a},{b})"
-                    ),
-                )
-            )
-        network = InterconnectedNetwork(
-            layers=tuple(layers),
-            couplings=tuple(couplings),
-            symmetric=(
-                read_field(data, "symmetric", _json_bool, "network document")
-                if "symmetric" in data
-                else True
-            ),
-        )
-        constants = None
-        if "constants" in data:
-            spec = data["constants"]
-            constants = DiffusionConstants(
-                intra={int(k): float(v) for k, v in spec.get("intra", {}).items()},
-                inter={_layer_pair(k): float(v) for k, v in spec.get("inter", {}).items()},
-                symmetric=(
-                    read_field(spec, "symmetric", _json_bool, "network constants")
-                    if "symmetric" in spec
-                    else True
-                ),
-            )
-        return network, constants
+    fields = read_document(data, _NETWORK_FIELDS, "network document")
+    layers = []
+    for layer in fields["layers"]:
+        n = len(layer["nodes"])
+        adjacency = _matrix_from_json(layer["adjacency"], (n, n), f"layer {layer['id']}")
+        layers.append(LayerGraph(layer["id"], layer["kind"], tuple(layer["nodes"]), adjacency))
+    sizes = {layer.layer_id: layer.n_nodes for layer in layers}
+    couplings = []
+    for coupling in fields["couplings"]:
+        a, b = coupling["from"], coupling["to"]
+        if a not in sizes or b not in sizes:
+            raise ValidationError(f"coupling references unknown layer ({a},{b})")
+        matrix = _matrix_from_json(coupling["matrix"], (sizes[a], sizes[b]), f"coupling ({a},{b})")
+        couplings.append(InterLayerCoupling(from_layer=a, to_layer=b, coupling=matrix))
+    network = InterconnectedNetwork(
+        layers=tuple(layers), couplings=tuple(couplings), symmetric=fields["symmetric"]
+    )
+    return network, fields["constants"]
 
 
 def save_network(path, network: InterconnectedNetwork, constants: DiffusionConstants | None = None):

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, malformed, read_field
+from .errors import REQUIRED, ValidationError, _json_bool, _json_int, _json_list, _json_str
+from .errors import read_document
 from .calibration import SnapshotSeries
 from .diffusion import SimulationConfig, _simulate, propagate_closed, step_norm
 from .network import (
@@ -24,8 +25,6 @@ from .network import (
     InterLayerCoupling,
     LayerGraph,
     LayerKind,
-    _json_bool,
-    _json_int,
     _layer_pair,
     assemble_supra_laplacian,
     components,
@@ -283,48 +282,42 @@ def _generate_once(spec: SyntheticSpec, seed: int, attempt: int, rng):
     return network, series, truth
 
 
-#: JSON key -> (LayerSpec field, cast) of the optional layer fields.
+#: A synthetic layer entry's table (see ``errors.read_document``), in ``LayerSpec``'s field order.
 _LAYER_FIELDS = {
-    "model": ("model", str),
-    "p": ("edge_prob", float),
-    "k": ("k_neighbors", _json_int),
-    "weight": ("weight", float),
+    "kind": (LayerKind, REQUIRED),
+    "n": (_json_int, REQUIRED),
+    "model": (_json_str, LayerSpec.model),
+    "p": (float, LayerSpec.edge_prob),
+    "k": (_json_int, LayerSpec.k_neighbors),
+    "weight": (float, LayerSpec.weight),
 }
-#: Cast -> names of the optional SyntheticSpec fields.
+#: A synthetic spec's table, each key named as its ``SyntheticSpec`` field; a
+#: ``seed`` in a spec is accepted and not read: the enclosing document's governs.
 _SPEC_FIELDS = {
-    _json_int: ("n_topics", "sigma_nodes", "n_snapshots", "train_count"),
-    float: ("sigma_ratio", "sigma_scale", "spacing", "dt"),
-    _json_bool: ("require_connected",),
+    "layers": (
+        _json_list(
+            lambda v: LayerSpec(*read_document(v, _LAYER_FIELDS, "synthetic layer").values())
+        ),
+        REQUIRED,
+    ),
+    "n_topics": (_json_int, SyntheticSpec.n_topics),
+    "intra_constants": (lambda intra: {int(k): float(v) for k, v in intra.items()}, {}),
+    "inter_constants": (
+        lambda inter: {tuple(sorted(_layer_pair(k))): float(v) for k, v in inter.items()},
+        {},
+    ),
+    "sigma_ratio": (float, SyntheticSpec.sigma_ratio),
+    "sigma_nodes": (_json_int, SyntheticSpec.sigma_nodes),
+    "sigma_scale": (float, SyntheticSpec.sigma_scale),
+    "n_snapshots": (_json_int, SyntheticSpec.n_snapshots),
+    "spacing": (float, SyntheticSpec.spacing),
+    "dt": (float, SyntheticSpec.dt),
+    "train_count": (_json_int, SyntheticSpec.train_count),
+    "require_connected": (_json_bool, SyntheticSpec.require_connected),
+    "seed": (None, None),
 }
 
 
 def synthetic_spec_from_dict(data: dict) -> SyntheticSpec:
-    """Parse the JSON form of a synthetic spec (see README for the schema);
-    absent or null fields take the ``LayerSpec`` and ``SyntheticSpec`` defaults."""
-    with malformed("synthetic spec"):
-        layers = tuple(
-            LayerSpec(
-                kind=entry["kind"],
-                n_nodes=read_field(entry, "n", _json_int, "synthetic layer"),
-                **{
-                    name: read_field(entry, key, cast, "synthetic layer")
-                    for key, (name, cast) in _LAYER_FIELDS.items()
-                    if entry.get(key) is not None
-                },
-            )
-            for entry in data["layers"]
-        )
-        return SyntheticSpec(
-            layers=layers,
-            intra_constants={int(k): float(v) for k, v in data.get("intra_constants", {}).items()},
-            inter_constants={
-                tuple(sorted(_layer_pair(key))): float(value)
-                for key, value in data.get("inter_constants", {}).items()
-            },
-            **{
-                key: read_field(data, key, cast, "synthetic spec")
-                for cast, keys in _SPEC_FIELDS.items()
-                for key in keys
-                if data.get(key) is not None
-            },
-        )
+    """Parse the JSON form of a synthetic spec (see README for the schema)."""
+    return SyntheticSpec(**read_document(data, _SPEC_FIELDS, "synthetic spec"))

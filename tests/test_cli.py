@@ -387,6 +387,23 @@ class TestExperimentCommand:
         assert header == "step,t,upper_bound,single_layer,multilayer"
 
 
+def own_keys(command, dataset, network=None):
+    """A config of ``command`` that gives its input files and nothing else."""
+    network = network or dataset["network"]
+    snapshots = dataset["snapshots"]
+    series = {"network": network, "snapshots": snapshots}
+    return {
+        "generate": {},
+        "build": {"network": network},
+        "simulate": {"network": network, "states": snapshots, "horizon": 0.5},
+        "predict": {"network": network, "states": snapshots, "delta_t": 0.5},
+        "fit": series,
+        "learn": series,
+        "kalman": {**series, "fraction": 0.5},
+        "experiment": {**series, "methods": ["multilayer"]},
+    }[command]
+
+
 class TestExitCodes:
     def test_missing_config_field_is_validation_failure(self, tmp_path):
         config = write_json(tmp_path / "bad.json", {"states": "nope.csv"})
@@ -404,30 +421,34 @@ class TestExitCodes:
         assert main(["build", "--config", config, "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize(
-        "command, fields, network_doc",
+        "command, fields, network_doc, reason",
         [
-            ("build", {}, {"layers": [{"id": 1, "kind": "agent"}]}),
-            ("build", {}, {"layers": [{"id": 1, "kind": "robot", "nodes": ["a"]}]}),
-            ("generate", {"layers": [{"kind": "robot", "n": 3}]}, None),
-            ("predict", {"delta_t": "soon"}, None),
-            ("predict", {"delta_t": None}, None),
-            ("experiment", {"methods": ["kalman:most"]}, None),
+            ("build", {}, {"layers": [{"id": 1, "kind": "agent"}]}, "required 'nodes' field"),
+            (
+                "build",
+                {},
+                {"layers": [{"id": 1, "kind": "robot", "nodes": ["a"]}]},
+                "layer field 'kind' is malformed",
+            ),
+            ("generate", {"layers": [{"kind": "robot", "n": 3}]}, None, "field 'kind'"),
+            ("predict", {"delta_t": "soon"}, None, "field 'delta_t' is malformed"),
+            ("predict", {"delta_t": None}, None, "required 'delta_t' field"),
+            ("experiment", {"methods": ["kalman:most"]}, None, "method 'kalman:most'"),
         ],
     )
     def test_malformed_input_is_validation_failure(
-        self, tiny_dataset, capsys, command, fields, network_doc
+        self, tiny_dataset, capsys, command, fields, network_doc, reason
     ):
         tmp = tiny_dataset["tmp"]
         network = tiny_dataset["network"]
         if network_doc is not None:
             network = write_json(tmp / "bad_network.json", network_doc)
-        snapshots = tiny_dataset["snapshots"]
         config = write_json(
-            tmp / "malformed.json",
-            {"network": network, "states": snapshots, "snapshots": snapshots, **fields},
+            tmp / "malformed.json", {**own_keys(command, tiny_dataset, network), **fields}
         )
         assert main([command, "--config", config, "--out", str(tmp / "o")]) == 2
-        assert "validation failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "validation failure" in err and reason in err
 
     @pytest.mark.parametrize(
         "command, fields",
@@ -435,25 +456,97 @@ class TestExitCodes:
             ("fit", {"train_count": 5.9}),
             ("learn", {"max_iters": 1.5}),
             ("kalman", {"fraction": 0.5, "seed": "1"}),
-            ("experiment", {"methods": ["multilayer"], "train_count": True}),
+            ("experiment", {"train_count": True}),
             ("generate", {"layers": [{"kind": "agent", "n": 4.6}]}),
-            ("experiment", {"methods": ["multilayer"], "train_count": 5.9}),
+            ("experiment", {"train_count": 5.9}),
         ],
     )
     def test_non_integer_count_or_seed_is_validation_failure(
         self, tiny_dataset, capsys, command, fields
     ):
         tmp = tiny_dataset["tmp"]
-        snapshots = tiny_dataset["snapshots"]
         config = write_json(
-            tmp / "not_integer.json",
-            {"network": tiny_dataset["network"], "snapshots": snapshots, **fields},
+            tmp / "not_integer.json", {**own_keys(command, tiny_dataset), **fields}
         )
         assert main([command, "--config", config, "--out", str(tmp / "o")]) == 2
         # The message names the rejected field: the last one given, or the layer's n.
         field = "n" if command == "generate" else list(fields)[-1]
         err = capsys.readouterr().err
         assert "expected a JSON integer" in err and f"field {field!r}" in err
+
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [
+            ("experiment", "network", 0),
+            ("experiment", "snapshots", 3),
+            ("fit", "network", 0),
+            ("predict", "states", 3),
+            ("simulate", "sigma_file", 0),
+        ],
+    )
+    def test_non_string_path_is_validation_failure_and_opens_nothing(
+        self, tiny_dataset, capsys, monkeypatch, command, field, value
+    ):
+        # An integer path would be a file descriptor to open(): 0 is stdin.
+        opened = []
+        real_open = open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        tmp = tiny_dataset["tmp"]
+        config = write_json(tmp / "path.json", {**own_keys(command, tiny_dataset), field: value})
+        monkeypatch.setattr("builtins.open", recording_open)
+        assert main([command, "--config", config, "--out", str(tmp / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"field {field!r}" in err and "expected a JSON string" in err
+        assert opened == [config]
+
+    def test_string_methods_is_validation_failure(self, tiny_dataset, capsys):
+        # A string is not split into one-letter methods.
+        tmp = tiny_dataset["tmp"]
+        fields = {**own_keys("experiment", tiny_dataset), "methods": "multilayer"}
+        config = write_json(tmp / "methods.json", fields)
+        assert main(["experiment", "--config", config, "--out", str(tmp / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "field 'methods'" in err and "expected a JSON list" in err
+
+    @pytest.mark.parametrize(
+        "command, fields, network_edit, key",
+        [
+            ("learn", {"max_iter": 0}, None, "max_iter"),
+            ("build", {"seed": 1}, None, "seed"),
+            ("generate", {"layers": [{"kind": "agent", "n": 3, "edge_p": 0.5}]}, None, "edge_p"),
+            (
+                "experiment",
+                {"synthetic": {"layers": [], "n_topic": 2}},
+                None,
+                "n_topic",
+            ),
+            ("fit", {}, lambda doc: doc["layers"][0].update(name="agents"), "name"),
+            ("fit", {}, lambda doc: doc["couplings"][0].update(weight=1.0), "weight"),
+            ("fit", {}, lambda doc: doc["constants"].update(noise=0.1), "noise"),
+            ("fit", {}, lambda doc: doc["layers"][0]["adjacency"].update(rows=2), "rows"),
+            ("fit", {}, lambda doc: doc.update(directed=True), "directed"),
+        ],
+    )
+    def test_unknown_key_is_validation_failure_naming_it(
+        self, tiny_dataset, capsys, command, fields, network_edit, key
+    ):
+        tmp = tiny_dataset["tmp"]
+        network = tiny_dataset["network"]
+        if network_edit is not None:
+            doc = json.loads((tiny_dataset["dir"] / "network.json").read_text())
+            network_edit(doc)
+            network = write_json(tmp / "unknown_network.json", doc)
+        config = write_json(
+            tmp / "unknown.json", {**own_keys(command, tiny_dataset, network), **fields}
+        )
+        assert main([command, "--config", config, "--out", str(tmp / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown field(s) {key!r}" in err
+        assert not (tmp / "o").exists()
 
     def test_non_numeric_state_value_is_validation_failure(self, tiny_dataset):
         tmp = tiny_dataset["tmp"]

@@ -17,3 +17,14 @@ def test_readme_has_python_examples():
 @pytest.mark.parametrize("source", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
 def test_readme_python_block_runs(source):
     exec(compile(source, str(README), "exec"), {"__name__": "readme_example"})
+
+
+def test_readme_lists_exactly_each_config_table_keys():
+    from test_schemas import TABLES
+
+    section = README.read_text().split("### Config schemas\n", 1)[1].split("\n### ", 1)[0]
+    rows = dict(re.findall(r"^\| (.+?) \| (.+?) \|$", section, re.MULTILINE))
+    rows.pop("Document")
+    assert set(rows) == set(TABLES)
+    for label, (table, _) in TABLES.items():
+        assert sorted(re.findall(r"`(\w+)`", rows[label])) == sorted(table), label
