@@ -22,8 +22,8 @@ import sys
 
 import numpy as np
 
-from .errors import REQUIRED, NumericalError, ValidationError, _json_int, _json_list, _json_str
-from .errors import read_document
+from .errors import REQUIRED, NumericalError, ValidationError, _json_float, _json_int, _json_list
+from .errors import _json_str, read_document
 from .calibration import (
     LEARN_MAX_ITERS,
     SnapshotSeries,
@@ -68,8 +68,8 @@ _NETWORK = {"network": (_json_str, REQUIRED)}
 _STATES = {**_NETWORK, "states": (_json_str, REQUIRED)}
 _SERIES = {**_NETWORK, "snapshots": (_json_str, REQUIRED), "train_count": (_json_int, None)}
 _LEARNER = {
-    "gain": (float, None),
-    "eta": (float, None),
+    "gain": (_json_float, None),
+    "eta": (_json_float, None),
     "max_iters": (_json_int, LEARN_MAX_ITERS),
     "fit_max_sweeps": (None, None),
 }
@@ -80,24 +80,24 @@ _CONFIGS = {
     "build": _NETWORK,
     "simulate": {
         **_STATES,
-        "horizon": (float, REQUIRED),
-        "dt": (float, None),
-        "sigma": (float, None),
+        "horizon": (_json_float, REQUIRED),
+        "dt": (_json_float, None),
+        "sigma": (_json_float, None),
         "sigma_file": (_json_str, None),
         "paths": (_json_int, 1),
         "seed": (_json_int, 0),
     },
-    "predict": {**_STATES, "delta_t": (float, REQUIRED)},
+    "predict": {**_STATES, "delta_t": (_json_float, REQUIRED)},
     "fit": {**_SERIES, "max_sweeps": (None, None)},
     "learn": {**_SERIES, **_LEARNER},
     "kalman": {
         **_SERIES,
         **_LEARNER,
-        "fraction": (float, REQUIRED),
-        "r": (float, R_OBSERVED),
+        "fraction": (_json_float, REQUIRED),
+        "r": (_json_float, R_OBSERVED),
         "seed": (_json_int, 0),
     },
-    "spectral": {**_NETWORK, "epsilons": (_json_list(float), REQUIRED)},
+    "spectral": {**_NETWORK, "epsilons": (_json_list(_json_float), REQUIRED)},
 }
 
 

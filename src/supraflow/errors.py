@@ -55,6 +55,14 @@ def _json_int(value) -> int:
     raise ValidationError(f"expected a JSON integer, got {value!r}")
 
 
+def _json_float(value) -> float:
+    """A JSON number, integer or not; a bool, a string such as ``"0.5"`` or
+    ``"nan"``, or any other value is rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValidationError(f"expected a JSON number, got {value!r}")
+
+
 def _json_str(value) -> str:
     """A JSON string, such as a file path; a number or any other value is rejected."""
     if not isinstance(value, str):

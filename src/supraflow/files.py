@@ -40,7 +40,8 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence]):
 
 
 def write_json(path, payload):
-    """``payload`` as indented JSON with sorted keys and a final newline."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    """``payload`` as compact one-line JSON with sorted keys and a final
+    newline: the form the json module's C encoder writes."""
+    text = json.dumps(payload, sort_keys=True)
     with atomic_write(path) as handle:
         handle.write(text + "\n")

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _json_int, _json_list, _json_str, read_document
+from .errors import ValidationError, _json_float, _json_int, _json_list, _json_str, read_document
 from .files import write_csv
 from .calibration import (
     LEARN_MAX_ITERS,
@@ -122,10 +122,10 @@ _EXPERIMENT_FIELDS = {
     "snapshots": (_json_str, ExperimentConfig.snapshots_file),
     "train_count": (_json_int, ExperimentConfig.train_count),
     "seed": (_json_int, ExperimentConfig.seed),
-    "gain": (float, ExperimentConfig.gain),
-    "learn_threshold": (float, ExperimentConfig.learn_threshold),
+    "gain": (_json_float, ExperimentConfig.gain),
+    "learn_threshold": (_json_float, ExperimentConfig.learn_threshold),
     "max_iters": (_json_int, ExperimentConfig.max_iters),
-    "kalman_r": (float, ExperimentConfig.kalman_r),
+    "kalman_r": (_json_float, ExperimentConfig.kalman_r),
     "fit_max_sweeps": (None, None),
 }
 

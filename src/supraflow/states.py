@@ -15,13 +15,17 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from .errors import ValidationError
 from .files import write_csv
+from .network import _csr_from_triplets
 
 #: Weight of an edge between coincident points, whose inverse distance is
 #: otherwise infinite.
 DEFAULT_MAX_WEIGHT = 1e6
+#: Bytes of the difference array that ``knn_similarity`` forms for one block of rows.
+KNN_BLOCK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -56,35 +60,60 @@ class StateMatrix:
         return self.matrix.shape[1]
 
 
-def knn_similarity(doc_states, k: int) -> np.ndarray:
-    """Symmetrized k-nearest-neighbor graph with inverse-distance weights.
+def knn_similarity(doc_states, k: int) -> scipy.sparse.csr_array:
+    """Symmetrized k-nearest-neighbor graph with inverse-distance weights, as
+    canonical read-only CSR.
 
     Neighbors are chosen by Euclidean distance with ties broken in favor of
     the lower node index; an edge exists when either endpoint selects the
     other, and carries weight 1/dist (capped for coincident points).
+    Distances are formed a block of rows at a time, each block's n x T
+    difference array within ``KNN_BLOCK_BYTES``, so memory grows with n k,
+    not n^2.  Each row's k-th distance comes from a partial selection; the
+    entries at or below it, sorted by (distance, column), give the first k.
     """
     points = np.asarray(doc_states, dtype=float)
     if points.ndim != 2:
         raise ValidationError("topic vectors must form a 2-D matrix")
     if not np.isfinite(points).all():
         raise ValidationError("non-finite distances: topic vectors contain non-finite entries")
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    if not np.isfinite(dist).all():
-        raise ValidationError("non-finite distances between topic vectors")
-    n = dist.shape[0]
+    n = points.shape[0]
     k = int(k)
     if k < 1:
         raise ValidationError("k must be >= 1")
     if k >= n:
         raise ValidationError(f"k={k} must be smaller than the number of points {n}")
-    np.fill_diagonal(dist, np.inf)  # each point sorts after all the others
-    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]  # ties by index
+    block = max(1, KNN_BLOCK_BYTES // max(1, n * points.shape[1] * points.itemsize))
+    neighbors = np.empty((n, k), dtype=np.intp)
+    distances = np.empty((n, k))
+    for start in range(0, n, block):
+        stop = min(n, start + block)
+        # diff[i, j] = points[start + i] - points[j], by a tiled copy of the
+        # block's rows: a broadcast subtraction over a T-long last axis is slower.
+        diff = np.tile(points[start:stop], (1, n)).reshape(stop - start, n, points.shape[1])
+        diff -= points
+        dist = np.sqrt((diff * diff).sum(axis=-1))
+        if not np.isfinite(dist).all():
+            raise ValidationError("non-finite distances between topic vectors")
+        local = np.arange(stop - start)
+        dist[local, local + start] = np.inf  # each point sorts after all the others
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+        row, col = np.nonzero(dist <= kth)  # row-major: columns ascend in each row
+        near = dist[row, col]
+        order = np.lexsort((near, row))  # stable: ties keep the lower column first
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        take = order[(first[:, None] + np.arange(k)).ravel()]
+        neighbors[start:stop] = col[take].reshape(-1, k)
+        distances[start:stop] = near[take].reshape(-1, k)
     with np.errstate(divide="ignore"):
-        weights = np.minimum(1.0 / np.take_along_axis(dist, neighbors, 1), DEFAULT_MAX_WEIGHT)
-    out = np.zeros((n, n))
-    np.put_along_axis(out, neighbors, weights, 1)
-    return np.maximum(out, out.T)
+        weights = np.minimum(1.0 / distances.ravel(), DEFAULT_MAX_WEIGHT)
+    # Distances are exactly symmetric, so a pair that both endpoints select
+    # carries one weight; each (row, col) of the union is kept once.
+    picker = np.repeat(np.arange(n), k)
+    rows = np.concatenate([picker, neighbors.ravel()])
+    cols = np.concatenate([neighbors.ravel(), picker])
+    _, once = np.unique(rows * n + cols, return_index=True)
+    return _csr_from_triplets([rows[once]], [cols[once]], [np.tile(weights, 2)[once]], n)
 
 
 # --- CSV state files ----------------------------------------------------------

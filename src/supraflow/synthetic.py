@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
-from .errors import REQUIRED, ValidationError, _json_bool, _json_int, _json_list, _json_str
-from .errors import read_document
+from .errors import REQUIRED, ValidationError, _json_bool, _json_float, _json_int, _json_list
+from .errors import _json_str, read_document
 from .calibration import SnapshotSeries
 from .diffusion import SimulationConfig, _simulate, propagate_closed, step_norm
 from .network import (
@@ -108,10 +109,12 @@ class PlantedTruth:
     attempts: int
 
 
-def _random_adjacency(spec: LayerSpec, rng, topic_vectors: np.ndarray | None) -> np.ndarray:
+def _random_adjacency(spec: LayerSpec, rng, topic_vectors: np.ndarray | None):
+    """The layer's adjacency: CSR, except the dense draw of an ``erdos_renyi``
+    layer and the dense matrix of a ``complete`` one."""
     n = spec.n_nodes
     if spec.model == "empty" or n == 1:
-        return np.zeros((n, n))
+        return scipy.sparse.csr_array((n, n))
     if spec.model == "complete":
         return spec.weight * (np.ones((n, n)) - np.eye(n))
     if spec.model == "knn":
@@ -173,19 +176,17 @@ def _generate_once(spec: SyntheticSpec, seed: int, attempt: int, rng):
         else:
             nodes = [f"a{j}" for j in range(s.n_nodes)]
             adjacency = _random_adjacency(s, rng, None)
-        if spec.require_connected and components(adjacency).max() > 0:
+        layer = LayerGraph(layer_id=lid, kind=kind, node_ids=tuple(nodes), adjacency=adjacency)
+        if spec.require_connected and components(layer.adjacency).max() > 0:
             raise _Disconnected(f"layer {lid} came out disconnected")
-        layers.append(
-            LayerGraph(layer_id=lid, kind=kind, node_ids=tuple(nodes), adjacency=adjacency)
-        )
+        layers.append(layer)
 
     n_agents = layers[agent_ids[0] - 1].n_nodes if agent_ids else 0
     couplings = []
+    identity = scipy.sparse.eye_array(n_agents, format="csr")
     for i, a in enumerate(agent_ids):
         for b in agent_ids[i + 1 :]:
-            couplings.append(
-                InterLayerCoupling(from_layer=a, to_layer=b, coupling=np.eye(n_agents))
-            )
+            couplings.append(InterLayerCoupling(from_layer=a, to_layer=b, coupling=identity))
 
     # One owner per document; the ownership incidence couples every agent
     # layer to every information layer identically (replica agents).
@@ -195,8 +196,9 @@ def _generate_once(spec: SyntheticSpec, seed: int, attempt: int, rng):
         else {}
     )
     for lid, owner in owners.items():
-        incidence = np.zeros((n_agents, owner.size))
-        incidence[owner, np.arange(owner.size)] = 1.0
+        incidence = scipy.sparse.csr_array(
+            (np.ones(owner.size), (owner, np.arange(owner.size))), shape=(n_agents, owner.size)
+        )
         for a in agent_ids:
             couplings.append(InterLayerCoupling(from_layer=a, to_layer=lid, coupling=incidence))
 
@@ -287,9 +289,9 @@ _LAYER_FIELDS = {
     "kind": (LayerKind, REQUIRED),
     "n": (_json_int, REQUIRED),
     "model": (_json_str, LayerSpec.model),
-    "p": (float, LayerSpec.edge_prob),
+    "p": (_json_float, LayerSpec.edge_prob),
     "k": (_json_int, LayerSpec.k_neighbors),
-    "weight": (float, LayerSpec.weight),
+    "weight": (_json_float, LayerSpec.weight),
 }
 #: A synthetic spec's table, each key named as its ``SyntheticSpec`` field; a
 #: ``seed`` in a spec is accepted and not read: the enclosing document's governs.
@@ -301,17 +303,17 @@ _SPEC_FIELDS = {
         REQUIRED,
     ),
     "n_topics": (_json_int, SyntheticSpec.n_topics),
-    "intra_constants": (lambda intra: {int(k): float(v) for k, v in intra.items()}, {}),
+    "intra_constants": (lambda intra: {int(k): _json_float(v) for k, v in intra.items()}, {}),
     "inter_constants": (
-        lambda inter: {tuple(sorted(_layer_pair(k))): float(v) for k, v in inter.items()},
+        lambda inter: {tuple(sorted(_layer_pair(k))): _json_float(v) for k, v in inter.items()},
         {},
     ),
-    "sigma_ratio": (float, SyntheticSpec.sigma_ratio),
+    "sigma_ratio": (_json_float, SyntheticSpec.sigma_ratio),
     "sigma_nodes": (_json_int, SyntheticSpec.sigma_nodes),
-    "sigma_scale": (float, SyntheticSpec.sigma_scale),
+    "sigma_scale": (_json_float, SyntheticSpec.sigma_scale),
     "n_snapshots": (_json_int, SyntheticSpec.n_snapshots),
-    "spacing": (float, SyntheticSpec.spacing),
-    "dt": (float, SyntheticSpec.dt),
+    "spacing": (_json_float, SyntheticSpec.spacing),
+    "dt": (_json_float, SyntheticSpec.dt),
     "train_count": (_json_int, SyntheticSpec.train_count),
     "require_connected": (_json_bool, SyntheticSpec.require_connected),
     "seed": (None, None),

@@ -433,6 +433,7 @@ class TestExitCodes:
             ("generate", {"layers": [{"kind": "robot", "n": 3}]}, None, "field 'kind'"),
             ("predict", {"delta_t": "soon"}, None, "field 'delta_t' is malformed"),
             ("predict", {"delta_t": None}, None, "required 'delta_t' field"),
+            ("simulate", {"horizon": "nan"}, None, "field 'horizon' is malformed"),
             ("experiment", {"methods": ["kalman:most"]}, None, "method 'kalman:most'"),
         ],
     )

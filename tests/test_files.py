@@ -79,4 +79,4 @@ def test_csv_and_json_formats(tmp_path):
     assert csv_path.read_bytes() == b'a,b\r\n1,"x,y"\r\n2,\r\n'
     json_path = tmp_path / "doc.json"
     write_json(json_path, {"b": [1.5], "a": True})
-    assert json_path.read_text() == json.dumps({"a": True, "b": [1.5]}, indent=2) + "\n"
+    assert json_path.read_text() == '{"a": true, "b": [1.5]}\n'

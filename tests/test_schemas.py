@@ -4,7 +4,7 @@ key is rejected by name, a retired key loads unread, and null equals absent."""
 import pytest
 
 from supraflow import cli, harness, network, synthetic
-from supraflow.errors import REQUIRED, ValidationError, read_document
+from supraflow.errors import REQUIRED, ValidationError, _json_float, read_document
 
 LAYER = {"kind": "agent", "n": 2}
 SERIES = {"network": "n.json", "snapshots": "s.csv"}
@@ -77,3 +77,40 @@ def test_retired_keys_are_the_documented_ones():
         "`experiment`": ["fit_max_sweeps"],
         "synthetic spec (`experiment`'s `synthetic`)": ["seed"],
     }
+
+
+@pytest.mark.parametrize("label", list(TABLES))
+def test_float_keys_take_only_json_numbers(label):
+    table, minimal = TABLES[label]
+    for key, (cast, _) in table.items():
+        if cast is not _json_float:
+            continue
+        assert read_document({**minimal, key: 2}, table, label)[key] == 2.0
+        for value in (True, "0.5", "nan"):
+            with pytest.raises(ValidationError, match=f"field '{key}' is malformed"):
+                read_document({**minimal, key: value}, table, label)
+
+
+@pytest.mark.parametrize(
+    "table, document, key",
+    [
+        (cli._CONFIGS["predict"], {**COMMAND_MINIMA["predict"], "delta_t": True}, "delta_t"),
+        (cli._CONFIGS["spectral"], {"network": "n.json", "epsilons": ["0.5"]}, "epsilons"),
+        (cli._CONFIGS["spectral"], {"network": "n.json", "epsilons": [0.5, False]}, "epsilons"),
+        (cli._CONFIGS["simulate"], {**COMMAND_MINIMA["simulate"], "horizon": "nan"}, "horizon"),
+        (
+            synthetic._SPEC_FIELDS,
+            {"layers": [LAYER], "intra_constants": {"1": "1"}},
+            "intra_constants",
+        ),
+        (
+            synthetic._SPEC_FIELDS,
+            {"layers": [LAYER], "inter_constants": {"1,2": True}},
+            "inter_constants",
+        ),
+        (synthetic._SPEC_FIELDS, {"layers": [{**LAYER, "p": "0.5"}]}, "layers"),
+    ],
+)
+def test_float_items_take_only_json_numbers(table, document, key):
+    with pytest.raises(ValidationError, match=f"field '{key}' is malformed"):
+        read_document(document, table, "document")

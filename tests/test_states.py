@@ -1,5 +1,9 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -10,6 +14,7 @@ from supraflow import (
     read_states_csv,
     write_states_csv,
 )
+from supraflow import states
 from supraflow.states import DEFAULT_MAX_WEIGHT
 from conftest import random_network
 
@@ -82,11 +87,44 @@ class TestKnnSimilarity:
         with pytest.raises(ValidationError):
             knn_similarity([[0.0], [1.0]], k=2)
 
+    # The default budget takes each case in one block; a 1-byte budget takes
+    # one row per block.
+    @pytest.mark.parametrize("block_bytes", [states.KNN_BLOCK_BYTES, 1])
     @settings(deadline=None, derandomize=True, database=None, max_examples=200)
     @given(case=integer_topic_vectors())
-    def test_matches_the_row_loop_bit_for_bit(self, case):
+    def test_matches_the_row_loop_bit_for_bit(self, block_bytes, case):
         points, k = case
-        assert knn_similarity(points, k).tobytes() == loop_knn_similarity(points, k).tobytes()
+        with mock.patch.object(states, "KNN_BLOCK_BYTES", block_bytes):
+            w = knn_similarity(points, k)
+        assert w.toarray().tobytes() == loop_knn_similarity(points, k).tobytes()
+
+    @pytest.mark.parametrize("rows_per_block", [1, 7, 300])
+    def test_row_blocks_keep_every_bit(self, rows_per_block):
+        # A coarse grid: coincident points and many tied distances, in blocks
+        # of 1 row, 7 rows (a short last block) and all rows.
+        points = np.random.default_rng(15).integers(0, 6, size=(300, 2)).astype(float)
+        budget = rows_per_block * points[0].nbytes * len(points)
+        with mock.patch.object(states, "KNN_BLOCK_BYTES", budget):
+            w = knn_similarity(points, 4)
+        assert w.toarray().tobytes() == loop_knn_similarity(points, 4).tobytes()
+
+    def test_returns_canonical_read_only_csr(self):
+        w = knn_similarity(np.random.default_rng(16).random((40, 2)), 3)
+        assert isinstance(w, scipy.sparse.csr_array) and w.dtype == float
+        assert w.has_canonical_format and w.data.all()
+        assert not any(part.flags.writeable for part in (w.data, w.indices, w.indptr))
+
+    def test_memory_grows_with_the_edge_count(self):
+        # 4000 points: an n x n x T difference array alone would be 256 MB.
+        points = np.random.default_rng(17).random((4000, 2))
+        tracemalloc.start()
+        try:
+            w = knn_similarity(points, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 4000 * 6 <= w.nnz <= 2 * 4000 * 6
+        assert peak < 32_000_000
 
     def test_tie_break_prefers_lower_index(self):
         # Node 0 is equidistant from nodes 1 and 2; the lower index wins, and

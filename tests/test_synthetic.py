@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from supraflow import (
     LayerKind,
@@ -11,11 +12,14 @@ from supraflow import (
     ValidationError,
     assemble_supra_laplacian,
     generate_synthetic,
+    load_network,
     propagate_closed,
+    save_network,
 )
 from supraflow.synthetic import synthetic_spec_from_dict
 
 from conftest import dense_coupling
+from test_states import loop_knn_similarity
 
 
 def small_spec(**overrides):
@@ -153,6 +157,50 @@ class TestGenerateSynthetic:
         )
         network, series, truth = generate_synthetic(spec, seed=18)
         assert np.abs(network.layer(1).adjacency).max() == 0.0
+
+    def test_knn_layer_with_tied_distances_is_the_row_loop_graph(self, monkeypatch):
+        # Every uniform draw rounded down to eighths puts the documents on a
+        # grid, so distances tie and some documents coincide.
+        default_rng = np.random.default_rng
+
+        class GridGenerator:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def random(self, size=None):
+                return np.floor(self._rng.random(size) * 8) / 8
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", GridGenerator)
+        spec = small_spec(
+            layers=(
+                LayerSpec("agent", 6, "erdos_renyi", edge_prob=0.5),
+                LayerSpec("information", 60, "knn", k_neighbors=3),
+            ),
+            n_topics=2,
+        )
+        network, series, _ = generate_synthetic(spec, seed=22)
+        docs = series.snapshots[0].matrix[network.layer_slices[2]]
+        assert len(np.unique(docs, axis=0)) < len(docs)
+        expected = scipy.sparse.csr_array(loop_knn_similarity(docs, 3))
+        adjacency = network.layer(2).adjacency
+        for part in ("indptr", "indices", "data"):
+            assert getattr(adjacency, part).tobytes() == getattr(expected, part).tobytes()
+
+    def test_network_file_reloads_to_equal_layers(self, tmp_path):
+        network, _, truth = generate_synthetic(small_spec(), seed=23)
+        save_network(tmp_path / "network.json", network, truth.constants)
+        assert len((tmp_path / "network.json").read_text().splitlines()) == 1
+        loaded, constants = load_network(tmp_path / "network.json")
+        assert constants == truth.constants
+        for layer, back in zip(network.layers, loaded.layers):
+            assert (back.layer_id, back.kind, back.node_ids) == (
+                layer.layer_id, layer.kind, layer.node_ids
+            )
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(back.adjacency, part), getattr(layer.adjacency, part))
 
     def test_document_corpus_shapes(self):
         # Author/publication-corpus shape: two replica agent layers, one
