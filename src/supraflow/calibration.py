@@ -21,6 +21,7 @@ Two calibration routes work from snapshot histories:
 
 from __future__ import annotations
 
+import csv
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,7 +31,7 @@ import scipy.linalg
 
 from .errors import NumericalError, ValidationError
 from .diffusion import exponential_action, matrix_exponential, _state_array
-from .files import atomic_write, write_json
+from .files import write_csv, write_json
 from .network import (
     DiffusionConstants,
     InterconnectedNetwork,
@@ -590,24 +591,29 @@ def write_fit_report(path, fit: DiffusionFit):
 
 
 def write_matrix_csv(path, matrix: np.ndarray):
-    """Dense dump with a shape header line: `# rows=<n> cols=<n>`."""
-    with atomic_write(path) as handle:
-        rows, cols = matrix.shape
-        handle.write(f"# rows={rows} cols={cols}\n")
-        for row in matrix:
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+    """Dense dump under a one-field shape header row: `# rows=<n> cols=<n>`."""
+    rows, cols = matrix.shape
+    matrix = np.asarray(matrix, dtype=float)
+    write_csv(path, [f"# rows={rows} cols={cols}"], (row.tolist() for row in matrix))
 
 
 def read_operator_matrix(path) -> np.ndarray:
     """Read a ``write_matrix_csv`` dump, checking it against its shape header."""
-    with open(path) as handle:
-        header = re.fullmatch(r"# rows=(\d+) cols=(\d+)", handle.readline().strip())
-        if header is None:
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        first = next(reader, [])
+        header = len(first) == 1 and re.fullmatch(r"# rows=(\d+) cols=(\d+)", first[0].strip())
+        if not header:
             raise ValidationError(f"operator file {path} is missing its shape header")
         rows, cols = int(header[1]), int(header[2])
-        data = [
-            [float(v) for v in line.split(",")] for line in handle if line.strip()
-        ]
+        data = []
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                data.append([float(v) for v in row])
+            except ValueError:
+                raise ValidationError(f"{path}:{line}: non-numeric field in {row!r}") from None
     if len(data) != rows or any(len(row) != cols for row in data):
         raise ValidationError(
             f"operator file {path} does not hold the {rows} x {cols} matrix its header declares"

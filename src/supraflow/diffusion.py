@@ -32,9 +32,9 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import NumericalError, ValidationError
-from .files import atomic_write
+from .files import write_csv
 from .network import SupraLaplacian, _is_symmetric
-from .states import StateMatrix, node_label, _fmt
+from .states import StateMatrix, node_label
 
 #: theta_m of Al-Mohy & Higham (2011) in double precision: the largest 1-norm
 #: for which m Taylor terms per step meet unit roundoff.  m = 1-30 are from
@@ -410,32 +410,33 @@ def _run_groups(run, n_items: int, deal=_contiguous) -> list:
 def write_simulation_csv(path, paths: Iterable[SimulationPath], node_order):
     """Long-format dump: path_id,step,t,node_id,x_1..x_T."""
     paths = list(paths)
-    with atomic_write(path) as handle:
-        n_topics = paths[0].states.shape[2] if paths else 0
-        handle.write(
-            ",".join(["path_id", "step", "t", "node_id"] + [f"x_{j + 1}" for j in range(n_topics)])
-            + "\n"
-        )
+    n_topics = paths[0].states.shape[2] if paths else 0
+    labels = [node_label(key) for key in node_order]
+
+    def rows():
         for pid, sim in enumerate(paths):
-            for k, t in enumerate(sim.times):
-                for key in node_order:
-                    row = sim.states[k, sim.node_index[key]]
-                    fields = [str(pid), str(k), _fmt(t), node_label(key)]
-                    fields += [_fmt(v) for v in row]
-                    handle.write(",".join(fields) + "\n")
+            order = [sim.node_index[key] for key in node_order]
+            for k, t in enumerate(sim.times.tolist()):
+                for label, values in zip(labels, sim.states[k][order].tolist()):
+                    yield [pid, k, t, label, *values]
+
+    header = ["path_id", "step", "t", "node_id"] + [f"x_{j + 1}" for j in range(n_topics)]
+    write_csv(path, header, rows())
 
 
 def write_ensemble_summary_csv(path, times, mean: np.ndarray, var: np.ndarray, node_order):
     """Per-step, per-node ensemble mean and variance: step,t,node_id,mean_x_*,var_x_*."""
     n_topics = mean.shape[2]
-    with atomic_write(path) as handle:
-        header = ["step", "t", "node_id"]
-        header += [f"mean_x_{j + 1}" for j in range(n_topics)]
-        header += [f"var_x_{j + 1}" for j in range(n_topics)]
-        handle.write(",".join(header) + "\n")
-        for k, t in enumerate(times):
-            for i, key in enumerate(node_order):
-                fields = [str(k), _fmt(t), node_label(key)]
-                fields += [_fmt(v) for v in mean[k, i]]
-                fields += [_fmt(v) for v in var[k, i]]
-                handle.write(",".join(fields) + "\n")
+    labels = [node_label(key) for key in node_order]
+    header = ["step", "t", "node_id"]
+    header += [f"mean_x_{j + 1}" for j in range(n_topics)]
+    header += [f"var_x_{j + 1}" for j in range(n_topics)]
+    write_csv(
+        path,
+        header,
+        (
+            [k, t, label, *values]
+            for k, t in enumerate(np.asarray(times, dtype=float).tolist())
+            for label, values in zip(labels, np.hstack([mean[k], var[k]]).tolist())
+        ),
+    )

@@ -32,7 +32,12 @@ def atomic_write(path):
 
 
 def write_csv(path, header: Sequence, rows: Iterable[Sequence]):
-    """A header row plus ``rows``, in the csv module's default dialect."""
+    """A header row plus ``rows``, in the csv module's default dialect: commas,
+    a field quoted only when it needs it, CRLF line ends.  Every CSV the
+    package writes comes through here.  Rows hold Python values, such as
+    ``.tolist()`` rows: a Python float is written as its shortest repr, which
+    reads back to the same bits, while a numpy scalar such as ``np.float32``
+    does not."""
     with atomic_write(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(header)

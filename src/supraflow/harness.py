@@ -277,21 +277,17 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
 def write_experiment_outputs(out_dir, config: ExperimentConfig, result: ExperimentResult):
     os.makedirs(out_dir, exist_ok=True)
     errors_path = os.path.join(out_dir, "errors.csv")
+    columns = [result.times, result.upper_bound] + [result.curves[m] for m in config.methods]
     write_csv(
         errors_path,
         ["step", "t", "upper_bound"] + list(config.methods),
-        (
-            [i + 1, repr(float(t)), repr(float(result.upper_bound[i]))]
-            + [repr(float(result.curves[m][i])) for m in config.methods]
-            for i, t in enumerate(result.times)
-        ),
+        ([step, *values] for step, values in enumerate(np.column_stack(columns).tolist(), start=1)),
     )
-    rows = [["upper_bound", repr(float(result.upper_bound.mean())), ""]]
+    rows = [["upper_bound", float(result.upper_bound.mean()), ""]]
     for name in config.methods:
         improvement = result.improvements.get(name)
-        rows.append(
-            [name, repr(result.mean_errors[name]), "" if improvement is None else repr(improvement)]
-        )
+        improvement = "" if improvement is None else float(improvement)
+        rows.append([name, float(result.mean_errors[name]), improvement])
     write_csv(
         os.path.join(out_dir, "summary.csv"),
         ["method", "mean_error", "improvement_vs_single_layer"],

@@ -435,9 +435,12 @@ def write_filter_trace_csv(path, result: FilterResult):
     write_csv(
         path,
         ["step", "error_all", "error_observed", "error_hidden", "trace_Pi"],
-        ([int(step)] + [repr(float(c[i])) for c in columns] for i, step in enumerate(result.steps)),
+        (
+            [int(step), *values]
+            for step, values in zip(result.steps, np.column_stack(columns).tolist())
+        ),
     )
 
 
-def write_mask_csv(path, observed_nodes: Sequence[int], labels: Sequence[str] | None = None):
-    write_csv(path, ["node_id"], ([labels[i] if labels is not None else i] for i in observed_nodes))
+def write_mask_csv(path, observed_nodes: Sequence[int], labels: Sequence[str]):
+    write_csv(path, ["node_id"], ([labels[i]] for i in observed_nodes))

@@ -21,13 +21,15 @@ dense consumers (3.2 GB each at the cap).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
 import numpy as np
 import scipy.sparse
 
-from .errors import REQUIRED, ValidationError, _json_bool, _json_int, _json_list, read_document
+from .errors import REQUIRED, ValidationError, _json_bool, _json_float, _json_int, _json_list
+from .errors import _json_str, read_document
 from .files import write_json
 
 MAX_NODES = 20_000
@@ -483,14 +485,23 @@ def _matrix_to_json(matrix: scipy.sparse.csr_array) -> dict:
     return {"triplets": [list(t) for t in triplets]}
 
 
+def _number_array(rows, form: str) -> np.ndarray:
+    """``rows``, lists of JSON numbers, as a float array; anything else is the
+    ValidationError ``form``.  One type scan of the items comes first: numpy
+    alone reads ``"0.5"`` and ``true`` as numbers."""
+    try:
+        if set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+            return np.asarray(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(form)
+
+
 def _matrix_from_json(obj, shape: tuple[int, int], what: str) -> scipy.sparse.csr_array:
     if isinstance(obj, dict):
         triplets = read_document(obj, _SPARSE_FIELDS, f"{what}: sparse matrix object")["triplets"]
         form = f"{what}: every triplet must be three numbers [row, col, weight]"
-        try:
-            entries = np.asarray(triplets, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(form) from None
+        entries = _number_array(triplets, form)
         if entries.shape == (0,):
             entries = entries.reshape(0, 3)
         if entries.ndim != 2 or entries.shape[1] != 3:
@@ -505,10 +516,7 @@ def _matrix_from_json(obj, shape: tuple[int, int], what: str) -> scipy.sparse.cs
             raise ValidationError(f"{what}: an entry (row, col) appears in two triplets")
         coo = scipy.sparse.coo_array((entries[:, 2], (rows, cols)), shape=shape)
         return _frozen_csr(coo, what)
-    try:
-        mat = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what}: every dense matrix row must be a list of numbers") from None
+    mat = _number_array(obj, f"{what}: every dense matrix row must be a list of numbers")
     if mat.shape != shape:
         raise ValidationError(f"{what}: dense matrix shape {mat.shape}, expected {shape}")
     return _frozen_csr(mat, what)
@@ -564,7 +572,7 @@ _SPARSE_FIELDS = {"triplets": (list, REQUIRED)}
 _LAYER_FIELDS = {
     "id": (_json_int, REQUIRED),
     "kind": (LayerKind, LayerKind.AGENT),
-    "nodes": (_json_list(str), REQUIRED),
+    "nodes": (_json_list(_json_str), REQUIRED),
     "adjacency": (lambda matrix: matrix, {"triplets": []}),
 }
 _COUPLING_FIELDS = {
@@ -573,8 +581,11 @@ _COUPLING_FIELDS = {
     "matrix": (lambda matrix: matrix, REQUIRED),
 }
 _CONSTANTS_FIELDS = {
-    "intra": (dict, {}),
-    "inter": (lambda inter: {_layer_pair(key): value for key, value in inter.items()}, {}),
+    "intra": (lambda intra: {key: _json_float(value) for key, value in intra.items()}, {}),
+    "inter": (
+        lambda inter: {_layer_pair(key): _json_float(value) for key, value in inter.items()},
+        {},
+    ),
     "symmetric": (_json_bool, True),
 }
 _NETWORK_FIELDS = {

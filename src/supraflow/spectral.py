@@ -224,7 +224,7 @@ def write_sweep_csv(path, points: Sequence[SweepPoint]):
         path,
         ["epsilon", "lambda2_actual", "lambda2_estimate", "rel_error"],
         (
-            [repr(float(v)) for v in (p.epsilon, p.lambda2_actual, p.lambda2_estimate, p.rel_error)]
+            list(map(float, (p.epsilon, p.lambda2_actual, p.lambda2_estimate, p.rel_error)))
             for p in points
         ),
     )

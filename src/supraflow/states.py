@@ -127,21 +127,19 @@ def node_label(key: tuple[int, str]) -> str:
     return f"{key[0]}:{key[1]}"
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def write_states_csv(path, snapshots: Iterable[StateMatrix], node_order: Sequence[tuple[int, str]]):
     snapshots = sorted(snapshots, key=lambda s: s.timestamp)
     n_topics = snapshots[0].n_topics if snapshots else 0
+    labels = [node_label(key) for key in node_order]
     write_csv(
         path,
         ["node_id", "t"] + [f"x_{j + 1}" for j in range(n_topics)],
         (
-            [node_label(key), _fmt(snap.timestamp)]
-            + [_fmt(v) for v in snap.matrix[snap.node_index[key]]]
+            [label, snap.timestamp, *values]
             for snap in snapshots
-            for key in node_order
+            for label, values in zip(
+                labels, snap.matrix[[snap.node_index[key] for key in node_order]].tolist()
+            )
         ),
     )
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -398,6 +400,12 @@ class TestReports:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:3]) + "\n")
         with pytest.raises(ValidationError):
+            read_operator_matrix(path)
+
+    def test_non_numeric_matrix_csv_field_names_its_line(self, tmp_path):
+        path = tmp_path / "operator.csv"
+        path.write_text("# rows=2 cols=2\n1.0,2.0\n3.0,abc\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:3: non-numeric field")):
             read_operator_matrix(path)
 
     def test_empty_matrix_csv_keeps_its_shape(self, tmp_path):

@@ -401,7 +401,103 @@ def own_keys(command, dataset, network=None):
         "learn": series,
         "kalman": {**series, "fraction": 0.5},
         "experiment": {**series, "methods": ["multilayer"]},
+        "spectral": {"network": network, "epsilons": [0.0, 0.5]},
     }[command]
+
+
+def read_table(path):
+    """The header and rows of a CSV file the package wrote, checking its dialect:
+    every line ends in CRLF, and every row has the header's length.  A matrix
+    dump's one-field header ``# rows=<n> cols=<n>`` gives its row count and length."""
+    raw = path.read_bytes()
+    assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n"), path
+    with open(path, newline="") as handle:
+        header, *rows = csv.reader(handle)
+    shape = header[0].removeprefix("# rows=").split(" cols=")
+    if len(header) == 1 and len(shape) == 2:
+        assert len(rows) == int(shape[0]), path
+        width = int(shape[1])
+    else:
+        width = len(header)
+    assert all(len(row) == width for row in rows), path
+    return header, rows
+
+
+class TestCsvOutputs:
+    def run(self, dataset, command, name, **fields):
+        """Run ``command`` on the dataset's files with ``fields``; its output directory."""
+        tmp = dataset["tmp"]
+        network = fields.pop("network", dataset["network"])
+        config = {**own_keys(command, dataset, network), **fields}
+        path = write_json(tmp / f"{name}.json", config)
+        assert main([command, "--config", path, "--out", str(tmp / name)]) == 0
+        return tmp / name
+
+    def test_every_csv_the_cli_writes_is_one_dialect(self, tiny_dataset):
+        outputs = [
+            self.run(tiny_dataset, "build", "build"),
+            self.run(tiny_dataset, "simulate", "simulate", paths=2, dt=0.1),
+            self.run(tiny_dataset, "predict", "predict"),
+            self.run(tiny_dataset, "learn", "learn", train_count=4, max_iters=5),
+            self.run(tiny_dataset, "kalman", "kalman", train_count=4, max_iters=5),
+            self.run(tiny_dataset, "spectral", "spectral"),
+            self.run(
+                tiny_dataset,
+                "experiment",
+                "experiment",
+                train_count=4,
+                methods=["single_layer", "multilayer", "kalman:0.5"],
+            ),
+        ]
+        written = sorted(tiny_dataset["dir"].glob("*.csv"))
+        written += [path for out in outputs for path in sorted(out.glob("*.csv"))]
+        assert [f"{path.parent.name}/{path.name}" for path in written] == [
+            "data/snapshots.csv",
+            "build/supra_laplacian.csv",
+            "simulate/ensemble_summary.csv",
+            "simulate/simulation.csv",
+            "predict/prediction.csv",
+            "learn/operator.csv",
+            "kalman/filter_trace.csv",
+            "kalman/mask.csv",
+            "spectral/lambda2_sweep.csv",
+            "experiment/errors.csv",
+            "experiment/summary.csv",
+        ]
+        for path in written:
+            read_table(path)
+
+    def test_node_ids_with_a_comma_and_a_quote_read_back(self, tiny_dataset):
+        tmp = tiny_dataset["tmp"]
+        data = json.loads((tiny_dataset["dir"] / "network.json").read_text())
+        layer = data["layers"][0]
+        renamed = {
+            f"{layer['id']}:{old}": f"{layer['id']}:{new}"
+            for old, new in zip(layer["nodes"], ["a,b", 'c"d'])
+        }
+        layer["nodes"][:2] = ["a,b", 'c"d']
+        network = write_json(tmp / "odd_network.json", data)
+        with open(tiny_dataset["snapshots"], newline="") as handle:
+            rows = [[renamed.get(row[0], row[0]), *row[1:]] for row in csv.reader(handle)]
+        snapshots = tmp / "odd_snapshots.csv"
+        with open(snapshots, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        odd = {**tiny_dataset, "snapshots": str(snapshots)}
+        labels = [cli.node_label(key) for key in load_network(network)[0].node_order]
+        assert {"1:a,b", '1:c"d'} <= set(labels)
+
+        self.run(odd, "build", "odd_build", network=network)
+        read_table(tmp / "odd_build" / "supra_laplacian.csv")
+        simulate = self.run(odd, "simulate", "odd_simulate", network=network, paths=2, dt=0.1)
+        predict = self.run(odd, "predict", "odd_predict", network=network)
+        for path in (
+            simulate / "simulation.csv",
+            simulate / "ensemble_summary.csv",
+            predict / "prediction.csv",
+        ):
+            header, rows = read_table(path)
+            column = [row[header.index("node_id")] for row in rows]
+            assert column == labels * (len(rows) // len(labels)), path
 
 
 class TestExitCodes:

@@ -1,6 +1,9 @@
 """Every config and network-file table follows the reader's rules: an extra
 key is rejected by name, a retired key loads unread, and null equals absent."""
 
+import copy
+import json
+
 import pytest
 
 from supraflow import cli, harness, network, synthetic
@@ -114,3 +117,49 @@ def test_float_keys_take_only_json_numbers(label):
 def test_float_items_take_only_json_numbers(table, document, key):
     with pytest.raises(ValidationError, match=f"field '{key}' is malformed"):
         read_document(document, table, "document")
+
+
+NETWORK = {
+    "layers": [
+        {"id": 1, "nodes": ["a", "b"], "adjacency": {"triplets": [[0, 1, 1.0], [1, 0, 1.0]]}},
+        {"id": 2, "nodes": ["c"], "adjacency": [[0.0]]},
+    ],
+    "couplings": [{"from": 1, "to": 2, "matrix": {"triplets": [[0, 0, 1.0]]}}],
+    "constants": {"intra": {"1": 1.0, "2": 1.0}, "inter": {"1,2": 0.5}},
+}
+
+
+@pytest.mark.parametrize(
+    "place, value, reason",
+    [
+        (("constants", "intra", "1"), "0.5", "field 'intra' is malformed"),
+        (("constants", "intra", "1"), True, "field 'intra' is malformed"),
+        (("constants", "inter", "1,2"), "0.5", "field 'inter' is malformed"),
+        (("constants", "inter", "1,2"), True, "field 'inter' is malformed"),
+        (("layers", 0, "adjacency", "triplets", 0, 2), True, "layer 1: every triplet"),
+        (("layers", 0, "adjacency", "triplets", 0, 2), "0.5", "layer 1: every triplet"),
+        (("couplings", 0, "matrix", "triplets", 0, 0), False, "coupling (1,2): every triplet"),
+        (("layers", 1, "adjacency", 0, 0), "0", "layer 2: every dense matrix row"),
+        (("layers", 1, "adjacency", 0, 0), True, "layer 2: every dense matrix row"),
+        (("layers", 0, "nodes"), [7, True], "field 'nodes' is malformed"),
+    ],
+)
+def test_network_numbers_and_node_ids_take_only_their_json_types(
+    tmp_path, capsys, place, value, reason
+):
+    def build(document) -> int:
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps(document))
+        config = tmp_path / "build.json"
+        config.write_text(json.dumps({"network": str(path)}))
+        return cli.main(["build", "--config", str(config), "--out", str(tmp_path / "out")])
+
+    assert build(NETWORK) == 0
+    document = copy.deepcopy(NETWORK)
+    parent = document
+    for key in place[:-1]:
+        parent = parent[key]
+    parent[place[-1]] = value
+    capsys.readouterr()
+    assert build(document) == 2
+    assert reason in capsys.readouterr().err
