@@ -466,6 +466,10 @@ def learn_supra_operator(
     lam = kronecker_lift(init, n_topics)
     stacked_inputs = np.column_stack(inputs)
     stacked_targets = np.column_stack(targets)
+    # Each update forms its outer product in this buffer, scales it and adds
+    # it into lam in place, so no update allocates a PT x PT array; every
+    # entry rounds as in lam + gain * outer(residual, x).
+    update = np.empty_like(lam)
 
     log: list[float] = []
     iterations = 0
@@ -493,7 +497,9 @@ def learn_supra_operator(
                 else:
                     residual = t - exponential_action(lam, x)
                 log.append(float(np.linalg.norm(residual)))
-                lam = lam + gain * np.outer(residual, x)
+                np.outer(residual, x, out=update)
+                update *= gain
+                lam += update
                 iterations += 1
                 if not np.isfinite(lam).all():
                     raise NumericalError("the operator has non-finite entries")

@@ -8,22 +8,12 @@ Brownian innovation dX = -L X dt + S dB with a per-node, per-topic scale matrix
 S, simulated with the Euler-Maruyama scheme (strong order 0.5) with sparse
 operator products.  The point predictor is the propagated mean; the stochastic
 term has zero expectation and enters only simulation and residual modeling.
-
-This module also holds the package's one concurrency rule, ``_run_groups``:
-work is dealt into min(items, usable CPUs) groups, the calling thread runs
-the first group and one helper thread each of the others, a helper's
-exception is raised from the call, and no helper outlives it.  The ensemble's
-paths, the ensemble statistics' time-step rows and ``kalman.filter_fractions``'
-fractions run this way, each item with the same arithmetic on any thread, so
-the results do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -293,11 +283,8 @@ def simulate_ensemble(
 ) -> list[SimulationPath]:
     """Independent Euler-Maruyama paths of dX = -L X dt + S dB, from sub-seeds
     derived deterministically from the master seed; ``ensemble_size=1`` gives
-    one path.  Warns when the step is large for the operator.
-
-    The paths are dealt into min(paths, usable CPUs) contiguous groups, each
-    stepped as one block (see ``_run_groups``); every path has the same bits
-    whatever the CPU count.
+    one path.  Warns when the step is large for the operator.  The paths step
+    as one block (see ``_simulate``), each with the bits it would have alone.
     """
     x = _state_array(x0)
     if x.shape != noise.sigma.shape:
@@ -316,13 +303,9 @@ def simulate_ensemble(
     node_index = x0.node_index if isinstance(x0, StateMatrix) else supra.node_index
     children = np.random.SeedSequence(noise.seed).spawn(config.ensemble_size)
     rngs = [np.random.default_rng(child) for child in children]
-    groups = _run_groups(
-        lambda paths: _simulate(x, supra.csr, noise.sigma, rngs[paths], config),
-        config.ensemble_size,
-    )
+    times, block = _simulate(x, supra.csr, noise.sigma, rngs, config)
     return [
         SimulationPath(times=times, states=states, node_index=dict(node_index))
-        for times, block in groups
         for states in block
     ]
 
@@ -334,10 +317,7 @@ def ensemble_statistics(paths: Sequence) -> tuple[np.ndarray, np.ndarray]:
     instead of a stack of all paths: the sum of the paths over n, then the
     sum of squared deviations from that mean over n - 1.  That is the order
     in which ``mean(axis=0)`` and ``var(axis=0, ddof=1)`` of the stack add
-    for paths of two or more entries, so the results are the same bits.  The
-    leading (time-step) rows are dealt into min(rows, usable CPUs)
-    contiguous groups that run both passes side by side (see
-    ``_run_groups``); every entry still adds in path order.
+    for paths of two or more entries, so the results are the same bits.
     """
     arrays = [p.states if isinstance(p, SimulationPath) else np.asarray(p, float) for p in paths]
     if len(arrays) < 2:
@@ -345,63 +325,18 @@ def ensemble_statistics(paths: Sequence) -> tuple[np.ndarray, np.ndarray]:
     shape = arrays[0].shape
     if any(a.shape != shape for a in arrays):
         raise ValidationError("ensemble paths have mismatched shapes")
-    arrays = [np.atleast_1d(a) for a in arrays]
-    mean = np.empty(arrays[0].shape)
-    var = np.zeros(arrays[0].shape)
-
-    def run(rows):
-        total, spread = mean[rows], var[rows]
-        total[...] = arrays[0][rows]
-        for a in arrays[1:]:
-            total += a[rows]
-        total /= len(arrays)
-        deviation = np.empty(total.shape)
-        for a in arrays:
-            np.subtract(a[rows], total, out=deviation)
-            deviation *= deviation
-            spread += deviation
-        spread /= len(arrays) - 1
-
-    _run_groups(run, len(mean))
-    return mean.reshape(shape), var.reshape(shape)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set, where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _contiguous(n_items: int, n_groups: int) -> list[slice]:
-    """Slices cutting n_items into n_groups contiguous runs, the first ones
-    at most one item longer than the last."""
-    size, extra = divmod(n_items, n_groups)
-    bounds = [g * size + min(g, extra) for g in range(n_groups + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
-def _run_groups(run, n_items: int, deal=_contiguous) -> list:
-    """[run(group) for group in deal(n_items, n_groups)], concurrently, with
-    n_groups = min(n_items, usable CPUs) and at least 1.
-
-    The calling thread runs the first group and one helper thread each of the
-    others, so one item, or one usable CPU, runs serially on the calling
-    thread.  A helper's exception is raised here, and no helper outlives the
-    call.  numpy's loops and products, its random fills and scipy's sparse
-    products release the interpreter lock, so the groups overlap; scipy's
-    LAPACK wrappers (``cholesky``, ``solve_triangular``) hold it.  The callers
-    give every item the same arithmetic on any thread, so results do not
-    depend on the CPU count.  Python threads multiply with BLAS threads: each
-    group's products use the BLAS library's own threads too.
-    """
-    groups = deal(n_items, max(1, min(n_items, _usable_cpus())))
-    # The executor starts a thread per submitted group only, so with one
-    # group it starts none; leaving the block joins every helper.
-    with ThreadPoolExecutor(max_workers=max(1, len(groups) - 1)) as helpers:
-        futures = [helpers.submit(run, group) for group in groups[1:]]
-        first = run(groups[0])
-        return [first] + [future.result() for future in futures]
+    mean = np.array(arrays[0], dtype=float)
+    for a in arrays[1:]:
+        mean += a
+    mean /= len(arrays)
+    var = np.zeros(shape)
+    deviation = np.empty(shape)
+    for a in arrays:
+        np.subtract(a, mean, out=deviation)
+        deviation *= deviation
+        var += deviation
+    var /= len(arrays) - 1
+    return mean, var
 
 
 # --- CSV output ----------------------------------------------------------------

@@ -35,15 +35,23 @@ each through the P x P transition e^{B}: T P^3 work per step instead of
 full-state result; any other generator takes the PT-dimensional filter.
 
 The filters of different fractions share only the read-only F, so
-``filter_fractions`` runs them on up to min(fractions, usable CPUs) threads,
-by the package's one concurrency rule (``diffusion._run_groups``).  Every
-filter does the same arithmetic on any thread, so the results do not depend
-on the CPU count.
+``filter_fractions`` is the one place in the package that starts threads:
+it deals the fractions into min(fractions, usable CPUs) groups, the calling
+thread runs the first group and one helper thread each of the others, a
+helper's exception is raised from the call, and no helper outlives it.
+numpy's products release the interpreter lock, so the groups overlap; scipy's
+LAPACK wrappers (``cholesky``, ``solve_triangular``) hold it.  Every filter
+does the same arithmetic on any thread, so the results do not depend on the
+CPU count.  Python threads multiply with BLAS threads: each group's products
+use the BLAS library's own threads too.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +59,7 @@ import scipy.linalg
 
 from .errors import NumericalError, ValidationError
 from .calibration import LearnedOperator, SnapshotSeries, _topic_block, devectorize, vectorize
-from .diffusion import _run_groups, matrix_exponential
+from .diffusion import matrix_exponential
 from .files import write_csv
 
 PHASE_PREDICTED = "predicted"
@@ -187,19 +195,23 @@ def kalman_update(state: KalmanState, y: np.ndarray, model: ObservationModel) ->
     if obs.size == 0:
         return KalmanState(x_hat=state.x_hat, pi=state.pi, phase=PHASE_UPDATED, f_hat=state.f_hat)
     pi = state.pi
+    r = model.r_diag[obs]
     # R_e is block-diagonal over (observed, unobserved) and Pi H^T has zero
     # unobserved columns, so only the observed block of R_e contributes.
-    r_e = np.diag(model.r_diag[obs]) + pi[np.ix_(obs, obs)]
-    factor = _cholesky(r_e) if model.r_diag[obs].all() else None
+    rows = pi[obs]
+    r_e = rows[:, obs]
+    r_e.flat[:: obs.size + 1] += r
+    factor = _cholesky(r_e) if r.all() else None
     if factor is None:
         gain = pi[:, obs] @ np.linalg.pinv(r_e, hermitian=True)
         x_post = state.x_hat + gain @ (y[obs] - state.x_hat[obs])
-        pi_post = _symmetrized(pi - gain @ pi[obs, :])
+        pi_post = _symmetrized(pi - gain @ rows)
     else:
         # Filters of several fractions run at once and their peaks add up,
         # so no m x m or m x PT temporary outlives its use.
         del r_e
-        w = scipy.linalg.solve_triangular(factor, pi[obs, :], lower=True)
+        w = scipy.linalg.solve_triangular(factor, rows, lower=True)
+        del rows
         whitened = scipy.linalg.solve_triangular(factor, y[obs] - state.x_hat[obs], lower=True)
         del factor
         x_post = state.x_hat + w.T @ whitened
@@ -238,6 +250,8 @@ class FilterResult:
     ``errors_all`` is the relative Frobenius error of each pre-observation
     prediction against the full true state; the observed/hidden columns
     restrict the same measure to the corresponding coordinates.
+    ``final_states`` holds each filter's last updated state: one for the
+    whole-state filter, T on the per-topic route.
     """
 
     steps: np.ndarray
@@ -247,8 +261,23 @@ class FilterResult:
     errors_hidden: np.ndarray
     trace_pi: np.ndarray
     predictions: tuple[np.ndarray, ...]
-    final_state: KalmanState
+    final_states: tuple[KalmanState, ...]
     observed_nodes: tuple[int, ...]
+
+    @cached_property
+    def final_state(self) -> KalmanState:
+        """The last updated state of the whole vectorized state.  Per-topic
+        states are joined on first access: their block-diagonal covariance
+        and transition are two PT x PT arrays, formed only for a reader."""
+        states = self.final_states
+        if len(states) == 1:
+            return states[0]
+        return KalmanState(
+            x_hat=np.concatenate([state.x_hat for state in states]),
+            pi=scipy.linalg.block_diag(*(state.pi for state in states)),
+            phase=PHASE_UPDATED,
+            f_hat=scipy.linalg.block_diag(*(state.f_hat for state in states)),
+        )
 
 
 def _masked_relative_error(x_hat: np.ndarray, x_true: np.ndarray, mask: np.ndarray) -> float:
@@ -322,13 +351,6 @@ def _run_lockstep(test, op: LearnedOperator, model: ObservationModel, filters: l
         filters[:] = [
             (kalman_update(state, y, part), part) for (state, part), y in zip(filters, observed)
         ]
-    states = [state for state, _ in filters]
-    final = states[0] if len(states) == 1 else KalmanState(
-        x_hat=np.concatenate([state.x_hat for state in states]),
-        pi=scipy.linalg.block_diag(*(state.pi for state in states)),
-        phase=PHASE_UPDATED,
-        f_hat=scipy.linalg.block_diag(*(state.f_hat for state in states)),
-    )
     return FilterResult(
         steps=np.asarray(steps),
         times=np.asarray(times, dtype=float),
@@ -337,7 +359,7 @@ def _run_lockstep(test, op: LearnedOperator, model: ObservationModel, filters: l
         errors_hidden=np.asarray(err_hid),
         trace_pi=np.asarray(traces),
         predictions=tuple(predictions),
-        final_state=final,
+        final_states=tuple(state for state, _ in filters),
         observed_nodes=model.observed_nodes,
     )
 
@@ -362,8 +384,8 @@ def filter_fractions(
     same full-state predictions, errors and trace, and ``final_state`` holds
     the block-diagonal covariance.
 
-    The fractions run on min(len(masks), usable CPUs) threads by
-    ``diffusion._run_groups``' rule.  Sorted by observed count, largest
+    The fractions run in min(len(masks), usable CPUs) groups, one thread
+    each, as the module docstring states.  Sorted by observed count, largest
     first, they are dealt to the groups in snake order (0, 1, ..., n-1, n-1,
     ..., 0, 0, 1, ...).  Each filter's arithmetic is the same on any thread,
     so the results do not depend on the CPU count; the returned dict keeps
@@ -396,19 +418,26 @@ def filter_fractions(
             )
         return results
 
-    order = sorted(masks, key=lambda f: len(masks[f]), reverse=True)
-
-    def snake(n_items, n_groups):
-        groups = [[] for _ in range(n_groups)]
-        for i, fraction in enumerate(order):
-            lap = i % (2 * n_groups)
-            groups[min(lap, 2 * n_groups - 1 - lap)].append(fraction)
-        return groups
-
-    results = {}
-    for group_results in _run_groups(run, len(masks), snake):
-        results.update(group_results)
+    n_groups = max(1, min(len(masks), _usable_cpus()))
+    groups = [[] for _ in range(n_groups)]
+    for i, fraction in enumerate(sorted(masks, key=lambda f: len(masks[f]), reverse=True)):
+        lap = i % (2 * n_groups)
+        groups[min(lap, 2 * n_groups - 1 - lap)].append(fraction)
+    # The executor starts a thread per submitted group only, so with one
+    # group it starts none; leaving the block joins every helper.
+    with ThreadPoolExecutor(max_workers=max(1, n_groups - 1)) as helpers:
+        futures = [helpers.submit(run, group) for group in groups[1:]]
+        results = run(groups[0])
+        for future in futures:
+            results.update(future.result())
     return {fraction: results[fraction] for fraction in masks}
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def nested_masks(n_nodes: int, fractions: Sequence[float], seed: int) -> dict[float, tuple[int, ...]]:

@@ -275,6 +275,22 @@ class TestLearnSupraOperator:
         expected = self.lam0 + gain * np.outer(residual, x_in)
         assert np.abs(op.lambda_hat - expected).max() < 1e-12
 
+    def test_rank_one_updates_match_the_out_of_place_sum_bit_for_bit(self):
+        series = series_from_operator(
+            self.lam0 + 0.03, self.x0, 5, 2, self.network.node_index, 4
+        )
+        gain = 1e-3
+        op = learn_supra_operator(series, self.supra, gain=gain, threshold=0.0, max_iters=3)
+        inputs = [vectorize(a) for a, _, _ in series.train_pairs()]
+        targets = [vectorize(b) for _, b, _ in series.train_pairs()]
+        # The sweep's first residual comes from its stacked evaluation.
+        evaluated = calibration._action(self.lam0, np.column_stack(inputs), 5, 2)
+        lam = self.lam0 + gain * np.outer(targets[0] - evaluated[:, 0], inputs[0])
+        for x, t in zip(inputs[1:], targets[1:]):
+            lam = lam + gain * np.outer(t - calibration.exponential_action(lam, x), x)
+        assert op.iterations == 3
+        assert op.lambda_hat.tobytes() == lam.tobytes()
+
     @pytest.mark.parametrize("max_iters", [0, 2])
     def test_evaluations_before_the_first_update_run_per_topic(self, monkeypatch, max_iters):
         operators = []

@@ -10,7 +10,6 @@ import pytest
 from supraflow import (
     NumericalError,
     cli,
-    diffusion,
     harness,
     kalman,
     load_network,
@@ -695,7 +694,7 @@ class TestExitCodes:
                 raise NumericalError("covariance is non-finite")
             return real(test, op, model, filters)
 
-        monkeypatch.setattr(diffusion, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(kalman, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(kalman, "_run_lockstep", failing)
         tmp = tiny_dataset["tmp"]
         config = write_json(

@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 import tracemalloc
 
@@ -19,7 +20,6 @@ from supraflow import (
     propagate_closed,
     simulate_ensemble,
 )
-from supraflow import diffusion
 from supraflow.diffusion import _simulate, default_step, exponential_action, step_norm
 from conftest import connected_adjacency, global_random_state, random_network, single_layer_supra
 
@@ -396,18 +396,33 @@ class TestEnsembleBlocks:
         return supra, x0, 0.1 * rng.random(x0.shape)
 
     @pytest.mark.parametrize("paths", [1, 2, 3, 7])
-    def test_paths_match_the_per_path_loop_whatever_the_cpu_count(self, monkeypatch, paths):
+    def test_paths_match_the_per_path_loop(self, paths):
         supra, x0, sigma = self.operator()
         config = SimulationConfig(dt=default_step(supra), horizon=0.2, ensemble_size=paths)
         rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(3).spawn(paths)]
         times, expected = reference_paths(x0, supra.csr, sigma, rngs, config)
-        runs = [simulate_ensemble(x0, supra, NoiseModel(sigma, seed=3), config)]
-        for cpus in (1, 3):
-            monkeypatch.setattr(diffusion, "_usable_cpus", lambda: cpus)
-            runs.append(simulate_ensemble(x0, supra, NoiseModel(sigma, seed=3), config))
-        for run in runs:
-            assert [p.states.tobytes() for p in run] == [e.tobytes() for e in expected]
-            assert all(p.times.tobytes() == times.tobytes() for p in run)
+        run = simulate_ensemble(x0, supra, NoiseModel(sigma, seed=3), config)
+        assert [p.states.tobytes() for p in run] == [e.tobytes() for e in expected]
+        assert all(p.times.tobytes() == times.tobytes() for p in run)
+
+    def test_the_ensemble_and_its_statistics_start_no_thread(self, monkeypatch):
+        # Four usable CPUs, as the affinity set and the CPU count report them.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        started = []
+        real_start = threading.Thread.start
+
+        def recorded(thread):
+            started.append(thread)
+            return real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded)
+        supra, x0, sigma = self.operator()
+        config = SimulationConfig(dt=default_step(supra), horizon=0.2, ensemble_size=4)
+        paths = simulate_ensemble(x0, supra, NoiseModel(sigma, seed=3), config)
+        ensemble_statistics(paths)
+        assert len(paths) == 4
+        assert started == []
 
     @pytest.mark.parametrize("stride", [1, 4])
     def test_one_strided_path_matches_the_per_path_loop(self, stride):
@@ -422,26 +437,6 @@ class TestEnsembleBlocks:
         )
         assert got.tobytes() == expected.tobytes()
         assert got_times.tobytes() == times.tobytes()
-
-    def test_a_diverging_helper_block_raises_and_no_helper_outlives_the_call(self, monkeypatch):
-        # Two groups of one path; the calling thread's block steps a zero
-        # operator and stays finite, so only the helper's block diverges.
-        monkeypatch.setattr(diffusion, "_usable_cpus", lambda: 2)
-        caller = threading.current_thread()
-        real = diffusion._simulate
-
-        def stable_on_the_caller(x0, lap, *args, **kwargs):
-            on_caller = threading.current_thread() is caller
-            return real(x0, 0.0 * lap if on_caller else lap, *args, **kwargs)
-
-        monkeypatch.setattr(diffusion, "_simulate", stable_on_the_caller)
-        _, supra = single_layer_supra(10.0 * (np.ones((4, 4)) - np.eye(4)))
-        x0 = np.ones((4, 2))
-        config = SimulationConfig(dt=1.0, horizon=400.0, ensemble_size=2)
-        threads = threading.active_count()
-        with pytest.warns(UserWarning, match="dt"), pytest.raises(NumericalError, match="diverged"):
-            simulate_ensemble(x0, supra, NoiseModel(0.1 * x0, seed=0), config)
-        assert threading.active_count() == threads
 
 
 class TestDefaultStep:
@@ -489,9 +484,7 @@ class TestEnsembleStatistics:
         mean, _ = ensemble_statistics(paths)
         assert np.abs(mean[-1]).max() < 4 * 0.7 / np.sqrt(1000)
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_every_row_split_gives_the_stacked_bits(self, monkeypatch, cpus):
-        monkeypatch.setattr(diffusion, "_usable_cpus", lambda: cpus)
+    def test_gives_the_stacked_bits(self):
         rng = np.random.default_rng(13)
         arrays = [rng.standard_normal((5, 4, 2)) * 10.0 ** rng.integers(-3, 4) for _ in range(6)]
         mean, var = ensemble_statistics(arrays)

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -610,6 +611,54 @@ class TestTopicRoute:
         assert seen["predict_action"] == [whole]
 
 
+class TestPerTopicFinalState:
+    """On the per-topic route ``filter_fractions`` keeps each topic filter's
+    final state; the whole-state ``final_state`` is joined only when read."""
+
+    n_nodes, n_topics = 50, 8
+
+    def filtered(self):
+        rng = np.random.default_rng(22)
+        half = 0.1 * rng.standard_normal((self.n_nodes, self.n_nodes))
+        lam = np.kron(np.eye(self.n_topics), half + half.T)
+        dim = self.n_nodes * self.n_topics
+        op = replace(
+            make_operator(lam, self.n_nodes, self.n_topics),
+            residual_variance=np.full(dim, 0.01),
+        )
+        node_index = {(1, f"n{i}"): i for i in range(self.n_nodes)}
+        states = list(rng.random((5, self.n_nodes, self.n_topics)))
+        series = make_series(node_index, states, train_count=2)
+        masks = nested_masks(self.n_nodes, [0.5, 1.0], seed=2)
+        return lambda: filter_fractions(series, op, masks)
+
+    def test_filtering_forms_no_whole_state_matrix(self):
+        run = self.filtered()
+        dim = self.n_nodes * self.n_topics
+        tracemalloc.start()
+        try:
+            results = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Two fractions of eight 50 x 50 topic filters each stay below one
+        # 400 x 400 covariance; joining the states forms two per fraction.
+        assert peak < dim * dim * 8
+        assert all(len(result.final_states) == self.n_topics for result in results.values())
+
+    def test_final_state_is_the_block_diagonal_join_formed_once(self):
+        for result in self.filtered()().values():
+            states = result.final_states
+            final = result.final_state
+            assert final is result.final_state
+            assert final.phase == PHASE_UPDATED
+            assert final.x_hat.tobytes() == np.concatenate([s.x_hat for s in states]).tobytes()
+            pi = scipy.linalg.block_diag(*(s.pi for s in states))
+            f_hat = scipy.linalg.block_diag(*(s.f_hat for s in states))
+            assert final.pi.tobytes() == pi.tobytes()
+            assert final.f_hat.tobytes() == f_hat.tobytes()
+
+
 def assert_same_bytes(result, expected):
     for name in ("steps", "errors_all", "errors_observed", "errors_hidden", "trace_pi"):
         assert getattr(result, name).tobytes() == getattr(expected, name).tobytes()
@@ -649,7 +698,7 @@ class TestConcurrentFractions:
         masks = nested_masks(series.n_nodes, [0.25, 1.0, 0.5, 0.75], seed=4)
         unrestricted = filter_fractions(series, op, masks)
         for cpus in (1, 2, len(masks)):
-            monkeypatch.setattr(diffusion, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(kalman, "_usable_cpus", lambda: cpus)
             results = filter_fractions(series, op, masks)
             assert list(results) == list(masks)
             for fraction, result in results.items():
@@ -660,7 +709,7 @@ class TestConcurrentFractions:
         series, op = self.learned(0)
         masks = nested_masks(series.n_nodes, [0.25, 0.5, 1.0], seed=4)
         # Two groups, by observed count: (1.0) on the caller, (0.5, 0.25) on a helper.
-        monkeypatch.setattr(diffusion, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(kalman, "_usable_cpus", lambda: 2)
         failed_on = []
         real = kalman._run_lockstep
 
