@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError, ValidationError
-from .diffusion import exponential_action, matrix_exponential, _state_array
+from .diffusion import _exponential_action, _state_array, exponential_action, matrix_exponential
 from .files import write_csv, write_json
 from .network import (
     DiffusionConstants,
@@ -410,13 +410,16 @@ def _topic_block(lambda_hat: np.ndarray, n_nodes: int, n_topics: int) -> np.ndar
     return first
 
 
-def _action(lam: np.ndarray, vectors: np.ndarray, n_nodes: int, n_topics: int) -> np.ndarray:
+def _action(lam: np.ndarray, vectors: np.ndarray, n_nodes: int, n_topics: int, work=None):
     """e^{lam} applied to PT x k column-stacked states.  When lam is exactly
     kron(I_T, B), e^{B} is applied once to the P x (T k) block of the states'
-    topic columns; otherwise e^{lam} acts on the whole vectors."""
+    topic columns; otherwise e^{lam} acts on the whole vectors, shifted in
+    ``work`` (two PT x PT arrays) if given."""
     block = _topic_block(lam, n_nodes, n_topics)
     if block is None:
-        return exponential_action(lam, vectors)
+        if work is None:
+            return exponential_action(lam, vectors)
+        return _exponential_action(lam, vectors, work)
     count = vectors.shape[1]
     columns = vectors.reshape(n_topics, n_nodes, count).transpose(1, 0, 2)
     moved = exponential_action(block, columns.reshape(n_nodes, n_topics * count))
@@ -468,8 +471,10 @@ def learn_supra_operator(
     stacked_targets = np.column_stack(targets)
     # Each update forms its outer product in this buffer, scales it and adds
     # it into lam in place, so no update allocates a PT x PT array; every
-    # entry rounds as in lam + gain * outer(residual, x).
+    # entry rounds as in lam + gain * outer(residual, x).  Every whole-state
+    # action shifts lam in the two arrays of ``work``.
     update = np.empty_like(lam)
+    work = (np.empty_like(lam), np.empty_like(lam))
 
     log: list[float] = []
     iterations = 0
@@ -479,7 +484,7 @@ def learn_supra_operator(
         while True:
             # Every exit below follows this evaluation, so its residuals are
             # also the final ones.  Before the first update it runs per topic.
-            residuals = stacked_targets - _action(lam, stacked_inputs, n_nodes, n_topics)
+            residuals = stacked_targets - _action(lam, stacked_inputs, n_nodes, n_topics, work)
             errors = np.linalg.norm(residuals, axis=0)
             if initial_error is None:
                 initial_error = float(errors.max())
@@ -495,7 +500,7 @@ def learn_supra_operator(
                     # Lambda has not changed since the sweep's evaluation.
                     residual = residuals[:, 0]
                 else:
-                    residual = t - exponential_action(lam, x)
+                    residual = t - _exponential_action(lam, x, work)
                 log.append(float(np.linalg.norm(residual)))
                 np.outer(residual, x, out=update)
                 update *= gain

@@ -40,6 +40,9 @@ _TAYLOR_THETA = {
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 _UNIT_ROUNDOFF = 2.0**-53
+#: Bytes of leading-axis rows that ``ensemble_statistics`` takes per block:
+#: the size of its one deviation buffer.
+STATISTICS_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -188,19 +191,31 @@ def exponential_action(a, x) -> np.ndarray:
         )
     if not np.isfinite(mat.data if sparse else mat).all():
         raise ValidationError("exponential action input has non-finite entries")
+    work = None if sparse else (np.empty(mat.shape), np.empty(mat.shape))
+    return _exponential_action(mat, vecs, work)
+
+
+def _exponential_action(mat, vecs: np.ndarray, work) -> np.ndarray:
+    """``exponential_action`` of a checked operator.  For an array, A - mu I
+    and its magnitudes are formed in ``work``, a pair of n x n arrays that a
+    caller acting many times may pass to every call; a sparse A takes None.
+    """
+    sparse = work is None
     n = mat.shape[0]
     columns = 1 if vecs.ndim == 1 else vecs.shape[1]
-    work = mat.nnz if sparse else n * n
     with np.errstate(over="ignore", invalid="ignore"):
         mu = float(mat.trace()) / n
         if sparse:
             shifted = mat - mu * scipy.sparse.eye_array(n, format="csr")
+            magnitudes = abs(shifted)
         else:
-            shifted = mat.copy()
+            shifted, magnitudes = work
+            np.copyto(shifted, mat)
             shifted.flat[:: n + 1] -= mu
-        norm = float(abs(shifted).sum(axis=0).max(initial=0.0))
+            np.abs(shifted, out=magnitudes)
+        norm = float(magnitudes.sum(axis=0).max(initial=0.0))
         # An overflowed norm reads as stiff: the dense route reports it.
-        if not norm * columns * work < 4 * n**3:
+        if not norm * columns * (mat.nnz if sparse else n * n) < 4 * n**3:
             return matrix_exponential(mat.toarray() if sparse else mat) @ vecs
         result = _taylor_action(shifted, mu, norm, vecs)
     if not np.isfinite(result).all():
@@ -313,10 +328,13 @@ def simulate_ensemble(
 def ensemble_statistics(paths: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise sample mean and unbiased sample variance across >= 2 paths.
 
-    Two passes over the paths in order, holding three path-sized arrays
-    instead of a stack of all paths: the sum of the paths over n, then the
-    sum of squared deviations from that mean over n - 1.  That is the order
-    in which ``mean(axis=0)`` and ``var(axis=0, ddof=1)`` of the stack add
+    The paths are taken a block of leading-axis rows at a time, as many rows
+    as fit in ``STATISTICS_BLOCK_BYTES`` (at least one).  For each block, two
+    passes over the paths in order: the sum of the paths over n, then the sum
+    of squared deviations from that mean over n - 1, the deviations formed in
+    one block-sized buffer.  So besides the results only that buffer is held,
+    not a stack of all paths.  Every entry adds its paths in the order in
+    which ``mean(axis=0)`` and ``var(axis=0, ddof=1)`` of the stack add them
     for paths of two or more entries, so the results are the same bits.
     """
     arrays = [p.states if isinstance(p, SimulationPath) else np.asarray(p, float) for p in paths]
@@ -325,18 +343,26 @@ def ensemble_statistics(paths: Sequence) -> tuple[np.ndarray, np.ndarray]:
     shape = arrays[0].shape
     if any(a.shape != shape for a in arrays):
         raise ValidationError("ensemble paths have mismatched shapes")
-    mean = np.array(arrays[0], dtype=float)
-    for a in arrays[1:]:
-        mean += a
-    mean /= len(arrays)
-    var = np.zeros(shape)
-    deviation = np.empty(shape)
-    for a in arrays:
-        np.subtract(a, mean, out=deviation)
-        deviation *= deviation
-        var += deviation
-    var /= len(arrays) - 1
-    return mean, var
+    arrays = [np.atleast_1d(a) for a in arrays]
+    mean = np.empty(arrays[0].shape)
+    var = np.empty(arrays[0].shape)
+    rows = max(1, STATISTICS_BLOCK_BYTES // max(1, mean[:1].nbytes))
+    deviation = np.empty((min(rows, len(mean)),) + mean.shape[1:])
+    for start in range(0, len(mean), rows):
+        block = slice(start, start + rows)
+        m, v = mean[block], var[block]
+        d = deviation[: len(m)]
+        np.copyto(m, arrays[0][block])
+        for a in arrays[1:]:
+            m += a[block]
+        m /= len(arrays)
+        v.fill(0.0)
+        for a in arrays:
+            np.subtract(a[block], m, out=d)
+            d *= d
+            v += d
+        v /= len(arrays) - 1
+    return mean.reshape(shape), var.reshape(shape)
 
 
 # --- CSV output ----------------------------------------------------------------

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -99,11 +99,20 @@ class ObservationModel:
     def dim(self) -> int:
         return self.n_nodes * self.n_topics
 
+    @cached_property
+    def observed(self) -> np.ndarray:
+        """Indices of the observed coordinates in column-stacked order, sorted
+        and read-only; formed once per model."""
+        nodes = np.array(self.observed_nodes, dtype=np.intp)
+        index = (self.n_nodes * np.arange(self.n_topics)[:, None] + nodes).ravel()
+        index.setflags(write=False)
+        return index
+
     def h_diag(self) -> np.ndarray:
         """Diagonal of the PT x PT indicator (column-stacked coordinate order)."""
-        mask = np.zeros(self.n_nodes)
-        mask[list(self.observed_nodes)] = 1.0
-        return np.tile(mask, self.n_topics)
+        h = np.zeros(self.dim)
+        h[self.observed] = 1.0
+        return h
 
     @classmethod
     def build(
@@ -114,15 +123,17 @@ class ObservationModel:
         r_observed: float = R_OBSERVED,
         q_diag=None,
     ) -> "ObservationModel":
-        dim = n_nodes * n_topics
-        model = cls(
+        observed = tuple(int(i) for i in observed_nodes)
+        # A node out of range marks no coordinate here; the model rejects it.
+        chosen = set(observed)
+        mask = np.array([float(i in chosen) for i in range(n_nodes)])
+        return cls(
             n_nodes=n_nodes,
             n_topics=n_topics,
-            observed_nodes=tuple(int(i) for i in observed_nodes),
-            r_diag=np.zeros(dim),
-            q_diag=np.zeros(dim) if q_diag is None else q_diag,
+            observed_nodes=observed,
+            r_diag=np.tile(mask, n_topics) * float(r_observed),
+            q_diag=np.zeros(n_nodes * n_topics) if q_diag is None else q_diag,
         )
-        return replace(model, r_diag=model.h_diag() * float(r_observed))
 
 
 @dataclass(frozen=True)
@@ -188,10 +199,9 @@ def kalman_update(state: KalmanState, y: np.ndarray, model: ObservationModel) ->
         raise ValidationError("observation length does not match the state")
     if not np.isfinite(y).all():
         raise ValidationError("observation contains non-finite entries")
-    h = model.h_diag()
-    if h.size != state.x_hat.size:
+    if model.dim != state.x_hat.size:
         raise ValidationError("observation model size does not match the state")
-    obs = np.flatnonzero(h)
+    obs = model.observed
     if obs.size == 0:
         return KalmanState(x_hat=state.x_hat, pi=state.pi, phase=PHASE_UPDATED, f_hat=state.f_hat)
     pi = state.pi

@@ -294,13 +294,16 @@ class TestLearnSupraOperator:
     @pytest.mark.parametrize("max_iters", [0, 2])
     def test_evaluations_before_the_first_update_run_per_topic(self, monkeypatch, max_iters):
         operators = []
-        real = calibration.exponential_action
+        # The per-topic action goes through exponential_action, the
+        # whole-state ones through the helper with the learner's work arrays.
+        for name in ("exponential_action", "_exponential_action"):
+            real = getattr(calibration, name)
 
-        def recorded(a, x):
-            operators.append(np.shape(a))
-            return real(a, x)
+            def recorded(a, x, *work, real=real):
+                operators.append(np.shape(a))
+                return real(a, x, *work)
 
-        monkeypatch.setattr(calibration, "exponential_action", recorded)
+            monkeypatch.setattr(calibration, name, recorded)
         series = series_from_operator(
             self.lam0 + 0.03, self.x0, 5, 2, self.network.node_index, 3
         )
@@ -311,6 +314,29 @@ class TestLearnSupraOperator:
         assert operators == [(5, 5)] + [(10, 10)] * max_iters
         # The rank-1 updates leave the Kronecker structure.
         assert (calibration._topic_block(op.lambda_hat, 5, 2) is None) == (max_iters > 0)
+
+    def test_whole_state_actions_share_two_work_arrays(self, monkeypatch):
+        works = []
+        real = calibration._exponential_action
+
+        def recorded(a, x, work):
+            assert np.shape(a) == (10, 10)
+            works.append(work)
+            return real(a, x, work)
+
+        monkeypatch.setattr(calibration, "_exponential_action", recorded)
+        series = series_from_operator(
+            self.lam0 + 0.03, self.x0, 5, 2, self.network.node_index, 4
+        )
+        op = learn_supra_operator(series, self.supra, threshold=0.0, max_iters=5)
+        assert op.iterations == 5 and len(series.train_pairs()) == 3
+        # The first sweep's evaluation runs per topic.  Then the second and
+        # third pairs' actions, the second sweep's evaluation, its second
+        # pair's action and the closing evaluation act on the whole state.
+        assert len(works) == 5
+        shifted, magnitudes = works[0]
+        assert shifted.shape == magnitudes.shape == (10, 10) and shifted is not magnitudes
+        assert all(w[0] is shifted and w[1] is magnitudes for w in works)
 
     def test_huge_gain_aborts_with_numerical_error(self):
         series = series_from_operator(

@@ -15,6 +15,7 @@ from supraflow import (
     StateMatrix,
     ValidationError,
     assemble_supra_laplacian,
+    diffusion,
     ensemble_statistics,
     matrix_exponential,
     propagate_closed,
@@ -484,9 +485,16 @@ class TestEnsembleStatistics:
         mean, _ = ensemble_statistics(paths)
         assert np.abs(mean[-1]).max() < 4 * 0.7 / np.sqrt(1000)
 
-    def test_gives_the_stacked_bits(self):
+    @pytest.mark.parametrize("rows", [1, 7, 20])
+    @pytest.mark.parametrize("count", [2, 3, 12])
+    def test_gives_the_stacked_bits(self, monkeypatch, rows, count):
         rng = np.random.default_rng(13)
-        arrays = [rng.standard_normal((5, 4, 2)) * 10.0 ** rng.integers(-3, 4) for _ in range(6)]
+        arrays = [rng.standard_normal((20, 4, 2)) * 10.0 ** rng.integers(-3, 4) for _ in range(count)]
+        # One path is a strided view of a larger array.
+        arrays[1] = (rng.standard_normal((20, 8, 2)) * 10.0 ** rng.integers(-3, 4))[:, ::2]
+        assert not arrays[1].flags.c_contiguous
+        # Blocks of one row, of 7, 7 and 6 rows, and of all 20 rows.
+        monkeypatch.setattr(diffusion, "STATISTICS_BLOCK_BYTES", rows * arrays[0][0].nbytes)
         mean, var = ensemble_statistics(arrays)
         stack = np.stack(arrays)
         assert mean.tobytes() == stack.mean(axis=0).tobytes()
@@ -496,15 +504,19 @@ class TestEnsembleStatistics:
         with pytest.raises(ValidationError):
             ensemble_statistics([np.zeros((2, 2, 2))])
 
-    def test_holds_no_stack_of_the_paths(self):
+    def test_holds_no_stack_of_the_paths(self, monkeypatch):
         paths = list(np.random.default_rng(12).random((12, 101, 50, 2)))
+        block = 8 * paths[0][0].nbytes
+        monkeypatch.setattr(diffusion, "STATISTICS_BLOCK_BYTES", block)
         tracemalloc.start()
         try:
             ensemble_statistics(paths)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * paths[0].nbytes
+        # The mean, the variance, one block-sized deviation buffer and a few
+        # small Python objects.
+        assert peak < 2 * paths[0].nbytes + block + 4096
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):

@@ -739,6 +739,19 @@ class TestObservationModelBuild:
         assert model.r_diag.tobytes() == (np.tile(mask, 3) * 2.5e-3).tobytes()
         assert model.q_diag.tobytes() == np.zeros(15).tobytes()
 
+    def test_negative_node_rejected(self):
+        with pytest.raises(ValidationError, match="out of range"):
+            ObservationModel.build(3, 2, [-1])
+
+    def test_observed_coordinates_are_formed_once_and_read_only(self):
+        model = ObservationModel.build(5, 3, [4, 1])
+        assert model.observed is model.observed
+        assert np.array_equal(model.observed, np.flatnonzero(model.h_diag()))
+        assert model.observed.dtype == np.intp
+        with pytest.raises(ValueError):
+            model.observed[0] = 0
+        assert ObservationModel.build(5, 3, []).observed.size == 0
+
 
 class TestMasks:
     def test_sample_fraction_size(self):
