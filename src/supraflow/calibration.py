@@ -21,7 +21,6 @@ Two calibration routes work from snapshot histories:
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,7 +30,7 @@ import scipy.linalg
 
 from .errors import NumericalError, ValidationError
 from .diffusion import _exponential_action, _state_array, exponential_action, matrix_exponential
-from .files import write_csv, write_json
+from .files import csv_floats, read_csv, write_csv, write_json
 from .network import (
     DiffusionConstants,
     InterconnectedNetwork,
@@ -610,23 +609,14 @@ def write_matrix_csv(path, matrix: np.ndarray):
 
 def read_operator_matrix(path) -> np.ndarray:
     """Read a ``write_matrix_csv`` dump, checking it against its shape header."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        first = next(reader, [])
-        header = len(first) == 1 and re.fullmatch(r"# rows=(\d+) cols=(\d+)", first[0].strip())
-        if not header:
-            raise ValidationError(f"operator file {path} is missing its shape header")
-        rows, cols = int(header[1]), int(header[2])
-        data = []
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                data.append([float(v) for v in row])
-            except ValueError:
-                raise ValidationError(f"{path}:{line}: non-numeric field in {row!r}") from None
-    if len(data) != rows or any(len(row) != cols for row in data):
+    first, data = read_csv(path, "operator file")
+    header = len(first) == 1 and re.fullmatch(r"# rows=(\d+) cols=(\d+)", first[0].strip())
+    if not header:
+        raise ValidationError(f"operator file {path} is missing its shape header")
+    rows, cols = int(header[1]), int(header[2])
+    lines, _, matrix = csv_floats(path, data, cols)
+    if len(lines) != rows:
         raise ValidationError(
             f"operator file {path} does not hold the {rows} x {cols} matrix its header declares"
         )
-    return np.asarray(data, dtype=float).reshape(rows, cols)
+    return matrix

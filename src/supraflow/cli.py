@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -42,7 +41,7 @@ from .diffusion import (
     write_ensemble_summary_csv,
     write_simulation_csv,
 )
-from .files import write_json
+from .files import read_json, write_json
 from .harness import experiment_config_from_dict, run_experiment
 from .kalman import (
     R_OBSERVED,
@@ -102,14 +101,7 @@ _CONFIGS = {
 
 
 def _read_json(args):
-    if not args.config:
-        return {}
-    with open(args.config) as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config file {args.config} is not valid JSON: {exc}") from None
-    return data
+    return read_json(args.config, "config file") if args.config else {}
 
 
 def _config(args) -> dict:
@@ -120,9 +112,12 @@ def _config(args) -> dict:
     return fields
 
 
-def _outpath(args, name: str) -> str:
+def _write(args, name: str, write, *payload) -> None:
+    """Write the output ``name`` under --out by ``write(path, *payload)``."""
     os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+    path = os.path.join(args.out, name)
+    write(path, *payload)
+    print(f"wrote {path}")
 
 
 def _load_series(cfg: dict, network) -> SnapshotSeries:
@@ -137,33 +132,21 @@ def _load_network_with_constants(cfg: dict):
     return network, constants
 
 
-def _done(path) -> None:
-    print(f"wrote {path}")
-
-
 def cmd_generate(args) -> int:
     cfg = _config(args)
     seed = cfg.pop("seed")
     network, series, truth = generate_synthetic(SyntheticSpec(**cfg), seed)
-    net_path = _outpath(args, "network.json")
-    save_network(net_path, network, truth.constants)
-    _done(net_path)
-    states_path = _outpath(args, "snapshots.csv")
-    write_states_csv(states_path, series.snapshots, network.node_order)
-    _done(states_path)
-    truth_path = _outpath(args, "truth.json")
-    write_json(
-        truth_path,
-        {
-            "seed": truth.seed,
-            "attempts": truth.attempts,
-            "sigma_ratio": truth.sigma_ratio,
-            "sigma_frobenius": float(np.linalg.norm(truth.sigma)),
-            "train_count": series.train_count,
-            "constants": constants_to_dict(truth.constants),
-        },
-    )
-    _done(truth_path)
+    _write(args, "network.json", save_network, network, truth.constants)
+    _write(args, "snapshots.csv", write_states_csv, series.snapshots, network.node_order)
+    report = {
+        "seed": truth.seed,
+        "attempts": truth.attempts,
+        "sigma_ratio": truth.sigma_ratio,
+        "sigma_frobenius": float(np.linalg.norm(truth.sigma)),
+        "train_count": series.train_count,
+        "constants": constants_to_dict(truth.constants),
+    }
+    _write(args, "truth.json", write_json, report)
     return 0
 
 
@@ -171,20 +154,14 @@ def cmd_build(args) -> int:
     cfg = _config(args)
     network, constants = _load_network_with_constants(cfg)
     supra = assemble_supra_laplacian(network, constants)
-    matrix_path = _outpath(args, "supra_laplacian.csv")
-    write_matrix_csv(matrix_path, supra.matrix)
-    _done(matrix_path)
-    summary_path = _outpath(args, "build_summary.json")
-    write_json(
-        summary_path,
-        {
-            "n_nodes": supra.n_nodes,
-            "n_layers": len(supra.layer_ids),
-            "max_abs_row_sum": float(np.abs(supra.matrix.sum(axis=1)).max()),
-            "symmetric": _is_symmetric(supra.matrix),
-        },
-    )
-    _done(summary_path)
+    _write(args, "supra_laplacian.csv", write_matrix_csv, supra.matrix)
+    summary = {
+        "n_nodes": supra.n_nodes,
+        "n_layers": len(supra.layer_ids),
+        "max_abs_row_sum": float(np.abs(supra.matrix.sum(axis=1)).max()),
+        "symmetric": _is_symmetric(supra.matrix),
+    }
+    _write(args, "build_summary.json", write_json, summary)
     return 0
 
 
@@ -206,14 +183,11 @@ def cmd_simulate(args) -> int:
         ensemble_size=cfg["paths"],
     )
     paths = simulate_ensemble(x0, supra, noise, config)
-    sim_path = _outpath(args, "simulation.csv")
-    write_simulation_csv(sim_path, paths, network.node_order)
-    _done(sim_path)
+    _write(args, "simulation.csv", write_simulation_csv, paths, network.node_order)
     if len(paths) >= 2:
         mean, var = ensemble_statistics(paths)
-        summary_path = _outpath(args, "ensemble_summary.csv")
-        write_ensemble_summary_csv(summary_path, paths[0].times, mean, var, network.node_order)
-        _done(summary_path)
+        table = (paths[0].times, mean, var, network.node_order)
+        _write(args, "ensemble_summary.csv", write_ensemble_summary_csv, *table)
     return 0
 
 
@@ -223,9 +197,7 @@ def cmd_predict(args) -> int:
     supra = assemble_supra_laplacian(network, constants)
     snapshots = read_states_csv(cfg["states"], network)
     predicted = propagate_closed(snapshots[-1], supra, cfg["delta_t"])
-    out_path = _outpath(args, "prediction.csv")
-    write_states_csv(out_path, [predicted], network.node_order)
-    _done(out_path)
+    _write(args, "prediction.csv", write_states_csv, [predicted], network.node_order)
     return 0
 
 
@@ -234,9 +206,7 @@ def cmd_fit(args) -> int:
     network, _ = load_network(cfg["network"])
     series = _load_series(cfg, network)
     fit = fit_diffusion_constants(series, network)
-    report_path = _outpath(args, "fit_report.json")
-    write_fit_report(report_path, fit)
-    _done(report_path)
+    _write(args, "fit_report.json", write_fit_report, fit)
     return 0
 
 
@@ -248,22 +218,16 @@ def cmd_learn(args) -> int:
     op = learn_from_fit(
         series, network, fit, gain=cfg["gain"], threshold=cfg["eta"], max_iters=cfg["max_iters"]
     )
-    op_path = _outpath(args, "operator.csv")
-    write_matrix_csv(op_path, op.lambda_hat)
-    _done(op_path)
-    report_path = _outpath(args, "learn_report.json")
-    write_json(
-        report_path,
-        {
-            "iterations": op.iterations,
-            "converged": op.converged,
-            "gain": op.gain,
-            "threshold": op.threshold,
-            "initial_error": op.initial_error,
-            "final_error": op.final_error,
-        },
-    )
-    _done(report_path)
+    _write(args, "operator.csv", write_matrix_csv, op.lambda_hat)
+    report = {
+        "iterations": op.iterations,
+        "converged": op.converged,
+        "gain": op.gain,
+        "threshold": op.threshold,
+        "initial_error": op.initial_error,
+        "final_error": op.final_error,
+    }
+    _write(args, "learn_report.json", write_json, report)
     return 0
 
 
@@ -280,13 +244,9 @@ def cmd_kalman(args) -> int:
         series, network, fit, gain=cfg["gain"], threshold=cfg["eta"], max_iters=cfg["max_iters"]
     )
     result = filter_fractions(series, op, masks, cfg["r"])[fraction]
-    trace_path = _outpath(args, "filter_trace.csv")
-    write_filter_trace_csv(trace_path, result)
-    _done(trace_path)
-    mask_path = _outpath(args, "mask.csv")
+    _write(args, "filter_trace.csv", write_filter_trace_csv, result)
     labels = [node_label(key) for key in network.node_order]
-    write_mask_csv(mask_path, result.observed_nodes, labels)
-    _done(mask_path)
+    _write(args, "mask.csv", write_mask_csv, result.observed_nodes, labels)
     return 0
 
 
@@ -294,20 +254,13 @@ def cmd_spectral(args) -> int:
     cfg = _config(args)
     network, constants = _load_network_with_constants(cfg)
     points = connectivity_sweep(network, constants, cfg["epsilons"])
-    sweep_path = _outpath(args, "lambda2_sweep.csv")
-    write_sweep_csv(sweep_path, points)
-    _done(sweep_path)
-    line_chart(
-        _outpath(args, "lambda2_sweep.svg"),
-        [
-            ("actual", [p.epsilon for p in points], [p.lambda2_actual for p in points]),
-            ("estimate", [p.epsilon for p in points], [p.lambda2_estimate for p in points]),
-        ],
-        title="Algebraic connectivity vs. inter-layer strength",
-        x_label="epsilon",
-        y_label="lambda_2",
-    )
-    _done(_outpath(args, "lambda2_sweep.svg"))
+    _write(args, "lambda2_sweep.csv", write_sweep_csv, points)
+    series = [
+        ("actual", [p.epsilon for p in points], [p.lambda2_actual for p in points]),
+        ("estimate", [p.epsilon for p in points], [p.lambda2_estimate for p in points]),
+    ]
+    title = "Algebraic connectivity vs. inter-layer strength"
+    _write(args, "lambda2_sweep.svg", line_chart, series, title, "epsilon", "lambda_2")
     return 0
 
 
@@ -319,8 +272,8 @@ def cmd_experiment(args) -> int:
     result = run_experiment(config, out_dir=args.out)
     for name in config.methods:
         print(f"{name}: mean error {result.mean_errors[name]:.6g}")
-    _done(os.path.join(args.out, "errors.csv"))
-    _done(os.path.join(args.out, "summary.csv"))
+    for name in ("errors.csv", "summary.csv"):
+        print(f"wrote {os.path.join(args.out, name)}")
     return 0
 
 

@@ -21,7 +21,6 @@ charts are conveniences.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError, _json_float, _json_int, _json_list, _json_str, read_document
-from .files import write_csv
+from .files import csv_floats, read_csv, write_csv
 from .calibration import (
     LEARN_MAX_ITERS,
     SnapshotSeries,
@@ -304,16 +303,13 @@ def replot_errors_csv(csv_path, svg_path):
     CSV the interface of record: re-reading and re-plotting reproduces the
     SVG byte for byte.
     """
-    with open(csv_path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        rows = [row for row in reader if row]
+    header, rows = read_csv(csv_path, "errors table")
     if header[:3] != ["step", "t", "upper_bound"]:
         raise ValidationError(f"{csv_path} is not an experiment errors table")
-    times = [float(row[1]) for row in rows]
+    _, _, numbers = csv_floats(csv_path, rows, len(header))
+    times = numbers[:, 1].tolist()
     series = [
-        (name, times, [float(row[col]) for row in rows])
-        for col, name in enumerate(header[2:], start=2)
+        (name, times, numbers[:, col].tolist()) for col, name in enumerate(header[2:], start=2)
     ]
     line_chart(
         svg_path,

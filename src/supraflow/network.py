@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 import numpy as np
@@ -30,9 +29,18 @@ import scipy.sparse
 
 from .errors import REQUIRED, ValidationError, _json_bool, _json_float, _json_int, _json_list
 from .errors import _json_str, read_document
-from .files import write_json
+from .files import read_json, write_json
 
 MAX_NODES = 20_000
+
+
+def _check_node_count(total: int):
+    """Reject a total node count above ``MAX_NODES``."""
+    if total > MAX_NODES:
+        raise ValidationError(
+            f"total node count {total} exceeds the cap of {MAX_NODES} nodes, which bounds "
+            "the P x P arrays of the dense operator consumers"
+        )
 
 #: Relative tolerance of every symmetry test: a matrix counts as symmetric when
 #: max |A - A^T| is below this times max(1, max |A|).
@@ -216,11 +224,7 @@ class InterconnectedNetwork:
             slices[layer.layer_id] = slice(start, start + layer.n_nodes)
             order.extend((layer.layer_id, node) for node in layer.node_ids)
             start += layer.n_nodes
-        if start > MAX_NODES:
-            raise ValidationError(
-                f"total node count {start} exceeds the cap of {MAX_NODES} nodes, which bounds "
-                "the P x P arrays of the dense operator consumers"
-            )
+        _check_node_count(start)
 
         pair_map: dict[tuple[int, int], InterLayerCoupling] = {}
         for c in self.couplings:
@@ -625,9 +629,4 @@ def save_network(path, network: InterconnectedNetwork, constants: DiffusionConst
 
 
 def load_network(path) -> tuple[InterconnectedNetwork, DiffusionConstants | None]:
-    with open(path) as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"network file {path} is not valid JSON: {exc}") from None
-    return network_from_dict(data)
+    return network_from_dict(read_json(path, "network file"))

@@ -10,7 +10,6 @@ anywhere, since diffusion does not preserve the simplex.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -18,7 +17,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import ValidationError
-from .files import write_csv
+from .files import csv_floats, read_csv, write_csv
 from .network import _csr_from_triplets
 
 #: Weight of an edge between coincident points, whose inverse distance is
@@ -146,40 +145,28 @@ def write_states_csv(path, snapshots: Iterable[StateMatrix], node_order: Sequenc
 
 def read_states_csv(path, network) -> list[StateMatrix]:
     """Read a long-format state file into per-time-point state matrices."""
+    header, rows = read_csv(path, "state file")
+    if header[:2] != ["node_id", "t"] or len(header) < 3:
+        raise ValidationError(f"state file {path} must start with header node_id,t,x_1,...")
+    lines, labels, numbers = csv_floats(path, rows, len(header), labelled=True)
     index = {node_label(key): i for key, i in network.node_index.items()}
-    by_time: dict[float, np.ndarray] = {}
-    seen: dict[float, int] = {}
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or header[0] != "node_id" or header[1] != "t":
-            raise ValidationError(f"state file {path} must start with header node_id,t,x_1,...")
-        n_topics = len(header) - 2
-        if n_topics < 1:
-            raise ValidationError(f"state file {path} has no topic columns")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n_topics + 2:
-                raise ValidationError(f"{path}:{line}: expected {n_topics + 2} fields")
-            label = row[0]
-            try:
-                t, values = float(row[1]), [float(v) for v in row[2:]]
-            except ValueError:
-                raise ValidationError(f"{path}:{line}: non-numeric field in {row!r}") from None
-            if label not in index:
-                raise ValidationError(f"{path}:{line}: unknown node {label!r}")
-            if t not in by_time:
-                by_time[t] = np.full((network.n_nodes, n_topics), np.nan)
-                seen[t] = 0
-            by_time[t][index[label]] = values
-            seen[t] += 1
+    # Each time's row of each node, by position: {t: {node: row}}.
+    at_time: dict[float, dict[int, int]] = {}
+    for k, (line, label, t) in enumerate(zip(lines, labels, numbers[:, 0].tolist())):
+        node = index.get(label)
+        if node is None:
+            raise ValidationError(f"{path}:{line}: unknown node {label!r}")
+        if at_time.setdefault(t, {}).setdefault(node, k) != k:
+            raise ValidationError(f"{path}:{line}: node {label!r} is given twice at t={t}")
     snapshots = []
-    for t in sorted(by_time):
-        if seen[t] != network.n_nodes or np.isnan(by_time[t]).any():
+    for t in sorted(at_time):
+        row_of = at_time[t]
+        if len(row_of) != network.n_nodes:
             raise ValidationError(f"state file {path} is missing nodes at t={t}")
+        matrix = np.empty((network.n_nodes, len(header) - 2))
+        matrix[list(row_of)] = numbers[list(row_of.values()), 1:]
         snapshots.append(
-            StateMatrix(matrix=by_time[t], node_index=dict(network.node_index), timestamp=t)
+            StateMatrix(matrix=matrix, node_index=dict(network.node_index), timestamp=t)
         )
     if not snapshots:
         raise ValidationError(f"state file {path} contains no snapshots")

@@ -28,6 +28,7 @@ from .network import (
     LayerKind,
     _layer_pair,
     assemble_supra_laplacian,
+    _check_node_count,
     components,
 )
 from .states import StateMatrix, knn_similarity
@@ -96,6 +97,7 @@ class SyntheticSpec:
         agent_sizes = {s.n_nodes for s in self.layers if LayerKind(s.kind) is LayerKind.AGENT}
         if len(agent_sizes) > 1:
             raise ValidationError("agent layers must share one node count (replica layers)")
+        _check_node_count(sum(s.n_nodes for s in self.layers))
 
 
 @dataclass(frozen=True)

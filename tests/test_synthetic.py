@@ -16,6 +16,7 @@ from supraflow import (
     propagate_closed,
     save_network,
 )
+from supraflow.network import MAX_NODES
 from supraflow.synthetic import synthetic_spec_from_dict
 
 from conftest import dense_coupling
@@ -315,3 +316,15 @@ class TestSpecParsing:
             )
         with pytest.raises(ValidationError):
             LayerSpec("agent", 3, model="mystery")
+
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            (LayerSpec("agent", MAX_NODES + 1),),
+            (LayerSpec("agent", MAX_NODES // 2), LayerSpec("information", MAX_NODES // 2 + 1)),
+        ],
+    )
+    def test_node_count_above_the_cap_rejected_by_the_spec(self, layers):
+        # Only the spec is built: no layer is drawn.
+        with pytest.raises(ValidationError, match=f"{MAX_NODES + 1} exceeds the cap"):
+            SyntheticSpec(layers=layers)
