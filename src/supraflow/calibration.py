@@ -439,7 +439,8 @@ def learn_supra_operator(
     gain * outer(target - prediction, input).  The loop stops once every
     training pair's error norm falls below the threshold, or at ``max_iters``
     updates.  Defaults: gain = 1e-3 / mean squared input norm, threshold =
-    1e-3 * mean input norm.
+    1e-3 * mean input norm.  A negative or non-finite gain or threshold, or a
+    negative ``max_iters``, is a ValidationError; zero is valid for each.
     """
     pairs = series.train_pairs()
     if not pairs:
@@ -458,12 +459,14 @@ def learn_supra_operator(
     mean_sq = float(np.mean([v @ v for v in inputs]))
     if gain is None:
         gain = 1e-3 / max(mean_sq, 1e-12)
-    gain = float(gain)
-    if not gain >= 0:
-        raise ValidationError("gain must be >= 0")
     if threshold is None:
         threshold = 1e-3 * float(np.mean([np.linalg.norm(v) for v in inputs]))
-    threshold = float(threshold)
+    gain, threshold = float(gain), float(threshold)
+    for name, value in (("gain", gain), ("threshold", threshold)):
+        if not (np.isfinite(value) and value >= 0):
+            raise ValidationError(f"the learner's {name} must be finite and >= 0, got {value}")
+    if max_iters < 0:
+        raise ValidationError(f"max_iters must be >= 0, got {max_iters}")
 
     lam = kronecker_lift(init, n_topics)
     stacked_inputs = np.column_stack(inputs)
@@ -562,7 +565,8 @@ def one_step_predict_learned(op: LearnedOperator, x):
     ``x`` may also be a k x P x T array of states, predicted in one call so
     that they share the cost of the exponential.  When lambda_hat is exactly
     kron(I_T, B), e^{B} is applied once to the P x (T k) block of the states'
-    topic columns instead.
+    topic columns instead.  The result is an array of ``x``'s shape; a
+    ``StateMatrix`` is predicted from its matrix, as a P x T array.
     """
     arr = _state_array(x)
     shape = (op.n_nodes, op.n_topics)
@@ -574,10 +578,7 @@ def one_step_predict_learned(op: LearnedOperator, x):
     states = arr.reshape((-1,) + shape)
     vectors = np.column_stack([vectorize(s) for s in states])
     moved = _action(op.lambda_hat, vectors, *shape)
-    predicted = np.stack([devectorize(v, *shape) for v in moved.T]).reshape(arr.shape)
-    if isinstance(x, StateMatrix):
-        return StateMatrix(matrix=predicted, node_index=dict(x.node_index), timestamp=x.timestamp + 1.0)
-    return predicted
+    return np.stack([devectorize(v, *shape) for v in moved.T]).reshape(arr.shape)
 
 
 # --- Reports ---------------------------------------------------------------------

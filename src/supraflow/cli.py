@@ -1,10 +1,11 @@
 """Command-line entry points.
 
-Every subcommand reads its parameters from a JSON config document passed with
---config; --seed overrides the config's seed and --out chooses the output
-directory.  Outputs are CSV tables plus SVG charts, written atomically and
-byte-identical across runs with the same config and seed at a fixed BLAS thread
-count.
+Every subcommand has one shape: ``_config`` reads the JSON config document
+passed with --config by the command's table in ``_CONFIGS``, with --seed over
+the config's seed; library calls do the work; and ``_write`` writes each output
+under --out and prints a ``wrote <path>`` line.  Outputs are CSV tables, JSON
+reports and SVG charts, written atomically and byte-identical across runs with
+the same config and seed at a fixed BLAS thread count.
 
 Exit codes: 0 success, 2 validation failure (malformed or missing input, a
 config key the command does not know, or a file that cannot be read or
@@ -15,7 +16,6 @@ is a bug and propagates.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -42,7 +42,8 @@ from .diffusion import (
     write_simulation_csv,
 )
 from .files import read_json, write_json
-from .harness import experiment_config_from_dict, run_experiment
+from .harness import ExperimentConfig, replot_errors_csv, run_experiment
+from .harness import write_errors_csv, write_summary_csv
 from .kalman import (
     R_OBSERVED,
     filter_fractions,
@@ -60,7 +61,7 @@ from .network import (
 from .spectral import connectivity_sweep, write_sweep_csv
 from .states import node_label, read_states_csv, write_states_csv
 from .svgplot import line_chart
-from .synthetic import _SPEC_FIELDS, SyntheticSpec, generate_synthetic
+from .synthetic import _SPEC_FIELDS, SyntheticSpec, generate_synthetic, synthetic_spec_from_dict
 
 
 _NETWORK = {"network": (_json_str, REQUIRED)}
@@ -72,8 +73,7 @@ _LEARNER = {
     "max_iters": (_json_int, LEARN_MAX_ITERS),
     "fit_max_sweeps": (None, None),
 }
-#: Each command's config table (see ``errors.read_document``); ``experiment``
-#: reads its config by ``harness._EXPERIMENT_FIELDS``.
+#: Each command's config table (see ``errors.read_document``).
 _CONFIGS = {
     "generate": {**_SPEC_FIELDS, "seed": (_json_int, 0)},
     "build": _NETWORK,
@@ -97,16 +97,26 @@ _CONFIGS = {
         "seed": (_json_int, 0),
     },
     "spectral": {**_NETWORK, "epsilons": (_json_list(_json_float), REQUIRED)},
+    "experiment": {
+        "methods": (_json_list(_json_str), ()),
+        "synthetic": (synthetic_spec_from_dict, None),
+        "network": (_json_str, None),
+        "snapshots": (_json_str, None),
+        "train_count": (_json_int, None),
+        "seed": (_json_int, 0),
+        "gain": (_json_float, None),
+        "learn_threshold": (_json_float, None),
+        "max_iters": (_json_int, LEARN_MAX_ITERS),
+        "kalman_r": (_json_float, R_OBSERVED),
+        "fit_max_sweeps": (None, None),
+    },
 }
-
-
-def _read_json(args):
-    return read_json(args.config, "config file") if args.config else {}
 
 
 def _config(args) -> dict:
     """The fields of the command's config, with --seed over its seed."""
-    fields = read_document(_read_json(args), _CONFIGS[args.command], f"{args.command} config")
+    document = read_json(args.config, "config file") if args.config else {}
+    fields = read_document(document, _CONFIGS[args.command], f"{args.command} config")
     if args.seed is not None and "seed" in fields:
         fields["seed"] = int(args.seed)
     return fields
@@ -265,15 +275,17 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    config = experiment_config_from_dict(_read_json(args))
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=int(args.seed))
-    os.makedirs(args.out, exist_ok=True)
-    result = run_experiment(config, out_dir=args.out)
+    cfg = _config(args)
+    config = ExperimentConfig(
+        network_file=cfg.pop("network"), snapshots_file=cfg.pop("snapshots"), **cfg
+    )
+    result = run_experiment(config)
     for name in config.methods:
         print(f"{name}: mean error {result.mean_errors[name]:.6g}")
-    for name in ("errors.csv", "summary.csv"):
-        print(f"wrote {os.path.join(args.out, name)}")
+    _write(args, "errors.csv", write_errors_csv, config.methods, result)
+    _write(args, "summary.csv", write_summary_csv, config.methods, result)
+    # The chart is plotted from the table just written, the interface of record.
+    _write(args, "errors.svg", replot_errors_csv, os.path.join(args.out, "errors.csv"))
     return 0
 
 

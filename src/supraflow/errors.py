@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the one reader of JSON documents."""
 
+import math
+
 
 class ValidationError(ValueError):
     """An input violates a structural precondition (shape, sign, schema)."""
@@ -56,11 +58,12 @@ def _json_int(value) -> int:
 
 
 def _json_float(value) -> float:
-    """A JSON number, integer or not; a bool, a string such as ``"0.5"`` or
-    ``"nan"``, or any other value is rejected."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """A finite JSON number, integer or not; a bool, a string such as ``"0.5"``
+    or ``"nan"``, a number that overflows a double such as ``1e400``, or any
+    other value is rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
         return float(value)
-    raise ValidationError(f"expected a JSON number, got {value!r}")
+    raise ValidationError(f"expected a finite JSON number, got {value!r}")
 
 
 def _json_str(value) -> str:

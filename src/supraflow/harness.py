@@ -21,13 +21,12 @@ charts are conveniences.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _json_float, _json_int, _json_list, _json_str, read_document
+from .errors import ValidationError
 from .files import csv_floats, read_csv, write_csv
 from .calibration import (
     LEARN_MAX_ITERS,
@@ -48,7 +47,7 @@ from .network import (
 )
 from .states import StateMatrix, read_states_csv
 from .svgplot import line_chart
-from .synthetic import SyntheticSpec, generate_synthetic, synthetic_spec_from_dict
+from .synthetic import SyntheticSpec, generate_synthetic
 
 METHOD_KINDS = ("single_layer", "multilayer", "learned_operator", "kalman")
 
@@ -107,34 +106,17 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.methods:
             raise ValidationError("an experiment needs at least one method")
-        for name in self.methods:
-            parse_method(name)
-        if self.synthetic is None and (self.network_file is None or self.snapshots_file is None):
+        parsed = [parse_method(name) for name in self.methods]
+        for i, name in enumerate(self.methods):
+            if parsed[i] in parsed[:i]:
+                raise ValidationError(f"method {name!r} is given twice")
+        files = (self.network_file, self.snapshots_file)
+        if self.synthetic is not None and files != (None, None):
+            raise ValidationError(
+                "config gives both 'synthetic' and 'network'/'snapshots'; give one of them"
+            )
+        if self.synthetic is None and None in files:
             raise ValidationError("config needs either a synthetic spec or network+snapshot files")
-
-
-#: The experiment config's table (see ``errors.read_document``).
-_EXPERIMENT_FIELDS = {
-    "methods": (_json_list(_json_str), ()),
-    "synthetic": (synthetic_spec_from_dict, ExperimentConfig.synthetic),
-    "network": (_json_str, ExperimentConfig.network_file),
-    "snapshots": (_json_str, ExperimentConfig.snapshots_file),
-    "train_count": (_json_int, ExperimentConfig.train_count),
-    "seed": (_json_int, ExperimentConfig.seed),
-    "gain": (_json_float, ExperimentConfig.gain),
-    "learn_threshold": (_json_float, ExperimentConfig.learn_threshold),
-    "max_iters": (_json_int, ExperimentConfig.max_iters),
-    "kalman_r": (_json_float, ExperimentConfig.kalman_r),
-    "fit_max_sweeps": (None, None),
-}
-
-
-def experiment_config_from_dict(data: dict) -> ExperimentConfig:
-    """Parse the JSON form of an experiment (see README for the schema)."""
-    fields = read_document(data, _EXPERIMENT_FIELDS, "experiment config")
-    return ExperimentConfig(
-        network_file=fields.pop("network"), snapshots_file=fields.pop("snapshots"), **fields
-    )
 
 
 @dataclass
@@ -190,21 +172,22 @@ def _propagate_pairs(starts: Sequence[np.ndarray], supra, dts: Sequence[float]) 
 
 
 def _load_inputs(config: ExperimentConfig):
-    if config.synthetic is not None:
-        network, series, truth = generate_synthetic(config.synthetic, config.seed)
-    else:
+    """The network and snapshot series: generated, split at the experiment's
+    train_count if it gives one, or read from the files."""
+    if config.synthetic is None:
         network, _ = load_network(config.network_file)
         snaps = read_states_csv(config.snapshots_file, network)
-        series = SnapshotSeries(snapshots=tuple(snaps), train_count=config.train_count)
-        truth = None
-    if config.train_count is not None and series.train_count != config.train_count:
-        series = SnapshotSeries(snapshots=series.snapshots, train_count=config.train_count)
-    return network, series, truth
+        return network, SnapshotSeries(snapshots=tuple(snaps), train_count=config.train_count)
+    spec = config.synthetic
+    if config.train_count is not None:
+        spec = replace(spec, train_count=config.train_count)
+    network, series, _ = generate_synthetic(spec, config.seed)
+    return network, series
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every configured method and collect per-step and time-averaged errors."""
-    network, series, _ = _load_inputs(config)
+    network, series = _load_inputs(config)
     if len(series.train_snapshots()) < 2:
         raise ValidationError("experiments need at least 2 training snapshots")
     test_pairs = series.test_pairs()
@@ -260,7 +243,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
             if name != "single_layer"
         }
 
-    result = ExperimentResult(
+    return ExperimentResult(
         times=times,
         upper_bound=bound,
         curves=curves,
@@ -268,36 +251,30 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
         improvements=improvements,
         diagnostics=diagnostics,
     )
-    if out_dir is not None:
-        write_experiment_outputs(out_dir, config, result)
-    return result
 
 
-def write_experiment_outputs(out_dir, config: ExperimentConfig, result: ExperimentResult):
-    os.makedirs(out_dir, exist_ok=True)
-    errors_path = os.path.join(out_dir, "errors.csv")
-    columns = [result.times, result.upper_bound] + [result.curves[m] for m in config.methods]
+def write_errors_csv(path, methods: Sequence[str], result: ExperimentResult):
+    """Each test step's time, no-change bound and error of each method."""
+    columns = [result.times, result.upper_bound] + [result.curves[m] for m in methods]
     write_csv(
-        errors_path,
-        ["step", "t", "upper_bound"] + list(config.methods),
+        path,
+        ["step", "t", "upper_bound"] + list(methods),
         ([step, *values] for step, values in enumerate(np.column_stack(columns).tolist(), start=1)),
     )
+
+
+def write_summary_csv(path, methods: Sequence[str], result: ExperimentResult):
+    """Each method's mean error and its improvement over ``single_layer``."""
     rows = [["upper_bound", float(result.upper_bound.mean()), ""]]
-    for name in config.methods:
+    for name in methods:
         improvement = result.improvements.get(name)
         improvement = "" if improvement is None else float(improvement)
         rows.append([name, float(result.mean_errors[name]), improvement])
-    write_csv(
-        os.path.join(out_dir, "summary.csv"),
-        ["method", "mean_error", "improvement_vs_single_layer"],
-        rows,
-    )
-
-    replot_errors_csv(errors_path, os.path.join(out_dir, "errors.svg"))
+    write_csv(path, ["method", "mean_error", "improvement_vs_single_layer"], rows)
 
 
-def replot_errors_csv(csv_path, svg_path):
-    """Rebuild the error chart from an errors.csv table.
+def replot_errors_csv(svg_path, csv_path):
+    """Plot the error chart at ``svg_path`` from an errors.csv table.
 
     Plotting from the re-read table (rather than in-memory arrays) keeps the
     CSV the interface of record: re-reading and re-plotting reproduces the

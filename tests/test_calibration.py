@@ -345,6 +345,26 @@ class TestLearnSupraOperator:
         with pytest.raises(NumericalError, match="iteration"):
             learn_supra_operator(series, self.supra, gain=1e260, threshold=0.0, max_iters=50)
 
+    @pytest.mark.parametrize(
+        "arguments, reason",
+        [
+            ({"gain": np.inf}, "gain must be finite and >= 0, got inf"),
+            ({"gain": np.nan}, "gain must be finite and >= 0, got nan"),
+            ({"gain": -1e-3}, "gain must be finite and >= 0, got -0.001"),
+            ({"threshold": np.inf}, "threshold must be finite and >= 0, got inf"),
+            ({"threshold": -1.0}, "threshold must be finite and >= 0, got -1.0"),
+            ({"max_iters": -3}, "max_iters must be >= 0, got -3"),
+        ],
+    )
+    def test_bad_arguments_rejected_before_any_evaluation(self, monkeypatch, arguments, reason):
+        def refuse(*args):
+            raise AssertionError("evaluated before the arguments were checked")
+
+        monkeypatch.setattr(calibration, "_action", refuse)
+        series = series_from_operator(self.lam0, self.x0, 5, 2, self.network.node_index, 4)
+        with pytest.raises(ValidationError, match=re.escape(reason)):
+            learn_supra_operator(series, self.supra, **arguments)
+
     def test_dimension_cap(self):
         rng = np.random.default_rng(9)
         network, supra = single_layer_supra(connected_adjacency(rng, 50))
@@ -412,6 +432,17 @@ class TestOneStepPredict:
         op = make_operator(np.zeros((8, 8)), 4, 2)
         with pytest.raises(ValidationError):
             one_step_predict_learned(op, np.zeros((3, 2)))
+
+    def test_state_matrix_is_predicted_as_its_array(self):
+        rng = np.random.default_rng(14)
+        from conftest import make_operator
+
+        op = make_operator(0.2 * rng.standard_normal((8, 8)), 4, 2)
+        index = {(1, f"n{i}"): i for i in range(4)}
+        state = StateMatrix(rng.random((4, 2)), index, 3.0)
+        predicted = one_step_predict_learned(op, state)
+        assert type(predicted) is np.ndarray
+        assert np.array_equal(predicted, one_step_predict_learned(op, state.matrix))
 
 
 class TestReports:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from supraflow import (
+    ExperimentConfig,
     NumericalError,
     cli,
     harness,
@@ -17,11 +18,13 @@ from supraflow import (
     write_states_csv,
 )
 from supraflow.cli import main
-from supraflow.harness import experiment_config_from_dict, run_experiment
+from supraflow.harness import run_experiment
 
 
 def write_json(path, payload):
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    # json.dumps writes inf as the Infinity literal, which the reader rejects;
+    # 1e400 is a JSON number that json reads as inf.
+    path.write_text(json.dumps(payload, indent=2).replace("Infinity", "1e400") + "\n")
     return str(path)
 
 
@@ -264,7 +267,15 @@ class TestFitLearnKalman:
         assert main(["kalman", "--config", config, "--out", str(out)]) == 0
         with open(out / "filter_trace.csv", newline="") as handle:
             cli_errors = [float(row["error_all"]) for row in csv.DictReader(handle)]
-        result = run_experiment(experiment_config_from_dict({**settings, "methods": ["kalman:0.4"]}))
+        experiment = ExperimentConfig(
+            methods=("kalman:0.4",),
+            network_file=settings["network"],
+            snapshots_file=settings["snapshots"],
+            train_count=4,
+            max_iters=20,
+            seed=5,
+        )
+        result = run_experiment(experiment)
         assert cli_errors == result.diagnostics["kalman:0.4"].errors_all.tolist()
 
     @pytest.mark.parametrize(
@@ -384,6 +395,29 @@ class TestExperimentCommand:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         header = (out_a / "errors.csv").read_text().splitlines()[0]
         assert header == "step,t,upper_bound,single_layer,multilayer"
+
+    def test_seed_flag_overrides_the_config_seed(self, tmp_path, capsys):
+        # The seed draws the synthetic dataset.
+        fields = {
+            "methods": ["single_layer", "multilayer"],
+            "synthetic": {"layers": [{"kind": "agent", "n": 6, "model": "erdos_renyi", "p": 0.5}]},
+        }
+        runs = {
+            "seed1": ({**fields, "seed": 1}, []),
+            "seed2": ({**fields, "seed": 2}, []),
+            "seed2_flag1": ({**fields, "seed": 2}, ["--seed", "1"]),
+        }
+        for name, (payload, flag) in runs.items():
+            config = write_json(tmp_path / f"{name}.json", payload)
+            capsys.readouterr()
+            assert main(["experiment", "--config", config, "--out", str(tmp_path / name), *flag]) == 0
+        names = ("errors.csv", "summary.csv", "errors.svg")
+        wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote")]
+        assert wrote == [f"wrote {tmp_path / 'seed2_flag1' / name}" for name in names]
+        for name in names:
+            flagged = (tmp_path / "seed2_flag1" / name).read_bytes()
+            assert flagged == (tmp_path / "seed1" / name).read_bytes()
+            assert flagged != (tmp_path / "seed2" / name).read_bytes()
 
 
 def own_keys(command, dataset, network=None):
@@ -530,6 +564,26 @@ class TestExitCodes:
             ("predict", {"delta_t": None}, None, "required 'delta_t' field"),
             ("simulate", {"horizon": "nan"}, None, "field 'horizon' is malformed"),
             ("experiment", {"methods": ["kalman:most"]}, None, "method 'kalman:most'"),
+            (
+                "experiment",
+                {"methods": ["multilayer", "multilayer"]},
+                None,
+                "method 'multilayer' is given twice",
+            ),
+            (
+                "experiment",
+                {"synthetic": {"layers": [{"kind": "agent", "n": 4}]}},
+                None,
+                "config gives both 'synthetic' and 'network'/'snapshots'",
+            ),
+            ("learn", {"eta": -1, "max_iters": 7}, None, "threshold must be finite and >= 0"),
+            ("learn", {"max_iters": -3}, None, "max_iters must be >= 0, got -3"),
+            ("learn", {"gain": -1}, None, "gain must be finite and >= 0, got -1.0"),
+            ("kalman", {"gain": -0.5}, None, "gain must be finite and >= 0, got -0.5"),
+            ("learn", {"gain": float("inf")}, None, "field 'gain' is malformed"),
+            ("learn", {"eta": float("-inf")}, None, "field 'eta' is malformed"),
+            ("experiment", {"learn_threshold": float("inf")}, None, "'learn_threshold' is malformed"),
+            ("experiment", {"gain": float("-inf")}, None, "field 'gain' is malformed"),
         ],
     )
     def test_malformed_input_is_validation_failure(

@@ -152,7 +152,7 @@ def errors_table(network, tmp_path):
     path = tmp_path / "errors.csv"
     rows = [[1, 1.0, 0.5, 0.4], [2, 2.0, 0.5, 0.3]]
     write_csv(path, ["step", "t", "upper_bound", "multilayer"], rows)
-    return path, 3, lambda: replot_errors_csv(path, tmp_path / "errors.svg")
+    return path, 3, lambda: replot_errors_csv(tmp_path / "errors.svg", path)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,18 @@ from supraflow import (
     upper_bound_series,
     write_states_csv,
 )
-from supraflow import harness
-from supraflow.harness import experiment_config_from_dict, parse_method
+from supraflow import cli, harness
+from supraflow.errors import read_document
+from supraflow.harness import parse_method
 from conftest import global_random_state
+
+
+def experiment_config(document: dict) -> ExperimentConfig:
+    """The config that ``supraflow experiment`` builds from a config document."""
+    fields = read_document(document, cli._CONFIGS["experiment"], "experiment config")
+    return ExperimentConfig(
+        network_file=fields.pop("network"), snapshots_file=fields.pop("snapshots"), **fields
+    )
 
 
 def interconnected_spec(**overrides):
@@ -138,8 +149,26 @@ class TestMethodParsing:
         with pytest.raises(ValidationError):
             ExperimentConfig(methods=("multilayer",))
 
+    @pytest.mark.parametrize(
+        "files",
+        [
+            {"network_file": "n.json"},
+            {"snapshots_file": "s.csv"},
+            {"network_file": "n.json", "snapshots_file": "s.csv"},
+        ],
+    )
+    def test_config_with_a_spec_and_files_rejected(self, files):
+        with pytest.raises(ValidationError, match="both 'synthetic' and 'network'/'snapshots'"):
+            ExperimentConfig(methods=("multilayer",), synthetic=interconnected_spec(), **files)
+
+    @pytest.mark.parametrize("repeat", ["kalman:0.5", "kalman:0.50"])
+    def test_repeated_method_rejected(self, repeat):
+        methods = ("kalman:0.5", "multilayer", repeat)
+        with pytest.raises(ValidationError, match=f"method '{repeat}' is given twice"):
+            ExperimentConfig(methods=methods, synthetic=interconnected_spec())
+
     def test_config_from_dict(self):
-        config = experiment_config_from_dict(
+        config = experiment_config(
             {
                 "methods": ["single_layer", "kalman:0.2"],
                 "synthetic": {"layers": [{"kind": "agent", "n": 4}], "n_snapshots": 4},
@@ -156,7 +185,7 @@ class TestMethodParsing:
     def test_config_integer_fields_must_be_integers(self, field, value):
         data = {"methods": ["multilayer"], "network": "n.json", "snapshots": "s.csv", field: value}
         with pytest.raises(ValidationError, match=f"field '{field}' .*integer"):
-            experiment_config_from_dict(data)
+            experiment_config(data)
 
 
 class TestRunExperiment:
@@ -205,7 +234,7 @@ class TestRunExperiment:
         pairs = len(result.times)
         assert propagations == [(10, 2 * pairs), (40, 2 * pairs)]
         # The side-by-side action gives each pair its own propagation.
-        network, series, _ = harness._load_inputs(config)
+        network, series = harness._load_inputs(config)
         supra = assemble_supra_laplacian(network, result.diagnostics["multilayer_fit"].constants)
         block = network.layer_slices[1]
         for (a, b, dt), error in zip(series.test_pairs(), result.curves["multilayer"]):
@@ -254,22 +283,31 @@ class TestRunExperiment:
             seed=9,
         )
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        run_experiment(config, out_dir=out_a)
-        run_experiment(config, out_dir=out_b)
+        for out in (out_a, out_b):
+            out.mkdir()
+            result = run_experiment(config)
+            harness.write_errors_csv(out / "errors.csv", config.methods, result)
+            harness.write_summary_csv(out / "summary.csv", config.methods, result)
+            harness.replot_errors_csv(out / "errors.svg", out / "errors.csv")
         for name in ("errors.csv", "summary.csv", "errors.svg"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_errors_csv_replot_round_trip(self, tmp_path):
-        from supraflow.harness import replot_errors_csv
-
-        config = ExperimentConfig(
-            methods=("single_layer", "multilayer"),
-            synthetic=interconnected_spec(n_snapshots=8, train_count=4),
-            seed=9,
+        spec = {
+            "layers": [
+                {"kind": "agent", "n": 6, "model": "erdos_renyi", "p": 0.5},
+                {"kind": "information", "n": 8, "model": "knn", "k": 2},
+            ],
+            "n_snapshots": 8,
+            "train_count": 4,
+        }
+        config = tmp_path / "experiment.json"
+        config.write_text(
+            json.dumps({"methods": ["single_layer", "multilayer"], "synthetic": spec, "seed": 9})
         )
         out = tmp_path / "run"
-        run_experiment(config, out_dir=out)
-        replot_errors_csv(out / "errors.csv", tmp_path / "replot.svg")
+        assert cli.main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+        harness.replot_errors_csv(tmp_path / "replot.svg", out / "errors.csv")
         assert (tmp_path / "replot.svg").read_bytes() == (out / "errors.svg").read_bytes()
 
     def test_results_do_not_depend_on_the_global_random_state(self):
@@ -298,6 +336,27 @@ class TestRunExperiment:
         assert global_random_state() == before
         np.random.seed(2)
         assert run_experiment(config).mean_errors == first
+
+    def test_experiment_train_count_overrides_the_spec_s(self):
+        # The planted data do not depend on the split: overriding the spec's
+        # train_count gives the run of a spec that holds the override.
+        def run(spec_count, count):
+            spec = interconnected_spec(n_snapshots=8, train_count=spec_count)
+            config = ExperimentConfig(
+                methods=("multilayer",), synthetic=spec, train_count=count, seed=9
+            )
+            return run_experiment(config)
+
+        overridden = run(6, 4)
+        assert overridden.times.tolist() == [4.0, 5.0, 6.0, 7.0]
+        assert overridden.curves["multilayer"].tolist() == run(4, None).curves["multilayer"].tolist()
+
+    @pytest.mark.parametrize("n_snapshots, train_count", [(5, 2), (9, 3)])
+    def test_a_spec_without_train_count_trains_on_a_third(self, n_snapshots, train_count):
+        # max(2, n_snapshots // 3) snapshots, so at least one training pair.
+        spec = interconnected_spec(n_snapshots=n_snapshots, train_count=None)
+        result = run_experiment(ExperimentConfig(methods=("multilayer",), synthetic=spec, seed=9))
+        assert result.times.tolist() == [float(t) for t in range(train_count, n_snapshots)]
 
     def test_requires_test_transitions(self):
         config = ExperimentConfig(

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from supraflow import cli, harness, network, synthetic
+from supraflow import cli, network, synthetic
 from supraflow.errors import REQUIRED, ValidationError, _json_float, read_document
 
 LAYER = {"kind": "agent", "n": 2}
@@ -20,12 +20,12 @@ COMMAND_MINIMA = {
     "learn": SERIES,
     "kalman": {**SERIES, "fraction": 0.5},
     "spectral": {"network": "n.json", "epsilons": [0.1]},
+    "experiment": {},
 }
 
 #: README label -> (table, a document holding only the table's required keys).
 TABLES = {
     **{f"`{name}`": (table, COMMAND_MINIMA[name]) for name, table in cli._CONFIGS.items()},
-    "`experiment`": (harness._EXPERIMENT_FIELDS, {}),
     "synthetic spec (`experiment`'s `synthetic`)": (synthetic._SPEC_FIELDS, {"layers": [LAYER]}),
     "synthetic layer (`layers` entry)": (synthetic._LAYER_FIELDS, LAYER),
     "network file": (network._NETWORK_FIELDS, {"layers": [{"id": 1, "nodes": ["a"]}]}),
@@ -41,7 +41,7 @@ TABLES = {
 
 def test_every_command_with_a_config_file_has_a_table():
     commands = {name for name, _, _ in cli._COMMANDS}
-    assert commands == set(cli._CONFIGS) | {"experiment"}
+    assert commands == set(cli._CONFIGS)
 
 
 @pytest.mark.parametrize("label", list(TABLES))
@@ -89,7 +89,8 @@ def test_float_keys_take_only_json_numbers(label):
         if cast is not _json_float:
             continue
         assert read_document({**minimal, key: 2}, table, label)[key] == 2.0
-        for value in (True, "0.5", "nan"):
+        # 1e400 and -1e400 are JSON numbers that overflow a double to +-inf.
+        for value in (True, "0.5", "nan", 1e400, -1e400):
             with pytest.raises(ValidationError, match=f"field '{key}' is malformed"):
                 read_document({**minimal, key: value}, table, label)
 
@@ -101,6 +102,18 @@ def test_float_keys_take_only_json_numbers(label):
         (cli._CONFIGS["spectral"], {"network": "n.json", "epsilons": ["0.5"]}, "epsilons"),
         (cli._CONFIGS["spectral"], {"network": "n.json", "epsilons": [0.5, False]}, "epsilons"),
         (cli._CONFIGS["simulate"], {**COMMAND_MINIMA["simulate"], "horizon": "nan"}, "horizon"),
+        (cli._CONFIGS["spectral"], {"network": "n.json", "epsilons": [0.5, 1e400]}, "epsilons"),
+        (
+            synthetic._SPEC_FIELDS,
+            {"layers": [LAYER], "intra_constants": {"1": 1e400}},
+            "intra_constants",
+        ),
+        (
+            synthetic._SPEC_FIELDS,
+            {"layers": [LAYER], "inter_constants": {"1,2": -1e400}},
+            "inter_constants",
+        ),
+        (synthetic._SPEC_FIELDS, {"layers": [{**LAYER, "weight": 1e400}]}, "layers"),
         (
             synthetic._SPEC_FIELDS,
             {"layers": [LAYER], "intra_constants": {"1": "1"}},
@@ -136,6 +149,7 @@ NETWORK = {
         (("constants", "intra", "1"), True, "field 'intra' is malformed"),
         (("constants", "inter", "1,2"), "0.5", "field 'inter' is malformed"),
         (("constants", "inter", "1,2"), True, "field 'inter' is malformed"),
+        (("constants", "intra", "2"), 1e400, "field 'intra' is malformed"),
         (("layers", 0, "adjacency", "triplets", 0, 2), True, "layer 1: every triplet"),
         (("layers", 0, "adjacency", "triplets", 0, 2), "0.5", "layer 1: every triplet"),
         (("couplings", 0, "matrix", "triplets", 0, 0), False, "coupling (1,2): every triplet"),
@@ -149,7 +163,9 @@ def test_network_numbers_and_node_ids_take_only_their_json_types(
 ):
     def build(document) -> int:
         path = tmp_path / "network.json"
-        path.write_text(json.dumps(document))
+        # A number that overflows a double is written as 1e400, which json
+        # reads as inf, not as the Infinity literal that json.dumps writes.
+        path.write_text(json.dumps(document).replace("Infinity", "1e400"))
         config = tmp_path / "build.json"
         config.write_text(json.dumps({"network": str(path)}))
         return cli.main(["build", "--config", str(config), "--out", str(tmp_path / "out")])
