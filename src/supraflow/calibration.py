@@ -7,16 +7,21 @@ Two calibration routes work from snapshot histories:
   over the (few) nonnegative intra/inter constants, by projected
   Levenberg-Marquardt.  The Brownian scale is then estimated from the per-pair
   residuals.
-* ``learn_supra_operator`` learns a dense PT x PT operator for the vectorized
-  one-step map x(t+1) ~ e^{A} x(t), starting from the Kronecker lift of the
-  assembled supra-Laplacian and applying the rank-1 correction
-  A <- A + gain * (x(t+1) - x_hat(t+1)) x(t)^T per training pair.  The learned
-  operator is kept fully general, not projected back to Kronecker structure.
-  The learner and its predictions need only e^{A} x, so e^{A} is applied to
-  states (``exponential_action``) and formed only where that is cheaper: for a
-  stiff operator or many states at once.  While A is exactly kron(I_T, B), as
-  the lift is before any update, e^{A} = kron(I_T, e^{B}) (Van Loan 2000), so
-  the action runs per topic through the P x P block B (``_action``).
+* ``learn_supra_operator`` learns a PT x PT operator lambda_hat for the
+  vectorized one-step map x(t+1) ~ e^{lambda_hat} x(t), starting from
+  kron(I_T, B) with B = -L for the assembled supra-Laplacian L and applying
+  the rank-1 correction lambda_hat <- lambda_hat + gain * (x(t+1) -
+  x_hat(t+1)) x(t)^T per training pair.  Every input x(t) is one of the m
+  training inputs, the columns of X, so lambda_hat = kron(I_T, B) + G X^T
+  exactly, where column j of G sums the scaled residuals of input j's
+  updates: a correction of rank at most m, kept in that form and not
+  projected back to Kronecker structure.  The learner and its predictions
+  need only e^{lambda_hat} x.  While G is all zero, e^{lambda_hat} =
+  kron(I_T, e^{B}) (Van Loan 2000) and the action runs per topic through the
+  P x P block B; otherwise the truncated-Taylor action applies lambda_hat
+  through its parts, at T nnz(B) + 2 PT m multiply-adds per column, and
+  lambda_hat is formed densely only where the cost rule of
+  ``exponential_action`` says that forming e^{lambda_hat} is cheaper.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import NumericalError, ValidationError
 from .diffusion import _exponential_action, _state_array, exponential_action, matrix_exponential
@@ -42,9 +48,6 @@ from .network import (
 )
 from .states import StateMatrix
 
-#: Largest vectorized dimension (node count x topic count) for which the dense
-#: learned operator and its exponential action stay tractable at desk scale.
-MAX_LEARN_DIM = 4000
 #: The learner's default cap on rank-1 updates.
 LEARN_MAX_ITERS = 200
 
@@ -53,6 +56,8 @@ D_MAX = 10.0
 D_START = 1.0
 _MAX_STEPS = 100
 _MAX_DAMPING = 1e10
+#: Bytes of lambda_hat's rows that ``_row_blocks`` forms at a time.
+_ROW_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -359,21 +364,26 @@ def fit_diffusion_constants(series: SnapshotSeries, network: InterconnectedNetwo
 
 @dataclass
 class LearnedOperator:
-    """Dense one-step operator learned on the vectorized state.
+    """One-step operator learned on the vectorized state, held in parts.
 
-    ``lambda_hat`` is PT x PT; the one-step prediction is
-    e^{lambda_hat} @ vectorize(X), computed as the exponential's action on the
-    state; e^{lambda_hat} is not kept.  When ``lambda_hat`` is exactly
-    kron(I_T, B), as it is after no rank-1 update, the action (and the Kalman
-    filter's transition) runs per topic through the P x P block B; otherwise
-    on the dense PT x PT matrix.  ``iteration_log`` records the pair
-    error measured just before each rank-1 update (or the initial evaluation
-    when the fit converges immediately); ``residual_variance`` holds
-    per-coordinate variances of the final training residuals, used downstream
-    as the default process-noise diagonal.
+    lambda_hat = kron(I_T, B) + G X^T, with ``block`` B = -L_hat the P x P
+    CSR generator of the fitted supra-Laplacian, ``inputs`` X the PT x m
+    training inputs side by side and ``corrections`` G the PT x m sums, per
+    input, of gain times the residual of each update made on it.  The
+    one-step prediction is e^{lambda_hat} @ vectorize(X), computed as the
+    exponential's action on the state through the parts.  While G is all
+    zero (``per_topic``), the action and the Kalman filter's transition run
+    per topic through B.  ``lambda_hat`` forms the dense PT x PT array on
+    each access and is never kept.  ``iteration_log`` records the pair error
+    measured just before each rank-1 update (or the initial evaluation when
+    the fit converges immediately); ``residual_variance`` holds
+    per-coordinate variances of the final training residuals, used
+    downstream as the default process-noise diagonal.
     """
 
-    lambda_hat: np.ndarray
+    block: scipy.sparse.csr_array
+    inputs: np.ndarray
+    corrections: np.ndarray
     gain: float
     threshold: float
     iteration_log: tuple[float, ...]
@@ -385,44 +395,124 @@ class LearnedOperator:
     final_error: float
     residual_variance: np.ndarray
 
+    @property
+    def per_topic(self) -> bool:
+        """Whether lambda_hat is kron(I_T, B): G is all zero."""
+        return not self.corrections.any()
 
-def kronecker_lift(supra: SupraLaplacian, n_topics: int) -> np.ndarray:
-    """PT x PT generator acting like -L on every topic column of the state."""
-    return np.kron(np.eye(int(n_topics)), -supra.matrix)
+    @property
+    def lambda_hat(self) -> np.ndarray:
+        """The dense PT x PT operator, formed anew on each access."""
+        return _dense(self.block, self.inputs, self.corrections)
 
 
-def _topic_block(lambda_hat: np.ndarray, n_nodes: int, n_topics: int) -> np.ndarray | None:
-    """B when ``lambda_hat`` is exactly kron(I_T, B), else None.
+def _row_blocks(block, inputs: np.ndarray, corrections: np.ndarray):
+    """lambda_hat = kron(I_T, B) + G X^T by blocks of rows, as (first row,
+    rows): G[rows] X^T plus B's rows in the topic's own columns.  A block
+    holds at most ``_ROW_BLOCK_BYTES`` and never spans two topics."""
+    n_nodes, dim = block.shape[0], inputs.shape[0]
+    step = max(1, _ROW_BLOCK_BYTES // (8 * dim))
+    for offset in range(0, dim, n_nodes):
+        for start in range(0, n_nodes, step):
+            stop = min(start + step, n_nodes)
+            rows = corrections[offset + start : offset + stop] @ inputs.T
+            rows[:, offset : offset + n_nodes] += block[start:stop].toarray()
+            yield offset + start, rows
 
-    Exactly: every off-diagonal topic block is all zero and every diagonal
-    block equals the first entry for entry.  Then e^{lambda_hat} =
-    kron(I_T, e^{B}) and a state's topic columns evolve independently.
+
+def _dense(block, inputs: np.ndarray, corrections: np.ndarray) -> np.ndarray:
+    """lambda_hat as one PT x PT array, filled from ``_row_blocks``."""
+    dim = inputs.shape[0]
+    lam = np.empty((dim, dim))
+    for start, rows in _row_blocks(block, inputs, corrections):
+        lam[start : start + len(rows)] = rows
+    if not np.isfinite(lam).all():
+        raise NumericalError("the learned operator has non-finite entries")
+    return lam
+
+
+def _dense_block(block) -> np.ndarray:
+    """B as a P x P array, negated from the dense L_hat = -B so that its
+    zeros are -0.0, bit for bit the dense -L: the signs of zeros steer
+    LAPACK's reflections in ``matrix_exponential``."""
+    return -(-block).toarray()
+
+
+def _lifted(block, n_topics: int) -> scipy.sparse.csr_array:
+    """kron(I_T, B) in CSR, its arrays B's tiled T times."""
+    n_nodes, nnz = block.shape[0], block.nnz
+    topics = np.arange(n_topics)[:, None]
+    indptr = np.append((block.indptr[:-1] + nnz * topics).ravel(), n_topics * nnz)
+    indices = (block.indices + n_nodes * topics).ravel()
+    dim = n_nodes * n_topics
+    return scipy.sparse.csr_array(
+        (np.tile(block.data, n_topics), indices, indptr), shape=(dim, dim)
+    )
+
+
+class _Shifted:
+    """lambda_hat - mu I as an operator on PT x k column-stacked states,
+    from the CSR kron(I_T, B) and the factors of G X^T: ``@`` takes
+    T nnz(B) + 2 PT m + PT multiply-adds per column and forms no PT x PT
+    array."""
+
+    def __init__(self, lifted, inputs: np.ndarray, corrections: np.ndarray, mu: float):
+        self.lifted, self.inputs, self.corrections, self.mu = lifted, inputs, corrections, mu
+
+    def __matmul__(self, vectors: np.ndarray) -> np.ndarray:
+        moved = self.lifted @ vectors
+        moved += self.corrections @ (self.inputs.T @ vectors)
+        moved -= self.mu * vectors
+        return moved
+
+
+def _exp_action(block, inputs: np.ndarray, corrections: np.ndarray, vectors: np.ndarray):
+    """e^{lambda_hat} applied to PT x k column-stacked states.
+
+    While G is all zero, e^{B} is applied once to the P x (T k) block of the
+    states' topic columns.  Otherwise the Taylor action shifts lambda_hat by
+    mu = (T trace B + sum_k G_k . X_k) / PT, its trace over PT, and bounds
+    the 1-norm of lambda_hat - mu I by ||B - mu I||_1 + max_j sum_k |X_jk|
+    ||G_k||_1, the first term that of the block-diagonal kron(I_T, B) - mu I;
+    lambda_hat is formed only when ``_exponential_action``'s cost rule picks
+    the dense exponential.
     """
-    blocks = np.asarray(lambda_hat).reshape(n_topics, n_nodes, n_topics, n_nodes)
-    first = blocks[0, :, 0, :]
-    for i in range(n_topics):
-        for j in range(n_topics):
-            if i != j and blocks[i, :, j, :].any():
-                return None
-        if i and not np.array_equal(blocks[i, :, i, :], first):
-            return None
-    return first
+    n_nodes, (dim, count) = block.shape[0], vectors.shape
+    if not corrections.any():
+        columns = vectors.reshape(-1, n_nodes, count).transpose(1, 0, 2).reshape(n_nodes, -1)
+        moved = exponential_action(_dense_block(block), columns)
+        return moved.reshape(n_nodes, -1, count).transpose(1, 0, 2).reshape(-1, count)
+    n_topics = dim // n_nodes
+    diagonal = block.diagonal()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = (n_topics * float(diagonal.sum()) + float(np.vdot(corrections, inputs))) / dim
+        # B's absolute column sums, each diagonal entry shifted by mu.
+        sums = np.bincount(block.indices, np.abs(block.data), n_nodes)
+        sums = sums + np.abs(diagonal - mu) - np.abs(diagonal)
+        rank = np.abs(inputs) @ np.abs(corrections).sum(axis=0)
+        norm = float(sums.max(initial=0.0) + rank.max(initial=0.0))
+    lifted = _lifted(block, n_topics)
+    return _exponential_action(
+        _Shifted(lifted, inputs, corrections, mu),
+        mu,
+        norm,
+        lifted.nnz + 2 * corrections.size + dim,
+        lambda: _dense(block, inputs, corrections),
+        vectors,
+    )
 
 
-def _action(lam: np.ndarray, vectors: np.ndarray, n_nodes: int, n_topics: int, work=None):
-    """e^{lam} applied to PT x k column-stacked states.  When lam is exactly
-    kron(I_T, B), e^{B} is applied once to the P x (T k) block of the states'
-    topic columns; otherwise e^{lam} acts on the whole vectors, shifted in
-    ``work`` (two PT x PT arrays) if given."""
-    block = _topic_block(lam, n_nodes, n_topics)
-    if block is None:
-        if work is None:
-            return exponential_action(lam, vectors)
-        return _exponential_action(lam, vectors, work)
-    count = vectors.shape[1]
-    columns = vectors.reshape(n_topics, n_nodes, count).transpose(1, 0, 2)
-    moved = exponential_action(block, columns.reshape(n_nodes, n_topics * count))
-    return moved.reshape(n_nodes, n_topics, count).transpose(1, 0, 2).reshape(-1, count)
+def check_learner_settings(gain: float | None, threshold: float | None, max_iters: int) -> None:
+    """Reject a negative or non-finite gain or threshold, or a negative
+    ``max_iters``, as a ValidationError; zero is valid for each, and None
+    stands for the default that the learner derives from the data."""
+    for name, value in (("gain", gain), ("threshold", threshold)):
+        if value is not None and not (np.isfinite(value) and value >= 0):
+            raise ValidationError(
+                f"the learner's {name} must be finite and >= 0, got {float(value)}"
+            )
+    if max_iters < 0:
+        raise ValidationError(f"max_iters must be >= 0, got {max_iters}")
 
 
 def learn_supra_operator(
@@ -432,15 +522,17 @@ def learn_supra_operator(
     threshold: float | None = None,
     max_iters: int = LEARN_MAX_ITERS,
 ) -> LearnedOperator:
-    """Learn the dense one-step operator from training pairs by rank-1 updates.
+    """Learn the one-step operator from training pairs by rank-1 updates.
 
-    Starts from the Kronecker lift of ``init``.  Each iteration predicts one
+    Starts from kron(I_T, -L) for ``init``'s L.  Each iteration predicts one
     pair with the action of the current operator exponential and adds
-    gain * outer(target - prediction, input).  The loop stops once every
-    training pair's error norm falls below the threshold, or at ``max_iters``
-    updates.  Defaults: gain = 1e-3 / mean squared input norm, threshold =
-    1e-3 * mean input norm.  A negative or non-finite gain or threshold, or a
-    negative ``max_iters``, is a ValidationError; zero is valid for each.
+    gain * outer(target - prediction, input), held as gain * residual added
+    to the input's column of G.  The loop stops once every training pair's
+    error norm falls below the threshold, or at ``max_iters`` updates.
+    Defaults: gain = 1e-3 / mean squared input norm, threshold = 1e-3 * mean
+    input norm.  The settings are checked by ``check_learner_settings``.  No
+    PT x PT array is formed unless an action's cost rule takes the dense
+    exponential.
     """
     pairs = series.train_pairs()
     if not pairs:
@@ -448,35 +540,19 @@ def learn_supra_operator(
     n_nodes, n_topics = series.n_nodes, series.n_topics
     if init.n_nodes != n_nodes:
         raise ValidationError("initial operator and series disagree on the node count")
-    dim = n_nodes * n_topics
-    if dim > MAX_LEARN_DIM:
-        raise ValidationError(
-            f"vectorized dimension {dim} exceeds the dense learning cap {MAX_LEARN_DIM}"
-        )
 
-    inputs = [vectorize(a) for a, _, _ in pairs]
-    targets = [vectorize(b) for _, b, _ in pairs]
-    mean_sq = float(np.mean([v @ v for v in inputs]))
+    columns = [vectorize(a) for a, _, _ in pairs]
     if gain is None:
-        gain = 1e-3 / max(mean_sq, 1e-12)
+        gain = 1e-3 / max(float(np.mean([v @ v for v in columns])), 1e-12)
     if threshold is None:
-        threshold = 1e-3 * float(np.mean([np.linalg.norm(v) for v in inputs]))
+        threshold = 1e-3 * float(np.mean([np.linalg.norm(v) for v in columns]))
     gain, threshold = float(gain), float(threshold)
-    for name, value in (("gain", gain), ("threshold", threshold)):
-        if not (np.isfinite(value) and value >= 0):
-            raise ValidationError(f"the learner's {name} must be finite and >= 0, got {value}")
-    if max_iters < 0:
-        raise ValidationError(f"max_iters must be >= 0, got {max_iters}")
+    check_learner_settings(gain, threshold, max_iters)
 
-    lam = kronecker_lift(init, n_topics)
-    stacked_inputs = np.column_stack(inputs)
-    stacked_targets = np.column_stack(targets)
-    # Each update forms its outer product in this buffer, scales it and adds
-    # it into lam in place, so no update allocates a PT x PT array; every
-    # entry rounds as in lam + gain * outer(residual, x).  Every whole-state
-    # action shifts lam in the two arrays of ``work``.
-    update = np.empty_like(lam)
-    work = (np.empty_like(lam), np.empty_like(lam))
+    block = -init.csr
+    inputs = np.column_stack(columns)
+    targets = np.column_stack([vectorize(b) for _, b, _ in pairs])
+    corrections = np.zeros_like(inputs)
 
     log: list[float] = []
     iterations = 0
@@ -486,7 +562,7 @@ def learn_supra_operator(
         while True:
             # Every exit below follows this evaluation, so its residuals are
             # also the final ones.  Before the first update it runs per topic.
-            residuals = stacked_targets - _action(lam, stacked_inputs, n_nodes, n_topics, work)
+            residuals = targets - _exp_action(block, inputs, corrections, inputs)
             errors = np.linalg.norm(residuals, axis=0)
             if initial_error is None:
                 initial_error = float(errors.max())
@@ -497,18 +573,17 @@ def learn_supra_operator(
                 break
             if iterations >= max_iters:
                 break
-            for j, (x, t) in enumerate(zip(inputs, targets)):
+            for j in range(len(pairs)):
                 if j == 0:
                     # Lambda has not changed since the sweep's evaluation.
                     residual = residuals[:, 0]
                 else:
-                    residual = t - _exponential_action(lam, x, work)
+                    moved = _exp_action(block, inputs, corrections, inputs[:, j : j + 1])
+                    residual = targets[:, j] - moved[:, 0]
                 log.append(float(np.linalg.norm(residual)))
-                np.outer(residual, x, out=update)
-                update *= gain
-                lam += update
+                corrections[:, j] += gain * residual
                 iterations += 1
-                if not np.isfinite(lam).all():
+                if not np.isfinite(corrections[:, j]).all():
                     raise NumericalError("the operator has non-finite entries")
                 if iterations >= max_iters:
                     break
@@ -521,7 +596,9 @@ def learn_supra_operator(
     ddof = 1 if len(pairs) > 1 else 0
     residual_variance = residuals.var(axis=1, ddof=ddof)
     return LearnedOperator(
-        lambda_hat=lam,
+        block=block,
+        inputs=inputs,
+        corrections=corrections,
         gain=gain,
         threshold=threshold,
         iteration_log=tuple(log),
@@ -563,10 +640,9 @@ def one_step_predict_learned(op: LearnedOperator, x):
     """Predict the next snapshot: e^{lambda_hat} applied to the state.
 
     ``x`` may also be a k x P x T array of states, predicted in one call so
-    that they share the cost of the exponential.  When lambda_hat is exactly
-    kron(I_T, B), e^{B} is applied once to the P x (T k) block of the states'
-    topic columns instead.  The result is an array of ``x``'s shape; a
-    ``StateMatrix`` is predicted from its matrix, as a P x T array.
+    that they share the cost of the action (see ``LearnedOperator``).  The
+    result is an array of ``x``'s shape; a ``StateMatrix`` is predicted from
+    its matrix, as a P x T array.
     """
     arr = _state_array(x)
     shape = (op.n_nodes, op.n_topics)
@@ -577,7 +653,7 @@ def one_step_predict_learned(op: LearnedOperator, x):
         )
     states = arr.reshape((-1,) + shape)
     vectors = np.column_stack([vectorize(s) for s in states])
-    moved = _action(op.lambda_hat, vectors, *shape)
+    moved = _exp_action(op.block, op.inputs, op.corrections, vectors)
     return np.stack([devectorize(v, *shape) for v in moved.T]).reshape(arr.shape)
 
 
@@ -603,9 +679,24 @@ def write_fit_report(path, fit: DiffusionFit):
 
 def write_matrix_csv(path, matrix: np.ndarray):
     """Dense dump under a one-field shape header row: `# rows=<n> cols=<n>`."""
-    rows, cols = matrix.shape
     matrix = np.asarray(matrix, dtype=float)
-    write_csv(path, [f"# rows={rows} cols={cols}"], (row.tolist() for row in matrix))
+    _write_row_blocks(path, matrix.shape, [matrix])
+
+
+def write_operator_csv(path, op: LearnedOperator):
+    """``write_matrix_csv`` of lambda_hat, written one block of rows at a
+    time, so that no PT x PT array is formed."""
+    dim = op.n_nodes * op.n_topics
+    blocks = _row_blocks(op.block, op.inputs, op.corrections)
+    _write_row_blocks(path, (dim, dim), (rows for _, rows in blocks))
+
+
+def _write_row_blocks(path, shape: tuple[int, int], blocks):
+    write_csv(
+        path,
+        [f"# rows={shape[0]} cols={shape[1]}"],
+        (row.tolist() for rows in blocks for row in rows),
+    )
 
 
 def read_operator_matrix(path) -> np.ndarray:

@@ -26,10 +26,12 @@ from .errors import _json_str, read_document
 from .calibration import (
     LEARN_MAX_ITERS,
     SnapshotSeries,
+    check_learner_settings,
     fit_diffusion_constants,
     learn_from_fit,
     write_fit_report,
     write_matrix_csv,
+    write_operator_csv,
 )
 from .diffusion import (
     NoiseModel,
@@ -222,13 +224,14 @@ def cmd_fit(args) -> int:
 
 def cmd_learn(args) -> int:
     cfg = _config(args)
+    check_learner_settings(cfg["gain"], cfg["eta"], cfg["max_iters"])
     network, _ = load_network(cfg["network"])
     series = _load_series(cfg, network)
     fit = fit_diffusion_constants(series, network)
     op = learn_from_fit(
         series, network, fit, gain=cfg["gain"], threshold=cfg["eta"], max_iters=cfg["max_iters"]
     )
-    _write(args, "operator.csv", write_matrix_csv, op.lambda_hat)
+    _write(args, "operator.csv", write_operator_csv, op)
     report = {
         "iterations": op.iterations,
         "converged": op.converged,
@@ -243,6 +246,7 @@ def cmd_learn(args) -> int:
 
 def cmd_kalman(args) -> int:
     cfg = _config(args)
+    check_learner_settings(cfg["gain"], cfg["eta"], cfg["max_iters"])
     network, _ = load_network(cfg["network"])
     series = _load_series(cfg, network)
     fraction = cfg["fraction"]
@@ -295,7 +299,7 @@ _COMMANDS = (
     ("simulate", cmd_simulate, "simulate open-system paths from an initial state"),
     ("predict", cmd_predict, "closed-system prediction from the latest snapshot"),
     ("fit", cmd_fit, "fit diffusion constants and the noise scale to snapshots"),
-    ("learn", cmd_learn, "learn the dense one-step operator from snapshots"),
+    ("learn", cmd_learn, "learn the one-step operator from snapshots"),
     ("kalman", cmd_kalman, "run the partial-observation Kalman filter"),
     ("spectral", cmd_spectral, "sweep algebraic connectivity against its estimate"),
     ("experiment", cmd_experiment, "run a multi-method prediction experiment"),

@@ -137,10 +137,11 @@ def _inf_norm(x: np.ndarray) -> float:
 def _taylor_action(shifted, mu: float, norm: float, x: np.ndarray) -> np.ndarray:
     """e^{mu} e^{shifted} X by algorithm 3.2 of Al-Mohy & Higham (2011).
 
-    ``norm`` is the exact 1-norm of ``shifted``.  The degree m and step count
-    s = max(1, ceil(norm / theta_m)) minimize m * s over the theta table; each
-    step sums at most m Taylor terms of e^{shifted / s} and stops once two
-    successive terms fall below unit roundoff of the partial sum.
+    ``shifted`` needs only ``@``; ``norm`` is its 1-norm, or a bound above
+    it, which may take more steps but never loses accuracy.  The degree m and
+    step count s = max(1, ceil(norm / theta_m)) minimize m * s over the theta
+    table; each step sums at most m Taylor terms of e^{shifted / s} and stops
+    once two successive terms fall below unit roundoff of the partial sum.
     """
     m, s = 0, 1
     if norm > 0:
@@ -191,32 +192,33 @@ def exponential_action(a, x) -> np.ndarray:
         )
     if not np.isfinite(mat.data if sparse else mat).all():
         raise ValidationError("exponential action input has non-finite entries")
-    work = None if sparse else (np.empty(mat.shape), np.empty(mat.shape))
-    return _exponential_action(mat, vecs, work)
-
-
-def _exponential_action(mat, vecs: np.ndarray, work) -> np.ndarray:
-    """``exponential_action`` of a checked operator.  For an array, A - mu I
-    and its magnitudes are formed in ``work``, a pair of n x n arrays that a
-    caller acting many times may pass to every call; a sparse A takes None.
-    """
-    sparse = work is None
     n = mat.shape[0]
-    columns = 1 if vecs.ndim == 1 else vecs.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         mu = float(mat.trace()) / n
         if sparse:
             shifted = mat - mu * scipy.sparse.eye_array(n, format="csr")
-            magnitudes = abs(shifted)
         else:
-            shifted, magnitudes = work
-            np.copyto(shifted, mat)
+            shifted = mat.copy()
             shifted.flat[:: n + 1] -= mu
-            np.abs(shifted, out=magnitudes)
-        norm = float(magnitudes.sum(axis=0).max(initial=0.0))
+        norm = float(abs(shifted).sum(axis=0).max(initial=0.0))
+    dense = mat.toarray if sparse else lambda: mat
+    return _exponential_action(shifted, mu, norm, mat.nnz if sparse else n * n, dense, vecs)
+
+
+def _exponential_action(shifted, mu: float, norm: float, cost: int, dense, vecs: np.ndarray):
+    """e^A X for A = ``shifted`` + mu I, where ``shifted`` is any operator
+    with ``@``, ``norm`` bounds its 1-norm and one product with one column
+    costs ``cost`` multiply-adds.  The Taylor action takes at most about 5.6
+    such products per unit of norm and column; forming e^A costs a fixed few
+    n x n products, so A = ``dense()`` is formed and exponentiated once the
+    norm times the column count times ``cost`` reaches 4 n^3.
+    """
+    n = vecs.shape[0]
+    columns = 1 if vecs.ndim == 1 else vecs.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
         # An overflowed norm reads as stiff: the dense route reports it.
-        if not norm * columns * (mat.nnz if sparse else n * n) < 4 * n**3:
-            return matrix_exponential(mat.toarray() if sparse else mat) @ vecs
+        if not norm * columns * cost < 4 * n**3:
+            return matrix_exponential(dense()) @ vecs
         result = _taylor_action(shifted, mu, norm, vecs)
     if not np.isfinite(result).all():
         raise NumericalError("exponential action overflowed; operator norm is pathological")

@@ -8,7 +8,7 @@ Four methods are compared:
   constant fitted on the training range;
 * ``multilayer``      -- diffusion on the full interconnected operator with
   all constants fitted on the training range;
-* ``learned_operator``-- the dense operator learned from the training pairs,
+* ``learned_operator``-- the operator learned from the training pairs,
   initialized from the fitted multilayer operator;
 * ``kalman:<f>``      -- sequential Kalman refinement of the learned operator
   observing the fraction f of nodes.
@@ -31,6 +31,7 @@ from .files import csv_floats, read_csv, write_csv
 from .calibration import (
     LEARN_MAX_ITERS,
     SnapshotSeries,
+    check_learner_settings,
     fit_diffusion_constants,
     learn_from_fit,
     one_step_predict_learned,
@@ -117,6 +118,7 @@ class ExperimentConfig:
             )
         if self.synthetic is None and None in files:
             raise ValidationError("config needs either a synthetic spec or network+snapshot files")
+        check_learner_settings(self.gain, self.learn_threshold, self.max_iters)
 
 
 @dataclass

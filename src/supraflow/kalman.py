@@ -26,13 +26,16 @@ or by the caller of ``run_filter``, and carried in the state.  Neither step
 writes to its input state's arrays; each forms its new covariance in the
 buffers of its own products.
 
-When the learned generator is exactly A = kron(I_T, B), e^{A} =
-kron(I_T, e^{B}).  Q and R are diagonal, H observes the same nodes in every
-topic and ``filter_fractions`` starts from Pi_0 = 0, so Pi stays block
-diagonal and the PT-dimensional filter is T independent P-dimensional ones,
-each through the P x P transition e^{B}: T P^3 work per step instead of
-(PT)^3.  ``filter_fractions`` runs them in lockstep and reports the same
-full-state result; any other generator takes the PT-dimensional filter.
+When the learned generator is exactly A = kron(I_T, B), its corrections G
+all zero, e^{A} = kron(I_T, e^{B}).  Q and R are diagonal, H observes the
+same nodes in every topic and ``filter_fractions`` starts from Pi_0 = 0, so
+Pi stays block diagonal and the PT-dimensional filter is T independent
+P-dimensional ones, each through the P x P transition e^{B}: T P^3 work per
+step instead of (PT)^3.  ``filter_fractions`` runs them in lockstep and
+reports the same full-state result; any other generator takes the
+PT-dimensional filter.  That filter and ``transition_matrix`` are the
+package's only consumers of the dense PT x PT generator, so they alone are
+bound by ``MAX_LEARN_DIM``, checked before the array is formed.
 
 The filters of different fractions share only the read-only F, so
 ``filter_fractions`` is the one place in the package that starts threads:
@@ -58,7 +61,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError, ValidationError
-from .calibration import LearnedOperator, SnapshotSeries, _topic_block, devectorize, vectorize
+from .calibration import LearnedOperator, SnapshotSeries, _dense_block, devectorize, vectorize
 from .diffusion import matrix_exponential
 from .files import write_csv
 
@@ -66,6 +69,9 @@ PHASE_PREDICTED = "predicted"
 PHASE_UPDATED = "updated"
 #: The default observation noise variance of an observed coordinate.
 R_OBSERVED = 1e-6
+#: Largest vectorized dimension (node count x topic count) for which the
+#: dense PT x PT learned generator is formed, with its exponential or I + A.
+MAX_LEARN_DIM = 4000
 
 
 @dataclass(frozen=True)
@@ -160,9 +166,22 @@ class KalmanState:
             raise ValidationError("transition shape does not match the state length")
 
 
+def _dense_generator(op: LearnedOperator, consumer: str) -> np.ndarray:
+    """The learned generator as a dense PT x PT array, for ``consumer``,
+    which needs it; a ValidationError before any allocation above the cap."""
+    dim = op.n_nodes * op.n_topics
+    if dim > MAX_LEARN_DIM:
+        raise ValidationError(
+            f"{consumer} needs the dense {dim} x {dim} learned generator, and the "
+            f"vectorized dimension {dim} exceeds the cap MAX_LEARN_DIM = {MAX_LEARN_DIM}"
+        )
+    return op.lambda_hat
+
+
 def transition_matrix(op: LearnedOperator) -> np.ndarray:
     """First-order discretization of the learned generator: F = I + A."""
-    f = np.eye(op.lambda_hat.shape[0]) + op.lambda_hat
+    f = _dense_generator(op, "transition_matrix")
+    f.flat[:: f.shape[0] + 1] += 1.0
     if not np.isfinite(f).all():
         raise NumericalError("transition matrix is non-finite")
     return f
@@ -388,11 +407,13 @@ def filter_fractions(
     Each filter starts from Pi_0 = 0, since the boundary snapshot is known
     exactly, and predicts through e^{A}, the learned operator's own one-step
     map, formed once for all fractions: the default I + A is unstable once the
-    fitted constants make A stiff.  When A is exactly kron(I_T, B), only the
-    P x P e^{B} is formed and each fraction runs T topic filters in lockstep,
-    each with its topic's block of Q and R; their joined estimate gives the
-    same full-state predictions, errors and trace, and ``final_state`` holds
-    the block-diagonal covariance.
+    fitted constants make A stiff.  When A is exactly kron(I_T, B) (its
+    corrections G all zero), only the P x P e^{B} is formed and each fraction
+    runs T topic filters in lockstep, each with its topic's block of Q and R;
+    their joined estimate gives the same full-state predictions, errors and
+    trace, and ``final_state`` holds the block-diagonal covariance.  The
+    whole-state filter forms the PT x PT e^{A}: above ``MAX_LEARN_DIM`` it is
+    a ValidationError, raised before that allocation.
 
     The fractions run in min(len(masks), usable CPUs) groups, one thread
     each, as the module docstring states.  Sorted by observed count, largest
@@ -402,10 +423,12 @@ def filter_fractions(
     the order of ``masks``.
     """
     shape = n_nodes, n_topics = series.n_nodes, series.n_topics
-    block = _topic_block(op.lambda_hat, *shape)
-    # One filter of the whole state through e^{A}, or one per topic through e^{B}.
-    parts = 1 if block is None else n_topics
-    transition = matrix_exponential(op.lambda_hat if block is None else block)
+    # One filter per topic through e^{B}, or one of the whole state through e^{A}.
+    if op.per_topic:
+        parts, transition = n_topics, matrix_exponential(_dense_block(op.block))
+    else:
+        parts = 1
+        transition = matrix_exponential(_dense_generator(op, "the whole-state Kalman filter"))
 
     def run(group):
         results = {}

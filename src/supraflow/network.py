@@ -312,7 +312,7 @@ class SupraLaplacian:
         """The read-only dense operator, formed from ``csr`` on first use.
 
         Only the consumers that need a dense operator read it: the fit's
-        eigendecomposition, the learner's Kronecker lift and ``build``.
+        eigendecomposition and ``build``.
         """
         total = self.csr.toarray()
         total.setflags(write=False)

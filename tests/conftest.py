@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from supraflow import (
     DiffusionConstants,
@@ -168,12 +169,17 @@ def single_layer_supra(adjacency, constant=1.0, kind="agent"):
     return network, supra
 
 
-def make_operator(lam, n_nodes, n_topics):
-    """LearnedOperator wrapper around a given generator matrix, for filter tests."""
-    lam = np.asarray(lam, dtype=float)
-    dim = n_nodes * n_topics
+def kronecker_lift(supra, n_topics):
+    """kron(I_T, -L) as a dense array: the learner's start, as a reference."""
+    return np.kron(np.eye(int(n_topics)), -supra.matrix)
+
+
+def learned_operator(block, inputs, corrections, n_nodes, n_topics):
+    """LearnedOperator with lambda_hat = kron(I_T, block) + corrections inputs^T."""
     return LearnedOperator(
-        lambda_hat=lam,
+        block=scipy.sparse.csr_array(block, dtype=float),
+        inputs=np.asarray(inputs, dtype=float),
+        corrections=np.asarray(corrections, dtype=float),
         gain=0.0,
         threshold=0.0,
         iteration_log=(0.0,),
@@ -183,8 +189,37 @@ def make_operator(lam, n_nodes, n_topics):
         converged=True,
         initial_error=0.0,
         final_error=0.0,
-        residual_variance=np.zeros(dim),
+        residual_variance=np.zeros(n_nodes * n_topics),
     )
+
+
+def make_operator(lam, n_nodes, n_topics):
+    """LearnedOperator whose lambda_hat is the given generator matrix, held as
+    B = 0, X = I, G = lam, for filter tests; a nonzero lam takes the
+    whole-state route."""
+    lam = np.asarray(lam, dtype=float)
+    dim = n_nodes * n_topics
+    return learned_operator(np.zeros((n_nodes, n_nodes)), np.eye(dim), lam, n_nodes, n_topics)
+
+
+def ring_supra(n_nodes):
+    """A one-layer ring of ``n_nodes`` nodes and its supra-Laplacian, built
+    from sparse triplets with no n x n array."""
+    nodes = np.arange(n_nodes)
+    ring = scipy.sparse.coo_array(
+        (np.ones(n_nodes), (nodes, (nodes + 1) % n_nodes)), shape=(n_nodes, n_nodes)
+    )
+    layer = LayerGraph(1, "agent", tuple(f"n{i}" for i in range(n_nodes)), ring + ring.T)
+    network = InterconnectedNetwork(layers=(layer,), couplings=())
+    return network, assemble_supra_laplacian(network, DiffusionConstants(intra={1: 1.0}))
+
+
+def topic_operator(block, n_topics):
+    """LearnedOperator with lambda_hat = kron(I_T, block) and no correction:
+    it runs per topic."""
+    n_nodes = block.shape[0]
+    empty = np.zeros((n_nodes * n_topics, 0))
+    return learned_operator(block, empty, empty, n_nodes, n_topics)
 
 
 @pytest.fixture

@@ -39,7 +39,6 @@ from supraflow import (
     spectrum,
     vectorize,
 )
-from supraflow.calibration import kronecker_lift
 from supraflow.cli import main as cli_main
 from supraflow.kalman import KalmanState, PHASE_PREDICTED, initial_state, transition_matrix
 
@@ -47,6 +46,7 @@ from conftest import (
     connected_adjacency,
     hand_expanded_fixture,  # noqa: F401  (pytest fixture)
     heterogeneous_network,
+    kronecker_lift,
     make_operator,
     random_network,
     single_layer_supra,

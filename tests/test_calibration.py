@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,12 +23,18 @@ from supraflow import (
 )
 from supraflow import calibration
 from supraflow.calibration import (
-    kronecker_lift,
     read_operator_matrix,
     write_fit_report,
     write_matrix_csv,
 )
-from conftest import connected_adjacency, directed_network, single_layer_supra
+from supraflow.kalman import MAX_LEARN_DIM
+from conftest import (
+    connected_adjacency,
+    directed_network,
+    kronecker_lift,
+    ring_supra,
+    single_layer_supra,
+)
 
 
 def toy_spec(**overrides):
@@ -275,68 +282,73 @@ class TestLearnSupraOperator:
         expected = self.lam0 + gain * np.outer(residual, x_in)
         assert np.abs(op.lambda_hat - expected).max() < 1e-12
 
-    def test_rank_one_updates_match_the_out_of_place_sum_bit_for_bit(self):
+    def test_corrections_sum_each_inputs_scaled_residuals(self):
         series = series_from_operator(
             self.lam0 + 0.03, self.x0, 5, 2, self.network.node_index, 4
         )
         gain = 1e-3
-        op = learn_supra_operator(series, self.supra, gain=gain, threshold=0.0, max_iters=3)
+        op = learn_supra_operator(series, self.supra, gain=gain, threshold=0.0, max_iters=5)
         inputs = [vectorize(a) for a, _, _ in series.train_pairs()]
         targets = [vectorize(b) for _, b, _ in series.train_pairs()]
-        # The sweep's first residual comes from its stacked evaluation.
-        evaluated = calibration._action(self.lam0, np.column_stack(inputs), 5, 2)
-        lam = self.lam0 + gain * np.outer(targets[0] - evaluated[:, 0], inputs[0])
-        for x, t in zip(inputs[1:], targets[1:]):
-            lam = lam + gain * np.outer(t - calibration.exponential_action(lam, x), x)
-        assert op.iterations == 3
-        assert op.lambda_hat.tobytes() == lam.tobytes()
+        # The dense reference: five rank-1 updates over the three pairs in turn.
+        lam, sums = self.lam0, np.zeros((10, 3))
+        for j in (0, 1, 2, 0, 1):
+            step = gain * (targets[j] - scipy.linalg.expm(lam) @ inputs[j])
+            lam, sums[:, j] = lam + np.outer(step, inputs[j]), sums[:, j] + step
+        assert op.iterations == 5
+        assert op.inputs.tobytes() == np.column_stack(inputs).tobytes()
+        assert np.abs(op.corrections - sums).max() <= 1e-12 * np.abs(sums).max()
+        assert np.abs(op.lambda_hat - lam).max() <= 1e-12 * np.abs(lam).max()
+        assert op.block.shape == (5, 5) and not op.per_topic
+        assert np.array_equal(op.block.toarray(), -self.supra.matrix)
+
+    def test_per_topic_block_is_the_dense_negated_laplacian_bit_for_bit(self):
+        # The per-topic action and filter exponentiate this array; its zeros
+        # are -0.0 as in the dense -L, whose signs LAPACK's eigh reads.
+        series = series_from_operator(self.lam0, self.x0, 5, 2, self.network.node_index, 3)
+        op = learn_supra_operator(series, self.supra, max_iters=0)
+        assert op.per_topic
+        assert calibration._dense_block(op.block).tobytes() == (-self.supra.matrix).tobytes()
 
     @pytest.mark.parametrize("max_iters", [0, 2])
     def test_evaluations_before_the_first_update_run_per_topic(self, monkeypatch, max_iters):
         operators = []
-        # The per-topic action goes through exponential_action, the
-        # whole-state ones through the helper with the learner's work arrays.
-        for name in ("exponential_action", "_exponential_action"):
-            real = getattr(calibration, name)
+        real_topic = calibration.exponential_action
+        real_whole = calibration._exponential_action
 
-            def recorded(a, x, *work, real=real):
-                operators.append(np.shape(a))
-                return real(a, x, *work)
+        def per_topic(a, x):
+            operators.append(np.shape(a))
+            return real_topic(a, x)
 
-            monkeypatch.setattr(calibration, name, recorded)
+        def whole_state(shifted, *rest):
+            operators.append(type(shifted))
+            return real_whole(shifted, *rest)
+
+        monkeypatch.setattr(calibration, "exponential_action", per_topic)
+        monkeypatch.setattr(calibration, "_exponential_action", whole_state)
         series = series_from_operator(
             self.lam0 + 0.03, self.x0, 5, 2, self.network.node_index, 3
         )
         op = learn_supra_operator(series, self.supra, threshold=0.0, max_iters=max_iters)
         assert op.iterations == max_iters
-        # One per-topic evaluation; after the first update, the second pair's
-        # action and the closing evaluation on the whole 10 x 10 operator.
-        assert operators == [(5, 5)] + [(10, 10)] * max_iters
+        # One per-topic evaluation through the 5 x 5 block; after the first
+        # update, the second pair's action and the closing evaluation act on
+        # the whole state through the structured operator.
+        assert operators == [(5, 5)] + [calibration._Shifted] * max_iters
         # The rank-1 updates leave the Kronecker structure.
-        assert (calibration._topic_block(op.lambda_hat, 5, 2) is None) == (max_iters > 0)
+        assert op.per_topic == (max_iters == 0)
 
-    def test_whole_state_actions_share_two_work_arrays(self, monkeypatch):
-        works = []
-        real = calibration._exponential_action
+    def test_whole_state_actions_form_no_dense_operator(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("formed the dense PT x PT operator")
 
-        def recorded(a, x, work):
-            assert np.shape(a) == (10, 10)
-            works.append(work)
-            return real(a, x, work)
-
-        monkeypatch.setattr(calibration, "_exponential_action", recorded)
+        monkeypatch.setattr(calibration, "_dense", refuse)
         series = series_from_operator(
             self.lam0 + 0.03, self.x0, 5, 2, self.network.node_index, 4
         )
         op = learn_supra_operator(series, self.supra, threshold=0.0, max_iters=5)
         assert op.iterations == 5 and len(series.train_pairs()) == 3
-        # The first sweep's evaluation runs per topic.  Then the second and
-        # third pairs' actions, the second sweep's evaluation, its second
-        # pair's action and the closing evaluation act on the whole state.
-        assert len(works) == 5
-        shifted, magnitudes = works[0]
-        assert shifted.shape == magnitudes.shape == (10, 10) and shifted is not magnitudes
-        assert all(w[0] is shifted and w[1] is magnitudes for w in works)
+        assert op.corrections.shape == op.inputs.shape == (10, 3)
 
     def test_huge_gain_aborts_with_numerical_error(self):
         series = series_from_operator(
@@ -360,20 +372,33 @@ class TestLearnSupraOperator:
         def refuse(*args):
             raise AssertionError("evaluated before the arguments were checked")
 
-        monkeypatch.setattr(calibration, "_action", refuse)
+        monkeypatch.setattr(calibration, "_exp_action", refuse)
         series = series_from_operator(self.lam0, self.x0, 5, 2, self.network.node_index, 4)
         with pytest.raises(ValidationError, match=re.escape(reason)):
             learn_supra_operator(series, self.supra, **arguments)
 
-    def test_dimension_cap(self):
+    def test_runs_past_the_dense_cap_holding_no_dense_operator(self):
+        # MAX_LEARN_DIM bounds only the consumers of a dense PT x PT array.
+        n_nodes = MAX_LEARN_DIM // 2 + 1
+        dim = 2 * n_nodes
+        assert dim == MAX_LEARN_DIM + 2
+        network, supra = ring_supra(n_nodes)
         rng = np.random.default_rng(9)
-        network, supra = single_layer_supra(connected_adjacency(rng, 50))
         snaps = tuple(
-            StateMatrix(rng.random((50, 100)), dict(network.node_index), float(t))
+            StateMatrix(rng.random((n_nodes, 2)), dict(network.node_index), float(t))
             for t in range(2)
         )
-        with pytest.raises(ValidationError, match="cap"):
-            learn_supra_operator(SnapshotSeries(snaps), supra)
+        supra.csr
+        tracemalloc.start()
+        try:
+            op = learn_supra_operator(SnapshotSeries(snaps), supra, threshold=0.0, max_iters=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.iterations == 1 and not op.per_topic
+        assert op.corrections.shape == (dim, 1)
+        # The per-topic evaluation holds P x P arrays only.
+        assert peak < dim * dim * 8
 
 
 class TestOneStepPredict:

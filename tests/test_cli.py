@@ -304,6 +304,40 @@ class TestFitLearnKalman:
         assert "observes no node" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "command, fields, reason",
+        [
+            ("learn", {"eta": -1}, "threshold must be finite and >= 0, got -1.0"),
+            ("learn", {"gain": -1}, "gain must be finite and >= 0, got -1.0"),
+            ("kalman", {"eta": -1}, "threshold must be finite and >= 0, got -1.0"),
+            ("kalman", {"gain": -1}, "gain must be finite and >= 0, got -1.0"),
+            ("kalman", {"max_iters": -1}, "max_iters must be >= 0, got -1"),
+            ("experiment", {"learn_threshold": -1}, "threshold must be finite and >= 0, got -1.0"),
+            ("experiment", {"gain": -1}, "gain must be finite and >= 0, got -1.0"),
+        ],
+    )
+    def test_bad_learner_setting_fails_before_the_fit(
+        self, tiny_dataset, capsys, monkeypatch, command, fields, reason
+    ):
+        fits = []
+
+        def counted(series, network):
+            fits.append(network)
+            raise AssertionError("fitted before the learner settings were checked")
+
+        monkeypatch.setattr(cli, "fit_diffusion_constants", counted)
+        monkeypatch.setattr(harness, "fit_diffusion_constants", counted)
+        tmp = tiny_dataset["tmp"]
+        settings = {**own_keys(command, tiny_dataset), **fields}
+        if command == "experiment":
+            settings["methods"] = ["learned_operator"]
+        config = write_json(tmp / f"{command}_bad_learner.json", settings)
+        out = tmp / f"{command}_bad_learner"
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        assert reason in capsys.readouterr().err
+        assert fits == []
+        assert not out.exists()
+
     def test_learn_without_eta_stops_at_the_noise_floor(self, tmp_path):
         spec = {
             "layers": [{"kind": "agent", "n": 12, "model": "erdos_renyi", "p": 0.4}],
@@ -395,6 +429,51 @@ class TestExperimentCommand:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         header = (out_a / "errors.csv").read_text().splitlines()[0]
         assert header == "step,t,upper_bound,single_layer,multilayer"
+
+    def test_per_topic_and_whole_state_routes(self, tmp_path, monkeypatch):
+        # The default learner makes no rank-1 update on this noisy data, so
+        # the learned operator and the filter run per topic; forced updates
+        # take the whole-state route.  Run both.
+        routes = []
+        real_learn = harness.learn_from_fit
+
+        def recorded(*args):
+            op = real_learn(*args)
+            routes.append(op.per_topic)
+            return op
+
+        monkeypatch.setattr(harness, "learn_from_fit", recorded)
+        spec = {
+            "layers": [
+                {"kind": "agent", "n": 4, "model": "complete"},
+                {"kind": "information", "n": 5, "model": "knn", "k": 2},
+            ],
+            "n_snapshots": 8,
+            "train_count": 5,
+            "sigma_ratio": 0.05,
+            "seed": 1,
+        }
+        data = tmp_path / "data"
+        config = write_json(tmp_path / "spec.json", spec)
+        assert main(["generate", "--config", config, "--out", str(data)]) == 0
+        settings = {
+            "network": str(data / "network.json"),
+            "snapshots": str(data / "snapshots.csv"),
+            "train_count": 5,
+            "methods": ["multilayer", "learned_operator", "kalman:0.5"],
+            "seed": 1,
+        }
+        forced = {"learn_threshold": 1e-9, "max_iters": 3}
+        errors = {}
+        for out, extra in (("topics", {}), ("whole", forced)):
+            config = write_json(tmp_path / f"{out}.json", {**settings, **extra})
+            assert main(["experiment", "--config", config, "--out", str(tmp_path / out)]) == 0
+            with open(tmp_path / out / "summary.csv", newline="") as handle:
+                errors[out] = {r["method"]: float(r["mean_error"]) for r in csv.DictReader(handle)}
+            assert all(np.isfinite(list(errors[out].values()))), errors[out]
+        assert routes == [True, False]
+        multi, learned = errors["topics"]["multilayer"], errors["topics"]["learned_operator"]
+        assert abs(learned - multi) <= 1e-10 * multi
 
     def test_seed_flag_overrides_the_config_seed(self, tmp_path, capsys):
         # The seed draws the synthetic dataset.

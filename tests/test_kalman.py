@@ -22,8 +22,8 @@ from supraflow import (
     run_filter,
 )
 from supraflow import calibration, diffusion, kalman
-from supraflow.calibration import _topic_block
 from supraflow.kalman import (
+    MAX_LEARN_DIM,
     PHASE_PREDICTED,
     PHASE_UPDATED,
     KalmanState,
@@ -33,7 +33,7 @@ from supraflow.kalman import (
     write_filter_trace_csv,
     write_mask_csv,
 )
-from conftest import make_operator, random_network
+from conftest import learned_operator, make_operator, random_network, ring_supra, topic_operator
 
 
 def scalar_recursion(x0, pi0, f, q, r, h, observations):
@@ -535,22 +535,23 @@ class TestRunFilter:
 
 class TestTopicRoute:
     """``filter_fractions`` and ``one_step_predict_learned`` run per topic
-    exactly when lambda_hat is kron(I_T, B), and then form no PT x PT
-    exponential or covariance; any other generator takes the PT route."""
+    exactly when the corrections G are all zero, and then form no PT x PT
+    exponential or covariance; any nonzero correction takes the PT route."""
 
     n_nodes, n_topics = 4, 3
 
     def setup_method(self):
         rng = np.random.default_rng(21)
         half = 0.3 * rng.standard_normal((self.n_nodes, self.n_nodes))
-        self.lam = np.kron(np.eye(self.n_topics), half + half.T)
+        self.block = half + half.T
         self.states = list(rng.random((6, self.n_nodes, self.n_topics)))
         self.q = rng.uniform(0.01, 0.1, self.n_nodes * self.n_topics)
 
-    def shapes_seen(self, monkeypatch, lam):
+    def shapes_seen(self, monkeypatch, op):
         """Shapes of every matrix exponential and filter covariance that
         ``filter_fractions`` forms, and of every operator that
-        ``one_step_predict_learned`` applies."""
+        ``one_step_predict_learned`` applies: a P x P block, or "whole" for
+        the structured whole-state action."""
         seen = {"filter_expm": [], "pi": [], "predict_action": []}
         for module in (kalman, diffusion):
             real = module.matrix_exponential
@@ -568,26 +569,33 @@ class TestTopicRoute:
                 return real_step(state, *args)
 
             monkeypatch.setattr(kalman, name, recorded_step)
-        op = replace(make_operator(lam, self.n_nodes, self.n_topics), residual_variance=self.q)
+        op = replace(op, residual_variance=self.q)
         node_index = {(1, f"n{i}"): i for i in range(self.n_nodes)}
         series = make_series(node_index, self.states, train_count=2)
         filter_fractions(series, op, nested_masks(self.n_nodes, [0.5, 1.0], seed=2))
         monkeypatch.undo()
 
         real_action = calibration.exponential_action
+        real_whole = calibration._exponential_action
 
         def recorded_action(a, x):
             seen["predict_action"].append(np.shape(a))
             return real_action(a, x)
 
+        def recorded_whole(shifted, *rest):
+            seen["predict_action"].append("whole")
+            return real_whole(shifted, *rest)
+
         monkeypatch.setattr(calibration, "exponential_action", recorded_action)
+        monkeypatch.setattr(calibration, "_exponential_action", recorded_whole)
         one_step_predict_learned(op, np.stack(self.states))
         return seen
 
     def test_kronecker_generator_runs_per_topic(self, monkeypatch):
-        block = _topic_block(self.lam, self.n_nodes, self.n_topics)
-        assert np.array_equal(np.kron(np.eye(self.n_topics), block), self.lam)
-        seen = self.shapes_seen(monkeypatch, self.lam)
+        op = topic_operator(self.block, self.n_topics)
+        assert op.per_topic
+        assert np.array_equal(op.lambda_hat, np.kron(np.eye(self.n_topics), self.block))
+        seen = self.shapes_seen(monkeypatch, op)
         small = (self.n_nodes, self.n_nodes)
         # One e^{B} for both fractions; per fraction, 4 test steps of one
         # predict and one update in each of the T topic filters.
@@ -595,20 +603,66 @@ class TestTopicRoute:
         assert seen["pi"] == [small] * (2 * 2 * 4 * self.n_topics)
         assert seen["predict_action"] == [small]
 
-    @pytest.mark.parametrize("where", ["off_diagonal_block", "diagonal_block_ulp"])
-    def test_any_other_generator_takes_the_whole_state_route(self, monkeypatch, where):
-        n = self.n_nodes
-        lam = self.lam.copy()
-        if where == "off_diagonal_block":
-            lam[n + 1, 2 * n] = 1e-3
-        else:
-            lam[2 * n + 1, 2 * n + 2] = np.nextafter(lam[2 * n + 1, 2 * n + 2], np.inf)
-        assert _topic_block(lam, self.n_nodes, self.n_topics) is None
-        seen = self.shapes_seen(monkeypatch, lam)
-        whole = (n * self.n_topics,) * 2
+    @pytest.mark.parametrize("correction", [1e-3, 5e-324])
+    def test_any_nonzero_correction_takes_the_whole_state_route(self, monkeypatch, correction):
+        dim = self.n_nodes * self.n_topics
+        inputs = np.random.default_rng(23).random((dim, 2))
+        corrections = np.zeros((dim, 2))
+        corrections[self.n_nodes + 1, 1] = correction
+        op = learned_operator(self.block, inputs, corrections, self.n_nodes, self.n_topics)
+        assert not op.per_topic
+        seen = self.shapes_seen(monkeypatch, op)
+        whole = (dim, dim)
         assert seen["filter_expm"] == [whole]
         assert seen["pi"] == [whole] * (2 * 2 * 4)
-        assert seen["predict_action"] == [whole]
+        assert seen["predict_action"] == ["whole"]
+
+
+class TestDenseCap:
+    """Above ``MAX_LEARN_DIM`` the consumers of the dense PT x PT generator
+    fail with ValidationError before allocating it; the per-topic filter,
+    which forms no such array, runs."""
+
+    n_topics = 2
+
+    def operator(self, corrected):
+        n_nodes = MAX_LEARN_DIM // 2 + 1
+        network, supra = ring_supra(n_nodes)
+        dim = n_nodes * self.n_topics
+        rng = np.random.default_rng(24)
+        inputs = rng.random((dim, 1))
+        corrections = 1e-3 * inputs if corrected else np.zeros((dim, 1))
+        op = learned_operator(-0.1 * supra.csr, inputs, corrections, n_nodes, self.n_topics)
+        states = list(rng.random((3, n_nodes, self.n_topics)))
+        return make_series(network.node_index, states, train_count=2), op
+
+    @pytest.mark.parametrize(
+        "consumer, name",
+        [
+            (
+                lambda series, op: filter_fractions(series, op, {1.0: (0, 1)}),
+                "the whole-state Kalman filter",
+            ),
+            (lambda series, op: transition_matrix(op), "transition_matrix"),
+        ],
+    )
+    def test_whole_state_consumers_fail_before_allocating(self, consumer, name):
+        series, op = self.operator(corrected=True)
+        dim = op.n_nodes * op.n_topics
+        assert dim == MAX_LEARN_DIM + 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=f"{name} needs the dense {dim} x {dim}"):
+                consumer(series, op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dim * dim * 8
+
+    def test_per_topic_filter_runs_past_the_cap(self):
+        series, op = self.operator(corrected=False)
+        results = filter_fractions(series, op, {1.0: (0, 1)})
+        assert len(results[1.0].final_states) == self.n_topics
 
 
 class TestPerTopicFinalState:
@@ -620,10 +674,9 @@ class TestPerTopicFinalState:
     def filtered(self):
         rng = np.random.default_rng(22)
         half = 0.1 * rng.standard_normal((self.n_nodes, self.n_nodes))
-        lam = np.kron(np.eye(self.n_topics), half + half.T)
         dim = self.n_nodes * self.n_topics
         op = replace(
-            make_operator(lam, self.n_nodes, self.n_topics),
+            topic_operator(half + half.T, self.n_topics),
             residual_variance=np.full(dim, 0.01),
         )
         node_index = {(1, f"n{i}"): i for i in range(self.n_nodes)}
@@ -693,8 +746,7 @@ class TestConcurrentFractions:
     @pytest.mark.parametrize("updates", [0, 3])
     def test_results_do_not_depend_on_the_cpu_count(self, monkeypatch, updates):
         series, op = self.learned(updates)
-        per_topic = _topic_block(op.lambda_hat, series.n_nodes, self.n_topics) is not None
-        assert per_topic == (updates == 0)
+        assert op.per_topic == (updates == 0)
         masks = nested_masks(series.n_nodes, [0.25, 1.0, 0.5, 0.75], seed=4)
         unrestricted = filter_fractions(series, op, masks)
         for cpus in (1, 2, len(masks)):

@@ -14,6 +14,7 @@ import contextlib
 import json
 import os
 import tempfile
+from unittest import mock
 from dataclasses import replace
 
 import numpy as np
@@ -57,9 +58,9 @@ from supraflow import (
 from supraflow.calibration import (
     _free_parameters,
     _Residuals,
-    kronecker_lift,
     read_operator_matrix,
     write_matrix_csv,
+    write_operator_csv,
 )
 from supraflow.diffusion import exponential_action
 from supraflow.network import (
@@ -70,15 +71,17 @@ from supraflow.network import (
     components,
 )
 from supraflow.spectral import _layer_kernel_basis
-from supraflow import kalman
+from supraflow import calibration, kalman
 from supraflow.kalman import PHASE_PREDICTED, KalmanState
 from conftest import (
     brute_force_supra,
     connected_adjacency,
     directed_network,
-    make_operator,
+    kronecker_lift,
+    learned_operator,
     random_network,
     single_layer_supra,
+    topic_operator,
 )
 from test_kalman import make_series, pinv_update
 
@@ -597,10 +600,12 @@ class TestTopicSplit:
     def test_matches_the_whole_state_route(self, seed, n_nodes, n_topics, noisy, data):
         rng = np.random.default_rng(seed)
         half = rng.standard_normal((n_nodes, n_nodes))
-        lam = np.kron(np.eye(n_topics), 0.5 * (half + half.T))
+        block = 0.5 * (half + half.T)
+        lam = np.kron(np.eye(n_topics), block)
         dim = n_nodes * n_topics
         q = rng.uniform(1e-3, 0.1, dim) if noisy else np.zeros(dim)
-        op = replace(make_operator(lam, n_nodes, n_topics), residual_variance=q)
+        op = replace(topic_operator(block, n_topics), residual_variance=q)
+        assert op.per_topic
         observed = tuple(sorted(data.draw(st.sets(st.integers(0, n_nodes - 1)))))
         node_index = {(1, f"n{i}"): i for i in range(n_nodes)}
         states = rng.random((5, n_nodes, n_topics))
@@ -620,6 +625,73 @@ class TestTopicSplit:
         moved = exponential_action(lam, np.column_stack([vectorize(s) for s in states]))
         predicted = one_step_predict_learned(op, states)
         assert_close(np.column_stack([vectorize(s) for s in predicted]), moved)
+
+
+@st.composite
+def structured_operators(draw, route="taylor"):
+    """(op, V): a LearnedOperator from drawn parts B (sparse, P x P), X and
+    G (PT x m), and states V on which its action takes ``route``.  The Taylor
+    route gets one column and small entries; the dense route gets PT columns
+    and an entry 3 PT of B, so that the norm bound reaches 2 PT and the cost
+    rule's 4 (PT)^3."""
+    rng = np.random.default_rng(draw(seeds))
+    n_nodes = draw(st.integers(3, 6) if route == "taylor" else st.integers(2, 5))
+    n_topics, rank = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dim = n_nodes * n_topics
+    block = 0.3 * rng.uniform(-1, 1, (n_nodes, n_nodes))
+    block *= rng.random(block.shape) < draw(st.floats(0.2, 1.0))
+    inputs = rng.uniform(-1, 1, (dim, rank))
+    corrections = draw(st.floats(1e-3, 1.0)) / dim * rng.uniform(-1, 1, (dim, rank))
+    if route == "taylor":
+        states = rng.random((dim, 1))
+    else:
+        block[0, 1] = 3.0 * dim
+        states = rng.random((dim, dim))
+    return learned_operator(block, inputs, corrections, n_nodes, n_topics), states
+
+
+class TestStructuredOperator:
+    """lambda_hat = kron(I_T, B) + G X^T acts through its parts as the dense
+    array does, with a 1-norm bound above the exact norm, and is written one
+    block of rows at a time as the dense dump."""
+
+    @pytest.mark.parametrize("route", ["taylor", "dense"])
+    @settings(PROPERTY, max_examples=40)
+    @given(data=st.data())
+    def test_action_matches_the_dense_operator(self, route, data):
+        op, states = data.draw(structured_operators(route))
+        with mock.patch.object(calibration, "_dense", wraps=calibration._dense) as dense:
+            moved = calibration._exp_action(op.block, op.inputs, op.corrections, states)
+        assert dense.call_count == (route == "dense")
+        reference = exponential_action(op.lambda_hat, states)
+        assert relative_error(moved, reference) <= 1e-12
+
+    @settings(PROPERTY, max_examples=60)
+    @given(data=st.data(), route=st.sampled_from(["taylor", "dense"]))
+    def test_norm_bound_is_above_the_exact_norm(self, data, route):
+        op, states = data.draw(structured_operators(route))
+        real = calibration._exponential_action
+        with mock.patch.object(calibration, "_exponential_action", wraps=real) as action:
+            calibration._exp_action(op.block, op.inputs, op.corrections, states)
+        _, mu, norm, *_ = action.call_args.args
+        lam = op.lambda_hat
+        dim = len(lam)
+        assert mu == pytest.approx(np.trace(lam) / dim, rel=1e-12, abs=1e-12)
+        exact = np.abs(lam - mu * np.eye(dim)).sum(axis=0).max()
+        assert norm * (1 + 1e-14) >= exact
+
+    @settings(PROPERTY, max_examples=40)
+    @given(data=st.data(), block_bytes=st.integers(1, 1200))
+    def test_operator_csv_by_row_blocks_is_the_dense_dump(self, data, block_bytes):
+        op, _ = data.draw(structured_operators(data.draw(st.sampled_from(["taylor", "dense"]))))
+        with tempfile.TemporaryDirectory() as directory:
+            blocks = os.path.join(directory, "blocks.csv")
+            dense = os.path.join(directory, "dense.csv")
+            with mock.patch.object(calibration, "_ROW_BLOCK_BYTES", block_bytes):
+                write_operator_csv(blocks, op)
+                write_matrix_csv(dense, op.lambda_hat)
+            with open(blocks, "rb") as a, open(dense, "rb") as b:
+                assert a.read() == b.read()
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
