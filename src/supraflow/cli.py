@@ -48,6 +48,7 @@ from .harness import ExperimentConfig, replot_errors_csv, run_experiment
 from .harness import write_errors_csv, write_summary_csv
 from .kalman import (
     R_OBSERVED,
+    check_observation_noise,
     filter_fractions,
     nested_masks,
     write_filter_trace_csv,
@@ -247,11 +248,12 @@ def cmd_learn(args) -> int:
 def cmd_kalman(args) -> int:
     cfg = _config(args)
     check_learner_settings(cfg["gain"], cfg["eta"], cfg["max_iters"])
-    network, _ = load_network(cfg["network"])
-    series = _load_series(cfg, network)
     fraction = cfg["fraction"]
     if not 0 < fraction <= 1:
         raise ValidationError("fraction must lie in (0, 1]")
+    check_observation_noise(cfg["r"])
+    network, _ = load_network(cfg["network"])
+    series = _load_series(cfg, network)
     masks = nested_masks(network.n_nodes, [fraction], cfg["seed"])
     fit = fit_diffusion_constants(series, network)
     op = learn_from_fit(

@@ -23,7 +23,7 @@ import scipy.sparse
 
 from .errors import NumericalError, ValidationError
 from .files import write_csv
-from .network import SupraLaplacian, _is_symmetric
+from .network import MAX_NODES, SupraLaplacian, _is_symmetric
 from .states import StateMatrix, node_label
 
 #: theta_m of Al-Mohy & Higham (2011) in double precision: the largest 1-norm
@@ -264,7 +264,24 @@ def _simulate(x0: np.ndarray, lap, sigma: np.ndarray, rngs, config: SimulationCo
     Returns the times and a (k, kept steps, n, T) array.  Each step adds to
     the state, so a non-finite entry stays non-finite, and the last kept
     state shows any divergence up to it.
+
+    Before any allocation, the times and the kept states are each checked
+    against the one-array budget of ``network.MAX_NODES``^2 doubles, so an
+    impossible step count is a ValidationError naming the array and its bytes.
     """
+    # A float bound at or above n_steps, inf when the ratio overflows.
+    max_steps = config.horizon / config.dt + 1
+    budget = 8 * MAX_NODES**2
+    for consumer, count in (
+        ("times", max_steps + 1),
+        ("kept states", len(rngs) * (max_steps / stride + 1) * x0.size),
+    ):
+        if not 8 * count <= budget:
+            raise ValidationError(
+                f"the simulation's {consumer} would take {8 * count:.4g} bytes, above the "
+                f"{budget} bytes of one array that the node cap allows; raise dt or lower "
+                "the horizon"
+            )
     n_steps = config.n_steps
     times = np.minimum(np.arange(n_steps + 1) * config.dt, config.horizon)
     n, k = x0.shape[0], len(rngs)

@@ -37,7 +37,7 @@ from .calibration import (
     one_step_predict_learned,
 )
 from .diffusion import propagate_closed
-from .kalman import R_OBSERVED, filter_fractions, nested_masks
+from .kalman import R_OBSERVED, check_observation_noise, filter_fractions, nested_masks
 from .network import (
     DiffusionConstants,
     InterconnectedNetwork,
@@ -119,6 +119,7 @@ class ExperimentConfig:
         if self.synthetic is None and None in files:
             raise ValidationError("config needs either a synthetic spec or network+snapshot files")
         check_learner_settings(self.gain, self.learn_threshold, self.max_iters)
+        check_observation_noise(self.kalman_r)
 
 
 @dataclass

@@ -74,6 +74,15 @@ R_OBSERVED = 1e-6
 MAX_LEARN_DIM = 4000
 
 
+def check_observation_noise(r: float) -> None:
+    """Reject a negative or non-finite observation noise variance as a
+    ValidationError; zero is valid and takes the update's pseudo-inverse route."""
+    if not (np.isfinite(r) and r >= 0):
+        raise ValidationError(
+            f"the observation noise variance r must be finite and >= 0, got {float(r)}"
+        )
+
+
 @dataclass(frozen=True)
 class ObservationModel:
     """Observed node set plus diagonal observation/process noise covariances."""
@@ -250,9 +259,11 @@ def kalman_update(state: KalmanState, y: np.ndarray, model: ObservationModel) ->
 
 
 def kalman_predict(state: KalmanState, op: LearnedOperator, model: ObservationModel) -> KalmanState:
-    """Advance the updated estimate one step through F = I + A.
+    """Advance the updated estimate one step through F, the state's ``f_hat``.
 
-    F is the state's ``f_hat``, built from ``op`` once by ``initial_state``.
+    F is formed once per filter and carried in the state: e^{A} in every
+    filter that ``filter_fractions`` runs, I + A when ``initial_state`` is
+    given no other transition.
     An exactly zero Pi, as every filter from Pi_0 = 0 starts, skips the two
     products of F Pi F^T.  The symmetrized result is written into the buffer
     of F Pi, so one step holds two covariance-sized arrays besides its input.

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from supraflow import (
     ExperimentConfig,
     NumericalError,
     cli,
+    diffusion,
     harness,
     kalman,
     load_network,
@@ -117,8 +119,12 @@ class TestSimulatePredict:
         lines = (out / "simulation.csv").read_text().splitlines()
         assert lines[0] == "path_id,step,t,node_id,x_1,x_2"
         assert len(lines) == 1 + 11 * 13  # 10 steps + initial state, 13 nodes
+        assert_finite_table(out / "simulation.csv")
+        assert not (out / "ensemble_summary.csv").exists()
 
-    def test_simulate_ensemble_summary(self, tiny_dataset):
+    def test_simulate_ensemble_summary(self, tiny_dataset, monkeypatch):
+        # Three kept rows of 13 x 2 doubles per block: blocks of 3 and 1 rows.
+        monkeypatch.setattr(diffusion, "STATISTICS_BLOCK_BYTES", 3 * 13 * 2 * 8)
         tmp = tiny_dataset["tmp"]
         config = write_json(
             tmp / "simulate2.json",
@@ -134,7 +140,15 @@ class TestSimulatePredict:
         )
         out = tmp / "sim2"
         assert main(["simulate", "--config", config, "--out", str(out)]) == 0
-        assert (out / "ensemble_summary.csv").exists()
+        # The summary read back is numpy's stacked mean and variance of the
+        # paths read back, bit for bit.
+        _, rows = assert_finite_table(out / "simulation.csv")
+        paths = np.array([float(v) for row in rows for v in row[4:]]).reshape(3, 4 * 13, 2)
+        header, rows = assert_finite_table(out / "ensemble_summary.csv")
+        summary = np.array([[float(v) for v in row[3:]] for row in rows])
+        assert header[3:] == ["mean_x_1", "mean_x_2", "var_x_1", "var_x_2"]
+        assert summary[:, :2].tobytes() == paths.mean(axis=0).tobytes()
+        assert summary[:, 2:].tobytes() == paths.var(axis=0, ddof=1).tobytes()
 
     def simulate(self, tiny_dataset, name, **fields):
         """Exit code and output directory of ``simulate`` with the given fields."""
@@ -191,17 +205,22 @@ class TestSimulatePredict:
         )
         out = tmp / "pred"
         assert main(["predict", "--config", config, "--out", str(out)]) == 0
-        lines = (out / "prediction.csv").read_text().splitlines()
-        assert len(lines) == 1 + 13
+        _, rows = assert_finite_table(out / "prediction.csv")
+        assert len(rows) == 13
 
 
 class TestFitLearnKalman:
-    def test_fit_report(self, tiny_dataset):
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_fit_report(self, tiny_dataset, symmetric):
+        # A symmetric network's fit takes one eigendecomposition per objective
+        # evaluation, a directed one expm_frechet: run both.
         tmp = tiny_dataset["tmp"]
+        doc = json.loads((tiny_dataset["dir"] / "network.json").read_text())
+        network = write_json(tmp / "fit_network.json", {**doc, "symmetric": symmetric})
         config = write_json(
             tmp / "fit.json",
             {
-                "network": tiny_dataset["network"],
+                "network": network,
                 "snapshots": tiny_dataset["snapshots"],
                 "train_count": 4,
                 "max_sweeps": 4,
@@ -210,7 +229,12 @@ class TestFitLearnKalman:
         out = tmp / "fit"
         assert main(["fit", "--config", config, "--out", str(out)]) == 0
         report = json.loads((out / "fit_report.json").read_text())
-        assert set(report["constants"]["intra"]) == {"1", "2"}
+        constants = report["constants"]
+        assert set(constants["intra"]) == {"1", "2"}
+        assert constants["symmetric"] is symmetric
+        assert report["converged"] and report["identifiable"]
+        values = [*constants["intra"].values(), *constants["inter"].values()]
+        assert np.isfinite(values).all()
         assert report["objective"] <= report["objective_trace"][0]
 
     def test_learn_and_kalman(self, tiny_dataset):
@@ -229,8 +253,10 @@ class TestFitLearnKalman:
         assert main(["learn", "--config", learn_config, "--out", str(out)]) == 0
         report = json.loads((out / "learn_report.json").read_text())
         assert report["final_error"] <= report["initial_error"] + 1e-12
-        operator_lines = (out / "operator.csv").read_text().splitlines()
-        assert operator_lines[0] == "# rows=26 cols=26"
+        numbers = [report[k] for k in ("gain", "threshold", "initial_error", "final_error")]
+        assert np.isfinite(numbers).all()
+        header, _ = assert_finite_table(out / "operator.csv")
+        assert header == ["# rows=26 cols=26"]
 
         kalman_config = write_json(
             tmp / "kalman.json",
@@ -246,14 +272,17 @@ class TestFitLearnKalman:
         )
         out_k = tmp / "kalman"
         assert main(["kalman", "--config", kalman_config, "--out", str(out_k)]) == 0
-        trace = (out_k / "filter_trace.csv").read_text().splitlines()
-        assert trace[0] == "step,error_all,error_observed,error_hidden,trace_Pi"
-        assert len(trace) == 1 + 4  # 4 test transitions
+        header, trace = assert_finite_table(out_k / "filter_trace.csv")
+        assert header == ["step", "error_all", "error_observed", "error_hidden", "trace_Pi"]
+        assert len(trace) == 4  # 4 test transitions
         mask = (out_k / "mask.csv").read_text().splitlines()
         assert mask[0] == "node_id"
         assert len(mask) == 1 + round(0.4 * 13)
 
-    def test_kalman_command_filters_like_the_experiment(self, tiny_dataset):
+    # The update factors the observed block when R > 0 and takes a
+    # pseudo-inverse when R = 0: run both routes.
+    @pytest.mark.parametrize("r", [kalman.R_OBSERVED, 0.0])
+    def test_kalman_command_filters_like_the_experiment(self, tiny_dataset, r):
         tmp = tiny_dataset["tmp"]
         settings = {
             "network": tiny_dataset["network"],
@@ -262,11 +291,11 @@ class TestFitLearnKalman:
             "max_iters": 20,
             "seed": 5,
         }
-        config = write_json(tmp / "kalman_same.json", {**settings, "fraction": 0.4})
+        config = write_json(tmp / "kalman_same.json", {**settings, "fraction": 0.4, "r": r})
         out = tmp / "kalman_same"
         assert main(["kalman", "--config", config, "--out", str(out)]) == 0
-        with open(out / "filter_trace.csv", newline="") as handle:
-            cli_errors = [float(row["error_all"]) for row in csv.DictReader(handle)]
+        header, rows = assert_finite_table(out / "filter_trace.csv")
+        cli_errors = [float(row[header.index("error_all")]) for row in rows]
         experiment = ExperimentConfig(
             methods=("kalman:0.4",),
             network_file=settings["network"],
@@ -274,6 +303,7 @@ class TestFitLearnKalman:
             train_count=4,
             max_iters=20,
             seed=5,
+            kalman_r=r,
         )
         result = run_experiment(experiment)
         assert cli_errors == result.diagnostics["kalman:0.4"].errors_all.tolist()
@@ -314,6 +344,8 @@ class TestFitLearnKalman:
             ("kalman", {"max_iters": -1}, "max_iters must be >= 0, got -1"),
             ("experiment", {"learn_threshold": -1}, "threshold must be finite and >= 0, got -1.0"),
             ("experiment", {"gain": -1}, "gain must be finite and >= 0, got -1.0"),
+            ("kalman", {"r": -1}, "noise variance r must be finite and >= 0, got -1.0"),
+            ("experiment", {"kalman_r": -1}, "noise variance r must be finite and >= 0, got -1.0"),
         ],
     )
     def test_bad_learner_setting_fails_before_the_fit(
@@ -427,8 +459,11 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", config, "--out", str(out_b)]) == 0
         for name in ("errors.csv", "summary.csv", "errors.svg"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-        header = (out_a / "errors.csv").read_text().splitlines()[0]
-        assert header == "step,t,upper_bound,single_layer,multilayer"
+        header, _ = assert_finite_table(out_a / "errors.csv")
+        assert header == ["step", "t", "upper_bound", "single_layer", "multilayer"]
+        text = ("method", "improvement_vs_single_layer")
+        header, rows = assert_finite_table(out_a / "summary.csv", text_columns=text)
+        assert [row[0] for row in rows] == ["upper_bound", "single_layer", "multilayer"]
 
     def test_per_topic_and_whole_state_routes(self, tmp_path, monkeypatch):
         # The default learner makes no rank-1 update on this noisy data, so
@@ -532,6 +567,16 @@ def read_table(path):
     else:
         width = len(header)
     assert all(len(row) == width for row in rows), path
+    return header, rows
+
+
+def assert_finite_table(path, text_columns=("node_id",)):
+    """The header and rows of ``read_table(path)``, checking that there are
+    rows and that every field outside ``text_columns`` is a finite number."""
+    header, rows = read_table(path)
+    text = {header.index(name) for name in text_columns if name in header}
+    values = [float(v) for row in rows for i, v in enumerate(row) if i not in text]
+    assert values and np.isfinite(values).all(), path
     return header, rows
 
 
@@ -775,6 +820,28 @@ class TestExitCodes:
         assert main([command, "--config", config, "--out", str(tmp / "o")]) == 2
         err = capsys.readouterr().err
         assert f"unknown field(s) {key!r}" in err
+        assert not (tmp / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, fields",
+        [("simulate", {"horizon": 1e12}), ("generate", {"sigma_ratio": 0.05, "dt": 1e-300})],
+    )
+    def test_impossible_step_count_fails_before_allocating(
+        self, tiny_dataset, capsys, command, fields
+    ):
+        tmp = tiny_dataset["tmp"]
+        own = tiny_dataset["spec"] if command == "generate" else own_keys(command, tiny_dataset)
+        config = write_json(tmp / "steps.json", {**own, **fields})
+        tracemalloc.start()
+        try:
+            code = main([command, "--config", config, "--out", str(tmp / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "simulation's times would take" in err and "above the 3200000000 bytes" in err
+        assert peak < 1 << 20
         assert not (tmp / "o").exists()
 
     def test_non_numeric_state_value_is_validation_failure(self, tiny_dataset):

@@ -370,6 +370,14 @@ class TestSimulateOpen:
         with pytest.raises(ValidationError):
             SimulationConfig(dt=0.1, horizon=1.0, ensemble_size=0)
 
+    def test_kept_states_above_the_one_array_budget_rejected(self):
+        # 100 paths of 10^6 kept 1000 x 10 states take 8 TB; the times, 8 MB.
+        x0 = np.zeros((1000, 10))
+        rngs = [np.random.default_rng(0)] * 100
+        config = SimulationConfig(dt=1.0, horizon=1e6)
+        with pytest.raises(ValidationError, match=r"kept states would take 8e\+12 bytes"):
+            _simulate(x0, scipy.sparse.csr_array((1000, 1000)), x0, rngs, config)
+
 
 def reference_paths(x0, lap, sigma, rngs, config, stride=1):
     """Euler-Maruyama paths stepped one at a time, each as its own n x T

@@ -1,12 +1,15 @@
 """Every fenced ``python`` block of README.md runs, so the documented examples
-cannot call a name the package no longer has."""
+cannot call a name the package no longer has; and CI's workflow holds no
+inline Python, so every check lives in this suite."""
 
 import re
 from pathlib import Path
 
 import pytest
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)
 
 
@@ -28,3 +31,9 @@ def test_readme_lists_exactly_each_config_table_keys():
     assert set(rows) == set(TABLES)
     for label, (table, _) in TABLES.items():
         assert sorted(re.findall(r"`(\w+)`", rows[label])) == sorted(table), label
+
+
+def test_ci_workflow_runs_no_inline_python():
+    # A check written as a `python -` heredoc in a run: step would run only
+    # on CI; it belongs in a test here instead.
+    assert not re.search(r"python3?\s+-\s*<<", WORKFLOW.read_text())
