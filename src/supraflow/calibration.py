@@ -16,12 +16,12 @@ Two calibration routes work from snapshot histories:
   exactly, where column j of G sums the scaled residuals of input j's
   updates: a correction of rank at most m, kept in that form and not
   projected back to Kronecker structure.  The learner and its predictions
-  need only e^{lambda_hat} x.  While G is all zero, e^{lambda_hat} =
-  kron(I_T, e^{B}) (Van Loan 2000) and the action runs per topic through the
-  P x P block B; otherwise the truncated-Taylor action applies lambda_hat
-  through its parts, at T nnz(B) + 2 PT m multiply-adds per column, and
-  lambda_hat is formed densely only where the cost rule of
-  ``exponential_action`` says that forming e^{lambda_hat} is cheaper.
+  need only e^{lambda_hat} x, which has one route, G zero or not: the
+  truncated-Taylor action applies lambda_hat through its parts, at
+  T nnz(B) + 2 PT m multiply-adds per column, and lambda_hat is formed
+  densely only where the cost rule of ``exponential_action`` says that
+  forming e^{lambda_hat} is cheaper.  Only the Kalman filter splits the work
+  by topic while G is all zero (see ``kalman``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import NumericalError, ValidationError
-from .diffusion import _exponential_action, _state_array, exponential_action, matrix_exponential
+from .diffusion import _exponential_action, _state_array, matrix_exponential
 from .files import csv_floats, read_csv, write_csv, write_json
 from .network import (
     DiffusionConstants,
@@ -371,14 +371,14 @@ class LearnedOperator:
     training inputs side by side and ``corrections`` G the PT x m sums, per
     input, of gain times the residual of each update made on it.  The
     one-step prediction is e^{lambda_hat} @ vectorize(X), computed as the
-    exponential's action on the state through the parts.  While G is all
-    zero (``per_topic``), the action and the Kalman filter's transition run
-    per topic through B.  ``lambda_hat`` forms the dense PT x PT array on
-    each access and is never kept.  ``iteration_log`` records the pair error
-    measured just before each rank-1 update (or the initial evaluation when
-    the fit converges immediately); ``residual_variance`` holds
-    per-coordinate variances of the final training residuals, used
-    downstream as the default process-noise diagonal.
+    exponential's action on the state through the parts, whatever G.  While
+    G is all zero (``per_topic``), the Kalman filter runs per topic through
+    e^{B}.  ``lambda_hat`` forms the dense PT x PT array on each access and
+    is never kept.  ``iteration_log`` records the pair error measured just
+    before each rank-1 update (or the initial evaluation when the fit
+    converges immediately); ``residual_variance`` holds per-coordinate
+    variances of the final training residuals, used downstream as the
+    default process-noise diagonal.
     """
 
     block: scipy.sparse.csr_array
@@ -431,13 +431,6 @@ def _dense(block, inputs: np.ndarray, corrections: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _dense_block(block) -> np.ndarray:
-    """B as a P x P array, negated from the dense L_hat = -B so that its
-    zeros are -0.0, bit for bit the dense -L: the signs of zeros steer
-    LAPACK's reflections in ``matrix_exponential``."""
-    return -(-block).toarray()
-
-
 def _lifted(block, n_topics: int) -> scipy.sparse.csr_array:
     """kron(I_T, B) in CSR, its arrays B's tiled T times."""
     n_nodes, nnz = block.shape[0], block.nnz
@@ -467,21 +460,15 @@ class _Shifted:
 
 
 def _exp_action(block, inputs: np.ndarray, corrections: np.ndarray, vectors: np.ndarray):
-    """e^{lambda_hat} applied to PT x k column-stacked states.
+    """e^{lambda_hat} applied to PT x k column-stacked states, G zero or not.
 
-    While G is all zero, e^{B} is applied once to the P x (T k) block of the
-    states' topic columns.  Otherwise the Taylor action shifts lambda_hat by
-    mu = (T trace B + sum_k G_k . X_k) / PT, its trace over PT, and bounds
-    the 1-norm of lambda_hat - mu I by ||B - mu I||_1 + max_j sum_k |X_jk|
-    ||G_k||_1, the first term that of the block-diagonal kron(I_T, B) - mu I;
-    lambda_hat is formed only when ``_exponential_action``'s cost rule picks
-    the dense exponential.
+    The Taylor action shifts lambda_hat by mu = (T trace B + sum_k G_k . X_k)
+    / PT, its trace over PT, and bounds the 1-norm of lambda_hat - mu I by
+    ||B - mu I||_1 + max_j sum_k |X_jk| ||G_k||_1, the first term that of the
+    block-diagonal kron(I_T, B) - mu I; lambda_hat is formed only when
+    ``_exponential_action``'s cost rule picks the dense exponential.
     """
-    n_nodes, (dim, count) = block.shape[0], vectors.shape
-    if not corrections.any():
-        columns = vectors.reshape(-1, n_nodes, count).transpose(1, 0, 2).reshape(n_nodes, -1)
-        moved = exponential_action(_dense_block(block), columns)
-        return moved.reshape(n_nodes, -1, count).transpose(1, 0, 2).reshape(-1, count)
+    n_nodes, dim = block.shape[0], vectors.shape[0]
     n_topics = dim // n_nodes
     diagonal = block.diagonal()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -561,7 +548,7 @@ def learn_supra_operator(
     try:
         while True:
             # Every exit below follows this evaluation, so its residuals are
-            # also the final ones.  Before the first update it runs per topic.
+            # also the final ones.
             residuals = targets - _exp_action(block, inputs, corrections, inputs)
             errors = np.linalg.norm(residuals, axis=0)
             if initial_error is None:

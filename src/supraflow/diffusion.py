@@ -252,6 +252,31 @@ def propagate_closed(x0, supra: SupraLaplacian, delta_t: float):
     return _like(x0, exponential_action(-delta_t * supra.csr, x), delta_t)
 
 
+def _check_budget(shape: tuple[int, ...], paths: int, config: SimulationConfig, stride=1) -> None:
+    """Reject a simulation of ``paths`` paths of ``shape`` states whose times
+    or kept states would exceed the one-array budget of ``network.MAX_NODES``^2
+    doubles, as a ValidationError naming the array and its bytes.  Each path
+    also counts 1 KB for its seed sequence and generator, so callers check
+    before they make any, and the path count is bounded on any network.
+    """
+    # A float bound at or above n_steps, inf when the ratio overflows.
+    max_steps = config.horizon / config.dt + 1
+    budget = 8 * MAX_NODES**2
+    for consumer, size, remedy in (
+        ("times", 8 * (max_steps + 1), "raise dt or lower the horizon"),
+        (
+            "kept states",
+            paths * (8 * (max_steps / stride + 1) * math.prod(shape) + 1024),
+            "lower paths, raise dt or lower the horizon",
+        ),
+    ):
+        if not size <= budget:
+            raise ValidationError(
+                f"the simulation's {consumer} would take {size:.4g} bytes, above the "
+                f"{budget} bytes of one array that the node cap allows; {remedy}"
+            )
+
+
 def _simulate(x0: np.ndarray, lap, sigma: np.ndarray, rngs, config: SimulationConfig, stride=1):
     """Euler-Maruyama steps of one path per generator in ``rngs``, all from
     x0, keeping the states of steps 0, stride, 2 stride, ... and their times.
@@ -263,25 +288,9 @@ def _simulate(x0: np.ndarray, lap, sigma: np.ndarray, rngs, config: SimulationCo
     it would have stepped alone.  Every step draws its noise, kept or not.
     Returns the times and a (k, kept steps, n, T) array.  Each step adds to
     the state, so a non-finite entry stays non-finite, and the last kept
-    state shows any divergence up to it.
-
-    Before any allocation, the times and the kept states are each checked
-    against the one-array budget of ``network.MAX_NODES``^2 doubles, so an
-    impossible step count is a ValidationError naming the array and its bytes.
+    state shows any divergence up to it.  Callers make ``rngs`` only after
+    ``_check_budget`` has passed.
     """
-    # A float bound at or above n_steps, inf when the ratio overflows.
-    max_steps = config.horizon / config.dt + 1
-    budget = 8 * MAX_NODES**2
-    for consumer, count in (
-        ("times", max_steps + 1),
-        ("kept states", len(rngs) * (max_steps / stride + 1) * x0.size),
-    ):
-        if not 8 * count <= budget:
-            raise ValidationError(
-                f"the simulation's {consumer} would take {8 * count:.4g} bytes, above the "
-                f"{budget} bytes of one array that the node cap allows; raise dt or lower "
-                "the horizon"
-            )
     n_steps = config.n_steps
     times = np.minimum(np.arange(n_steps + 1) * config.dt, config.horizon)
     n, k = x0.shape[0], len(rngs)
@@ -334,6 +343,7 @@ def simulate_ensemble(
             "the explicit scheme may be inaccurate",
             stacklevel=2,
         )
+    _check_budget(x.shape, config.ensemble_size, config)
     node_index = x0.node_index if isinstance(x0, StateMatrix) else supra.node_index
     children = np.random.SeedSequence(noise.seed).spawn(config.ensemble_size)
     rngs = [np.random.default_rng(child) for child in children]

@@ -31,11 +31,12 @@ all zero, e^{A} = kron(I_T, e^{B}).  Q and R are diagonal, H observes the
 same nodes in every topic and ``filter_fractions`` starts from Pi_0 = 0, so
 Pi stays block diagonal and the PT-dimensional filter is T independent
 P-dimensional ones, each through the P x P transition e^{B}: T P^3 work per
-step instead of (PT)^3.  ``filter_fractions`` runs them in lockstep and
-reports the same full-state result; any other generator takes the
-PT-dimensional filter.  That filter and ``transition_matrix`` are the
-package's only consumers of the dense PT x PT generator, so they alone are
-bound by ``MAX_LEARN_DIM``, checked before the array is formed.
+step instead of (PT)^3.  ``filter_fractions`` runs them in lockstep, the
+package's only split by topic, and reports the same full-state result; any
+other generator takes the PT-dimensional filter.  That filter and
+``transition_matrix`` are the package's only consumers of the dense PT x PT
+generator, so they alone are bound by ``MAX_LEARN_DIM``, checked before the
+array is formed.
 
 The filters of different fractions share only the read-only F, so
 ``filter_fractions`` is the one place in the package that starts threads:
@@ -61,7 +62,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError, ValidationError
-from .calibration import LearnedOperator, SnapshotSeries, _dense_block, devectorize, vectorize
+from .calibration import LearnedOperator, SnapshotSeries, devectorize, vectorize
 from .diffusion import matrix_exponential
 from .files import write_csv
 
@@ -291,7 +292,7 @@ class FilterResult:
     prediction against the full true state; the observed/hidden columns
     restrict the same measure to the corresponding coordinates.
     ``final_states`` holds each filter's last updated state: one for the
-    whole-state filter, T on the per-topic route.
+    whole-state filter, T on the per-topic route, never joined.
     """
 
     steps: np.ndarray
@@ -303,21 +304,6 @@ class FilterResult:
     predictions: tuple[np.ndarray, ...]
     final_states: tuple[KalmanState, ...]
     observed_nodes: tuple[int, ...]
-
-    @cached_property
-    def final_state(self) -> KalmanState:
-        """The last updated state of the whole vectorized state.  Per-topic
-        states are joined on first access: their block-diagonal covariance
-        and transition are two PT x PT arrays, formed only for a reader."""
-        states = self.final_states
-        if len(states) == 1:
-            return states[0]
-        return KalmanState(
-            x_hat=np.concatenate([state.x_hat for state in states]),
-            pi=scipy.linalg.block_diag(*(state.pi for state in states)),
-            phase=PHASE_UPDATED,
-            f_hat=scipy.linalg.block_diag(*(state.f_hat for state in states)),
-        )
 
 
 def _masked_relative_error(x_hat: np.ndarray, x_true: np.ndarray, mask: np.ndarray) -> float:
@@ -422,7 +408,7 @@ def filter_fractions(
     corrections G all zero), only the P x P e^{B} is formed and each fraction
     runs T topic filters in lockstep, each with its topic's block of Q and R;
     their joined estimate gives the same full-state predictions, errors and
-    trace, and ``final_state`` holds the block-diagonal covariance.  The
+    trace, and ``final_states`` holds the T topic states.  The
     whole-state filter forms the PT x PT e^{A}: above ``MAX_LEARN_DIM`` it is
     a ValidationError, raised before that allocation.
 
@@ -436,7 +422,7 @@ def filter_fractions(
     shape = n_nodes, n_topics = series.n_nodes, series.n_topics
     # One filter per topic through e^{B}, or one of the whole state through e^{A}.
     if op.per_topic:
-        parts, transition = n_topics, matrix_exponential(_dense_block(op.block))
+        parts, transition = n_topics, matrix_exponential(op.block.toarray())
     else:
         parts = 1
         transition = matrix_exponential(_dense_generator(op, "the whole-state Kalman filter"))

@@ -12,10 +12,10 @@ shares that ordering.  Every adjacency, coupling and operator part is stored
 in one form, canonical read-only CSR (sorted indices, no duplicate and no
 explicit zero entries), so memory grows with the edge count, not with P^2.
 A ``SupraLaplacian`` stores its intra and inter parts; their CSR sum ``csr``
-and the dense sum ``matrix``, formed only for the consumers that need a
-dense operator, are derived on first use.  Inputs with more than
-``MAX_NODES`` nodes are rejected: that cap bounds the P x P arrays of those
-dense consumers (3.2 GB each at the cap).
+and the dense sum ``matrix``, which only ``build`` reads, are derived on
+first use.  Inputs with more than ``MAX_NODES`` nodes are rejected: that cap
+bounds the P x P arrays of the dense consumers, such as ``build``'s dump and
+the fit's L(D) (3.2 GB each at the cap).
 """
 
 from __future__ import annotations
@@ -311,8 +311,8 @@ class SupraLaplacian:
     def matrix(self) -> np.ndarray:
         """The read-only dense operator, formed from ``csr`` on first use.
 
-        Only the consumers that need a dense operator read it: the fit's
-        eigendecomposition and ``build``.
+        Only ``build`` reads it, for its dump; the fit scatters its own
+        dense L(D) from the parts.
         """
         total = self.csr.toarray()
         total.setflags(write=False)

@@ -19,7 +19,7 @@ import scipy.sparse
 from .errors import REQUIRED, ValidationError, _json_bool, _json_float, _json_int, _json_list
 from .errors import _json_str, read_document
 from .calibration import SnapshotSeries
-from .diffusion import SimulationConfig, _simulate, propagate_closed, step_norm
+from .diffusion import SimulationConfig, _check_budget, _simulate, propagate_closed, step_norm
 from .network import (
     DiffusionConstants,
     InterconnectedNetwork,
@@ -256,6 +256,7 @@ def _generate_once(spec: SyntheticSpec, seed: int, attempt: int, rng):
         config = SimulationConfig(
             dt=spec.spacing / substeps, horizon=(spec.n_snapshots - 1) * spec.spacing
         )
+        _check_budget(x0.shape, 1, config, stride=substeps)
         # Only every substeps-th state is a snapshot, so only those are kept.
         noise_rng = np.random.default_rng(int(rng.integers(0, 2**31 - 1)))
         _, (states,) = _simulate(x0, supra.csr, sigma, [noise_rng], config, stride=substeps)

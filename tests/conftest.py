@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from supraflow import (
@@ -10,6 +11,7 @@ from supraflow import (
     LearnedOperator,
     assemble_supra_laplacian,
 )
+from supraflow.kalman import PHASE_UPDATED, KalmanState
 
 
 def global_random_state():
@@ -220,6 +222,19 @@ def topic_operator(block, n_topics):
     n_nodes = block.shape[0]
     empty = np.zeros((n_nodes * n_topics, 0))
     return learned_operator(block, empty, empty, n_nodes, n_topics)
+
+
+def joined_final_state(result):
+    """The whole state's last updated filter state from a ``FilterResult``'s
+    ``final_states``: the estimates concatenated, the covariances and the
+    transitions joined block-diagonally (a copy of the one whole-state filter's)."""
+    states = result.final_states
+    return KalmanState(
+        x_hat=np.concatenate([state.x_hat for state in states]),
+        pi=scipy.linalg.block_diag(*(state.pi for state in states)),
+        phase=PHASE_UPDATED,
+        f_hat=scipy.linalg.block_diag(*(state.f_hat for state in states)),
+    )
 
 
 @pytest.fixture

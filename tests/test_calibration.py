@@ -302,42 +302,6 @@ class TestLearnSupraOperator:
         assert op.block.shape == (5, 5) and not op.per_topic
         assert np.array_equal(op.block.toarray(), -self.supra.matrix)
 
-    def test_per_topic_block_is_the_dense_negated_laplacian_bit_for_bit(self):
-        # The per-topic action and filter exponentiate this array; its zeros
-        # are -0.0 as in the dense -L, whose signs LAPACK's eigh reads.
-        series = series_from_operator(self.lam0, self.x0, 5, 2, self.network.node_index, 3)
-        op = learn_supra_operator(series, self.supra, max_iters=0)
-        assert op.per_topic
-        assert calibration._dense_block(op.block).tobytes() == (-self.supra.matrix).tobytes()
-
-    @pytest.mark.parametrize("max_iters", [0, 2])
-    def test_evaluations_before_the_first_update_run_per_topic(self, monkeypatch, max_iters):
-        operators = []
-        real_topic = calibration.exponential_action
-        real_whole = calibration._exponential_action
-
-        def per_topic(a, x):
-            operators.append(np.shape(a))
-            return real_topic(a, x)
-
-        def whole_state(shifted, *rest):
-            operators.append(type(shifted))
-            return real_whole(shifted, *rest)
-
-        monkeypatch.setattr(calibration, "exponential_action", per_topic)
-        monkeypatch.setattr(calibration, "_exponential_action", whole_state)
-        series = series_from_operator(
-            self.lam0 + 0.03, self.x0, 5, 2, self.network.node_index, 3
-        )
-        op = learn_supra_operator(series, self.supra, threshold=0.0, max_iters=max_iters)
-        assert op.iterations == max_iters
-        # One per-topic evaluation through the 5 x 5 block; after the first
-        # update, the second pair's action and the closing evaluation act on
-        # the whole state through the structured operator.
-        assert operators == [(5, 5)] + [calibration._Shifted] * max_iters
-        # The rank-1 updates leave the Kronecker structure.
-        assert op.per_topic == (max_iters == 0)
-
     def test_whole_state_actions_form_no_dense_operator(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("formed the dense PT x PT operator")
@@ -397,8 +361,8 @@ class TestLearnSupraOperator:
             tracemalloc.stop()
         assert op.iterations == 1 and not op.per_topic
         assert op.corrections.shape == (dim, 1)
-        # The per-topic evaluation holds P x P arrays only.
-        assert peak < dim * dim * 8
+        # Every evaluation acts through the parts, with no P x P array.
+        assert peak < n_nodes * n_nodes * 8
 
 
 class TestOneStepPredict:

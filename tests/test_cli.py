@@ -467,8 +467,8 @@ class TestExperimentCommand:
 
     def test_per_topic_and_whole_state_routes(self, tmp_path, monkeypatch):
         # The default learner makes no rank-1 update on this noisy data, so
-        # the learned operator and the filter run per topic; forced updates
-        # take the whole-state route.  Run both.
+        # the filter runs per topic; forced updates take the whole-state
+        # filter.  Run both.
         routes = []
         real_learn = harness.learn_from_fit
 
@@ -842,6 +842,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "simulation's times would take" in err and "above the 3200000000 bytes" in err
         assert peak < 1 << 20
+        assert not (tmp / "o").exists()
+
+    def test_too_many_paths_fail_before_any_generator(self, tiny_dataset, capsys):
+        # 10^5 paths of 202 kept 13 x 2 states take 4.2 GB; their generators
+        # alone would hold about 100 MB.
+        tmp = tiny_dataset["tmp"]
+        fields = {"paths": 10**5, "horizon": 2.0, "dt": 0.01}
+        config = write_json(tmp / "paths.json", {**own_keys("simulate", tiny_dataset), **fields})
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", config, "--out", str(tmp / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        err = capsys.readouterr().err
+        assert "simulation's kept states would take 4.3" in err and "lower paths" in err
         assert not (tmp / "o").exists()
 
     def test_non_numeric_state_value_is_validation_failure(self, tiny_dataset):

@@ -21,7 +21,13 @@ from supraflow import (
     propagate_closed,
     simulate_ensemble,
 )
-from supraflow.diffusion import _simulate, default_step, exponential_action, step_norm
+from supraflow.diffusion import (
+    _check_budget,
+    _simulate,
+    default_step,
+    exponential_action,
+    step_norm,
+)
 from conftest import connected_adjacency, global_random_state, random_network, single_layer_supra
 
 
@@ -372,11 +378,21 @@ class TestSimulateOpen:
 
     def test_kept_states_above_the_one_array_budget_rejected(self):
         # 100 paths of 10^6 kept 1000 x 10 states take 8 TB; the times, 8 MB.
-        x0 = np.zeros((1000, 10))
-        rngs = [np.random.default_rng(0)] * 100
         config = SimulationConfig(dt=1.0, horizon=1e6)
         with pytest.raises(ValidationError, match=r"kept states would take 8e\+12 bytes"):
-            _simulate(x0, scipy.sparse.csr_array((1000, 1000)), x0, rngs, config)
+            _check_budget((1000, 10), 100, config)
+
+    def test_path_generators_count_against_the_budget(self, monkeypatch):
+        # On one node, 10^7 paths keep 24 bytes each but hold about 1 KB of
+        # seed sequence and generator: 1.048e10 bytes, rejected before the spawn.
+        def refuse(*args):
+            raise AssertionError("seeded a path before the budget check")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        _, supra = single_layer_supra(np.zeros((1, 1)))
+        config = SimulationConfig(dt=1.0, horizon=1.0, ensemble_size=10**7)
+        with pytest.raises(ValidationError, match=r"kept states would take 1\.048e\+10 bytes"):
+            simulate_ensemble(np.ones((1, 1)), supra, NoiseModel(np.ones((1, 1))), config)
 
 
 def reference_paths(x0, lap, sigma, rngs, config, stride=1):

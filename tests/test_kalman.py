@@ -33,7 +33,14 @@ from supraflow.kalman import (
     write_filter_trace_csv,
     write_mask_csv,
 )
-from conftest import learned_operator, make_operator, random_network, ring_supra, topic_operator
+from conftest import (
+    joined_final_state,
+    learned_operator,
+    make_operator,
+    random_network,
+    ring_supra,
+    topic_operator,
+)
 
 
 def scalar_recursion(x0, pi0, f, q, r, h, observations):
@@ -434,7 +441,7 @@ class TestRunFilter:
         series = make_series(self.node_index, self.states, train_count=2)
         model = full_observation_model(self.n_nodes, self.n_topics, r=0.1, q=0.1)
         result = run_filter(series, self.op, model, pi0=1.0, transition=self.f)
-        assert np.array_equal(result.final_state.f_hat, self.f)
+        assert np.array_equal(joined_final_state(result).f_hat, self.f)
 
     def test_filter_fractions_is_run_filter_on_nested_masks(self):
         series = make_series(self.node_index, self.states, train_count=2)
@@ -509,7 +516,8 @@ class TestRunFilter:
         for fraction, result in results.items():
             expected = reference[fraction]
             assert result.trace_pi.tobytes() == expected.trace_pi.tobytes()
-            assert result.final_state.pi.tobytes() == expected.final_state.pi.tobytes()
+            pi, expected_pi = joined_final_state(result).pi, joined_final_state(expected).pi
+            assert pi.tobytes() == expected_pi.tobytes()
             for got, want in zip(result.predictions, expected.predictions, strict=True):
                 assert got.tobytes() == want.tobytes()
 
@@ -534,9 +542,10 @@ class TestRunFilter:
 
 
 class TestTopicRoute:
-    """``filter_fractions`` and ``one_step_predict_learned`` run per topic
-    exactly when the corrections G are all zero, and then form no PT x PT
-    exponential or covariance; any nonzero correction takes the PT route."""
+    """``filter_fractions`` runs per topic exactly when the corrections G are
+    all zero, and then forms no PT x PT exponential or covariance; any nonzero
+    correction takes the PT route.  ``one_step_predict_learned`` takes the
+    structured whole-state action either way."""
 
     n_nodes, n_topics = 4, 3
 
@@ -549,9 +558,8 @@ class TestTopicRoute:
 
     def shapes_seen(self, monkeypatch, op):
         """Shapes of every matrix exponential and filter covariance that
-        ``filter_fractions`` forms, and of every operator that
-        ``one_step_predict_learned`` applies: a P x P block, or "whole" for
-        the structured whole-state action."""
+        ``filter_fractions`` forms, and "whole" for each structured
+        whole-state action that ``one_step_predict_learned`` takes."""
         seen = {"filter_expm": [], "pi": [], "predict_action": []}
         for module in (kalman, diffusion):
             real = module.matrix_exponential
@@ -575,18 +583,13 @@ class TestTopicRoute:
         filter_fractions(series, op, nested_masks(self.n_nodes, [0.5, 1.0], seed=2))
         monkeypatch.undo()
 
-        real_action = calibration.exponential_action
         real_whole = calibration._exponential_action
 
-        def recorded_action(a, x):
-            seen["predict_action"].append(np.shape(a))
-            return real_action(a, x)
-
         def recorded_whole(shifted, *rest):
+            assert isinstance(shifted, calibration._Shifted)
             seen["predict_action"].append("whole")
             return real_whole(shifted, *rest)
 
-        monkeypatch.setattr(calibration, "exponential_action", recorded_action)
         monkeypatch.setattr(calibration, "_exponential_action", recorded_whole)
         one_step_predict_learned(op, np.stack(self.states))
         return seen
@@ -601,7 +604,7 @@ class TestTopicRoute:
         # predict and one update in each of the T topic filters.
         assert seen["filter_expm"] == [small]
         assert seen["pi"] == [small] * (2 * 2 * 4 * self.n_topics)
-        assert seen["predict_action"] == [small]
+        assert seen["predict_action"] == ["whole"]
 
     @pytest.mark.parametrize("correction", [1e-3, 5e-324])
     def test_any_nonzero_correction_takes_the_whole_state_route(self, monkeypatch, correction):
@@ -621,7 +624,8 @@ class TestTopicRoute:
 class TestDenseCap:
     """Above ``MAX_LEARN_DIM`` the consumers of the dense PT x PT generator
     fail with ValidationError before allocating it; the per-topic filter,
-    which forms no such array, runs."""
+    which forms no such array, runs, and the one-step prediction with G = 0
+    forms not even a P x P one."""
 
     n_topics = 2
 
@@ -664,14 +668,28 @@ class TestDenseCap:
         results = filter_fractions(series, op, {1.0: (0, 1)})
         assert len(results[1.0].final_states) == self.n_topics
 
+    def test_uncorrected_prediction_holds_no_node_by_node_array(self):
+        series, op = self.operator(corrected=False)
+        states = np.stack([snap.matrix for snap in series.snapshots])
+        tracemalloc.start()
+        try:
+            predicted = one_step_predict_learned(op, states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert predicted.shape == states.shape and np.isfinite(predicted).all()
+        # One 2001 x 2001 array is 32 MB.
+        assert peak < 8_000_000
+
 
 class TestPerTopicFinalState:
     """On the per-topic route ``filter_fractions`` keeps each topic filter's
-    final state; the whole-state ``final_state`` is joined only when read."""
+    final state and never joins them into a whole-state one."""
 
     n_nodes, n_topics = 50, 8
 
-    def filtered(self):
+    def inputs(self):
+        """The series, a kron(I_T, B) operator and the masks of two fractions."""
         rng = np.random.default_rng(22)
         half = 0.1 * rng.standard_normal((self.n_nodes, self.n_nodes))
         dim = self.n_nodes * self.n_topics
@@ -683,39 +701,47 @@ class TestPerTopicFinalState:
         states = list(rng.random((5, self.n_nodes, self.n_topics)))
         series = make_series(node_index, states, train_count=2)
         masks = nested_masks(self.n_nodes, [0.5, 1.0], seed=2)
-        return lambda: filter_fractions(series, op, masks)
+        return series, op, masks
 
     def test_filtering_forms_no_whole_state_matrix(self):
-        run = self.filtered()
+        inputs = self.inputs()
         dim = self.n_nodes * self.n_topics
         tracemalloc.start()
         try:
-            results = run()
+            results = filter_fractions(*inputs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # Two fractions of eight 50 x 50 topic filters each stay below one
-        # 400 x 400 covariance; joining the states forms two per fraction.
+        # 400 x 400 covariance; joining the states would form two per fraction.
         assert peak < dim * dim * 8
         assert all(len(result.final_states) == self.n_topics for result in results.values())
 
-    def test_final_state_is_the_block_diagonal_join_formed_once(self):
-        for result in self.filtered()().values():
+    def test_topic_states_join_to_the_whole_state_filters_final_state(self):
+        series, op, masks = self.inputs()
+        topic = matrix_exponential(op.block.toarray())
+        whole = scipy.linalg.block_diag(*[topic] * self.n_topics)
+        for fraction, result in filter_fractions(series, op, masks).items():
             states = result.final_states
-            final = result.final_state
-            assert final is result.final_state
-            assert final.phase == PHASE_UPDATED
-            assert final.x_hat.tobytes() == np.concatenate([s.x_hat for s in states]).tobytes()
-            pi = scipy.linalg.block_diag(*(s.pi for s in states))
-            f_hat = scipy.linalg.block_diag(*(s.f_hat for s in states))
-            assert final.pi.tobytes() == pi.tobytes()
-            assert final.f_hat.tobytes() == f_hat.tobytes()
+            assert all(s.phase == PHASE_UPDATED and s.f_hat is states[0].f_hat for s in states)
+            observed = masks[fraction]
+            model = ObservationModel.build(
+                self.n_nodes, self.n_topics, observed, kalman.R_OBSERVED, op.residual_variance
+            )
+            (expected,) = run_filter(series, op, model, pi0=0.0, transition=whole).final_states
+            joined = joined_final_state(result)
+            assert np.array_equal(joined.f_hat, whole)
+            scale = np.abs(expected.x_hat).max()
+            assert np.abs(joined.x_hat - expected.x_hat).max() <= 1e-12 * scale
+            # As in the property test: the last update's cancellation rounds
+            # relative to the predicted trace.
+            assert np.abs(joined.pi - expected.pi).max() <= 1e-12 * result.trace_pi.max()
 
 
 def assert_same_bytes(result, expected):
     for name in ("steps", "errors_all", "errors_observed", "errors_hidden", "trace_pi"):
         assert getattr(result, name).tobytes() == getattr(expected, name).tobytes()
-    assert result.final_state.pi.tobytes() == expected.final_state.pi.tobytes()
+    assert joined_final_state(result).pi.tobytes() == joined_final_state(expected).pi.tobytes()
     for got, want in zip(result.predictions, expected.predictions, strict=True):
         assert got.tobytes() == want.tobytes()
 

@@ -77,6 +77,7 @@ from conftest import (
     brute_force_supra,
     connected_adjacency,
     directed_network,
+    joined_final_state,
     kronecker_lift,
     learned_operator,
     random_network,
@@ -585,9 +586,9 @@ def assert_close(got, want, scale=None):
 
 
 class TestTopicSplit:
-    """A generator that is exactly kron(I_T, B) runs per topic through e^{B}:
-    the same filter results and one-step predictions as the PT-dimensional
-    route through e^{kron(I_T, B)}."""
+    """With a generator that is exactly kron(I_T, B) the filter runs per topic
+    through e^{B}: the same results as the PT-dimensional filter through
+    e^{kron(I_T, B)}, whose action the one-step predictions also match."""
 
     @settings(PROPERTY, max_examples=60)
     @given(
@@ -620,7 +621,8 @@ class TestTopicSplit:
             assert_close(getattr(result, name), getattr(reference, name))
         # The last update leaves about R of a predicted covariance of order
         # Q: both routes round that cancellation relative to the predicted trace.
-        assert_close(result.final_state.pi, reference.final_state.pi, reference.trace_pi.max())
+        joined, expected = joined_final_state(result), joined_final_state(reference)
+        assert_close(joined.pi, expected.pi, reference.trace_pi.max())
 
         moved = exponential_action(lam, np.column_stack([vectorize(s) for s in states]))
         predicted = one_step_predict_learned(op, states)
@@ -653,7 +655,30 @@ def structured_operators(draw, route="taylor"):
 class TestStructuredOperator:
     """lambda_hat = kron(I_T, B) + G X^T acts through its parts as the dense
     array does, with a 1-norm bound above the exact norm, and is written one
-    block of rows at a time as the dense dump."""
+    block of rows at a time as the dense dump.  With G = 0 it is the fitted
+    operator applied to every topic."""
+
+    @settings(PROPERTY, max_examples=60)
+    @given(
+        seed=seeds,
+        directed=st.booleans(),
+        n_topics=st.integers(1, 3),
+        rank=st.integers(0, 3),
+        count=st.integers(1, 3),
+    )
+    def test_zero_corrections_predict_as_closed_propagation(
+        self, seed, directed, n_topics, rank, count
+    ):
+        rng = np.random.default_rng(seed)
+        network, constants = (directed_network if directed else random_network)(rng)
+        supra = assemble_supra_laplacian(network, constants)
+        n_nodes = supra.n_nodes
+        dim = n_nodes * n_topics
+        inputs, corrections = rng.random((dim, rank)), np.zeros((dim, rank))
+        op = learned_operator(-supra.csr, inputs, corrections, n_nodes, n_topics)
+        states = rng.random((count, n_nodes, n_topics))
+        for got, x in zip(one_step_predict_learned(op, states), states, strict=True):
+            assert relative_error(got, propagate_closed(x, supra, 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("route", ["taylor", "dense"])
     @settings(PROPERTY, max_examples=40)
