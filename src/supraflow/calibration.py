@@ -16,12 +16,12 @@ Two calibration routes work from snapshot histories:
   exactly, where column j of G sums the scaled residuals of input j's
   updates: a correction of rank at most m, kept in that form and not
   projected back to Kronecker structure.  The learner and its predictions
-  need only e^{lambda_hat} x, which has one route, G zero or not: the
-  truncated-Taylor action applies lambda_hat through its parts, at
-  T nnz(B) + 2 PT m multiply-adds per column, and lambda_hat is formed
-  densely only where the cost rule of ``exponential_action`` says that
-  forming e^{lambda_hat} is cheaper.  Only the Kalman filter splits the work
-  by topic while G is all zero (see ``kalman``).
+  need only e^{lambda_hat} x, which ``diffusion._exp_action``, the package's
+  one exponential action, applies through the parts, G zero or not; its cost
+  rule alone decides where lambda_hat is formed densely.  With G = 0, as
+  before the first update, lambda_hat is kron(I_T, -L) and its action is the
+  closed propagator e^{-L} of ``propagate_closed`` on every topic.  Only the
+  Kalman filter splits the work by topic while G is all zero (see ``kalman``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import NumericalError, ValidationError
-from .diffusion import _exponential_action, _state_array, matrix_exponential
+from .diffusion import _dense, _exp_action, _row_blocks, _state_array, matrix_exponential
 from .files import csv_floats, read_csv, write_csv, write_json
 from .network import (
     DiffusionConstants,
@@ -56,8 +56,6 @@ D_MAX = 10.0
 D_START = 1.0
 _MAX_STEPS = 100
 _MAX_DAMPING = 1e10
-#: Bytes of lambda_hat's rows that ``_row_blocks`` forms at a time.
-_ROW_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -370,15 +368,16 @@ class LearnedOperator:
     CSR generator of the fitted supra-Laplacian, ``inputs`` X the PT x m
     training inputs side by side and ``corrections`` G the PT x m sums, per
     input, of gain times the residual of each update made on it.  The
-    one-step prediction is e^{lambda_hat} @ vectorize(X), computed as the
-    exponential's action on the state through the parts, whatever G.  While
-    G is all zero (``per_topic``), the Kalman filter runs per topic through
-    e^{B}.  ``lambda_hat`` forms the dense PT x PT array on each access and
-    is never kept.  ``iteration_log`` records the pair error measured just
-    before each rank-1 update (or the initial evaluation when the fit
-    converges immediately); ``residual_variance`` holds per-coordinate
-    variances of the final training residuals, used downstream as the
-    default process-noise diagonal.
+    one-step prediction is e^{lambda_hat} @ vectorize(X), applied through the
+    parts by ``diffusion._exp_action`` whatever G; while G is all zero
+    (``per_topic``) that is the closed propagator e^{B} on every topic, and
+    the Kalman filter runs per topic through e^{B}.  ``lambda_hat`` forms the
+    dense PT x PT array on each access and is never kept.  ``iteration_log``
+    records the pair error measured just before each rank-1 update (or the
+    initial evaluation when the fit converges immediately);
+    ``residual_variance`` holds per-coordinate variances of the final
+    training residuals, used downstream as the default process-noise
+    diagonal.
     """
 
     block: scipy.sparse.csr_array
@@ -404,89 +403,6 @@ class LearnedOperator:
     def lambda_hat(self) -> np.ndarray:
         """The dense PT x PT operator, formed anew on each access."""
         return _dense(self.block, self.inputs, self.corrections)
-
-
-def _row_blocks(block, inputs: np.ndarray, corrections: np.ndarray):
-    """lambda_hat = kron(I_T, B) + G X^T by blocks of rows, as (first row,
-    rows): G[rows] X^T plus B's rows in the topic's own columns.  A block
-    holds at most ``_ROW_BLOCK_BYTES`` and never spans two topics."""
-    n_nodes, dim = block.shape[0], inputs.shape[0]
-    step = max(1, _ROW_BLOCK_BYTES // (8 * dim))
-    for offset in range(0, dim, n_nodes):
-        for start in range(0, n_nodes, step):
-            stop = min(start + step, n_nodes)
-            rows = corrections[offset + start : offset + stop] @ inputs.T
-            rows[:, offset : offset + n_nodes] += block[start:stop].toarray()
-            yield offset + start, rows
-
-
-def _dense(block, inputs: np.ndarray, corrections: np.ndarray) -> np.ndarray:
-    """lambda_hat as one PT x PT array, filled from ``_row_blocks``."""
-    dim = inputs.shape[0]
-    lam = np.empty((dim, dim))
-    for start, rows in _row_blocks(block, inputs, corrections):
-        lam[start : start + len(rows)] = rows
-    if not np.isfinite(lam).all():
-        raise NumericalError("the learned operator has non-finite entries")
-    return lam
-
-
-def _lifted(block, n_topics: int) -> scipy.sparse.csr_array:
-    """kron(I_T, B) in CSR, its arrays B's tiled T times."""
-    n_nodes, nnz = block.shape[0], block.nnz
-    topics = np.arange(n_topics)[:, None]
-    indptr = np.append((block.indptr[:-1] + nnz * topics).ravel(), n_topics * nnz)
-    indices = (block.indices + n_nodes * topics).ravel()
-    dim = n_nodes * n_topics
-    return scipy.sparse.csr_array(
-        (np.tile(block.data, n_topics), indices, indptr), shape=(dim, dim)
-    )
-
-
-class _Shifted:
-    """lambda_hat - mu I as an operator on PT x k column-stacked states,
-    from the CSR kron(I_T, B) and the factors of G X^T: ``@`` takes
-    T nnz(B) + 2 PT m + PT multiply-adds per column and forms no PT x PT
-    array."""
-
-    def __init__(self, lifted, inputs: np.ndarray, corrections: np.ndarray, mu: float):
-        self.lifted, self.inputs, self.corrections, self.mu = lifted, inputs, corrections, mu
-
-    def __matmul__(self, vectors: np.ndarray) -> np.ndarray:
-        moved = self.lifted @ vectors
-        moved += self.corrections @ (self.inputs.T @ vectors)
-        moved -= self.mu * vectors
-        return moved
-
-
-def _exp_action(block, inputs: np.ndarray, corrections: np.ndarray, vectors: np.ndarray):
-    """e^{lambda_hat} applied to PT x k column-stacked states, G zero or not.
-
-    The Taylor action shifts lambda_hat by mu = (T trace B + sum_k G_k . X_k)
-    / PT, its trace over PT, and bounds the 1-norm of lambda_hat - mu I by
-    ||B - mu I||_1 + max_j sum_k |X_jk| ||G_k||_1, the first term that of the
-    block-diagonal kron(I_T, B) - mu I; lambda_hat is formed only when
-    ``_exponential_action``'s cost rule picks the dense exponential.
-    """
-    n_nodes, dim = block.shape[0], vectors.shape[0]
-    n_topics = dim // n_nodes
-    diagonal = block.diagonal()
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = (n_topics * float(diagonal.sum()) + float(np.vdot(corrections, inputs))) / dim
-        # B's absolute column sums, each diagonal entry shifted by mu.
-        sums = np.bincount(block.indices, np.abs(block.data), n_nodes)
-        sums = sums + np.abs(diagonal - mu) - np.abs(diagonal)
-        rank = np.abs(inputs) @ np.abs(corrections).sum(axis=0)
-        norm = float(sums.max(initial=0.0) + rank.max(initial=0.0))
-    lifted = _lifted(block, n_topics)
-    return _exponential_action(
-        _Shifted(lifted, inputs, corrections, mu),
-        mu,
-        norm,
-        lifted.nnz + 2 * corrections.size + dim,
-        lambda: _dense(block, inputs, corrections),
-        vectors,
-    )
 
 
 def check_learner_settings(gain: float | None, threshold: float | None, max_iters: int) -> None:

@@ -48,6 +48,7 @@ from .harness import ExperimentConfig, replot_errors_csv, run_experiment
 from .harness import write_errors_csv, write_summary_csv
 from .kalman import (
     R_OBSERVED,
+    _test_range,
     check_observation_noise,
     filter_fractions,
     nested_masks,
@@ -254,6 +255,7 @@ def cmd_kalman(args) -> int:
     check_observation_noise(cfg["r"])
     network, _ = load_network(cfg["network"])
     series = _load_series(cfg, network)
+    _test_range(series)
     masks = nested_masks(network.n_nodes, [fraction], cfg["seed"])
     fit = fit_diffusion_constants(series, network)
     op = learn_from_fit(

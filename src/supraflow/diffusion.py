@@ -2,12 +2,17 @@
 
 Closed dynamics follow dX/dt = -L X where L is the assembled supra-Laplacian;
 the exact propagator is the matrix exponential e^{-L dt}, applied to states
-through the sparse operator by a truncated-Taylor action whose step count
-comes from an exact norm, so results are deterministic.  Open dynamics add a
-Brownian innovation dX = -L X dt + S dB with a per-node, per-topic scale matrix
-S, simulated with the Euler-Maruyama scheme (strong order 0.5) with sparse
-operator products.  The point predictor is the propagated mean; the stochastic
-term has zero expectation and enters only simulation and residual modeling.
+by ``_exp_action``, the package's one exponential action: a truncated-Taylor
+action on A = kron(I_T, B) + G X^T through its parts.  Closed propagation is
+its case T = 1 with no correction, and ``calibration``'s learned operator
+the general case, which before its first update is kron(I_T, -L), the closed
+propagator on every topic.  The step count comes from an exact norm, or a
+bound when there is a correction, so results are deterministic.  Open
+dynamics add a Brownian innovation dX = -L X dt + S dB with a per-node,
+per-topic scale matrix S, simulated with the Euler-Maruyama scheme (strong
+order 0.5) with sparse operator products.  The point predictor is the
+propagated mean; the stochastic term has zero expectation and enters only
+simulation and residual modeling.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 #: Bytes of leading-axis rows that ``ensemble_statistics`` takes per block:
 #: the size of its one deviation buffer.
 STATISTICS_BLOCK_BYTES = 1 << 18
+#: Bytes of an operator's rows that ``_row_blocks`` forms at a time.
+_ROW_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -170,59 +177,105 @@ def exponential_action(a, x) -> np.ndarray:
     that is cheaper than forming e^A.
 
     A may be an array or a scipy sparse matrix; X one vector or a matrix of
-    column vectors.  The action shifts A by mu = trace(A) / n and takes its
-    Taylor degree and step count from the exact 1-norm of A - mu I, with no
-    randomized norm estimate and no global random state, so the result is a
-    deterministic function of A and X.  It costs at most m * s products of A
-    with X, about 5.6 per unit of that norm once the norm is large, each about
-    nnz(A) multiply-adds per column for sparse A and n^2 for an array; the
-    dense exponential costs a fixed few n x n products and several n x n
-    temporaries.  So the dense route is taken when the norm times the column
-    count times the work per product reaches 4 n^3, which for an array means
-    stiff operators or many columns.
+    column vectors.  A is taken in CSR, so an array costs what its nonzeros
+    cost, and acted on as ``_exp_action`` acts on an operator with one topic
+    and no correction.
     """
-    sparse = scipy.sparse.issparse(a)
-    mat = scipy.sparse.csr_array(a, dtype=float) if sparse else np.asarray(a, dtype=float)
     vecs = np.asarray(x, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValidationError(f"exponential action needs a square matrix, got shape {mat.shape}")
-    if vecs.ndim not in (1, 2) or vecs.shape[0] != mat.shape[0]:
+    shape = np.shape(a)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValidationError(f"exponential action needs a square matrix, got shape {shape}")
+    if vecs.ndim not in (1, 2) or vecs.shape[0] != shape[0]:
         raise ValidationError(
-            f"exponential action of a {mat.shape} matrix cannot act on shape {vecs.shape}"
+            f"exponential action of a {shape} matrix cannot act on shape {vecs.shape}"
         )
-    if not np.isfinite(mat.data if sparse else mat).all():
+    mat = scipy.sparse.csr_array(a, dtype=float)
+    if not np.isfinite(mat.data).all():
         raise ValidationError("exponential action input has non-finite entries")
-    n = mat.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = float(mat.trace()) / n
-        if sparse:
-            shifted = mat - mu * scipy.sparse.eye_array(n, format="csr")
-        else:
-            shifted = mat.copy()
-            shifted.flat[:: n + 1] -= mu
-        norm = float(abs(shifted).sum(axis=0).max(initial=0.0))
-    dense = mat.toarray if sparse else lambda: mat
-    return _exponential_action(shifted, mu, norm, mat.nnz if sparse else n * n, dense, vecs)
+    empty = np.zeros((shape[0], 0))
+    return _exp_action(mat, empty, empty, vecs)
 
 
-def _exponential_action(shifted, mu: float, norm: float, cost: int, dense, vecs: np.ndarray):
-    """e^A X for A = ``shifted`` + mu I, where ``shifted`` is any operator
-    with ``@``, ``norm`` bounds its 1-norm and one product with one column
-    costs ``cost`` multiply-adds.  The Taylor action takes at most about 5.6
-    such products per unit of norm and column; forming e^A costs a fixed few
-    n x n products, so A = ``dense()`` is formed and exponentiated once the
-    norm times the column count times ``cost`` reaches 4 n^3.
+class _Lifted:
+    """kron(I_T, S) + G X^T as an operator on PT x k column-stacked states,
+    from the P x P CSR S, tiled T times in one CSR, and the PT x m factors
+    G and X: ``@`` takes T nnz(S) + 2 PT m multiply-adds per column and forms
+    no PT x PT array."""
+
+    def __init__(self, block, n_topics: int, inputs: np.ndarray, corrections: np.ndarray):
+        n_nodes, nnz = block.shape[0], block.nnz
+        topics = np.arange(n_topics)[:, None]
+        indptr = np.append((block.indptr[:-1] + nnz * topics).ravel(), n_topics * nnz)
+        indices = (block.indices + n_nodes * topics).ravel()
+        self.lifted = scipy.sparse.csr_array(
+            (np.tile(block.data, n_topics), indices, indptr), shape=(n_nodes * n_topics,) * 2
+        )
+        self.inputs, self.corrections = inputs, corrections
+
+    def __matmul__(self, vectors: np.ndarray) -> np.ndarray:
+        moved = self.lifted @ vectors
+        moved += self.corrections @ (self.inputs.T @ vectors)
+        return moved
+
+
+def _exp_action(block, inputs: np.ndarray, corrections: np.ndarray, vectors: np.ndarray):
+    """e^A applied to ``vectors`` (PT rows) for A = kron(I_T, B) + G X^T, with
+    ``block`` B a P x P CSR matrix, ``inputs`` X and ``corrections`` G PT x m
+    arrays and T = PT / P: the package's one exponential action.
+
+    The shift mu = (T trace B + sum_k G_k . X_k) / PT, the trace of A over
+    PT, is folded into B's diagonal once, and B - mu I is lifted to every
+    topic.  The 1-norm of A - mu I is bounded by the exact column sums of
+    |B - mu I| plus max_j sum_k |X_jk| ||G_k||_1, exactly that norm when
+    m = 0, with no randomized estimate and no global random state, so the
+    result is a deterministic function of the parts and the states.  The
+    Taylor action takes at most about 5.6 products per unit of that norm and
+    column, each T nnz(B) + 2 PT m multiply-adds; forming e^A costs a fixed
+    few PT x PT products, so A is formed by ``_dense`` and exponentiated once
+    the norm times the column count times the work per product reaches
+    4 (PT)^3: for stiff operators or many columns.
     """
-    n = vecs.shape[0]
-    columns = 1 if vecs.ndim == 1 else vecs.shape[1]
+    n_nodes, dim = block.shape[0], vectors.shape[0]
+    n_topics = dim // n_nodes
+    columns = 1 if vectors.ndim == 1 else vectors.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
+        mu = (n_topics * float(block.trace()) + float(np.vdot(corrections, inputs))) / dim
+        shifted = block - mu * scipy.sparse.eye_array(n_nodes, format="csr")
+        rank = np.abs(inputs) @ np.abs(corrections).sum(axis=0)
+        norm = float(abs(shifted).sum(axis=0).max(initial=0.0)) + float(rank.max(initial=0.0))
+        cost = n_topics * block.nnz + 2 * corrections.size
         # An overflowed norm reads as stiff: the dense route reports it.
-        if not norm * columns * cost < 4 * n**3:
-            return matrix_exponential(dense()) @ vecs
-        result = _taylor_action(shifted, mu, norm, vecs)
+        if not norm * columns * cost < 4 * dim**3:
+            return matrix_exponential(_dense(block, inputs, corrections)) @ vectors
+        result = _taylor_action(_Lifted(shifted, n_topics, inputs, corrections), mu, norm, vectors)
     if not np.isfinite(result).all():
         raise NumericalError("exponential action overflowed; operator norm is pathological")
     return result
+
+
+def _row_blocks(block, inputs: np.ndarray, corrections: np.ndarray):
+    """A = kron(I_T, B) + G X^T by blocks of rows, as (first row, rows):
+    G[rows] X^T plus B's rows in the topic's own columns.  A block holds at
+    most ``_ROW_BLOCK_BYTES`` and never spans two topics."""
+    n_nodes, dim = block.shape[0], inputs.shape[0]
+    step = max(1, _ROW_BLOCK_BYTES // (8 * dim))
+    for offset in range(0, dim, n_nodes):
+        for start in range(0, n_nodes, step):
+            stop = min(start + step, n_nodes)
+            rows = corrections[offset + start : offset + stop] @ inputs.T
+            rows[:, offset : offset + n_nodes] += block[start:stop].toarray()
+            yield offset + start, rows
+
+
+def _dense(block, inputs: np.ndarray, corrections: np.ndarray) -> np.ndarray:
+    """A = kron(I_T, B) + G X^T as one PT x PT array, filled from ``_row_blocks``."""
+    dim = inputs.shape[0]
+    lam = np.empty((dim, dim))
+    for start, rows in _row_blocks(block, inputs, corrections):
+        lam[start : start + len(rows)] = rows
+    if not np.isfinite(lam).all():
+        raise NumericalError("the learned operator has non-finite entries")
+    return lam
 
 
 def _state_array(x) -> np.ndarray:

@@ -264,20 +264,16 @@ def kalman_predict(state: KalmanState, op: LearnedOperator, model: ObservationMo
 
     F is formed once per filter and carried in the state: e^{A} in every
     filter that ``filter_fractions`` runs, I + A when ``initial_state`` is
-    given no other transition.
-    An exactly zero Pi, as every filter from Pi_0 = 0 starts, skips the two
-    products of F Pi F^T.  The symmetrized result is written into the buffer
-    of F Pi, so one step holds two covariance-sized arrays besides its input.
+    given no other transition.  The symmetrized F Pi F^T + Q is written into
+    the buffer of F Pi, so one step holds two covariance-sized arrays besides
+    its input.
     """
     if state.phase != PHASE_UPDATED:
         raise ValidationError("kalman_predict expects a state in the 'updated' phase")
     f = state.f_hat
     x_next = f @ state.x_hat
-    if state.pi.any():
-        scratch = f @ state.pi
-        pi_next = scratch @ f.T
-    else:
-        scratch, pi_next = np.empty(state.pi.shape), np.zeros(state.pi.shape)
+    scratch = f @ state.pi
+    pi_next = scratch @ f.T
     pi_next.flat[:: pi_next.shape[0] + 1] += model.q_diag
     np.add(pi_next, pi_next.T, out=scratch)
     scratch *= 0.5
@@ -331,18 +327,20 @@ def run_filter(
     in.  ``transition`` replaces F = I + A, e.g. by e^{A}, the learned
     operator's own one-step map.
     """
-    test = _test_range(series, model)
+    test = _test_range(series)
+    if model.n_nodes != series.n_nodes or model.n_topics != series.n_topics:
+        raise ValidationError("observation model does not match the series shape")
     return _run_lockstep(
         test, op, model, [(initial_state(vectorize(test[0]), pi0, op, transition), model)]
     )
 
 
-def _test_range(series: SnapshotSeries, model: ObservationModel) -> tuple:
+def _test_range(series: SnapshotSeries) -> tuple:
+    """The series' test snapshots, as a filter needs them: at least 2.
+    ``supraflow kalman`` checks this as soon as the series is loaded."""
     test = series.test_snapshots()
     if len(test) < 2:
         raise ValidationError("the test range needs at least 2 snapshots")
-    if model.n_nodes != series.n_nodes or model.n_topics != series.n_topics:
-        raise ValidationError("observation model does not match the series shape")
     return test
 
 
@@ -420,6 +418,7 @@ def filter_fractions(
     the order of ``masks``.
     """
     shape = n_nodes, n_topics = series.n_nodes, series.n_topics
+    test = _test_range(series)
     # One filter per topic through e^{B}, or one of the whole state through e^{A}.
     if op.per_topic:
         parts, transition = n_topics, matrix_exponential(op.block.toarray())
@@ -432,7 +431,6 @@ def filter_fractions(
         for fraction in group:
             observed = masks[fraction]
             model = ObservationModel.build(*shape, observed, r_observed, op.residual_variance)
-            test = _test_range(series, model)
             pieces = (np.split(v, parts) for v in (vectorize(test[0]), model.r_diag, model.q_diag))
             results[fraction] = _run_lockstep(
                 test,

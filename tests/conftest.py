@@ -10,6 +10,8 @@ from supraflow import (
     LayerGraph,
     LearnedOperator,
     assemble_supra_laplacian,
+    diffusion,
+    matrix_exponential,
 )
 from supraflow.kalman import PHASE_UPDATED, KalmanState
 
@@ -169,6 +171,23 @@ def single_layer_supra(adjacency, constant=1.0, kind="agent"):
     network = InterconnectedNetwork(layers=(layer,), couplings=())
     supra = assemble_supra_laplacian(network, DiffusionConstants(intra={1: constant}))
     return network, supra
+
+
+def closed_action_reference(a, x):
+    """e^A X by the front end that closed propagation had to itself before
+    it shared the learned operator's action: A - mu I in CSR with
+    mu = trace(A) / n, its exact 1-norm, nnz(A) multiply-adds per product, and
+    e^A formed from A's array where the norm times the column count times
+    nnz(A) reaches 4 n^3, else the package's ``_taylor_action``."""
+    mat = scipy.sparse.csr_array(a, dtype=float)
+    n = mat.shape[0]
+    columns = 1 if x.ndim == 1 else x.shape[1]
+    mu = float(mat.trace()) / n
+    shifted = mat - mu * scipy.sparse.eye_array(n, format="csr")
+    norm = float(abs(shifted).sum(axis=0).max(initial=0.0))
+    if not norm * columns * mat.nnz < 4 * n**3:
+        return matrix_exponential(mat.toarray()) @ x
+    return diffusion._taylor_action(shifted, mu, norm, x)
 
 
 def kronecker_lift(supra, n_topics):

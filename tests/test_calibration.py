@@ -21,7 +21,7 @@ from supraflow import (
     propagate_closed,
     vectorize,
 )
-from supraflow import calibration
+from supraflow import calibration, diffusion
 from supraflow.calibration import (
     read_operator_matrix,
     write_fit_report,
@@ -306,7 +306,7 @@ class TestLearnSupraOperator:
         def refuse(*args):
             raise AssertionError("formed the dense PT x PT operator")
 
-        monkeypatch.setattr(calibration, "_dense", refuse)
+        monkeypatch.setattr(diffusion, "_dense", refuse)
         series = series_from_operator(
             self.lam0 + 0.03, self.x0, 5, 2, self.network.node_index, 4
         )

@@ -370,6 +370,34 @@ class TestFitLearnKalman:
         assert fits == []
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, reason",
+        [
+            ("kalman", "the test range needs at least 2 snapshots"),
+            ("experiment", "experiments need at least 1 test transition"),
+        ],
+    )
+    def test_no_test_range_fails_before_the_fit(
+        self, tiny_dataset, capsys, monkeypatch, command, reason
+    ):
+        fits = []
+
+        def counted(series, network):
+            fits.append(network)
+            raise AssertionError("fitted before the test range was checked")
+
+        monkeypatch.setattr(cli, "fit_diffusion_constants", counted)
+        monkeypatch.setattr(harness, "fit_diffusion_constants", counted)
+        tmp = tiny_dataset["tmp"]
+        # Every snapshot is a training one, so the test range holds only the last.
+        settings = {**own_keys(command, tiny_dataset), "train_count": 8}
+        config = write_json(tmp / f"{command}_no_test_range.json", settings)
+        out = tmp / f"{command}_no_test_range"
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        assert reason in capsys.readouterr().err
+        assert fits == []
+        assert not out.exists()
+
     def test_learn_without_eta_stops_at_the_noise_floor(self, tmp_path):
         spec = {
             "layers": [{"kind": "agent", "n": 12, "model": "erdos_renyi", "p": 0.4}],

@@ -146,24 +146,25 @@ class TestExponentialAction:
         assert taylor_calls == [(50, 2)]
         assert stiff.shape == (50, 2) and many.shape == (50, 800)
 
-    def test_sparse_operator_takes_the_action_where_its_array_goes_dense(self, taylor_calls):
+    def test_an_array_costs_what_its_nonzeros_cost(self, taylor_calls):
         # A path-graph generator whose shifted 1-norm is about 122: times two
-        # columns it passes 4n = 200 for the array, while its 148 nonzeros keep
-        # the sparse work far below 4n^3.
+        # columns and n^2 work per product it would pass 4 n^3, while its 148
+        # nonzeros keep the work far below, as an array or in CSR.
         _, supra = single_layer_supra(np.eye(50, k=1) + np.eye(50, k=-1))
         generator = -60.0 * supra.matrix
         x = np.random.default_rng(4).random((50, 2))
-        dense = exponential_action(generator, x)
-        assert taylor_calls == []
         sparse = exponential_action(scipy.sparse.csr_array(generator), x)
         assert taylor_calls == [(50, 2)]
+        dense = matrix_exponential(generator) @ x
         assert np.abs(sparse - dense).max() <= 1e-12 * np.abs(dense).max()
-        # Filled in, the sparse operator does the dense array's work and goes dense too.
+        assert np.array_equal(exponential_action(generator, x), sparse)
+        assert taylor_calls == [(50, 2)] * 2
+        # Filled in, the operator does the dense exponential's work and goes dense.
         full = generator + 1e-3 * (np.ones((50, 50)) - 50 * np.eye(50))
         assert np.array_equal(
-            exponential_action(scipy.sparse.csr_array(full), x), exponential_action(full, x)
+            exponential_action(scipy.sparse.csr_array(full), x), matrix_exponential(full) @ x
         )
-        assert taylor_calls == [(50, 2)]
+        assert taylor_calls == [(50, 2)] * 2
 
     def test_leaves_the_global_random_state_alone(self):
         # Column sums of about 155 and one column: past the shifted 1-norm

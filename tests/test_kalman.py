@@ -21,7 +21,7 @@ from supraflow import (
     one_step_predict_learned,
     run_filter,
 )
-from supraflow import calibration, diffusion, kalman
+from supraflow import diffusion, kalman
 from supraflow.kalman import (
     MAX_LEARN_DIM,
     PHASE_PREDICTED,
@@ -558,8 +558,8 @@ class TestTopicRoute:
 
     def shapes_seen(self, monkeypatch, op):
         """Shapes of every matrix exponential and filter covariance that
-        ``filter_fractions`` forms, and "whole" for each structured
-        whole-state action that ``one_step_predict_learned`` takes."""
+        ``filter_fractions`` forms, and of the lifted PT x PT operator of
+        each Taylor action that ``one_step_predict_learned`` takes."""
         seen = {"filter_expm": [], "pi": [], "predict_action": []}
         for module in (kalman, diffusion):
             real = module.matrix_exponential
@@ -583,14 +583,13 @@ class TestTopicRoute:
         filter_fractions(series, op, nested_masks(self.n_nodes, [0.5, 1.0], seed=2))
         monkeypatch.undo()
 
-        real_whole = calibration._exponential_action
+        real_taylor = diffusion._taylor_action
 
-        def recorded_whole(shifted, *rest):
-            assert isinstance(shifted, calibration._Shifted)
-            seen["predict_action"].append("whole")
-            return real_whole(shifted, *rest)
+        def recorded_whole(operator, *rest):
+            seen["predict_action"].append(operator.lifted.shape)
+            return real_taylor(operator, *rest)
 
-        monkeypatch.setattr(calibration, "_exponential_action", recorded_whole)
+        monkeypatch.setattr(diffusion, "_taylor_action", recorded_whole)
         one_step_predict_learned(op, np.stack(self.states))
         return seen
 
@@ -600,11 +599,12 @@ class TestTopicRoute:
         assert np.array_equal(op.lambda_hat, np.kron(np.eye(self.n_topics), self.block))
         seen = self.shapes_seen(monkeypatch, op)
         small = (self.n_nodes, self.n_nodes)
+        whole = (self.n_nodes * self.n_topics,) * 2
         # One e^{B} for both fractions; per fraction, 4 test steps of one
         # predict and one update in each of the T topic filters.
         assert seen["filter_expm"] == [small]
         assert seen["pi"] == [small] * (2 * 2 * 4 * self.n_topics)
-        assert seen["predict_action"] == ["whole"]
+        assert seen["predict_action"] == [whole]
 
     @pytest.mark.parametrize("correction", [1e-3, 5e-324])
     def test_any_nonzero_correction_takes_the_whole_state_route(self, monkeypatch, correction):
@@ -618,7 +618,7 @@ class TestTopicRoute:
         whole = (dim, dim)
         assert seen["filter_expm"] == [whole]
         assert seen["pi"] == [whole] * (2 * 2 * 4)
-        assert seen["predict_action"] == ["whole"]
+        assert seen["predict_action"] == [whole]
 
 
 class TestDenseCap:

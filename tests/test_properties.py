@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from supraflow import (
@@ -71,10 +71,11 @@ from supraflow.network import (
     components,
 )
 from supraflow.spectral import _layer_kernel_basis
-from supraflow import calibration, kalman
+from supraflow import diffusion, kalman
 from supraflow.kalman import PHASE_PREDICTED, KalmanState
 from conftest import (
     brute_force_supra,
+    closed_action_reference,
     connected_adjacency,
     directed_network,
     joined_final_state,
@@ -172,6 +173,28 @@ class TestClosedPropagation:
         x = rng.random((supra.n_nodes, 2))
         two_steps = propagate_closed(propagate_closed(x, supra, s), supra, t)
         assert relative_error(two_steps, propagate_closed(x, supra, s + t)) <= 1e-12
+
+    @PROPERTY
+    @given(
+        seed=seeds,
+        directed=st.booleans(),
+        dt=st.floats(0.01, 5.0),
+        stiff=st.booleans(),
+        columns=st.integers(1, 4),
+    )
+    def test_keeps_the_bits_of_its_own_front_end(self, seed, directed, dt, stiff, columns):
+        # Closed propagation, the one action with one topic and no correction,
+        # has the bits of ``closed_action_reference``; a stiff step goes dense.
+        rng = np.random.default_rng(seed)
+        network, constants = (directed_network if directed else random_network)(rng)
+        supra = assemble_supra_laplacian(network, constants)
+        dt *= 1e4 if stiff else 1.0
+        x = rng.random((supra.n_nodes, columns))
+        real = diffusion.matrix_exponential
+        with mock.patch.object(diffusion, "matrix_exponential", wraps=real) as dense:
+            moved = propagate_closed(x, supra, dt)
+        assert dense.call_count == 1 or not stiff
+        assert np.array_equal(moved, closed_action_reference(-dt * supra.csr, x))
 
     @PROPERTY
     @given(seed=seeds, dt=st.floats(0.0, 5.0))
@@ -685,8 +708,8 @@ class TestStructuredOperator:
     @given(data=st.data())
     def test_action_matches_the_dense_operator(self, route, data):
         op, states = data.draw(structured_operators(route))
-        with mock.patch.object(calibration, "_dense", wraps=calibration._dense) as dense:
-            moved = calibration._exp_action(op.block, op.inputs, op.corrections, states)
+        with mock.patch.object(diffusion, "_dense", wraps=diffusion._dense) as dense:
+            moved = diffusion._exp_action(op.block, op.inputs, op.corrections, states)
         assert dense.call_count == (route == "dense")
         reference = exponential_action(op.lambda_hat, states)
         assert relative_error(moved, reference) <= 1e-12
@@ -694,16 +717,23 @@ class TestStructuredOperator:
     @settings(PROPERTY, max_examples=60)
     @given(data=st.data(), route=st.sampled_from(["taylor", "dense"]))
     def test_norm_bound_is_above_the_exact_norm(self, data, route):
+        # The norm steers only the Taylor route, so each operator acts on one
+        # state, and a stiff draw that still goes dense is skipped.
         op, states = data.draw(structured_operators(route))
-        real = calibration._exponential_action
-        with mock.patch.object(calibration, "_exponential_action", wraps=real) as action:
-            calibration._exp_action(op.block, op.inputs, op.corrections, states)
-        _, mu, norm, *_ = action.call_args.args
-        lam = op.lambda_hat
-        dim = len(lam)
-        assert mu == pytest.approx(np.trace(lam) / dim, rel=1e-12, abs=1e-12)
-        exact = np.abs(lam - mu * np.eye(dim)).sum(axis=0).max()
-        assert norm * (1 + 1e-14) >= exact
+        dim = op.n_nodes * op.n_topics
+        empty = np.zeros((dim, 0))
+        real = diffusion._taylor_action
+        for inputs, corrections in ((op.inputs, op.corrections), (empty, empty)):
+            with mock.patch.object(diffusion, "_taylor_action", wraps=real) as action:
+                diffusion._exp_action(op.block, inputs, corrections, states[:, :1])
+            assume(action.called)
+            _, mu, norm, _ = action.call_args.args
+            lam = diffusion._dense(op.block, inputs, corrections)
+            assert mu == pytest.approx(np.trace(lam) / dim, rel=1e-12, abs=1e-12)
+            exact = np.abs(lam - mu * np.eye(dim)).sum(axis=0).max()
+            assert norm * (1 + 1e-14) >= exact
+        # With no correction the bound is the exact norm.
+        assert norm == pytest.approx(exact, rel=1e-14)
 
     @settings(PROPERTY, max_examples=40)
     @given(data=st.data(), block_bytes=st.integers(1, 1200))
@@ -712,7 +742,7 @@ class TestStructuredOperator:
         with tempfile.TemporaryDirectory() as directory:
             blocks = os.path.join(directory, "blocks.csv")
             dense = os.path.join(directory, "dense.csv")
-            with mock.patch.object(calibration, "_ROW_BLOCK_BYTES", block_bytes):
+            with mock.patch.object(diffusion, "_ROW_BLOCK_BYTES", block_bytes):
                 write_operator_csv(blocks, op)
                 write_matrix_csv(dense, op.lambda_hat)
             with open(blocks, "rb") as a, open(dense, "rb") as b:
