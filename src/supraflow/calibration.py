@@ -35,7 +35,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import NumericalError, ValidationError
-from .diffusion import _dense, _exp_action, _row_blocks, _state_array, matrix_exponential
+from .diffusion import _dense, _exp_action, _state_array, matrix_exponential
 from .files import csv_floats, read_csv, write_csv, write_json
 from .network import (
     DiffusionConstants,
@@ -580,21 +580,10 @@ def write_fit_report(path, fit: DiffusionFit):
     write_json(path, report)
 
 
-def write_matrix_csv(path, matrix: np.ndarray):
-    """Dense dump under a one-field shape header row: `# rows=<n> cols=<n>`."""
-    matrix = np.asarray(matrix, dtype=float)
-    _write_row_blocks(path, matrix.shape, [matrix])
-
-
-def write_operator_csv(path, op: LearnedOperator):
-    """``write_matrix_csv`` of lambda_hat, written one block of rows at a
-    time, so that no PT x PT array is formed."""
-    dim = op.n_nodes * op.n_topics
-    blocks = _row_blocks(op.block, op.inputs, op.corrections)
-    _write_row_blocks(path, (dim, dim), (rows for _, rows in blocks))
-
-
-def _write_row_blocks(path, shape: tuple[int, int], blocks):
+def write_matrix_csv(path, shape: tuple[int, int], blocks):
+    """Dense dump of a ``shape`` matrix under a one-field shape header row,
+    `# rows=<n> cols=<n>`, from ``blocks``, its rows as consecutive 2-D
+    arrays, so that the whole matrix need never be formed."""
     write_csv(
         path,
         [f"# rows={shape[0]} cols={shape[1]}"],

@@ -31,11 +31,11 @@ from .calibration import (
     learn_from_fit,
     write_fit_report,
     write_matrix_csv,
-    write_operator_csv,
 )
 from .diffusion import (
     NoiseModel,
     SimulationConfig,
+    _row_blocks,
     default_step,
     ensemble_statistics,
     propagate_closed,
@@ -168,12 +168,21 @@ def cmd_build(args) -> int:
     cfg = _config(args)
     network, constants = _load_network_with_constants(cfg)
     supra = assemble_supra_laplacian(network, constants)
-    _write(args, "supra_laplacian.csv", write_matrix_csv, supra.matrix)
+    n = supra.n_nodes
+    row_sums = []
+
+    def blocks():
+        # L is the learned operator with one topic and no correction.
+        for _, rows in _row_blocks(supra.csr, np.empty((n, 0)), np.empty((n, 0))):
+            row_sums.append(rows.sum(axis=1))
+            yield rows
+
+    _write(args, "supra_laplacian.csv", write_matrix_csv, (n, n), blocks())
     summary = {
-        "n_nodes": supra.n_nodes,
+        "n_nodes": n,
         "n_layers": len(supra.layer_ids),
-        "max_abs_row_sum": float(np.abs(supra.matrix.sum(axis=1)).max()),
-        "symmetric": _is_symmetric(supra.matrix),
+        "max_abs_row_sum": float(np.abs(np.concatenate(row_sums)).max()),
+        "symmetric": _is_symmetric(supra.csr),
     }
     _write(args, "build_summary.json", write_json, summary)
     return 0
@@ -233,7 +242,9 @@ def cmd_learn(args) -> int:
     op = learn_from_fit(
         series, network, fit, gain=cfg["gain"], threshold=cfg["eta"], max_iters=cfg["max_iters"]
     )
-    _write(args, "operator.csv", write_operator_csv, op)
+    dim = op.n_nodes * op.n_topics
+    blocks = (rows for _, rows in _row_blocks(op.block, op.inputs, op.corrections))
+    _write(args, "operator.csv", write_matrix_csv, (dim, dim), blocks)
     report = {
         "iterations": op.iterations,
         "converged": op.converged,

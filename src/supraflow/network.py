@@ -12,10 +12,10 @@ shares that ordering.  Every adjacency, coupling and operator part is stored
 in one form, canonical read-only CSR (sorted indices, no duplicate and no
 explicit zero entries), so memory grows with the edge count, not with P^2.
 A ``SupraLaplacian`` stores its intra and inter parts; their CSR sum ``csr``
-and the dense sum ``matrix``, which only ``build`` reads, are derived on
-first use.  Inputs with more than ``MAX_NODES`` nodes are rejected: that cap
-bounds the P x P arrays of the dense consumers, such as ``build``'s dump and
-the fit's L(D) (3.2 GB each at the cap).
+is derived on first use, and no dense copy is kept: ``build`` dumps ``csr``
+by blocks of rows.  Inputs with more than ``MAX_NODES`` nodes are rejected:
+that cap bounds the P x P arrays of the dense consumers, such as the fit's
+L(D) and the lambda2 work array (3.2 GB each at the cap).
 """
 
 from __future__ import annotations
@@ -306,17 +306,6 @@ class SupraLaplacian:
     def csr(self) -> scipy.sparse.csr_array:
         """The read-only CSR operator intra_part + inter_part, summed on first use."""
         return _freeze(self.intra_part + self.inter_part)
-
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        """The read-only dense operator, formed from ``csr`` on first use.
-
-        Only ``build`` reads it, for its dump; the fit scatters its own
-        dense L(D) from the parts.
-        """
-        total = self.csr.toarray()
-        total.setflags(write=False)
-        return total
 
 
 def _entries(w: scipy.sparse.csr_array):

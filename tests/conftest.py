@@ -192,7 +192,7 @@ def closed_action_reference(a, x):
 
 def kronecker_lift(supra, n_topics):
     """kron(I_T, -L) as a dense array: the learner's start, as a reference."""
-    return np.kron(np.eye(int(n_topics)), -supra.matrix)
+    return np.kron(np.eye(int(n_topics)), -supra.csr.toarray())
 
 
 def learned_operator(block, inputs, corrections, n_nodes, n_topics):

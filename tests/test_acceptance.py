@@ -66,20 +66,22 @@ def test_criterion_1_supra_laplacian_correctness(hand_expanded_fixture):
     start = time.time()
     network, constants, expected = hand_expanded_fixture
     supra = assemble_supra_laplacian(network, constants)
-    assert np.abs(supra.matrix - expected).max() < 1e-12
+    assert np.abs(supra.csr.toarray() - expected).max() < 1e-12
 
     rng = np.random.default_rng(101)
     for _ in range(100):
         net, consts = random_network(rng)
         operator = assemble_supra_laplacian(net, consts)
-        scale = 1.0 + np.abs(operator.matrix).max()
-        for part in (operator.matrix, operator.intra_part, operator.inter_part):
+        scale = 1.0 + np.abs(operator.csr.toarray()).max()
+        for part in (operator.csr.toarray(), operator.intra_part, operator.inter_part):
             assert np.abs(part.sum(axis=1)).max() / scale < 1e-10
-        assert np.abs(operator.matrix - operator.intra_part - operator.inter_part).max() < 1e-12
-        assert np.abs(operator.matrix - operator.matrix.T).max() < 1e-12
-        assert np.linalg.eigvalsh(operator.matrix).min() > -1e-10
+        assert (
+            np.abs(operator.csr.toarray() - operator.intra_part - operator.inter_part).max() < 1e-12
+        )
+        assert np.abs(operator.csr.toarray() - operator.csr.toarray().T).max() < 1e-12
+        assert np.linalg.eigvalsh(operator.csr.toarray()).min() > -1e-10
         decoupled = scale_inter_layer(operator, 0.0)
-        eigenvalues = np.linalg.eigvalsh(decoupled.matrix)
+        eigenvalues = np.linalg.eigvalsh(decoupled.csr.toarray())
         kernel = (eigenvalues < 1e-9 * max(np.abs(eigenvalues).max(), 1e-12)).sum()
         assert kernel == len(net.layers)
     _report(
@@ -99,7 +101,7 @@ def test_criterion_2_diffusion_engine():
         )
         x0 = rng.random((12, 3))
         got = propagate_closed(x0, supra, 0.3)
-        oracle = rk4_flow(supra.matrix, x0, 0.3, 1e-4)
+        oracle = rk4_flow(supra.csr.toarray(), x0, 0.3, 1e-4)
         assert np.abs(got - oracle).max() < 1e-8
         chained = propagate_closed(propagate_closed(x0, supra, 0.2), supra, 0.1)
         assert np.abs(chained - got).max() < 1e-9
@@ -158,7 +160,7 @@ def test_criterion_4_calibration_recovery():
     rng = np.random.default_rng(606)
     net, supra = single_layer_supra(connected_adjacency(rng, 6), constant=0.8)
     sigma, dt = 0.01, 0.2
-    propagator = scipy.linalg.expm(-supra.matrix * dt)
+    propagator = scipy.linalg.expm(-supra.csr.toarray() * dt)
     x = rng.random((6, 2))
     snaps = []
     for i in range(51):

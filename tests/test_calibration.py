@@ -89,7 +89,7 @@ class TestVectorize:
         _, supra = single_layer_supra(connected_adjacency(rng, 5))
         x = rng.random((5, 3))
         lifted = kronecker_lift(supra, 3)
-        direct = -supra.matrix @ x
+        direct = -supra.csr.toarray() @ x
         via_kron = devectorize(lifted @ vectorize(x), 5, 3)
         assert np.abs(via_kron - direct).max() < 1e-12
 
@@ -127,7 +127,8 @@ class TestFitDiffusionConstants:
     def test_recovers_planted_constants_on_a_directed_network(self):
         rng = np.random.default_rng(0)
         network, planted = directed_network(rng)
-        propagator = scipy.linalg.expm(-assemble_supra_laplacian(network, planted).matrix * 0.1)
+        planted_supra = assemble_supra_laplacian(network, planted)
+        propagator = scipy.linalg.expm(-planted_supra.csr.toarray() * 0.1)
         x = rng.random((network.n_nodes, 2))
         snaps = []
         for i in range(6):
@@ -168,7 +169,7 @@ class TestFitDiffusionConstants:
         network, supra = single_layer_supra(connected_adjacency(rng, 6), constant=0.8)
         sigma = 0.01
         dt = 0.2
-        propagator = scipy.linalg.expm(-supra.matrix * dt)
+        propagator = scipy.linalg.expm(-supra.csr.toarray() * dt)
         x = rng.random((6, 2))
         snaps = []
         for i in range(51):
@@ -223,7 +224,8 @@ class TestFitWork:
     def test_directed_fit_never_calls_eigh(self, monkeypatch):
         rng = np.random.default_rng(0)
         network, planted = directed_network(rng)
-        propagator = scipy.linalg.expm(-assemble_supra_laplacian(network, planted).matrix * 0.1)
+        planted_supra = assemble_supra_laplacian(network, planted)
+        propagator = scipy.linalg.expm(-planted_supra.csr.toarray() * 0.1)
         x = rng.random((network.n_nodes, 2))
         snaps = []
         for i in range(4):
@@ -300,7 +302,7 @@ class TestLearnSupraOperator:
         assert np.abs(op.corrections - sums).max() <= 1e-12 * np.abs(sums).max()
         assert np.abs(op.lambda_hat - lam).max() <= 1e-12 * np.abs(lam).max()
         assert op.block.shape == (5, 5) and not op.per_topic
-        assert np.array_equal(op.block.toarray(), -self.supra.matrix)
+        assert np.array_equal(op.block.toarray(), -self.supra.csr.toarray())
 
     def test_whole_state_actions_form_no_dense_operator(self, monkeypatch):
         def refuse(*args):
@@ -453,12 +455,12 @@ class TestReports:
         rng = np.random.default_rng(14)
         lam = rng.standard_normal((6, 6))
         path = tmp_path / "operator.csv"
-        write_matrix_csv(path, lam)
+        write_matrix_csv(path, lam.shape, np.array_split(lam, 3))
         assert np.array_equal(read_operator_matrix(path), lam)
 
     def test_truncated_matrix_csv_rejected(self, tmp_path):
         path = tmp_path / "operator.csv"
-        write_matrix_csv(path, np.arange(12.0).reshape(3, 4))
+        write_matrix_csv(path, (3, 4), [np.arange(12.0).reshape(3, 4)])
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:3]) + "\n")
         with pytest.raises(ValidationError):
@@ -472,5 +474,5 @@ class TestReports:
 
     def test_empty_matrix_csv_keeps_its_shape(self, tmp_path):
         path = tmp_path / "operator.csv"
-        write_matrix_csv(path, np.zeros((0, 3)))
+        write_matrix_csv(path, (0, 3), [])
         assert read_operator_matrix(path).shape == (0, 3)

@@ -99,6 +99,27 @@ class TestBuild:
         assert matrix_lines[0] == "# rows=13 cols=13"
         assert len(matrix_lines) == 14
 
+    def test_build_holds_no_p_by_p_array(self, tmp_path):
+        # A 2001-node ring: the dump streams the operator by blocks of rows,
+        # so the peak stays below one P x P float64 array (32 MB).
+        n = 2001
+        ring = [[i, (i + step) % n, 1.0] for i in range(n) for step in (1, n - 1)]
+        layer = {"id": 1, "nodes": [f"v{i}" for i in range(n)], "adjacency": {"triplets": ring}}
+        network = write_json(
+            tmp_path / "ring.json", {"layers": [layer], "constants": {"intra": {"1": 0.5}}}
+        )
+        config = write_json(tmp_path / "build.json", {"network": network})
+        tracemalloc.start()
+        try:
+            code = main(["build", "--config", config, "--out", str(tmp_path / "build")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * n * n
+        summary = json.loads((tmp_path / "build" / "build_summary.json").read_text())
+        assert summary == {"max_abs_row_sum": 0.0, "n_layers": 1, "n_nodes": n, "symmetric": True}
+
 
 class TestSimulatePredict:
     def test_simulate_single_path(self, tiny_dataset):

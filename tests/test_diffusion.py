@@ -106,7 +106,7 @@ class TestMatrixExponential:
 
         monkeypatch.setattr(scipy.linalg, "expm", refuse)
         _, supra = single_layer_supra(connected_adjacency(np.random.default_rng(5), 8))
-        lap = supra.matrix.copy()
+        lap = supra.csr.toarray()
         # A rounding-sized asymmetry; scaled by 1e6 it is 1e-8 in absolute
         # terms but still 1e-14 relative to the largest entry.
         lap[0, 1] += 1e-14
@@ -151,7 +151,7 @@ class TestExponentialAction:
         # columns and n^2 work per product it would pass 4 n^3, while its 148
         # nonzeros keep the work far below, as an array or in CSR.
         _, supra = single_layer_supra(np.eye(50, k=1) + np.eye(50, k=-1))
-        generator = -60.0 * supra.matrix
+        generator = -60.0 * supra.csr.toarray()
         x = np.random.default_rng(4).random((50, 2))
         sparse = exponential_action(scipy.sparse.csr_array(generator), x)
         assert taylor_calls == [(50, 2)]
@@ -258,7 +258,7 @@ class TestPredictMean:
         _, supra = single_layer_supra(connected_adjacency(rng, 12))
         x0 = rng.random((12, 3))
         got = propagate_closed(x0, supra, 0.3)
-        oracle = rk4_flow(supra.matrix, x0, 0.3, 1e-4)
+        oracle = rk4_flow(supra.csr.toarray(), x0, 0.3, 1e-4)
         assert np.abs(got - oracle).max() < 1e-8
 
     def test_directed_layer_matches_rk4_oracle(self):
@@ -268,10 +268,10 @@ class TestPredictMean:
         w = rng.random((6, 6)) * (rng.random((6, 6)) < 0.5)
         np.fill_diagonal(w, 0.0)
         _, supra = single_layer_supra(w)
-        assert np.abs(supra.matrix - supra.matrix.T).max() > 1e-6
+        assert np.abs(supra.csr.toarray() - supra.csr.toarray().T).max() > 1e-6
         x0 = rng.random((6, 2))
         got = propagate_closed(x0, supra, 0.4)
-        oracle = rk4_flow(supra.matrix, x0, 0.4, 1e-4)
+        oracle = rk4_flow(supra.csr.toarray(), x0, 0.4, 1e-4)
         assert np.abs(got - oracle).max() < 1e-8
         uniform = np.ones((6, 2)) * np.array([0.2, 0.5])
         assert np.abs(propagate_closed(uniform, supra, 2.0) - uniform).max() < 1e-9
@@ -293,7 +293,7 @@ class TestSimulateOpen:
             x0, supra, NoiseModel(np.zeros((5, 2)), seed=0), SimulationConfig(dt=dt, horizon=1.0)
         )
         closed = propagate_closed(x0, supra, 1.0)
-        bound = 5 * dt * np.linalg.norm(supra.matrix, 2) ** 2 * np.linalg.norm(x0)
+        bound = 5 * dt * np.linalg.norm(supra.csr.toarray(), 2) ** 2 * np.linalg.norm(x0)
         assert np.linalg.norm(path.states[-1] - closed) < bound
 
     def test_same_seed_same_path(self):

@@ -144,7 +144,7 @@ def states_table(network, tmp_path):
 
 def matrix_dump(network, tmp_path):
     path = tmp_path / "operator.csv"
-    write_matrix_csv(path, np.arange(6.0).reshape(3, 2))
+    write_matrix_csv(path, (3, 2), [np.arange(6.0).reshape(3, 2)])
     return path, 1, lambda: read_operator_matrix(path)
 
 

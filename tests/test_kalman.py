@@ -758,7 +758,7 @@ class TestConcurrentFractions:
         rng = np.random.default_rng(31)
         network, constants = random_network(rng)
         supra = assemble_supra_laplacian(network, constants)
-        step = matrix_exponential(-0.3 * supra.matrix)
+        step = matrix_exponential(-0.3 * supra.csr.toarray())
         x = rng.random((network.n_nodes, self.n_topics))
         snaps = []
         for t in range(7):

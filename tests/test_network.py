@@ -102,7 +102,7 @@ class TestAssemble:
     def test_three_layer_hand_expansion(self, hand_expanded_fixture):
         network, constants, expected = hand_expanded_fixture
         supra = assemble_supra_laplacian(network, constants)
-        assert np.abs(supra.matrix - expected).max() < 1e-12
+        assert np.abs(supra.csr.toarray() - expected).max() < 1e-12
 
     def test_zero_inter_constants_is_block_diagonal(self, hand_expanded_fixture):
         network, _, _ = hand_expanded_fixture
@@ -114,7 +114,7 @@ class TestAssemble:
         expected = np.zeros((6, 6))
         expected[0:2, 0:2] = 1.5 * layer_laplacian([[0, 1], [1, 0]]).toarray()
         expected[4:6, 4:6] = 2.0 * layer_laplacian([[0, 1], [1, 0]]).toarray()
-        assert np.abs(supra.matrix - expected).max() < 1e-12
+        assert np.abs(supra.csr.toarray() - expected).max() < 1e-12
         assert np.abs(supra.inter_part).max() == 0.0
 
     def test_matches_brute_force_on_random_networks(self):
@@ -122,7 +122,7 @@ class TestAssemble:
         for _ in range(10):
             network, constants = random_network(rng)
             supra = assemble_supra_laplacian(network, constants)
-            assert np.abs(supra.matrix - brute_force_supra(network, constants)).max() < 1e-12
+            assert np.abs(supra.csr.toarray() - brute_force_supra(network, constants)).max() < 1e-12
 
     def test_missing_intra_constant(self, hand_expanded_fixture):
         network, _, _ = hand_expanded_fixture
@@ -154,9 +154,9 @@ class TestAssemble:
         )
         supra = assemble_supra_laplacian(network, constants)
         # Row block of layer 1 feels the coupling; layer 2's row block does not.
-        assert supra.matrix[0, 2] == -1.0
-        assert supra.matrix[2, 0] == 0.0
-        assert np.abs(supra.matrix.sum(axis=1)).max() < 1e-12
+        assert supra.csr.toarray()[0, 2] == -1.0
+        assert supra.csr.toarray()[2, 0] == 0.0
+        assert np.abs(supra.csr.toarray().sum(axis=1)).max() < 1e-12
 
     def test_coupling_dimension_mismatch(self):
         l1 = LayerGraph(1, "agent", ("a", "b"), np.zeros((2, 2)))
@@ -181,15 +181,15 @@ class TestOperatorProperties:
         for _ in range(25):
             network, constants = random_network(rng)
             supra = assemble_supra_laplacian(network, constants)
-            scale = 1.0 + np.abs(supra.matrix).max()
-            for part in (supra.matrix, supra.intra_part, supra.inter_part):
+            scale = 1.0 + np.abs(supra.csr.toarray()).max()
+            for part in (supra.csr.toarray(), supra.intra_part, supra.inter_part):
                 assert np.abs(part.sum(axis=1)).max() / scale < 1e-10
-            assert np.abs(supra.matrix - supra.intra_part - supra.inter_part).max() < 1e-12
-            assert np.abs(supra.matrix - supra.matrix.T).max() < 1e-12
-            assert np.linalg.eigvalsh(supra.matrix).min() > -1e-10
+            assert np.abs(supra.csr.toarray() - supra.intra_part - supra.inter_part).max() < 1e-12
+            assert np.abs(supra.csr.toarray() - supra.csr.toarray().T).max() < 1e-12
+            assert np.linalg.eigvalsh(supra.csr.toarray()).min() > -1e-10
             # With the inter part removed, one zero eigenvalue per connected layer.
             intra_only = scale_inter_layer(supra, 0.0)
-            eigenvalues = np.linalg.eigvalsh(intra_only.matrix)
+            eigenvalues = np.linalg.eigvalsh(intra_only.csr.toarray())
             kernel = (eigenvalues < 1e-9 * max(np.abs(eigenvalues).max(), 1e-12)).sum()
             assert kernel == len(network.layers)
 
@@ -223,7 +223,7 @@ class TestSupraLaplacianStorage:
         rng = np.random.default_rng(3)
         for _ in range(10):
             supra = assemble_supra_laplacian(*random_network(rng))
-            arrays = [supra.matrix]
+            arrays = []
             for part in (supra.intra_part, supra.inter_part):
                 assert isinstance(part, scipy.sparse.csr_array) and part.has_canonical_format
                 arrays += [part.data, part.indices, part.indptr]
@@ -232,9 +232,9 @@ class TestSupraLaplacianStorage:
                 with pytest.raises(ValueError):
                     array[:1] = 1
             dense_sum = supra.intra_part.toarray() + supra.inter_part.toarray()
-            assert supra.matrix.tobytes() == dense_sum.tobytes()
+            assert supra.csr.toarray().tobytes() == dense_sum.tobytes()
             with pytest.raises(dataclasses.FrozenInstanceError):
-                supra.matrix = supra.intra_part
+                supra.csr = supra.intra_part
 
     def test_csr_is_the_sparse_form_of_the_sum(self):
         rng = np.random.default_rng(4)
@@ -263,7 +263,7 @@ class TestSupraLaplacianStorage:
         )
         intra[0, 0] = inter[0, 0] = 5.0
         assert supra.intra_part[0, 0] == 1.0 and supra.inter_part[0, 0] == 0.0
-        assert supra.matrix[0, 0] == 1.0
+        assert supra.csr.toarray()[0, 0] == 1.0
         sparse = scipy.sparse.csr_array(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         supra = dataclasses.replace(supra, intra_part=sparse)
         sparse.data[:] = 5.0
@@ -356,13 +356,13 @@ class TestScaleInterLayer:
         network, constants, _ = hand_expanded_fixture
         supra = assemble_supra_laplacian(network, constants)
         scaled = scale_inter_layer(supra, 1.0)
-        assert np.array_equal(scaled.matrix, supra.matrix)
+        assert np.array_equal(scaled.csr.toarray(), supra.csr.toarray())
 
     def test_epsilon_zero_is_intra_part(self, hand_expanded_fixture):
         network, constants, _ = hand_expanded_fixture
         supra = assemble_supra_laplacian(network, constants)
         scaled = scale_inter_layer(supra, 0.0)
-        assert np.array_equal(scaled.matrix, supra.intra_part.toarray())
+        assert np.array_equal(scaled.csr.toarray(), supra.intra_part.toarray())
 
     def test_half_scaling_matches_independent_reassembly(self, hand_expanded_fixture):
         network, constants, _ = hand_expanded_fixture
@@ -372,8 +372,8 @@ class TestScaleInterLayer:
             intra=constants.intra,
             inter={key: 0.5 * value for key, value in constants.inter.items()},
         )
-        assert np.abs(scaled.matrix - brute_force_supra(network, halved)).max() < 1e-12
-        assert np.abs(scaled.matrix - scaled.intra_part - scaled.inter_part).max() < 1e-12
+        assert np.abs(scaled.csr.toarray() - brute_force_supra(network, halved)).max() < 1e-12
+        assert np.abs(scaled.csr.toarray() - scaled.intra_part - scaled.inter_part).max() < 1e-12
 
     def test_negative_epsilon_rejected(self, hand_expanded_fixture):
         network, constants, _ = hand_expanded_fixture
@@ -413,7 +413,7 @@ class TestNetworkJson:
         save_network(path, network, constants)
         loaded, loaded_constants = load_network(path)
         supra = assemble_supra_laplacian(loaded, loaded_constants)
-        assert np.abs(supra.matrix - expected).max() < 1e-12
+        assert np.abs(supra.csr.toarray() - expected).max() < 1e-12
         assert loaded.node_order == network.node_order
 
     def test_triplet_matrices(self):

@@ -6,7 +6,8 @@ routes of the observed-block Kalman update and the learner against dense
 reference formulas and invariants, the fit's exact Jacobian against central
 differences, the fit's scattered generator against the sparse sum bit for
 bit, the per-topic filter and prediction of a Kronecker generator against the
-whole-state route, and byte-for-byte round trips of the state, network and
+whole-state route, ``build``'s streamed dump and summary against the dense
+operator, and byte-for-byte round trips of the state, network and
 matrix files, the network matrices read alike from triplets and from dense
 rows, and the column-major vectorization undone exactly."""
 
@@ -55,14 +56,15 @@ from supraflow import (
     vectorize,
     write_states_csv,
 )
+from supraflow import cli
 from supraflow.calibration import (
     _free_parameters,
     _Residuals,
     read_operator_matrix,
     write_matrix_csv,
-    write_operator_csv,
 )
 from supraflow.diffusion import exponential_action
+from supraflow.files import write_csv
 from supraflow.network import (
     _is_symmetric,
     _matrix_from_json,
@@ -115,10 +117,10 @@ class TestSupraLaplacianLinearity:
         entries = [(("intra", k), v) for k, v in constants.intra.items()]
         entries += [(("inter", pair), v) for pair, v in constants.inter.items()]
         weighted = sum(
-            value * assemble_supra_laplacian(network, unit_constants(constants, key)).matrix
+            value * assemble_supra_laplacian(network, unit_constants(constants, key)).csr.toarray()
             for key, value in entries
         )
-        reference = assemble_supra_laplacian(network, constants).matrix
+        reference = assemble_supra_laplacian(network, constants).csr.toarray()
         assert relative_error(weighted, reference) <= 1e-12
 
 
@@ -128,7 +130,7 @@ class TestExponentialAction:
     def test_matches_dense_exponential_on_diffusion_generators(self, seed, dt, columns):
         rng = np.random.default_rng(seed)
         network, constants = random_network(rng)
-        generator = -assemble_supra_laplacian(network, constants).matrix * dt
+        generator = -assemble_supra_laplacian(network, constants).csr.toarray() * dt
         x = rng.random((network.n_nodes, columns))
         reference = matrix_exponential(generator) @ x
         assert relative_error(exponential_action(generator, x), reference) <= 1e-12
@@ -239,7 +241,7 @@ class TestEnsemble:
         unstable = abs(supra.csr).sum(axis=1).max() * dt >= 1
         with pytest.warns(UserWarning, match="dt") if unstable else contextlib.nullcontext():
             result = simulate_ensemble(x0, supra, NoiseModel(sigma, seed=seed), config)
-        reference = dense_ensemble_reference(x0, supra.matrix, sigma, seed, config)
+        reference = dense_ensemble_reference(x0, supra.csr.toarray(), sigma, seed, config)
         assert len(result) == len(reference)
         for path, expected in zip(result, reference):
             assert path.states.shape == expected.shape
@@ -276,7 +278,7 @@ class TestConnectivitySweep:
         points = connectivity_sweep(network, constants, epsilons)
         assert [p.epsilon for p in points] == epsilons
         for epsilon, point in zip(epsilons, points):
-            scaled = scale_inter_layer(base, epsilon).matrix
+            scaled = scale_inter_layer(base, epsilon).csr.toarray()
             reference = np.linalg.eigvalsh(scaled)[1]
             tolerance = 1e-12 * (1.0 + np.abs(scaled).max())
             assert abs(point.lambda2_actual - reference) <= tolerance
@@ -353,7 +355,7 @@ class TestExactJacobian:
         network = replica_network(rng)
         values = np.array([constant, constant, coupling])
         constants = DiffusionConstants(intra={1: constant, 2: constant}, inter={(1, 2): coupling})
-        eigenvalues = np.linalg.eigvalsh(assemble_supra_laplacian(network, constants).matrix)
+        eigenvalues = np.linalg.eigvalsh(assemble_supra_laplacian(network, constants).csr.toarray())
         assert np.abs(eigenvalues[::2] - eigenvalues[1::2]).max() <= 1e-7
         series = random_series(rng, network, topics=2, count=3)
         self.assert_matches_central_difference(network, series, values)
@@ -395,11 +397,11 @@ class TestOperatorInvariants:
     def test_parts_are_symmetric_with_zero_row_sums(self, seed, connected):
         network, constants = random_network(np.random.default_rng(seed), connected=connected)
         supra = assemble_supra_laplacian(network, constants)
-        scale = np.abs(supra.matrix).max()
-        for part in (supra.matrix, supra.intra_part.toarray(), supra.inter_part.toarray()):
+        scale = np.abs(supra.csr.toarray()).max()
+        for part in (supra.csr.toarray(), supra.intra_part.toarray(), supra.inter_part.toarray()):
             assert np.array_equal(part, part.T)
             assert np.abs(part.sum(axis=1)).max() <= 1e-12 * scale
-        assert np.linalg.eigvalsh(supra.matrix).min() >= -1e-12 * scale
+        assert np.linalg.eigvalsh(supra.csr.toarray()).min() >= -1e-12 * scale
 
 
 class TestKernelFromComponents:
@@ -408,8 +410,8 @@ class TestKernelFromComponents:
     def test_kernel_dim_counts_the_zero_eigenvalues(self, seed, n_layers, connected):
         network, constants = random_network(np.random.default_rng(seed), n_layers, connected)
         supra = assemble_supra_laplacian(network, constants)
-        kernel_dim = eigenvalue_kernel_dim(supra.matrix)
-        assert components(supra.matrix).max() + 1 == kernel_dim
+        kernel_dim = eigenvalue_kernel_dim(supra.csr.toarray())
+        assert components(supra.csr.toarray()).max() + 1 == kernel_dim
         assert (spectrum(supra).lambda2 == 0.0) == (kernel_dim > 1)
 
     @PROPERTY
@@ -431,8 +433,8 @@ class TestKernelFromComponents:
     def test_decoupled_operator_has_one_kernel_direction_per_layer(self, seed, n_layers):
         network, constants = random_network(np.random.default_rng(seed), n_layers)
         decoupled = scale_inter_layer(assemble_supra_laplacian(network, constants), 0.0)
-        assert components(decoupled.matrix).max() + 1 == n_layers
-        assert eigenvalue_kernel_dim(decoupled.matrix) == n_layers
+        assert components(decoupled.csr.toarray()).max() + 1 == n_layers
+        assert eigenvalue_kernel_dim(decoupled.csr.toarray()) == n_layers
         assert (spectrum(decoupled).lambda2 == 0.0) == (n_layers > 1)
 
 
@@ -742,9 +744,11 @@ class TestStructuredOperator:
         with tempfile.TemporaryDirectory() as directory:
             blocks = os.path.join(directory, "blocks.csv")
             dense = os.path.join(directory, "dense.csv")
+            shape = op.lambda_hat.shape
             with mock.patch.object(diffusion, "_ROW_BLOCK_BYTES", block_bytes):
-                write_operator_csv(blocks, op)
-                write_matrix_csv(dense, op.lambda_hat)
+                rows = diffusion._row_blocks(op.block, op.inputs, op.corrections)
+                write_matrix_csv(blocks, shape, (block for _, block in rows))
+                write_matrix_csv(dense, shape, [op.lambda_hat])
             with open(blocks, "rb") as a, open(dense, "rb") as b:
                 assert a.read() == b.read()
 
@@ -861,9 +865,65 @@ class TestByteRoundTrips:
         matrix = data.draw(float_arrays(shape))
 
         def write(path, values=matrix):
-            write_matrix_csv(path, values)
+            write_matrix_csv(path, values.shape, [values])
 
         assert_rewrite_is_identical(write, read_operator_matrix)
+
+
+@st.composite
+def build_networks(draw):
+    """A network of one to three layers of one to five nodes, directed or
+    not, each pair of layers coupled or not."""
+    rng = np.random.default_rng(draw(seeds))
+    directed = draw(st.booleans())
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    layers = []
+    for k, n in enumerate(sizes):
+        adjacency = rng.uniform(0.1, 3.0, (n, n)) * (rng.random((n, n)) < 0.6)
+        if not directed:
+            adjacency = np.triu(adjacency, 1) + np.triu(adjacency, 1).T
+        np.fill_diagonal(adjacency, 0.0)
+        nodes = tuple(f"L{k + 1}n{i}" for i in range(n))
+        layers.append(LayerGraph(k + 1, "agent", nodes, adjacency))
+    couplings = [
+        InterLayerCoupling(a, b, rng.uniform(0.1, 3.0, (sizes[a - 1], sizes[b - 1])))
+        for a in range(1, len(sizes) + 1)
+        for b in range(1, len(sizes) + 1)
+        if (a < b or directed) and a != b and draw(st.booleans())
+    ]
+    constants = DiffusionConstants(
+        intra={k + 1: float(rng.uniform(0.1, 2.0)) for k in range(len(sizes))},
+        inter={(c.from_layer, c.to_layer): float(rng.uniform(0.1, 2.0)) for c in couplings},
+        symmetric=not directed,
+    )
+    return InterconnectedNetwork(tuple(layers), tuple(couplings), symmetric=not directed), constants
+
+
+class TestBuildDump:
+    @settings(PROPERTY, max_examples=60)
+    @given(network_and_constants=build_networks(), block_bytes=st.integers(1, 200))
+    def test_streamed_dump_and_summary_are_the_dense_operators(
+        self, network_and_constants, block_bytes
+    ):
+        with tempfile.TemporaryDirectory() as directory:
+            network_path = os.path.join(directory, "network.json")
+            save_network(network_path, *network_and_constants)
+            config = os.path.join(directory, "build.json")
+            with open(config, "w") as handle:
+                json.dump({"network": network_path}, handle)
+            out = os.path.join(directory, "build")
+            with mock.patch.object(diffusion, "_ROW_BLOCK_BYTES", block_bytes):
+                assert cli.main(["build", "--config", config, "--out", out]) == 0
+            dense = assemble_supra_laplacian(*load_network(network_path)).csr.toarray()
+            reference = os.path.join(directory, "reference.csv")
+            write_csv(reference, [f"# rows={len(dense)} cols={len(dense)}"], dense.tolist())
+            with open(os.path.join(out, "supra_laplacian.csv"), "rb") as a:
+                with open(reference, "rb") as b:
+                    assert a.read() == b.read()
+            with open(os.path.join(out, "build_summary.json")) as handle:
+                summary = json.load(handle)
+        assert summary["max_abs_row_sum"] == float(np.abs(dense.sum(axis=1)).max())
+        assert summary["symmetric"] is _is_symmetric(dense)
 
 
 class TestVectorize:
@@ -920,7 +980,7 @@ class TestSparseStorage:
         else:
             network, constants = random_network(rng, n_layers, connected)
         supra = assemble_supra_laplacian(network, constants)
-        assert np.abs(supra.matrix - brute_force_supra(network, constants)).max() <= 1e-12
+        assert np.abs(supra.csr.toarray() - brute_force_supra(network, constants)).max() <= 1e-12
         for part in (supra.csr, supra.intra_part, supra.inter_part):
             assert np.abs(part.sum(axis=1)).max() <= 1e-12
 

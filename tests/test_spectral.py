@@ -39,7 +39,7 @@ def two_layer_multiplex(n, rng=None, adjacency=None, coupling_weight=1.0):
 class TestSpectrum:
     def test_path_graph_eigenvalues(self):
         _, supra = single_layer_supra([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-        assert components(supra.matrix).tolist() == [0, 0, 0]
+        assert components(supra.csr.toarray()).tolist() == [0, 0, 0]
         assert spectrum(supra).lambda2 == pytest.approx(1.0, rel=1e-12)
 
     def test_complete_graph_lambda2(self):
@@ -51,7 +51,7 @@ class TestSpectrum:
         network, constants = two_layer_multiplex(3, rng=np.random.default_rng(0))
         supra = assemble_supra_laplacian(network, constants)
         decoupled = scale_inter_layer(supra, 0.0)
-        assert components(decoupled.matrix).max() + 1 == 2
+        assert components(decoupled.csr.toarray()).max() + 1 == 2
         assert spectrum(decoupled).lambda2 == 0.0
 
     def test_null_basis_spans_intra_kernel(self):
@@ -82,7 +82,7 @@ class TestPerturbationEstimate:
         supra = assemble_supra_laplacian(network, constants)
         for epsilon in (0.01, 0.005, 0.001):
             estimate = lambda2_perturbation_estimate(supra, epsilon)
-            actual = np.linalg.eigvalsh(scale_inter_layer(supra, epsilon).matrix)[1]
+            actual = np.linalg.eigvalsh(scale_inter_layer(supra, epsilon).csr.toarray())[1]
             assert abs(estimate - actual) / actual < 0.05
 
     def test_linear_in_epsilon(self):
@@ -99,7 +99,7 @@ class TestPerturbationEstimate:
         supra = assemble_supra_laplacian(network, constants)
         ratios = []
         for epsilon in (1e-2, 1e-3, 1e-4):
-            actual = np.linalg.eigvalsh(scale_inter_layer(supra, epsilon).matrix)[1]
+            actual = np.linalg.eigvalsh(scale_inter_layer(supra, epsilon).csr.toarray())[1]
             estimate = lambda2_perturbation_estimate(supra, epsilon)
             ratios.append(abs(actual - estimate) / epsilon)
         assert ratios[0] > ratios[1] > ratios[2]
@@ -123,7 +123,7 @@ class TestPerturbationEstimate:
 
 def assert_matches_dense_lambda2(point, supra):
     """The sweep's lambda_2 agrees with dense eigvalsh at the sweep's zero-floor scale."""
-    scaled = scale_inter_layer(supra, point.epsilon).matrix
+    scaled = scale_inter_layer(supra, point.epsilon).csr.toarray()
     reference = np.linalg.eigvalsh(scaled)[1]
     assert abs(point.lambda2_actual - reference) <= 1e-12 * (1.0 + np.abs(scaled).max())
 
@@ -202,7 +202,7 @@ class TestConnectivitySweep:
             for epsilon in (0.01, 0.5, 3.0):
                 work = np.empty(supra.csr.shape)
                 got = _lambda2(supra, epsilon, work)
-                expected = np.linalg.eigvalsh(scale_inter_layer(supra, epsilon).matrix)[1]
+                expected = np.linalg.eigvalsh(scale_inter_layer(supra, epsilon).csr.toarray())[1]
                 assert got == pytest.approx(expected, rel=1e-12)
                 # The solves read the factor in place: the work array's
                 # Fortran-ordered transpose, with no copy.

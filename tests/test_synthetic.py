@@ -244,7 +244,7 @@ class TestGenerateSynthetic:
             warnings.simplefilter("error")
             network, series, truth = generate_synthetic(spec, seed=21)
         supra = assemble_supra_laplacian(network, truth.constants)
-        assert np.abs(supra.matrix).sum(axis=1).max() * spec.dt >= 1
+        assert np.abs(supra.csr.toarray()).sum(axis=1).max() * spec.dt >= 1
         assert [s.timestamp for s in series.snapshots] == [0.0, 0.5, 1.0]
 
 
