@@ -31,11 +31,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .errors import NumericalError, ValidationError
-from .diffusion import _dense, _exp_action, _state_array, matrix_exponential
+from .diffusion import _dense, _exp_action, _state_array, exponential_action
 from .files import csv_floats, read_csv, write_csv, write_json
 from .network import (
     DiffusionConstants,
@@ -51,9 +50,10 @@ from .states import StateMatrix
 #: The learner's default cap on rank-1 updates.
 LEARN_MAX_ITERS = 200
 
-#: Every fitted constant lies in [0, D_MAX] and starts from D_START.
+#: Every fitted constant lies in [0, D_MAX] and starts from at most D_START.
 D_MAX = 10.0
 D_START = 1.0
+START_NORM = 50.0
 _MAX_STEPS = 100
 _MAX_DAMPING = 1e10
 
@@ -179,8 +179,9 @@ class _Residuals:
     symmetric, an evaluation takes one eigendecomposition L = V diag(lam) V^T,
     and the Jacobian at that point reuses it through the Daleckii-Krein
     formula V (Gamma o V^T B_k V) V^T x(t).  Otherwise an evaluation takes one
-    scaling-and-squaring exponential per distinct dt, and the Jacobian their
-    Frechet derivatives (Al-Mohy & Higham 2009).
+    ``exponential_action`` of -L dt per distinct dt, and the Jacobian one per
+    nonzero B_k and dt: the top block of e^M [0; x(t)] / s for M = [[-L dt,
+    -s B_k dt], [0, -L dt]], s = ||L||_1 / ||B_k||_1 (or 1 for a zero L).
     """
 
     def __init__(self, pairs, network: InterconnectedNetwork):
@@ -191,14 +192,15 @@ class _Residuals:
         self.supports = []
         self.symmetric = True
         for unit in np.eye(len(keys)):
-            supra = assemble_supra_laplacian(
+            b = assemble_supra_laplacian(
                 network, _constants_from_vector(keys, unit, network.symmetric)
-            )
-            self.symmetric &= _is_symmetric(supra.csr)
-            b = supra.csr
+            ).csr
+            self.symmetric &= _is_symmetric(b)
             rows = np.flatnonzero(np.diff(b.indptr))
             self.basis.append(b)
             self.supports.append((rows, b[rows]))
+        self.norms = [float(abs(b).sum(axis=0).max(initial=0.0)) for b in self.basis]  # ||B_k||_1
+        self.start = np.array([min(D_START, START_NORM / n) if n else D_START for n in self.norms])
         self.ends = np.stack([b.matrix for _, b, _ in pairs])
         members_of: dict[float, list[int]] = {}
         for i, (_, _, dt) in enumerate(pairs):
@@ -224,9 +226,8 @@ class _Residuals:
 
     def evaluate(self, values: np.ndarray) -> tuple[np.ndarray, float, tuple]:
         """Residuals and objective at ``values``, and what the Jacobian there reuses."""
-        generator = self.generator(values)
         if self.symmetric:
-            eigvals, eigvecs = np.linalg.eigh(generator)
+            eigvals, eigvecs = np.linalg.eigh(self.generator(values))
             projected = [eigvecs.T @ block for _, _, block in self.groups]
             moved = [
                 eigvecs @ (np.exp(-eigvals * dt)[:, None] * y)
@@ -234,7 +235,8 @@ class _Residuals:
             ]
             point = (eigvals, eigvecs, projected)
         else:
-            moved = [matrix_exponential(-generator * dt) @ block for dt, _, block in self.groups]
+            generator = sum(value * b for value, b in zip(values, self.basis))
+            moved = [exponential_action(-dt * generator, block) for dt, _, block in self.groups]
             point = (generator,)
         residuals = self.ends - self._unstack(moved)
         total = float(np.vdot(residuals, residuals))
@@ -265,14 +267,17 @@ class _Residuals:
                 columns.append(self._unstack(moved))
         else:
             (generator,) = point
-            columns = []
-            for b in self.basis:
-                moved = [
-                    scipy.linalg.expm_frechet(-dt * generator, -dt * b.toarray(), compute_expm=False)
-                    @ block
-                    for dt, _, block in self.groups
-                ]
-                columns.append(self._unstack(moved))
+            scale = float(abs(generator).sum(axis=0).max(initial=0.0))
+            steps = [(-dt * generator, dt, np.vstack([0 * x, x])) for dt, _, x in self.groups]
+            # A zero B_k keeps its zero column.
+            columns = np.zeros((len(self.basis),) + self.ends.shape)
+            for k in np.flatnonzero(self.norms):
+                b, s = self.basis[k], (scale or self.norms[k]) / self.norms[k]
+                moved = []
+                for a, dt, lifted in steps:
+                    m = scipy.sparse.block_array([[a, (-dt * s) * b], [None, a]], format="csr")
+                    moved.append(exponential_action(m, lifted)[: len(lifted) // 2] / s)
+                columns[k] = self._unstack(moved)
         return -np.stack(columns).reshape(len(columns), -1).T
 
 
@@ -281,9 +286,13 @@ def fit_diffusion_constants(series: SnapshotSeries, network: InterconnectedNetwo
 
     The residuals are x(t+1) - e^{-L dt} x(t) over the training pairs, with
     exact Jacobians: for a symmetric L, one eigendecomposition per objective
-    evaluation serves both the residuals and the Jacobian there (see
-    ``_Residuals``).  Projected Levenberg-Marquardt (More 1978) starts every
-    constant at D_START.  Each step solves (J^T J + mu diag J^T J) delta =
+    evaluation serves both the residuals and the Jacobian there; otherwise
+    exponential actions do (see ``_Residuals``).  Projected
+    Levenberg-Marquardt (More 1978) starts constant k at min(D_START,
+    START_NORM / ||B_k||_1), or D_START for a zero B_k, so that no term of the
+    start operator has 1-norm above START_NORM = 50, about a fitted
+    operator's; at D_START heavy weights (the kNN layer's) make it up to a
+    hundred times stiffer.  Each step solves (J^T J + mu diag J^T J) delta =
     -J^T r over the constants that the gradient does not hold at a bound,
     clips to [0, D_MAX] and is accepted only when it lowers the objective, so
     ``objective_trace`` (the start, then one entry per accepted step) is
@@ -301,7 +310,7 @@ def fit_diffusion_constants(series: SnapshotSeries, network: InterconnectedNetwo
         raise ValidationError("series and network disagree on the node count")
 
     problem = _Residuals(pairs, network)
-    values = np.full(len(problem.keys), D_START)
+    values = problem.start
     residuals, current, point = problem.evaluate(values)
     evaluations = 1
     scale = max(float(np.vdot(problem.ends, problem.ends)), 1.0)

@@ -189,24 +189,32 @@ class TestFitDiffusionConstants:
 
 class TestFitWork:
     """What a fit decomposes: one eigendecomposition per objective evaluation
-    for a symmetric operator, reused by the Jacobian there; exponentials and
-    their Frechet derivatives, never an eigendecomposition, for a directed one."""
+    for a symmetric operator, reused by the Jacobian there, and no
+    exponential action; exponential actions for a directed one, one per
+    distinct dt for an evaluation and one per constant and distinct dt for a
+    Jacobian, never an eigendecomposition or a dense Frechet derivative."""
 
     @staticmethod
     def count_calls(monkeypatch):
-        calls = {"eigh": [], "matrix_exponential": 0}
-        eigh, exponential = np.linalg.eigh, calibration.matrix_exponential
+        calls = {"eigh": [], "exponential_action": [], "expm_frechet": 0}
+        eigh, action = np.linalg.eigh, calibration.exponential_action
+        frechet = scipy.linalg.expm_frechet
 
         def counted_eigh(a, *args, **kwargs):
             calls["eigh"].append(np.array(a))
             return eigh(a, *args, **kwargs)
 
-        def counted_exponential(a):
-            calls["matrix_exponential"] += 1
-            return exponential(a)
+        def counted_action(a, x):
+            calls["exponential_action"].append(a.shape)
+            return action(a, x)
+
+        def counted_frechet(*args, **kwargs):
+            calls["expm_frechet"] += 1
+            return frechet(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-        monkeypatch.setattr(calibration, "matrix_exponential", counted_exponential)
+        monkeypatch.setattr(calibration, "exponential_action", counted_action)
+        monkeypatch.setattr(scipy.linalg, "expm_frechet", counted_frechet)
         return calls
 
     def test_symmetric_fit_decomposes_once_per_evaluation(self, monkeypatch):
@@ -219,24 +227,41 @@ class TestFitWork:
         # a Jacobian column.
         distinct = {a.tobytes() for a in calls["eigh"]}
         assert len(distinct) == fit.evaluations
-        assert calls["matrix_exponential"] == 0
+        assert calls["exponential_action"] == []
 
-    def test_directed_fit_never_calls_eigh(self, monkeypatch):
+    def test_directed_fit_takes_actions(self, monkeypatch):
         rng = np.random.default_rng(0)
         network, planted = directed_network(rng)
-        planted_supra = assemble_supra_laplacian(network, planted)
-        propagator = scipy.linalg.expm(-planted_supra.csr.toarray() * 0.1)
+        generator = assemble_supra_laplacian(network, planted).csr.toarray()
         x = rng.random((network.n_nodes, 2))
-        snaps = []
-        for i in range(4):
-            snaps.append(StateMatrix(x, dict(network.node_index), 0.1 * i))
-            x = propagator @ x
+        # Two distinct steps, 0.1 and 0.25.
+        times = (0.0, 0.1, 0.2, 0.45)
+        snaps = [StateMatrix(x, dict(network.node_index), 0.0)]
+        for t0, t1 in zip(times, times[1:]):
+            x = scipy.linalg.expm(-generator * (t1 - t0)) @ x
+            snaps.append(StateMatrix(x, dict(network.node_index), t1))
+        series = SnapshotSeries(tuple(snaps))
+        jacobians = []
+        jacobian = calibration._Residuals.jacobian
+
+        def counted_jacobian(problem, point):
+            jacobians.append(len(problem.keys))
+            assert min(problem.norms) > 0  # no zero basis operator skips its action
+            return jacobian(problem, point)
+
+        monkeypatch.setattr(calibration._Residuals, "jacobian", counted_jacobian)
         calls = self.count_calls(monkeypatch)
-        fit = fit_diffusion_constants(SnapshotSeries(tuple(snaps)), network)
-        assert fit.converged and fit.sweeps >= 1
-        assert calls["eigh"] == []
-        # One dt, so one exponential per objective evaluation.
-        assert calls["matrix_exponential"] == fit.evaluations
+        fit = fit_diffusion_constants(series, network)
+        assert fit.converged and fit.sweeps >= 1 and jacobians
+        assert calls["eigh"] == [] and calls["expm_frechet"] == 0
+        # Per distinct dt: one action of the n x n operator -L dt in each
+        # evaluation, and one of a 2n x 2n block operator per constant in each
+        # Jacobian.
+        n = network.n_nodes
+        shapes = calls["exponential_action"]
+        assert shapes.count((n, n)) == 2 * fit.evaluations
+        assert shapes.count((2 * n, 2 * n)) == 2 * sum(jacobians)
+        assert len(shapes) == 2 * (fit.evaluations + sum(jacobians))
 
 
 class TestLearnSupraOperator:

@@ -234,7 +234,7 @@ class TestFitLearnKalman:
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_fit_report(self, tiny_dataset, symmetric):
         # A symmetric network's fit takes one eigendecomposition per objective
-        # evaluation, a directed one expm_frechet: run both.
+        # evaluation, a directed one exponential actions: run both.
         tmp = tiny_dataset["tmp"]
         doc = json.loads((tiny_dataset["dir"] / "network.json").read_text())
         network = write_json(tmp / "fit_network.json", {**doc, "symmetric": symmetric})

@@ -58,6 +58,9 @@ from supraflow import (
 )
 from supraflow import cli
 from supraflow.calibration import (
+    D_MAX,
+    D_START,
+    START_NORM,
     _free_parameters,
     _Residuals,
     read_operator_matrix,
@@ -325,26 +328,58 @@ def replica_network(rng):
     return InterconnectedNetwork(layers, (InterLayerCoupling(1, 2, np.eye(n)),))
 
 
+def dense_reference(problem, values):
+    """The residuals and Jacobian by dense scipy ``expm`` and ``expm_frechet``:
+    one exponential per distinct dt, and one Frechet derivative per constant
+    and distinct dt."""
+    generator = sum(value * b.toarray() for value, b in zip(values, problem.basis))
+    moved = [scipy.linalg.expm(-dt * generator) @ block for dt, _, block in problem.groups]
+    columns = [
+        problem._unstack(
+            [
+                scipy.linalg.expm_frechet(-dt * generator, -dt * b.toarray(), compute_expm=False)
+                @ block
+                for dt, _, block in problem.groups
+            ]
+        )
+        for b in problem.basis
+    ]
+    return problem.ends - problem._unstack(moved), -np.stack(columns).reshape(len(values), -1).T
+
+
 class TestExactJacobian:
     """Each exact Jacobian column of the fit's residuals matches a central
-    difference of the residuals."""
+    difference of the residuals, and on a directed network the residuals and
+    the Jacobian match dense scipy exponentials and Frechet derivatives."""
 
     def assert_matches_central_difference(self, network, series, values):
         problem = _Residuals(series.train_pairs(), network)
-        exact = problem.jacobian(problem.evaluate(values)[2])
+        residuals, _, point = problem.evaluate(values)
+        exact = problem.jacobian(point)
         reference = central_difference_jacobian(problem, values)
         assert exact.shape == reference.shape == (problem.ends.size, len(values))
         for column, expected in zip(exact.T, reference.T):
             assert np.linalg.norm(column - expected) <= 1e-6 * np.linalg.norm(expected)
+        if not problem.symmetric:
+            dense_residuals, dense_jacobian = dense_reference(problem, values)
+            assert relative_error(residuals, dense_residuals) <= 1e-10
+            assert relative_error(exact, dense_jacobian) <= 1e-10
         return problem
 
     @PROPERTY
-    @given(seed=seeds, directed=st.booleans(), topics=st.integers(1, 3))
-    def test_matches_central_differences(self, seed, directed, topics):
+    @given(
+        seed=seeds, directed=st.booleans(), topics=st.integers(1, 3), at_bounds=st.booleans()
+    )
+    def test_matches_central_differences(self, seed, directed, topics, at_bounds):
         rng = np.random.default_rng(seed)
         network, _ = (directed_network if directed else random_network)(rng)
         series = random_series(rng, network, topics, count=4)
-        values = rng.uniform(0.2, 2.0, len(_free_parameters(network)))
+        count = len(_free_parameters(network))
+        if at_bounds:
+            # The trial points a fit reaches: every constant clipped to a bound.
+            values = rng.choice([0.0, D_MAX], count)
+        else:
+            values = rng.uniform(0.2, 2.0, count)
         problem = self.assert_matches_central_difference(network, series, values)
         assert problem.symmetric is not directed
 
@@ -359,6 +394,42 @@ class TestExactJacobian:
         assert np.abs(eigenvalues[::2] - eigenvalues[1::2]).max() <= 1e-7
         series = random_series(rng, network, topics=2, count=3)
         self.assert_matches_central_difference(network, series, values)
+
+
+class TestFitStart:
+    """The fit starts constant k at min(D_START, START_NORM / ||B_k||_1), so
+    the start operator's 1-norm is at most K START_NORM for K constants; a
+    zero B_k starts at D_START and has an exactly zero Jacobian column."""
+
+    @PROPERTY
+    @given(
+        seed=seeds, directed=st.booleans(), zero=st.booleans(), heavy=st.floats(1.0, 1e4)
+    )
+    def test_start_is_norm_scaled(self, seed, directed, zero, heavy):
+        rng = np.random.default_rng(seed)
+        network, _ = (directed_network if directed else random_network)(rng)
+        # One layer's weights scaled up, as the kNN layer's inverse distances
+        # outweigh the others.
+        first, *others = network.layers
+        layers = (replace(first, adjacency=first.adjacency * heavy), *others)
+        couplings = network.couplings
+        if zero:
+            assume(couplings)
+            blank = np.zeros(couplings[0].coupling.shape)
+            couplings = (replace(couplings[0], coupling=blank), *couplings[1:])
+        network = InterconnectedNetwork(layers, couplings, network.symmetric)
+        problem = _Residuals(random_series(rng, network, 2, count=3).train_pairs(), network)
+        start = problem.start
+        assert ((start > 0) & (start <= D_START)).all()
+        operator = sum(value * b for value, b in zip(start, problem.basis))
+        norm = abs(operator).sum(axis=0).max(initial=0.0)
+        assert norm <= len(start) * START_NORM * (1 + 1e-12)
+        zeros = np.array(problem.norms) == 0
+        assert zeros.any() or not zero
+        jacobian = problem.jacobian(problem.evaluate(start)[2])
+        assert np.isfinite(jacobian).all()
+        assert (start[zeros] == D_START).all()
+        assert (jacobian[:, zeros] == 0).all()
 
 
 class TestScatteredGenerator:
