@@ -2,10 +2,12 @@
 
 Every subcommand has one shape: ``_config`` reads the JSON config document
 passed with --config by the command's table in ``_CONFIGS``, with --seed over
-the config's seed; library calls do the work; and ``_write`` writes each output
-under --out and prints a ``wrote <path>`` line.  Outputs are CSV tables, JSON
-reports and SVG charts, written atomically and byte-identical across runs with
-the same config and seed at a fixed BLAS thread count.
+the config's seed where the table has one; library calls do the work; and
+``_write`` writes each output under --out and prints a ``wrote <path>`` line.
+A setting's key is its ``ExperimentConfig`` field's name in every command.
+Outputs are CSV tables, JSON reports and SVG charts, written atomically and
+byte-identical across runs with the same config and seed at a fixed BLAS
+thread count.
 
 Exit codes: 0 success, 2 validation failure (malformed or missing input, a
 config key the command does not know, or a file that cannot be read or
@@ -24,7 +26,6 @@ import numpy as np
 from .errors import REQUIRED, NumericalError, ValidationError, _json_float, _json_int, _json_list
 from .errors import _json_str, read_document
 from .calibration import (
-    LEARN_MAX_ITERS,
     SnapshotSeries,
     check_learner_settings,
     fit_diffusion_constants,
@@ -47,7 +48,6 @@ from .files import read_json, write_json
 from .harness import ExperimentConfig, replot_errors_csv, run_experiment
 from .harness import write_errors_csv, write_summary_csv
 from .kalman import (
-    R_OBSERVED,
     _test_range,
     check_observation_noise,
     filter_fractions,
@@ -71,12 +71,14 @@ from .synthetic import _SPEC_FIELDS, SyntheticSpec, generate_synthetic, syntheti
 _NETWORK = {"network": (_json_str, REQUIRED)}
 _STATES = {**_NETWORK, "states": (_json_str, REQUIRED)}
 _SERIES = {**_NETWORK, "snapshots": (_json_str, REQUIRED), "train_count": (_json_int, None)}
+#: The learner's and the filter's settings, each keyed and defaulted as its
+#: ``ExperimentConfig`` field, one entry for every command that reads it.
 _LEARNER = {
-    "gain": (_json_float, None),
-    "eta": (_json_float, None),
-    "max_iters": (_json_int, LEARN_MAX_ITERS),
-    "fit_max_sweeps": (None, None),
+    "gain": (_json_float, ExperimentConfig.gain),
+    "learn_threshold": (_json_float, ExperimentConfig.learn_threshold),
+    "max_iters": (_json_int, ExperimentConfig.max_iters),
 }
+_KALMAN_R = {"kalman_r": (_json_float, ExperimentConfig.kalman_r)}
 #: Each command's config table (see ``errors.read_document``).
 _CONFIGS = {
     "generate": {**_SPEC_FIELDS, "seed": (_json_int, 0)},
@@ -91,13 +93,13 @@ _CONFIGS = {
         "seed": (_json_int, 0),
     },
     "predict": {**_STATES, "delta_t": (_json_float, REQUIRED)},
-    "fit": {**_SERIES, "max_sweeps": (None, None)},
+    "fit": _SERIES,
     "learn": {**_SERIES, **_LEARNER},
     "kalman": {
         **_SERIES,
         **_LEARNER,
+        **_KALMAN_R,
         "fraction": (_json_float, REQUIRED),
-        "r": (_json_float, R_OBSERVED),
         "seed": (_json_int, 0),
     },
     "spectral": {**_NETWORK, "epsilons": (_json_list(_json_float), REQUIRED)},
@@ -108,10 +110,10 @@ _CONFIGS = {
         "snapshots": (_json_str, None),
         "train_count": (_json_int, None),
         "seed": (_json_int, 0),
-        "gain": (_json_float, None),
-        "learn_threshold": (_json_float, None),
-        "max_iters": (_json_int, LEARN_MAX_ITERS),
-        "kalman_r": (_json_float, R_OBSERVED),
+        **_LEARNER,
+        **_KALMAN_R,
+        # Retired and not read: the benchmark's experiment workloads and
+        # acceptance criterion 9's config still send it.
         "fit_max_sweeps": (None, None),
     },
 }
@@ -121,7 +123,7 @@ def _config(args) -> dict:
     """The fields of the command's config, with --seed over its seed."""
     document = read_json(args.config, "config file") if args.config else {}
     fields = read_document(document, _CONFIGS[args.command], f"{args.command} config")
-    if args.seed is not None and "seed" in fields:
+    if "seed" in fields and args.seed is not None:
         fields["seed"] = int(args.seed)
     return fields
 
@@ -134,9 +136,21 @@ def _write(args, name: str, write, *payload) -> None:
     print(f"wrote {path}")
 
 
-def _load_series(cfg: dict, network) -> SnapshotSeries:
+def _load_series(cfg: dict):
+    """The network and the snapshot series of the config's files."""
+    network, _ = load_network(cfg["network"])
     snapshots = read_states_csv(cfg["snapshots"], network)
-    return SnapshotSeries(snapshots=tuple(snapshots), train_count=cfg["train_count"])
+    return network, SnapshotSeries(snapshots=tuple(snapshots), train_count=cfg["train_count"])
+
+
+def _learner(cfg: dict):
+    """Check the config's learner settings, before any file is read, and return
+    the step that fits the constants to a network's series and learns from the fit."""
+    settings = dict(gain=cfg["gain"], threshold=cfg["learn_threshold"], max_iters=cfg["max_iters"])
+    check_learner_settings(**settings)
+    return lambda network, series: learn_from_fit(
+        series, network, fit_diffusion_constants(series, network), **settings
+    )
 
 
 def _load_network_with_constants(cfg: dict):
@@ -225,23 +239,15 @@ def cmd_predict(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg = _config(args)
-    network, _ = load_network(cfg["network"])
-    series = _load_series(cfg, network)
-    fit = fit_diffusion_constants(series, network)
-    _write(args, "fit_report.json", write_fit_report, fit)
+    network, series = _load_series(_config(args))
+    _write(args, "fit_report.json", write_fit_report, fit_diffusion_constants(series, network))
     return 0
 
 
 def cmd_learn(args) -> int:
     cfg = _config(args)
-    check_learner_settings(cfg["gain"], cfg["eta"], cfg["max_iters"])
-    network, _ = load_network(cfg["network"])
-    series = _load_series(cfg, network)
-    fit = fit_diffusion_constants(series, network)
-    op = learn_from_fit(
-        series, network, fit, gain=cfg["gain"], threshold=cfg["eta"], max_iters=cfg["max_iters"]
-    )
+    learn = _learner(cfg)
+    op = learn(*_load_series(cfg))
     dim = op.n_nodes * op.n_topics
     blocks = (rows for _, rows in _row_blocks(op.block, op.inputs, op.corrections))
     _write(args, "operator.csv", write_matrix_csv, (dim, dim), blocks)
@@ -259,20 +265,15 @@ def cmd_learn(args) -> int:
 
 def cmd_kalman(args) -> int:
     cfg = _config(args)
-    check_learner_settings(cfg["gain"], cfg["eta"], cfg["max_iters"])
+    learn = _learner(cfg)
     fraction = cfg["fraction"]
     if not 0 < fraction <= 1:
         raise ValidationError("fraction must lie in (0, 1]")
-    check_observation_noise(cfg["r"])
-    network, _ = load_network(cfg["network"])
-    series = _load_series(cfg, network)
+    check_observation_noise(cfg["kalman_r"])
+    network, series = _load_series(cfg)
     _test_range(series)
     masks = nested_masks(network.n_nodes, [fraction], cfg["seed"])
-    fit = fit_diffusion_constants(series, network)
-    op = learn_from_fit(
-        series, network, fit, gain=cfg["gain"], threshold=cfg["eta"], max_iters=cfg["max_iters"]
-    )
-    result = filter_fractions(series, op, masks, cfg["r"])[fraction]
+    result = filter_fractions(series, learn(network, series), masks, cfg["kalman_r"])[fraction]
     _write(args, "filter_trace.csv", write_filter_trace_csv, result)
     labels = [node_label(key) for key in network.node_order]
     _write(args, "mask.csv", write_mask_csv, result.observed_nodes, labels)
@@ -294,10 +295,7 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = _config(args)
-    config = ExperimentConfig(
-        network_file=cfg.pop("network"), snapshots_file=cfg.pop("snapshots"), **cfg
-    )
+    config = ExperimentConfig(**_config(args))
     result = run_experiment(config)
     for name in config.methods:
         print(f"{name}: mean error {result.mean_errors[name]:.6g}")
@@ -324,7 +322,6 @@ _COMMANDS = (
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to the JSON config document")
-    common.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
     common.add_argument("--out", default="out", help="output directory")
     parser = argparse.ArgumentParser(
         prog="supraflow",
@@ -333,6 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, handler, help_text in _COMMANDS:
         sub = subparsers.add_parser(name, parents=[common], help=help_text)
+        if "seed" in _CONFIGS[name]:
+            sub.add_argument("--seed", type=int, help="master seed (overrides config)")
         sub.set_defaults(func=handler)
     return parser
 

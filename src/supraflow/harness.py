@@ -94,8 +94,8 @@ def parse_method(name: str) -> tuple[str, float | None]:
 class ExperimentConfig:
     methods: tuple[str, ...]
     synthetic: SyntheticSpec | None = None
-    network_file: str | None = None
-    snapshots_file: str | None = None
+    network: str | None = None
+    snapshots: str | None = None
     train_count: int | None = None
     seed: int = 0
     gain: float | None = None
@@ -111,7 +111,7 @@ class ExperimentConfig:
         for i, name in enumerate(self.methods):
             if parsed[i] in parsed[:i]:
                 raise ValidationError(f"method {name!r} is given twice")
-        files = (self.network_file, self.snapshots_file)
+        files = (self.network, self.snapshots)
         if self.synthetic is not None and files != (None, None):
             raise ValidationError(
                 "config gives both 'synthetic' and 'network'/'snapshots'; give one of them"
@@ -178,8 +178,8 @@ def _load_inputs(config: ExperimentConfig):
     """The network and snapshot series: generated, split at the experiment's
     train_count if it gives one, or read from the files."""
     if config.synthetic is None:
-        network, _ = load_network(config.network_file)
-        snaps = read_states_csv(config.snapshots_file, network)
+        network, _ = load_network(config.network)
+        snaps = read_states_csv(config.snapshots, network)
         return network, SnapshotSeries(snapshots=tuple(snaps), train_count=config.train_count)
     spec = config.synthetic
     if config.train_count is not None:

@@ -296,8 +296,8 @@ _LAYER_FIELDS = {
     "k": (_json_int, LayerSpec.k_neighbors),
     "weight": (_json_float, LayerSpec.weight),
 }
-#: A synthetic spec's table, each key named as its ``SyntheticSpec`` field; a
-#: ``seed`` in a spec is accepted and not read: the enclosing document's governs.
+#: A synthetic spec's table, each key named as its ``SyntheticSpec`` field; ``seed`` is retired
+#: so that a ``generate`` spec passes whole as ``synthetic``, where the experiment's seed governs.
 _SPEC_FIELDS = {
     "layers": (
         _json_list(

@@ -244,7 +244,6 @@ class TestFitLearnKalman:
                 "network": network,
                 "snapshots": tiny_dataset["snapshots"],
                 "train_count": 4,
-                "max_sweeps": 4,
             },
         )
         out = tmp / "fit"
@@ -267,7 +266,6 @@ class TestFitLearnKalman:
                 "snapshots": tiny_dataset["snapshots"],
                 "train_count": 4,
                 "max_iters": 20,
-                "fit_max_sweeps": 3,
             },
         )
         out = tmp / "learn"
@@ -287,7 +285,6 @@ class TestFitLearnKalman:
                 "train_count": 4,
                 "fraction": 0.4,
                 "max_iters": 20,
-                "fit_max_sweeps": 3,
                 "seed": 5,
             },
         )
@@ -312,15 +309,15 @@ class TestFitLearnKalman:
             "max_iters": 20,
             "seed": 5,
         }
-        config = write_json(tmp / "kalman_same.json", {**settings, "fraction": 0.4, "r": r})
+        config = write_json(tmp / "kalman_same.json", {**settings, "fraction": 0.4, "kalman_r": r})
         out = tmp / "kalman_same"
         assert main(["kalman", "--config", config, "--out", str(out)]) == 0
         header, rows = assert_finite_table(out / "filter_trace.csv")
         cli_errors = [float(row[header.index("error_all")]) for row in rows]
         experiment = ExperimentConfig(
             methods=("kalman:0.4",),
-            network_file=settings["network"],
-            snapshots_file=settings["snapshots"],
+            network=settings["network"],
+            snapshots=settings["snapshots"],
             train_count=4,
             max_iters=20,
             seed=5,
@@ -358,14 +355,14 @@ class TestFitLearnKalman:
     @pytest.mark.parametrize(
         "command, fields, reason",
         [
-            ("learn", {"eta": -1}, "threshold must be finite and >= 0, got -1.0"),
+            ("learn", {"learn_threshold": -1}, "threshold must be finite and >= 0, got -1.0"),
             ("learn", {"gain": -1}, "gain must be finite and >= 0, got -1.0"),
-            ("kalman", {"eta": -1}, "threshold must be finite and >= 0, got -1.0"),
+            ("kalman", {"learn_threshold": -1}, "threshold must be finite and >= 0, got -1.0"),
             ("kalman", {"gain": -1}, "gain must be finite and >= 0, got -1.0"),
             ("kalman", {"max_iters": -1}, "max_iters must be >= 0, got -1"),
             ("experiment", {"learn_threshold": -1}, "threshold must be finite and >= 0, got -1.0"),
             ("experiment", {"gain": -1}, "gain must be finite and >= 0, got -1.0"),
-            ("kalman", {"r": -1}, "noise variance r must be finite and >= 0, got -1.0"),
+            ("kalman", {"kalman_r": -1}, "noise variance r must be finite and >= 0, got -1.0"),
             ("experiment", {"kalman_r": -1}, "noise variance r must be finite and >= 0, got -1.0"),
         ],
     )
@@ -582,6 +579,19 @@ class TestExperimentCommand:
             assert flagged == (tmp_path / "seed1" / name).read_bytes()
             assert flagged != (tmp_path / "seed2" / name).read_bytes()
 
+    @pytest.mark.parametrize("command", [name for name, _, _ in cli._COMMANDS])
+    def test_seed_flag_exists_only_where_a_seed_is_read(self, capsys, command):
+        # A flag that the command would drop unread is an argparse error, exit 2.
+        seeded = "seed" in cli._CONFIGS[command]
+        assert seeded == (command in {"generate", "simulate", "kalman", "experiment"})
+        if seeded:
+            assert cli.build_parser().parse_args([command, "--seed", "1"]).seed == 1
+            return
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
 
 def own_keys(command, dataset, network=None):
     """A config of ``command`` that gives its input files and nothing else."""
@@ -749,12 +759,22 @@ class TestExitCodes:
                 None,
                 "config gives both 'synthetic' and 'network'/'snapshots'",
             ),
-            ("learn", {"eta": -1, "max_iters": 7}, None, "threshold must be finite and >= 0"),
+            (
+                "learn",
+                {"learn_threshold": -1, "max_iters": 7},
+                None,
+                "threshold must be finite and >= 0",
+            ),
             ("learn", {"max_iters": -3}, None, "max_iters must be >= 0, got -3"),
             ("learn", {"gain": -1}, None, "gain must be finite and >= 0, got -1.0"),
             ("kalman", {"gain": -0.5}, None, "gain must be finite and >= 0, got -0.5"),
             ("learn", {"gain": float("inf")}, None, "field 'gain' is malformed"),
-            ("learn", {"eta": float("-inf")}, None, "field 'eta' is malformed"),
+            (
+                "learn",
+                {"learn_threshold": float("-inf")},
+                None,
+                "field 'learn_threshold' is malformed",
+            ),
             ("experiment", {"learn_threshold": float("inf")}, None, "'learn_threshold' is malformed"),
             ("experiment", {"gain": float("-inf")}, None, "field 'gain' is malformed"),
         ],
@@ -945,9 +965,8 @@ class TestExitCodes:
                 "snapshots": tiny_dataset["snapshots"],
                 "train_count": 4,
                 "gain": 1e260,
-                "eta": 0.0,
+                "learn_threshold": 0.0,
                 "max_iters": 50,
-                "fit_max_sweeps": 2,
             },
         )
         assert main(["learn", "--config", config, "--out", str(tmp / "o")]) == 3

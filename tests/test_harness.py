@@ -29,9 +29,7 @@ from conftest import global_random_state
 def experiment_config(document: dict) -> ExperimentConfig:
     """The config that ``supraflow experiment`` builds from a config document."""
     fields = read_document(document, cli._CONFIGS["experiment"], "experiment config")
-    return ExperimentConfig(
-        network_file=fields.pop("network"), snapshots_file=fields.pop("snapshots"), **fields
-    )
+    return ExperimentConfig(**fields)
 
 
 def interconnected_spec(**overrides):
@@ -152,9 +150,9 @@ class TestMethodParsing:
     @pytest.mark.parametrize(
         "files",
         [
-            {"network_file": "n.json"},
-            {"snapshots_file": "s.csv"},
-            {"network_file": "n.json", "snapshots_file": "s.csv"},
+            {"network": "n.json"},
+            {"snapshots": "s.csv"},
+            {"network": "n.json", "snapshots": "s.csv"},
         ],
     )
     def test_config_with_a_spec_and_files_rejected(self, files):
@@ -205,8 +203,8 @@ class TestRunExperiment:
         write_states_csv(states_path, snaps, network.node_order)
         config = ExperimentConfig(
             methods=("single_layer",),
-            network_file=str(net_path),
-            snapshots_file=str(states_path),
+            network=str(net_path),
+            snapshots=str(states_path),
             train_count=3,
         )
         result = run_experiment(config)

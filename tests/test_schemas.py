@@ -1,12 +1,17 @@
 """Every config and network-file table follows the reader's rules: an extra
-key is rejected by name, a retired key loads unread, and null equals absent."""
+key is rejected by name, a retired key loads unread, and null equals absent.
+A setting has one key, its ``ExperimentConfig`` field's name, in every command."""
 
 import copy
+import dataclasses
+import importlib.util
 import json
+import pathlib
+import sys
 
 import pytest
 
-from supraflow import cli, network, synthetic
+from supraflow import ExperimentConfig, cli, network, synthetic
 from supraflow.errors import REQUIRED, ValidationError, _json_float, read_document
 
 LAYER = {"kind": "agent", "n": 2}
@@ -74,12 +79,85 @@ def test_retired_keys_are_the_documented_ones():
         for label, (table, _) in TABLES.items()
     }
     assert {label: keys for label, keys in retired.items() if keys} == {
-        "`fit`": ["max_sweeps"],
-        "`learn`": ["fit_max_sweeps"],
-        "`kalman`": ["fit_max_sweeps"],
         "`experiment`": ["fit_max_sweeps"],
         "synthetic spec (`experiment`'s `synthetic`)": ["seed"],
     }
+
+
+def test_a_key_has_one_cast_in_every_command():
+    casts = {}
+    for command, table in cli._CONFIGS.items():
+        for key, (cast, _) in table.items():
+            casts.setdefault(key, {})[command] = cast
+    for key, by_command in casts.items():
+        assert len(set(by_command.values())) == 1, (key, by_command)
+
+
+def test_learner_and_filter_settings_are_one_entry_named_as_the_experiment_field():
+    defaults = {field.name: field.default for field in dataclasses.fields(ExperimentConfig)}
+    shared = {
+        "gain": ("learn", "kalman", "experiment"),
+        "learn_threshold": ("learn", "kalman", "experiment"),
+        "max_iters": ("learn", "kalman", "experiment"),
+        "kalman_r": ("kalman", "experiment"),
+    }
+    for key, commands in shared.items():
+        entries = [cli._CONFIGS[command][key] for command in commands]
+        assert all(entry is entries[0] for entry in entries), key
+        assert entries[0][1] == defaults[key], key
+        assert {c for c, table in cli._CONFIGS.items() if key in table} == set(commands), key
+
+
+def test_experiment_keys_are_the_experiment_config_fields():
+    table = cli._CONFIGS["experiment"]
+    read = [key for key, (cast, _) in table.items() if cast is not None]
+    assert read == [field.name for field in dataclasses.fields(ExperimentConfig)]
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("learn", "eta"),
+        ("kalman", "eta"),
+        ("kalman", "r"),
+        ("fit", "max_sweeps"),
+        ("learn", "fit_max_sweeps"),
+        ("kalman", "fit_max_sweeps"),
+    ],
+)
+def test_an_old_key_name_fails_before_any_file_is_read(
+    tmp_path, capsys, monkeypatch, command, key
+):
+    def refuse(path):
+        raise AssertionError("read the network before the config was checked")
+
+    monkeypatch.setattr(cli, "load_network", refuse)
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps({**COMMAND_MINIMA[command], key: 1}))
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown field(s) '{key}'" in capsys.readouterr().err
+
+
+def test_every_benchmark_config_loads(tmp_path, monkeypatch):
+    # The benchmark's workloads write their configs without running them; a
+    # key they send that a table no longer lists would fail every benchmark run.
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert workloads.WORKLOADS
+    for name, workload in workloads.WORKLOADS.items():
+        data, out = tmp_path / name / "data", tmp_path / name / "pass"
+        workload.make_setup(0, str(data))
+        workload.make_pass(workload, 0, str(data), str(out))
+        configs = sorted([*data.glob("*.json"), *out.glob("*.json")])
+        assert [p.stem for p in configs if p.parent == data] == ["generate"], name
+        assert any(p.parent == out for p in configs), name
+        for config in configs:
+            document = json.loads(config.read_text())
+            read_document(document, cli._CONFIGS[config.stem], f"{name} {config.stem} config")
 
 
 @pytest.mark.parametrize("label", list(TABLES))
