@@ -41,7 +41,6 @@ from .network import (
     InterconnectedNetwork,
     SupraLaplacian,
     _is_symmetric,
-    _scatter_sum,
     assemble_supra_laplacian,
     constants_to_dict,
 )
@@ -219,15 +218,11 @@ class _Residuals:
             out[members] = block.reshape(block.shape[0], len(members), -1).transpose(1, 0, 2)
         return out
 
-    def generator(self, values: np.ndarray) -> np.ndarray:
-        """Dense L(D) = sum_k D_k B_k, scattered in k order, so every entry
-        sums as the sparse sum would."""
-        return _scatter_sum(zip(self.basis, values), np.empty(self.basis[0].shape))
-
     def evaluate(self, values: np.ndarray) -> tuple[np.ndarray, float, tuple]:
         """Residuals and objective at ``values``, and what the Jacobian there reuses."""
+        generator = sum(value * b for value, b in zip(values, self.basis))  # L(D) in CSR
         if self.symmetric:
-            eigvals, eigvecs = np.linalg.eigh(self.generator(values))
+            eigvals, eigvecs = np.linalg.eigh(generator.toarray())
             projected = [eigvecs.T @ block for _, _, block in self.groups]
             moved = [
                 eigvecs @ (np.exp(-eigvals * dt)[:, None] * y)
@@ -235,7 +230,6 @@ class _Residuals:
             ]
             point = (eigvals, eigvecs, projected)
         else:
-            generator = sum(value * b for value, b in zip(values, self.basis))
             moved = [exponential_action(-dt * generator, block) for dt, _, block in self.groups]
             point = (generator,)
         residuals = self.ends - self._unstack(moved)

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import REQUIRED, NumericalError, ValidationError, _json_float, _json_int, _json_list
 from .errors import _json_str, read_document
 from .calibration import (
-    SnapshotSeries,
     check_learner_settings,
     fit_diffusion_constants,
     learn_from_fit,
@@ -45,7 +44,7 @@ from .diffusion import (
     write_simulation_csv,
 )
 from .files import read_json, write_json
-from .harness import ExperimentConfig, replot_errors_csv, run_experiment
+from .harness import ExperimentConfig, _load_series, replot_errors_csv, run_experiment
 from .harness import write_errors_csv, write_summary_csv
 from .kalman import (
     _test_range,
@@ -134,13 +133,6 @@ def _write(args, name: str, write, *payload) -> None:
     path = os.path.join(args.out, name)
     write(path, *payload)
     print(f"wrote {path}")
-
-
-def _load_series(cfg: dict):
-    """The network and the snapshot series of the config's files."""
-    network, _ = load_network(cfg["network"])
-    snapshots = read_states_csv(cfg["snapshots"], network)
-    return network, SnapshotSeries(snapshots=tuple(snapshots), train_count=cfg["train_count"])
 
 
 def _learner(cfg: dict):
@@ -239,7 +231,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    network, series = _load_series(_config(args))
+    cfg = _config(args)
+    network, series = _load_series(cfg["network"], cfg["snapshots"], cfg["train_count"])
     _write(args, "fit_report.json", write_fit_report, fit_diffusion_constants(series, network))
     return 0
 
@@ -247,7 +240,7 @@ def cmd_fit(args) -> int:
 def cmd_learn(args) -> int:
     cfg = _config(args)
     learn = _learner(cfg)
-    op = learn(*_load_series(cfg))
+    op = learn(*_load_series(cfg["network"], cfg["snapshots"], cfg["train_count"]))
     dim = op.n_nodes * op.n_topics
     blocks = (rows for _, rows in _row_blocks(op.block, op.inputs, op.corrections))
     _write(args, "operator.csv", write_matrix_csv, (dim, dim), blocks)
@@ -270,7 +263,7 @@ def cmd_kalman(args) -> int:
     if not 0 < fraction <= 1:
         raise ValidationError("fraction must lie in (0, 1]")
     check_observation_noise(cfg["kalman_r"])
-    network, series = _load_series(cfg)
+    network, series = _load_series(cfg["network"], cfg["snapshots"], cfg["train_count"])
     _test_range(series)
     masks = nested_masks(network.n_nodes, [fraction], cfg["seed"])
     result = filter_fractions(series, learn(network, series), masks, cfg["kalman_r"])[fraction]

@@ -174,13 +174,18 @@ def _propagate_pairs(starts: Sequence[np.ndarray], supra, dts: Sequence[float]) 
     return out
 
 
+def _load_series(network_file: str, snapshots_file: str, train_count: int | None):
+    """The network and the snapshot series of a network file and a state CSV."""
+    network, _ = load_network(network_file)
+    snaps = read_states_csv(snapshots_file, network)
+    return network, SnapshotSeries(snapshots=tuple(snaps), train_count=train_count)
+
+
 def _load_inputs(config: ExperimentConfig):
     """The network and snapshot series: generated, split at the experiment's
     train_count if it gives one, or read from the files."""
     if config.synthetic is None:
-        network, _ = load_network(config.network)
-        snaps = read_states_csv(config.snapshots, network)
-        return network, SnapshotSeries(snapshots=tuple(snaps), train_count=config.train_count)
+        return _load_series(config.network, config.snapshots, config.train_count)
     spec = config.synthetic
     if config.train_count is not None:
         spec = replace(spec, train_count=config.train_count)

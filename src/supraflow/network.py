@@ -14,8 +14,8 @@ explicit zero entries), so memory grows with the edge count, not with P^2.
 A ``SupraLaplacian`` stores its intra and inter parts; their CSR sum ``csr``
 is derived on first use, and no dense copy is kept: ``build`` dumps ``csr``
 by blocks of rows.  Inputs with more than ``MAX_NODES`` nodes are rejected:
-that cap bounds the P x P arrays of the dense consumers, such as the fit's
-L(D) and the lambda2 work array (3.2 GB each at the cap).
+that cap bounds the P x P ``toarray()`` of the dense consumers, such as the
+fit's L(D) and the lambda2 work array (3.2 GB each at the cap).
 """
 
 from __future__ import annotations
@@ -329,18 +329,6 @@ def _laplacian_triplets(w: scipy.sparse.csr_array, scale: float, offset: int):
     )
 
 
-def _scatter_sum(terms, out: np.ndarray) -> np.ndarray:
-    """Write sum_k w_k A_k, for (CSR part A_k, weight w_k) in ``terms``, into
-    the dense ``out``: zeroed, then each part's stored entries times its
-    weight added in term order, entry by entry the arithmetic of the sparse
-    sum, with no temporary the size of ``out``."""
-    out.fill(0.0)
-    for part, weight in terms:
-        rows, cols, values = _entries(part)
-        out[rows, cols] += weight * values
-    return out
-
-
 def _csr_from_triplets(rows: list, cols: list, values: list, n: int) -> scipy.sparse.csr_array:
     """The read-only n x n CSR matrix of triplet pieces in which no (row, col)
     appears twice: one concatenation, then one sort into row-major order.
@@ -593,6 +581,9 @@ _NETWORK_FIELDS = {
 
 
 def network_from_dict(data: dict) -> tuple[InterconnectedNetwork, DiffusionConstants | None]:
+    if isinstance(data, dict) and isinstance(data.get("constants"), dict):
+        # Constants that give no flag of their own take the network's.
+        data = {**data, "constants": {"symmetric": data.get("symmetric"), **data["constants"]}}
     fields = read_document(data, _NETWORK_FIELDS, "network document")
     layers = []
     for layer in fields["layers"]:

@@ -36,9 +36,9 @@ from .network import (
     SupraLaplacian,
     _epsilon,
     _is_symmetric,
-    _scatter_sum,
     assemble_supra_laplacian,
     components,
+    scale_inter_layer,
 )
 
 
@@ -99,24 +99,24 @@ class SweepPoint:
 _LANCZOS_RTOL = 1e-8
 
 
-def _lambda2(supra: SupraLaplacian, epsilon: float, work: np.ndarray) -> float:
-    """lambda_2 of intra + epsilon * inter, for a connected operator.
+def _lambda2(supra: SupraLaplacian, work: np.ndarray) -> float:
+    """lambda_2 of a connected operator.
 
-    The operator is built in ``work``, which is overwritten, and shifted there
-    by (s/n) 1 1^T with s = 2 max(diag), a Gershgorin bound on the largest
-    eigenvalue of a Laplacian: the constant vector's zero eigenvalue moves up
-    to s and lambda_2 becomes the smallest eigenvalue.  The shifted matrix is
-    factored once, in place, and Lanczos with full reorthogonalization runs on
-    its inverse, one triangular solve pair per step, until the top Ritz pair
-    (theta, y) has beta_k |y_k| <= _LANCZOS_RTOL * theta; lambda_2 is
-    1 / theta.  The start vector is drawn from a fixed seed: vectors built
-    from the layers share the graph's symmetries and can be orthogonal to
-    the Fiedler vector.  A failed factorization means lambda_2 is at rounding
-    level, and the dense eigenvalues decide.
+    The operator's ``csr.toarray(out=work)`` overwrites ``work``, which scipy
+    zero-fills first, and is shifted there by (s/n) 1 1^T with s = 2 max(diag),
+    a Gershgorin bound on the largest eigenvalue of a Laplacian: the constant
+    vector's zero eigenvalue moves up to s and lambda_2 becomes the smallest
+    eigenvalue.  The shifted matrix is factored once, in place, and Lanczos
+    with full reorthogonalization runs on its inverse, one triangular solve
+    pair per step, until the top Ritz pair (theta, y) has beta_k |y_k| <=
+    _LANCZOS_RTOL * theta; lambda_2 is 1 / theta.  The start vector is drawn
+    from a fixed seed: vectors built from the layers share the graph's
+    symmetries and can be orthogonal to the Fiedler vector.  A failed
+    factorization means lambda_2 is at rounding level, and the dense
+    eigenvalues of the operator, densified into ``work`` again, decide.
     """
     n = work.shape[0]
-    terms = ((supra.inter_part, epsilon), (supra.intra_part, 1.0))
-    _scatter_sum(terms, work)
+    supra.csr.toarray(out=work)
     work += 2.0 * float(np.diagonal(work).max()) / n
     try:
         # The transpose is Fortran-ordered, so neither the factorization nor
@@ -125,7 +125,7 @@ def _lambda2(supra: SupraLaplacian, epsilon: float, work: np.ndarray) -> float:
             work.T, lower=False, overwrite_a=True, check_finite=False
         )
     except np.linalg.LinAlgError:
-        return float(np.linalg.eigvalsh(_scatter_sum(terms, work))[1])
+        return float(np.linalg.eigvalsh(supra.csr.toarray(out=work))[1])
     q = np.random.default_rng(0).standard_normal(n)
     q /= np.linalg.norm(q)
     basis = np.empty((0, n))
@@ -170,7 +170,7 @@ class SpectralSummary:
 
 
 def spectrum(supra: SupraLaplacian) -> SpectralSummary:
-    """lambda_2 of the operator, by the sweep's solver at epsilon = 1.
+    """lambda_2 of the operator, by the sweep's solver.
 
     It is exactly 0 when the operator's graph is disconnected; otherwise it
     costs one Cholesky factorization and a few Lanczos solves.
@@ -178,7 +178,7 @@ def spectrum(supra: SupraLaplacian) -> SpectralSummary:
     connected = _checked_connected(supra)
     if supra.n_nodes < 2:
         raise ValidationError("spectral analysis needs at least 2 nodes")
-    lambda2 = _lambda2(supra, 1.0, np.empty(supra.csr.shape)) if connected else 0.0
+    lambda2 = _lambda2(supra, np.empty(supra.csr.shape)) if connected else 0.0
     return SpectralSummary(lambda2=lambda2)
 
 
@@ -195,8 +195,8 @@ def connectivity_sweep(
     checked and taken once.  The actual lambda_2 is exactly 0 at epsilon = 0
     (one component per layer, at least two layers) and at every epsilon when
     the coupled operator is disconnected; any other epsilon costs one Cholesky
-    factorization and a few Lanczos solves of intra + epsilon * inter, in one
-    n x n work array kept for the whole grid.
+    factorization and a few Lanczos solves of ``scale_inter_layer``'s intra +
+    epsilon * inter, in one n x n work array kept for the whole grid.
     """
     if len(epsilon_grid) == 0:
         raise ValidationError("the epsilon grid is empty")
@@ -209,7 +209,7 @@ def connectivity_sweep(
     work = np.empty(base.csr.shape) if connected and max(epsilons) > 0 else None
     points = []
     for epsilon in epsilons:
-        actual = _lambda2(base, epsilon, work) if epsilon > 0 and connected else 0.0
+        actual = _lambda2(scale_inter_layer(base, epsilon), work) if epsilon > 0 and connected else 0.0
         estimate = epsilon * slope
         if abs(actual) > zero_floor:
             rel = abs(actual - estimate) / abs(actual)

@@ -487,6 +487,33 @@ class TestNetworkJson:
         network, constants = network_from_dict(data)
         assert network.symmetric is False and constants.symmetric is False
 
+    @staticmethod
+    def directed_document(inter):
+        """A directed network declaring both coupling directions, with
+        ``inter`` constants and no flag of their own."""
+        data = two_layer_document(symmetric=False)
+        data["couplings"].append({"from": 2, "to": 1, "matrix": {"triplets": [[0, 1, 3.0]]}})
+        data["constants"]["inter"] = inter
+        return data
+
+    def test_directed_network_constants_without_a_flag_may_differ(self):
+        network, constants = network_from_dict(self.directed_document({"1,2": 1.0, "2,1": 2.0}))
+        assert constants.symmetric is False
+        assert (constants.inter_for(1, 2), constants.inter_for(2, 1)) == (1.0, 2.0)
+        assert assemble_supra_laplacian(network, constants).inter_part[2, 1] == -6.0
+
+    def test_directed_network_constants_without_a_flag_have_no_reverse_fallback(self):
+        network, constants = network_from_dict(self.directed_document({"1,2": 1.0}))
+        assert constants.symmetric is False and constants.inter_for(2, 1) is None
+        with pytest.raises(ValidationError, match=r"missing inter-layer constant .* \(2,1\)"):
+            assemble_supra_laplacian(network, constants)
+
+    @pytest.mark.parametrize("network_flag", [True, False])
+    def test_an_explicit_constants_flag_wins(self, network_flag):
+        data = two_layer_document(symmetric=network_flag)
+        data["constants"]["symmetric"] = not network_flag
+        network, constants = network_from_dict(data)
+        assert network.symmetric is network_flag and constants.symmetric is not network_flag
 
     def test_rejects_unknown_layer_in_coupling(self):
         data = {

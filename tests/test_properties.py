@@ -4,10 +4,9 @@ against eigenvalue counts, the exponential action, closed propagation, the
 Euler-Maruyama ensemble and its statistics, the connectivity sweep, both
 routes of the observed-block Kalman update and the learner against dense
 reference formulas and invariants, the fit's exact Jacobian against central
-differences, the fit's scattered generator against the sparse sum bit for
-bit, the per-topic filter and prediction of a Kronecker generator against the
-whole-state route, ``build``'s streamed dump and summary against the dense
-operator, and byte-for-byte round trips of the state, network and
+differences, the per-topic filter and prediction of a Kronecker generator
+against the whole-state route, ``build``'s streamed dump and summary against
+the dense operator, and byte-for-byte round trips of the state, network and
 matrix files, the network matrices read alike from triplets and from dense
 rows, and the column-major vectorization undone exactly."""
 
@@ -72,7 +71,6 @@ from supraflow.network import (
     _is_symmetric,
     _matrix_from_json,
     _matrix_to_json,
-    _scatter_sum,
     components,
 )
 from supraflow.spectral import _layer_kernel_basis
@@ -430,30 +428,6 @@ class TestFitStart:
         assert np.isfinite(jacobian).all()
         assert (start[zeros] == D_START).all()
         assert (jacobian[:, zeros] == 0).all()
-
-
-class TestScatteredGenerator:
-    """``_scatter_sum`` is the sparse sum bit for bit in both callers' term
-    orders: the fit's D_k B_k in k order, zero constants included, and the
-    sweep's (inter, epsilon) then (intra, 1)."""
-
-    @PROPERTY
-    @given(seed=seeds, directed=st.booleans(), zeros=st.integers(0, 3))
-    def test_equals_the_sparse_sum(self, seed, directed, zeros):
-        rng = np.random.default_rng(seed)
-        network, constants = (directed_network if directed else random_network)(rng)
-        problem = _Residuals(random_series(rng, network, 2, count=2).train_pairs(), network)
-        values = rng.uniform(0.0, 2.0, len(problem.keys))
-        values[rng.permutation(len(values))[:zeros]] = 0.0
-        supra = assemble_supra_laplacian(network, constants)
-        sweep_terms = [(supra.inter_part, rng.uniform(0.0, 2.0)), (supra.intra_part, 1.0)]
-        for terms, scattered in (
-            (list(zip(problem.basis, values)), problem.generator(values)),
-            # A stale work array, as the sweep reuses one: every entry is rewritten.
-            (sweep_terms, _scatter_sum(sweep_terms, np.full(supra.csr.shape, np.nan))),
-        ):
-            sparse_sum = sum(w * part for part, w in terms).toarray()
-            assert scattered.tobytes() == sparse_sum.tobytes()
 
 
 def eigenvalue_kernel_dim(matrix):

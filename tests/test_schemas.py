@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from supraflow import ExperimentConfig, cli, network, synthetic
+from supraflow import ExperimentConfig, cli, harness, network, synthetic
 from supraflow.errors import REQUIRED, ValidationError, _json_float, read_document
 
 LAYER = {"kind": "agent", "n": 2}
@@ -132,6 +132,7 @@ def test_an_old_key_name_fails_before_any_file_is_read(
         raise AssertionError("read the network before the config was checked")
 
     monkeypatch.setattr(cli, "load_network", refuse)
+    monkeypatch.setattr(harness, "load_network", refuse)
     config = tmp_path / "old.json"
     config.write_text(json.dumps({**COMMAND_MINIMA[command], key: 1}))
     assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 2

@@ -16,6 +16,7 @@ from supraflow import (
     spectrum,
 )
 from supraflow.network import components
+from supraflow import spectral
 from supraflow.spectral import _lambda2, _layer_kernel_basis, write_sweep_csv
 from conftest import connected_adjacency, single_layer_supra
 
@@ -201,7 +202,7 @@ class TestConnectivitySweep:
             supra = assemble_supra_laplacian(network, constants)
             for epsilon in (0.01, 0.5, 3.0):
                 work = np.empty(supra.csr.shape)
-                got = _lambda2(supra, epsilon, work)
+                got = _lambda2(scale_inter_layer(supra, epsilon), work)
                 expected = np.linalg.eigvalsh(scale_inter_layer(supra, epsilon).csr.toarray())[1]
                 assert got == pytest.approx(expected, rel=1e-12)
                 # The solves read the factor in place: the work array's
@@ -223,6 +224,38 @@ class TestConnectivitySweep:
             point = connectivity_sweep(network, constants, [epsilon])[0]
             expected = np.linalg.eigvalsh((supra.intra_part + epsilon * supra.inter_part).toarray())[1]
             assert point.lambda2_actual == expected
+
+    @pytest.mark.parametrize("factor_fails", [False, True])
+    def test_a_stale_work_array_is_fully_rewritten(self, monkeypatch, factor_fails):
+        # The sweep keeps one work array for its whole grid, so each call
+        # starts from the last one's factor: whatever the array holds, NaN
+        # included, lambda_2 keeps its bits.  A failed factorization may
+        # have overwritten the array, so the dense fallback densifies again.
+        network, constants = two_layer_multiplex(6, rng=np.random.default_rng(11))
+        supra = assemble_supra_laplacian(network, constants)
+        if factor_fails:
+
+            def failing(matrix, *args, **kwargs):
+                matrix[...] = np.nan
+                raise np.linalg.LinAlgError("not positive definite")
+
+            monkeypatch.setattr(scipy.linalg, "cho_factor", failing)
+        bits = []
+
+        def compared(operator, work):
+            got = _lambda2(operator, work)
+            fresh = _lambda2(operator, np.zeros(work.shape))
+            stale = _lambda2(operator, np.full(work.shape, np.nan))
+            dense = np.linalg.eigvalsh(operator.csr.toarray())[1]
+            assert got == pytest.approx(dense, rel=1e-10)
+            bits.append((got.hex(), fresh.hex(), stale.hex()))
+            return got
+
+        monkeypatch.setattr(spectral, "_lambda2", compared)
+        connectivity_sweep(network, constants, [0.0, 0.01, 0.5, 3.0, 0.5])
+        spectrum(supra)
+        assert len(bits) == 5
+        assert all(got == fresh == stale for got, fresh, stale in bits)
 
     def test_disconnected_coupled_operator_gives_zero_everywhere(self):
         network, constants = two_layer_multiplex(4, rng=np.random.default_rng(10))
